@@ -15,6 +15,11 @@ cargo test -q
 echo "==> cargo test -p lsdgnn-telemetry -q"
 cargo test -p lsdgnn-telemetry -q
 
+# benchmark/ is a package of its own (the workspace does not know it), so
+# a rename under crates/ can break it without any step above noticing.
+echo "==> benchmark package: unit tests + smoke run"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> telemetry smoke: fig14 with --metrics-out/--trace-out"
 SMOKE_DIR=results/ci_smoke
 rm -rf "$SMOKE_DIR"
@@ -115,6 +120,8 @@ grep -q '"remote_cut_ok":true' BENCH_cache.json \
     || { echo "FAIL: warm cache did not cut remote requests >=2x at the reference cell"; exit 1; }
 grep -q '"speedup_ok":true' BENCH_cache.json \
     || { echo "FAIL: cached serving throughput below the gate floor"; exit 1; }
+grep -q '"miss_path_ok":true' BENCH_cache.json \
+    || { echo "FAIL: on uniform roots the cache's miss path costs more than the gate allows"; exit 1; }
 grep -q '"wire_cut_ok":true' BENCH_cache.json \
     || { echo "FAIL: cache hits did not shrink WirePlane response bytes"; exit 1; }
 grep -q '"cache_hit_blamed":true' BENCH_cache.json \

@@ -34,7 +34,7 @@ use lsdgnn_graph::mem::prefetch_read;
 use lsdgnn_graph::{NodeId, NodeMap, PartitionId, PartitionedGraph};
 use lsdgnn_memfabric::LinkModel;
 use lsdgnn_mof::{
-    pack_read_requests, BdiStreamSizer, CRC_BYTES, HEADER_BYTES, MAX_REQUESTS_PER_PACKAGE,
+    packed_request_size, BdiStreamSizer, CRC_BYTES, HEADER_BYTES, MAX_REQUESTS_PER_PACKAGE,
 };
 use lsdgnn_sampler::{NeighborSampler, SampleBatch, SampleBlock, StreamingSampler};
 use lsdgnn_telemetry::ledger::{self, Stage};
@@ -436,8 +436,8 @@ impl lsdgnn_telemetry::MetricSource for WireSnapshot {
 
 /// The MoF wire accounting plane: when a cluster is spawned with
 /// [`Cluster::spawn_wired`], every remote leg's read addresses run
-/// through real [`pack_read_requests`] packing and every response
-/// payload through the real per-line BDI sizer
+/// through the real MoF packer's split walk ([`packed_request_size`])
+/// and every response payload through the real per-line BDI sizer
 /// ([`BdiStreamSizer`]) — *measured on the actual serving
 /// traffic*, with the link model charged the wire (compressed) byte
 /// count. Replies themselves are untouched, so sampled results are
@@ -457,40 +457,38 @@ impl WirePlane {
     }
 
     /// Accounts one remote leg: `addrs` are the leg's read addresses in
-    /// dispatch order, `request_bytes` the nominal per-read size,
-    /// `payload` the response payload as 64-bit words, and
-    /// `incompressible` extra response bytes BDI does not touch (the
-    /// CSR boundary array of a neighbor reply).
+    /// dispatch order (only sized, never materialised), `payload` the
+    /// response payload as 64-bit words, and `incompressible` extra
+    /// response bytes BDI does not touch (the CSR boundary array of a
+    /// neighbor reply).
     fn account_leg(
         &self,
         leg: WireLeg,
-        addrs: &[u64],
-        request_bytes: u16,
+        addrs: impl ExactSizeIterator<Item = u64>,
         payload: impl ExactSizeIterator<Item = u64>,
         incompressible: u64,
     ) {
         let c = &self.counters;
-        let raw_req = UNPACKED_REQUEST_BYTES * addrs.len() as u64;
+        let requests = addrs.len() as u64;
+        let raw_req = UNPACKED_REQUEST_BYTES * requests;
         let wire_req = if self.config.packing {
-            let packed = pack_read_requests(addrs, request_bytes, 0);
+            let packed = packed_request_size(addrs);
             c.request_packages
-                .fetch_add(packed.packages.len() as u64, Ordering::Relaxed);
+                .fetch_add(packed.packages, Ordering::Relaxed);
             c.packed_requests
                 .fetch_add(packed.requests, Ordering::Relaxed);
             c.overflow_splits
                 .fetch_add(packed.overflow_splits, Ordering::Relaxed);
-            packed.wire_bytes()
+            packed.wire_bytes
         } else {
-            c.request_packages
-                .fetch_add(addrs.len() as u64, Ordering::Relaxed);
-            c.packed_requests
-                .fetch_add(addrs.len() as u64, Ordering::Relaxed);
+            c.request_packages.fetch_add(requests, Ordering::Relaxed);
+            c.packed_requests.fetch_add(requests, Ordering::Relaxed);
             raw_req
         };
         // Response: framing (header + CRC per 64-response package) plus
         // the payload, compressed per 64-byte line when enabled.
-        let framing = (addrs.len() as u64).div_ceil(MAX_REQUESTS_PER_PACKAGE as u64)
-            * (HEADER_BYTES + CRC_BYTES);
+        let framing =
+            requests.div_ceil(MAX_REQUESTS_PER_PACKAGE as u64) * (HEADER_BYTES + CRC_BYTES);
         let (raw_payload, wire_payload) = if self.config.compression {
             let mut sizer = BdiStreamSizer::new();
             for w in payload {
@@ -1351,14 +1349,10 @@ impl Cluster {
                         // node's neighbor list in the remote CSR; the
                         // payload is the flat neighbor-id buffer plus the
                         // per-node offsets header (incompressible here).
-                        let addrs: Vec<u64> = pos
-                            .iter()
-                            .map(|&i| (g.neighbor_range(unique[i as usize]).start as u64) * 8)
-                            .collect();
                         wire.account_leg(
                             WireLeg::Sampling,
-                            &addrs,
-                            64,
+                            pos.iter()
+                                .map(|&i| g.neighbor_range(unique[i as usize]).start as u64 * 8),
                             flat.iter().map(|v| v.0),
                             4 * offsets.len() as u64,
                         );
@@ -1547,14 +1541,10 @@ impl Cluster {
                     if let Some(wire) = &self.wire {
                         // One request per distinct row; the payload is
                         // the row data itself, packed two f32 per word.
-                        let addrs: Vec<u64> = pos
-                            .iter()
-                            .map(|&i| unique[i as usize].index() as u64 * attr_len as u64 * 4)
-                            .collect();
                         wire.account_leg(
                             WireLeg::Attrs,
-                            &addrs,
-                            (attr_len * 4).min(u16::MAX as usize) as u16,
+                            pos.iter()
+                                .map(|&i| unique[i as usize].index() as u64 * attr_len as u64 * 4),
                             attrs.chunks(2).map(|c| {
                                 let lo = c[0].to_bits() as u64;
                                 let hi = c.get(1).map_or(0, |v| v.to_bits()) as u64;

@@ -30,17 +30,23 @@
 //! tiers) from vertex degree — the paper's degree-aware hot-node
 //! identification — so hubs are admitted from the first request.
 //!
+//! **Eviction** is exact LRU per segment in O(1): the slots of a segment
+//! are threaded on an intrusive recency list in last-use order, so the
+//! victim is the list's head and a miss, a rejected offer and an admitted
+//! one all cost the same whatever the capacity.
+//!
 //! **Invalidation** is epoch-stamped: every entry records the tier epoch
 //! at insert, [`ShardedTier::invalidate_all`] bumps the epoch in O(1) and
-//! stale entries read as misses (their slots recycle in place on the next
-//! admit). [`ShardedTier::rekey`] instead *rewrites* keys through a
+//! stale entries read as misses and stop counting as resident at once
+//! (their slots recycle in place on the next admit).
+//! [`ShardedTier::rekey`] instead *rewrites* keys through a
 //! relabeling permutation so a warm cache survives a graph reorder, and
 //! [`ShardedTier::clear`] releases entries in O(occupied) without
 //! dropping a single slot buffer.
 
 use lsdgnn_graph::{FnvHashMap, NodeId, PartitionId, PartitionedGraph};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// SplitMix64 — the shard selector and sketch hash. One multiply-xor
 /// chain, good dispersion on dense node ids.
@@ -148,14 +154,23 @@ impl FreqSketch {
     }
 }
 
+/// Recency-list terminator (no slot index reaches it: a segment holds at
+/// most `cap` ≤ `u32::MAX` slots, indexed from zero).
+const NIL: u32 = u32::MAX;
+
 /// One cached entry: the owning node, its last-use tick (global across
 /// segments so rekey collisions resolve by true recency), the tier epoch
-/// it was written under, and the payload (reused in place forever).
+/// it was written under, its neighbors in the segment's recency list, and
+/// the payload (reused in place forever).
 #[derive(Debug)]
 struct Slot<T> {
     node: NodeId,
     tick: u64,
     epoch: u32,
+    /// Recency-list links (slot indices, [`NIL`] at either end);
+    /// meaningful only while the slot is in the segment's `map`.
+    prev: u32,
+    next: u32,
     data: Vec<T>,
 }
 
@@ -169,16 +184,152 @@ struct Segment<T> {
     free: Vec<u32>,
     sketch: FreqSketch,
     cap: usize,
+    /// Intrusive recency list over exactly the slots in `map`, in
+    /// ascending tick order: `head` is the least recently used entry —
+    /// the eviction victim — and `tail` the most recent.
+    head: u32,
+    tail: u32,
+    /// Entries and payload bytes written under `live_epoch`. A tier
+    /// epoch bump makes them read as zero without touching the segment;
+    /// the next operation under the lock restarts the count.
+    live_epoch: u32,
+    live_entries: usize,
+    live_bytes: u64,
 }
 
-impl<T> Segment<T> {
-    /// The live slot with the oldest tick — the LRU eviction victim.
-    fn victim(&self) -> Option<u32> {
+impl<T: Copy> Segment<T> {
+    fn new(cap: usize) -> Self {
+        Segment {
+            map: FnvHashMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            sketch: FreqSketch::new(cap),
+            cap,
+            head: NIL,
+            tail: NIL,
+            live_epoch: 0,
+            live_entries: 0,
+            live_bytes: 0,
+        }
+    }
+
+    /// Restarts the live counts when the tier epoch has moved on.
+    fn sync_epoch(&mut self, epoch: u32) {
+        if self.live_epoch != epoch {
+            self.live_epoch = epoch;
+            self.live_entries = 0;
+            self.live_bytes = 0;
+        }
+    }
+
+    /// Links slot `i` into the recency list at its tick's position,
+    /// searching back from the tail. Ticks are drawn under the segment
+    /// lock, so a freshly ticked slot stops at the tail itself; only
+    /// [`ShardedTier::rekey`], which re-homes entries under the ticks
+    /// they already carried, can walk further.
+    fn link(&mut self, i: u32) {
+        let tick = self.slots[i as usize].tick;
+        let mut next = NIL;
+        let mut prev = self.tail;
+        while prev != NIL && self.slots[prev as usize].tick > tick {
+            next = prev;
+            prev = self.slots[prev as usize].prev;
+        }
+        self.slots[i as usize].prev = prev;
+        self.slots[i as usize].next = next;
+        match prev {
+            NIL => self.head = i,
+            p => self.slots[p as usize].next = i,
+        }
+        match next {
+            NIL => self.tail = i,
+            n => self.slots[n as usize].prev = i,
+        }
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let Slot { prev, next, .. } = self.slots[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Marks slot `i` used at `tick`: it becomes the most recent entry.
+    fn touch(&mut self, i: u32, tick: u64) {
+        self.slots[i as usize].tick = tick;
+        if self.tail != i {
+            self.unlink(i);
+            self.link(i);
+        }
+    }
+
+    /// Takes slot `i` out of the map, the recency list and the live
+    /// counts. Its payload buffer stays in place for the next writer.
+    fn detach(&mut self, i: u32) {
+        let slot = &self.slots[i as usize];
+        if slot.epoch == self.live_epoch {
+            self.live_entries -= 1;
+            self.live_bytes -= std::mem::size_of_val(slot.data.as_slice()) as u64;
+        }
+        let node = slot.node;
+        self.map.remove(&node);
+        self.unlink(i);
+    }
+
+    /// Writes `(v, data)` into the detached slot `i` (reusing its
+    /// buffer) and binds it in the map, the recency list and — when
+    /// `epoch` is the one the segment is counting — the live counts.
+    fn write(&mut self, i: u32, v: NodeId, tick: u64, epoch: u32, data: &[T]) {
+        let slot = &mut self.slots[i as usize];
+        slot.node = v;
+        slot.tick = tick;
+        slot.epoch = epoch;
+        slot.data.clear();
+        slot.data.extend_from_slice(data);
+        self.map.insert(v, i);
+        self.link(i);
+        if epoch == self.live_epoch {
+            self.live_entries += 1;
+            self.live_bytes += std::mem::size_of_val(data) as u64;
+        }
+    }
+
+    /// Empties the map, the recency list and the live counts in one
+    /// sweep; every slot that was bound moves to the free list with its
+    /// buffer. Returns how many there were.
+    fn release_all(&mut self) -> u64 {
+        let n = self.map.len() as u64;
+        self.free.extend(self.map.drain().map(|(_, i)| i));
+        self.head = NIL;
+        self.tail = NIL;
+        self.live_entries = 0;
+        self.live_bytes = 0;
+        n
+    }
+
+    /// The bound slot with the oldest tick, found the way eviction used
+    /// to find it — by reading every slot. Tests hold the recency list's
+    /// head against it.
+    #[cfg(test)]
+    fn victim_by_scan(&self) -> Option<u32> {
+        VICTIM_VISITS.set(VICTIM_VISITS.get() + self.map.len() as u64);
         self.map
             .values()
             .copied()
             .min_by_key(|&i| self.slots[i as usize].tick)
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Slots examined while choosing eviction victims on this thread —
+    /// the complexity pin reads it instead of a clock.
+    static VICTIM_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Counter block shared by a tier's segments (all relaxed atomics — the
@@ -191,7 +342,6 @@ struct TierCounters {
     evicts: AtomicU64,
     rejects: AtomicU64,
     partition_saves: AtomicU64,
-    bytes: AtomicU64,
     data_allocs: AtomicU64,
 }
 
@@ -211,9 +361,10 @@ pub struct TierSnapshot {
     /// Hits that served a node whose owning partition was unreachable —
     /// each one legally avoided a degraded reply.
     pub partition_saves: u64,
-    /// Payload bytes currently resident.
+    /// Payload bytes servable now (entries written before the last
+    /// [`ShardedTier::invalidate_all`] no longer count).
     pub bytes: u64,
-    /// Entries currently resident.
+    /// Entries servable now.
     pub entries: u64,
 }
 
@@ -254,6 +405,10 @@ pub struct ShardedTier<T> {
     epoch: AtomicU32,
     tick: AtomicU64,
     counters: TierCounters,
+    /// Makes this tier choose victims by [`Segment::victim_by_scan`] —
+    /// the reference the exactness proptest runs beside a list tier.
+    #[cfg(test)]
+    evict_by_scan: bool,
 }
 
 impl<T: Copy> ShardedTier<T> {
@@ -277,15 +432,7 @@ impl<T: Copy> ShardedTier<T> {
         let shards = shards.max(1);
         let seg_cap = capacity.div_ceil(shards);
         let segments = (0..shards)
-            .map(|_| {
-                Mutex::new(Segment {
-                    map: FnvHashMap::default(),
-                    slots: Vec::new(),
-                    free: Vec::new(),
-                    sketch: FreqSketch::new(seg_cap),
-                    cap: seg_cap,
-                })
-            })
+            .map(|_| Mutex::new(Segment::new(seg_cap)))
             .collect();
         ShardedTier {
             segments,
@@ -295,13 +442,24 @@ impl<T: Copy> ShardedTier<T> {
             epoch: AtomicU32::new(0),
             tick: AtomicU64::new(0),
             counters: TierCounters::default(),
+            #[cfg(test)]
+            evict_by_scan: false,
         }
     }
 
+    /// Locks `v`'s segment and reads the tier epoch under that lock, so
+    /// the epochs one segment sees never run backwards; returns the
+    /// guard (live counts already restarted if the epoch moved), `v`'s
+    /// hash and the epoch.
     #[inline]
-    fn segment(&self, v: NodeId) -> (&Mutex<Segment<T>>, u64) {
+    fn enter(&self, v: NodeId) -> (MutexGuard<'_, Segment<T>>, u64, u32) {
         let h = mix(v.0);
-        (&self.segments[(h as usize) & self.shard_mask], h)
+        let mut seg = self.segments[(h as usize) & self.shard_mask]
+            .lock()
+            .expect("segment lock");
+        let epoch = self.epoch.load(Ordering::Relaxed);
+        seg.sync_epoch(epoch);
+        (seg, h, epoch)
     }
 
     #[inline]
@@ -314,12 +472,21 @@ impl<T: Copy> ShardedTier<T> {
         self.capacity
     }
 
-    /// Entries currently resident.
-    pub fn len(&self) -> usize {
+    /// Servable entries and their payload bytes: what each segment
+    /// counted under the current epoch.
+    fn live(&self) -> (usize, u64) {
+        let epoch = self.epoch.load(Ordering::Relaxed);
         self.segments
             .iter()
-            .map(|s| s.lock().expect("segment lock").map.len())
-            .sum()
+            .map(|s| s.lock().expect("segment lock"))
+            .filter(|s| s.live_epoch == epoch)
+            .fold((0, 0), |(n, b), s| (n + s.live_entries, b + s.live_bytes))
+    }
+
+    /// Entries servable now. Entries invalidated by an epoch bump stop
+    /// counting at once, though their slots are reclaimed lazily.
+    pub fn len(&self) -> usize {
+        self.live().0
     }
 
     /// Whether nothing is cached.
@@ -342,6 +509,7 @@ impl<T: Copy> ShardedTier<T> {
     /// Counter snapshot.
     pub fn snapshot(&self) -> TierSnapshot {
         let c = &self.counters;
+        let (entries, bytes) = self.live();
         TierSnapshot {
             hits: c.hits.load(Ordering::Relaxed),
             misses: c.misses.load(Ordering::Relaxed),
@@ -349,8 +517,8 @@ impl<T: Copy> ShardedTier<T> {
             evicts: c.evicts.load(Ordering::Relaxed),
             rejects: c.rejects.load(Ordering::Relaxed),
             partition_saves: c.partition_saves.load(Ordering::Relaxed),
-            bytes: c.bytes.load(Ordering::Relaxed),
-            entries: self.len() as u64,
+            bytes,
+            entries: entries as u64,
         }
     }
 
@@ -367,54 +535,44 @@ impl<T: Copy> ShardedTier<T> {
     /// length returned. The spans-into-arena shape tier N needs: the
     /// caller owns where cached bytes land.
     pub fn append_to(&self, v: NodeId, out: &mut Vec<T>) -> Option<usize> {
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        let (seg, h) = self.segment(v);
-        let mut seg = seg.lock().expect("segment lock");
-        seg.sketch.increment(h);
-        match self.lookup(&mut seg, v, epoch) {
-            Some(i) => {
-                let slot = &seg.slots[i as usize];
-                out.extend_from_slice(&slot.data);
-                Some(slot.data.len())
-            }
-            None => None,
-        }
+        let (mut seg, h, epoch) = self.enter(v);
+        let i = self.lookup(&mut seg, v, h, epoch)?;
+        let data = &seg.slots[i as usize].data;
+        out.extend_from_slice(data);
+        Some(data.len())
     }
 
     /// Looks `v` up; on a hit the payload is copied into `dst` (which
     /// must be exactly the payload length) and `true` returned. The
     /// fixed-width row shape tier A needs.
     pub fn copy_to(&self, v: NodeId, dst: &mut [T]) -> bool {
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        let (seg, h) = self.segment(v);
-        let mut seg = seg.lock().expect("segment lock");
-        seg.sketch.increment(h);
-        match self.lookup(&mut seg, v, epoch) {
+        let (mut seg, h, epoch) = self.enter(v);
+        match self.lookup(&mut seg, v, h, epoch) {
             Some(i) => {
-                let slot = &seg.slots[i as usize];
-                debug_assert_eq!(slot.data.len(), dst.len(), "row width mismatch");
-                dst.copy_from_slice(&slot.data);
+                let data = &seg.slots[i as usize].data;
+                debug_assert_eq!(data.len(), dst.len(), "row width mismatch");
+                dst.copy_from_slice(data);
                 true
             }
             None => false,
         }
     }
 
-    /// The locked lookup core: refresh + hit count on a live entry,
-    /// lazy reclaim + miss count on a stale-epoch one.
-    fn lookup(&self, seg: &mut Segment<T>, v: NodeId, epoch: u32) -> Option<u32> {
+    /// The locked lookup core: sketch count, then refresh + hit count on
+    /// a live entry, lazy reclaim + miss count on a stale-epoch one.
+    fn lookup(&self, seg: &mut Segment<T>, v: NodeId, h: u64, epoch: u32) -> Option<u32> {
+        seg.sketch.increment(h);
         match seg.map.get(&v).copied() {
             Some(i) if seg.slots[i as usize].epoch == epoch => {
-                seg.slots[i as usize].tick = self.next_tick();
+                seg.touch(i, self.next_tick());
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
                 Some(i)
             }
             Some(i) => {
                 // Invalidated by an epoch bump: reclaim the slot (buffer
                 // stays in place for the next admit) and miss.
-                seg.map.remove(&v);
+                seg.detach(i);
                 seg.free.push(i);
-                self.release_bytes(&seg.slots[i as usize]);
                 self.counters.evicts.fetch_add(1, Ordering::Relaxed);
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 None
@@ -426,38 +584,40 @@ impl<T: Copy> ShardedTier<T> {
         }
     }
 
-    fn release_bytes(&self, slot: &Slot<T>) {
-        self.counters.bytes.fetch_sub(
-            std::mem::size_of_val(slot.data.as_slice()) as u64,
-            Ordering::Relaxed,
-        );
+    /// A slot for a fresh entry: a recycled one, else a new empty shell
+    /// while the segment is under capacity. `None` means the segment is
+    /// full and someone has to be evicted.
+    fn vacant_slot(&self, seg: &mut Segment<T>) -> Option<u32> {
+        if let Some(i) = seg.free.pop() {
+            return Some(i);
+        }
+        if seg.slots.len() == seg.cap {
+            return None;
+        }
+        seg.slots.push(Slot {
+            node: NodeId(0),
+            tick: 0,
+            epoch: 0,
+            prev: NIL,
+            next: NIL,
+            data: Vec::new(),
+        });
+        self.counters.data_allocs.fetch_add(1, Ordering::Relaxed);
+        Some(seg.slots.len() as u32 - 1)
     }
 
-    fn claim_bytes(&self, data: &[T]) {
-        self.counters
-            .bytes
-            .fetch_add(std::mem::size_of_val(data) as u64, Ordering::Relaxed);
-    }
-
-    /// Writes `data` into slot `i` (reusing its buffer), rebinding it to
-    /// `v` in the map.
-    fn write_slot(
-        &self,
-        seg: &mut Segment<T>,
-        i: u32,
-        v: NodeId,
-        tick: u64,
-        epoch: u32,
-        data: &[T],
-    ) {
-        let slot = &mut seg.slots[i as usize];
-        slot.node = v;
-        slot.tick = tick;
-        slot.epoch = epoch;
-        slot.data.clear();
-        slot.data.extend_from_slice(data);
-        seg.map.insert(v, i);
-        self.claim_bytes(data);
+    /// The LRU eviction victim of a full segment: the head of its
+    /// recency list, which is its minimum-tick entry.
+    #[inline]
+    fn lru(&self, seg: &Segment<T>) -> Option<u32> {
+        #[cfg(test)]
+        {
+            if self.evict_by_scan {
+                return seg.victim_by_scan();
+            }
+            VICTIM_VISITS.set(VICTIM_VISITS.get() + 1);
+        }
+        (seg.head != NIL).then_some(seg.head)
     }
 
     /// Offers `(v, data)` for caching after a remote fetch. Present
@@ -466,45 +626,27 @@ impl<T: Copy> ShardedTier<T> {
     /// candidate is at least as popular (ties admit, so a cold sketch
     /// behaves like plain LRU).
     pub fn admit(&self, v: NodeId, data: &[T]) {
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        let (seg, h) = self.segment(v);
-        let mut seg = seg.lock().expect("segment lock");
+        let (mut seg, h, epoch) = self.enter(v);
         seg.sketch.increment(h);
         let tick = self.next_tick();
         if let Some(&i) = seg.map.get(&v) {
-            let slot = &mut seg.slots[i as usize];
-            if slot.epoch == epoch {
-                slot.tick = tick;
+            if seg.slots[i as usize].epoch == epoch {
+                seg.touch(i, tick);
                 return; // cached graph data is immutable: touch, don't copy
             }
             // Stale epoch: rewrite in place under the current epoch.
-            self.release_bytes(&seg.slots[i as usize]);
+            seg.detach(i);
             self.counters.evicts.fetch_add(1, Ordering::Relaxed);
-            seg.map.remove(&v);
-            self.write_slot(&mut seg, i, v, tick, epoch, data);
+            seg.write(i, v, tick, epoch, data);
             self.counters.admits.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        if let Some(i) = seg.free.pop() {
-            self.write_slot(&mut seg, i, v, tick, epoch, data);
+        if let Some(i) = self.vacant_slot(&mut seg) {
+            seg.write(i, v, tick, epoch, data);
             self.counters.admits.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        if seg.slots.len() < seg.cap {
-            let i = seg.slots.len() as u32;
-            seg.slots.push(Slot {
-                node: v,
-                tick,
-                epoch,
-                data: data.to_vec(),
-            });
-            seg.map.insert(v, i);
-            self.claim_bytes(data);
-            self.counters.data_allocs.fetch_add(1, Ordering::Relaxed);
-            self.counters.admits.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let Some(vi) = seg.victim() else { return };
+        let Some(vi) = self.lru(&seg) else { return };
         if self.admission {
             let victim = &seg.slots[vi as usize];
             // A stale-epoch victim is free real estate; a live one
@@ -522,11 +664,9 @@ impl<T: Copy> ShardedTier<T> {
                 return;
             }
         }
-        let victim_node = seg.slots[vi as usize].node;
-        seg.map.remove(&victim_node);
-        self.release_bytes(&seg.slots[vi as usize]);
+        seg.detach(vi);
         self.counters.evicts.fetch_add(1, Ordering::Relaxed);
-        self.write_slot(&mut seg, vi, v, tick, epoch, data);
+        seg.write(vi, v, tick, epoch, data);
         self.counters.admits.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -534,29 +674,15 @@ impl<T: Copy> ShardedTier<T> {
     /// capacity — no eviction, so earlier (higher-priority) warm entries
     /// are never displaced by later ones. Returns whether it stuck.
     pub fn insert_warm(&self, v: NodeId, data: &[T]) -> bool {
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        let (seg, _) = self.segment(v);
-        let mut seg = seg.lock().expect("segment lock");
+        let (mut seg, _, epoch) = self.enter(v);
         if seg.map.contains_key(&v) {
             return true;
         }
         let tick = self.next_tick();
-        if let Some(i) = seg.free.pop() {
-            self.write_slot(&mut seg, i, v, tick, epoch, data);
-        } else if seg.slots.len() < seg.cap {
-            let i = seg.slots.len() as u32;
-            seg.slots.push(Slot {
-                node: v,
-                tick,
-                epoch,
-                data: data.to_vec(),
-            });
-            seg.map.insert(v, i);
-            self.claim_bytes(data);
-            self.counters.data_allocs.fetch_add(1, Ordering::Relaxed);
-        } else {
+        let Some(i) = self.vacant_slot(&mut seg) else {
             return false;
-        }
+        };
+        seg.write(i, v, tick, epoch, data);
         self.counters.admits.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -564,13 +690,14 @@ impl<T: Copy> ShardedTier<T> {
     /// Raises `v`'s sketch estimate to at least `level` without caching
     /// anything — the degree-prior half of warmup.
     pub fn raise_prior(&self, v: NodeId, level: u64) {
-        let (seg, h) = self.segment(v);
-        seg.lock().expect("segment lock").sketch.raise(h, level);
+        let (mut seg, h, _) = self.enter(v);
+        seg.sketch.raise(h, level);
     }
 
     /// O(1) invalidation: bumps the tier epoch, turning every resident
-    /// entry into a miss. Slots are reclaimed lazily as lookups and
-    /// admits touch them — nothing is freed here.
+    /// entry into a miss and [`ShardedTier::len`] / the snapshot's
+    /// `entries` and `bytes` to zero. Slots are reclaimed lazily as
+    /// lookups and admits touch them — nothing is freed here.
     pub fn invalidate_all(&self) {
         self.epoch.fetch_add(1, Ordering::Relaxed);
     }
@@ -580,14 +707,8 @@ impl<T: Copy> ShardedTier<T> {
     /// cycle reallocates nothing (pinned by [`ShardedTier::data_allocs`]).
     pub fn clear(&self) {
         for seg in &self.segments {
-            let mut seg = seg.lock().expect("segment lock");
-            let mut live: Vec<u32> = seg.map.values().copied().collect();
-            for &i in &live {
-                self.release_bytes(&seg.slots[i as usize]);
-                self.counters.evicts.fetch_add(1, Ordering::Relaxed);
-            }
-            seg.free.append(&mut live);
-            seg.map.clear();
+            let released = seg.lock().expect("segment lock").release_all();
+            self.counters.evicts.fetch_add(released, Ordering::Relaxed);
         }
     }
 
@@ -604,13 +725,9 @@ impl<T: Copy> ShardedTier<T> {
         let mut moved: Vec<(NodeId, u64, Vec<T>)> = Vec::new();
         for segm in &self.segments {
             let mut seg = segm.lock().expect("segment lock");
-            let mut live: Vec<u32> = seg.map.values().copied().collect();
-            for &i in &live {
+            let seg = &mut *seg;
+            for &i in seg.map.values() {
                 let slot = &mut seg.slots[i as usize];
-                self.counters.bytes.fetch_sub(
-                    (slot.data.len() * std::mem::size_of::<T>()) as u64,
-                    Ordering::Relaxed,
-                );
                 if slot.epoch == epoch {
                     if let Some(new) = map(slot.node) {
                         moved.push((new, slot.tick, std::mem::take(&mut slot.data)));
@@ -619,59 +736,39 @@ impl<T: Copy> ShardedTier<T> {
                 }
                 self.counters.evicts.fetch_add(1, Ordering::Relaxed);
             }
-            seg.free.append(&mut live);
-            seg.map.clear();
+            seg.release_all();
         }
-        // ...then re-home each one under its new key. Most-recent wins
+        // ...then re-home each one under its new key, oldest first, so
+        // every entry lands at its recency list's tail. Most-recent wins
         // on collision or a full segment.
+        moved.sort_unstable_by_key(|&(_, tick, _)| tick);
         for (v, tick, data) in moved {
             self.reinsert(v, tick, epoch, &data);
         }
     }
 
+    /// Re-homes one rekeyed entry under the tick and epoch it carried:
+    /// into its key's own slot, else a vacant one, else the LRU victim's.
+    /// An occupied slot yields only to a more recent entry, and whichever
+    /// of the two loses counts as an eviction.
     fn reinsert(&self, v: NodeId, tick: u64, epoch: u32, data: &[T]) {
-        let (seg, _) = self.segment(v);
-        let mut seg = seg.lock().expect("segment lock");
-        if let Some(&i) = seg.map.get(&v) {
-            if seg.slots[i as usize].tick >= tick {
-                self.counters.evicts.fetch_add(1, Ordering::Relaxed);
-                return; // resident entry is more recent
-            }
-            self.release_bytes(&seg.slots[i as usize]);
-            seg.map.remove(&v);
-            self.write_slot(&mut seg, i, v, tick, epoch, data);
+        let (mut seg, _, _) = self.enter(v);
+        let resident = seg.map.get(&v).copied();
+        let vacant = match resident {
+            Some(_) => None,
+            None => self.vacant_slot(&mut seg),
+        };
+        let Some(i) = resident.or(vacant).or_else(|| self.lru(&seg)) else {
+            return;
+        };
+        if vacant.is_none() {
             self.counters.evicts.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if let Some(i) = seg.free.pop() {
-            self.write_slot(&mut seg, i, v, tick, epoch, data);
-            return;
-        }
-        if seg.slots.len() < seg.cap {
-            let i = seg.slots.len() as u32;
-            seg.slots.push(Slot {
-                node: v,
-                tick,
-                epoch,
-                data: data.to_vec(),
-            });
-            seg.map.insert(v, i);
-            self.claim_bytes(data);
-            self.counters.data_allocs.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        match seg.victim() {
-            Some(vi) if seg.slots[vi as usize].tick < tick => {
-                let victim_node = seg.slots[vi as usize].node;
-                seg.map.remove(&victim_node);
-                self.release_bytes(&seg.slots[vi as usize]);
-                self.counters.evicts.fetch_add(1, Ordering::Relaxed);
-                self.write_slot(&mut seg, vi, v, tick, epoch, data);
+            if seg.slots[i as usize].tick >= tick {
+                return;
             }
-            _ => {
-                self.counters.evicts.fetch_add(1, Ordering::Relaxed);
-            }
+            seg.detach(i);
         }
+        seg.write(i, v, tick, epoch, data);
     }
 }
 
@@ -1068,6 +1165,36 @@ mod tests {
     }
 
     #[test]
+    fn invalidated_entries_stop_counting_as_resident() {
+        // A dashboard must not show a full cache at a 0% hit rate: the
+        // epoch bump zeroes `entries`/`bytes` at once, although the
+        // slots themselves are only reclaimed as operations reach them.
+        let c: AttrTier = ShardedTier::new(8, 2, false);
+        for i in 0..8 {
+            c.admit(NodeId(i), &attrs(NodeId(i)));
+        }
+        let full = c.snapshot();
+        assert_eq!(full.entries, c.len() as u64);
+        assert_eq!(full.bytes, full.entries * 4 * 4);
+        assert!(full.entries >= 4);
+        c.invalidate_all();
+        assert_eq!(c.len(), 0);
+        assert!(c.is_empty());
+        let stale = c.snapshot();
+        assert_eq!((stale.entries, stale.bytes), (0, 0));
+        assert_eq!(stale.evicts, full.evicts, "nothing was reclaimed yet");
+        // Entries written under the new epoch count from one again,
+        // whether they rewrite a stale slot in place or not.
+        c.admit(NodeId(0), &[5.0]);
+        c.admit(NodeId(100), &[6.0, 7.0]);
+        let fresh = c.snapshot();
+        assert_eq!((fresh.entries, fresh.bytes), (2, 12));
+        // A lookup that reclaims a stale slot leaves the count alone.
+        assert!(get(&c, NodeId(1)).is_none());
+        assert_eq!(c.len(), 2);
+    }
+
+    #[test]
     fn snapshot_registers_as_metric_source() {
         let cache = HotSetCache::new(CacheConfig::with_capacity(16));
         cache
@@ -1155,5 +1282,125 @@ mod tests {
         assert!(e >= 2 && e <= 7, "aging halves, got {e}");
         s.raise(h, 15);
         assert_eq!(s.estimate(h), 15);
+    }
+
+    /// Checks every segment's recency list against its map: the list
+    /// holds exactly the mapped slots, in strictly ascending tick order,
+    /// doubly linked, and its head is the entry a full scan would evict.
+    fn check_recency_lists(t: &AttrTier) -> Result<(), String> {
+        for (s, seg) in t.segments.iter().enumerate() {
+            let seg = seg.lock().unwrap();
+            let scan = seg.victim_by_scan().unwrap_or(NIL);
+            if seg.head != scan {
+                return Err(format!(
+                    "segment {s}: head {} != min-tick scan {scan}",
+                    seg.head
+                ));
+            }
+            let (mut walked, mut prev, mut i) = (0, NIL, seg.head);
+            while i != NIL {
+                let slot = &seg.slots[i as usize];
+                if seg.map.get(&slot.node) != Some(&i) {
+                    return Err(format!("segment {s}: listed slot {i} is not mapped"));
+                }
+                if slot.prev != prev {
+                    return Err(format!("segment {s}: slot {i} has a wrong back link"));
+                }
+                if prev != NIL && seg.slots[prev as usize].tick >= slot.tick {
+                    return Err(format!("segment {s}: ticks not ascending at slot {i}"));
+                }
+                walked += 1;
+                if walked > seg.map.len() {
+                    return Err(format!("segment {s}: list longer than the map"));
+                }
+                (prev, i) = (i, slot.next);
+            }
+            if walked != seg.map.len() || seg.tail != prev {
+                return Err(format!(
+                    "segment {s}: walked {walked} of {} mapped, tail {} vs {prev}",
+                    seg.map.len(),
+                    seg.tail
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// The recency list evicts exactly what the min-tick scan evicted:
+        /// a list tier and a reference tier that still scans run the same
+        /// random program and agree on every answer and every counter.
+        #[test]
+        fn recency_list_evicts_what_the_scan_would(
+            shards in 1usize..=4,
+            capacity in 1usize..=32,
+            admission in 0u8..2,
+            program in proptest::collection::vec((0u8..32, 0u64..48), 1..300),
+        ) {
+            let list: AttrTier = ShardedTier::new(capacity, shards, admission == 1);
+            let mut scan: AttrTier = ShardedTier::new(capacity, shards, admission == 1);
+            scan.evict_by_scan = true;
+            for (step, &(op, k)) in program.iter().enumerate() {
+                let v = NodeId(k);
+                let answers = [&list, &scan].map(|t| match op {
+                    0..=7 => {
+                        let mut row = [0.0f32; 2];
+                        t.copy_to(v, &mut row).then_some(row.to_vec())
+                    }
+                    8..=11 => get(t, v),
+                    12..=27 => {
+                        t.admit(v, &[k as f32, step as f32]);
+                        None
+                    }
+                    28 => t.insert_warm(v, &[k as f32, -1.0]).then(Vec::new),
+                    29 => {
+                        t.invalidate_all();
+                        None
+                    }
+                    30 => {
+                        t.clear();
+                        None
+                    }
+                    // Relabel with collisions (mod 48) and dropped keys.
+                    _ => {
+                        t.rekey(|old| (old.0 % 7 != k % 7).then_some(NodeId((old.0 * 5 + k) % 48)));
+                        None
+                    }
+                });
+                proptest::prop_assert_eq!(&answers[0], &answers[1], "step {} op {}", step, op);
+                proptest::prop_assert_eq!(list.snapshot(), scan.snapshot(), "step {} op {}", step, op);
+                for t in [&list, &scan] {
+                    if let Err(why) = check_recency_lists(t) {
+                        proptest::prop_assert!(false, "step {} op {}: {}", step, op, why);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn choosing_a_victim_examines_one_entry_at_any_capacity() {
+        // Complexity, not wall clock: offers to a full segment read the
+        // list head and nothing else, rejected or admitted, at 16 entries
+        // per segment and at 4096.
+        fn visits(cap: usize, admission: bool, by_scan: bool, offers: u64) -> u64 {
+            let mut c: AttrTier = ShardedTier::new(cap, 1, admission);
+            c.evict_by_scan = by_scan;
+            for i in 0..cap as u64 {
+                c.admit(NodeId(i), &[0.0]);
+            }
+            let before = VICTIM_VISITS.get();
+            for i in 0..offers {
+                c.admit(NodeId(1_000_000 + i), &[0.0]);
+            }
+            VICTIM_VISITS.get() - before
+        }
+        for admission in [false, true] {
+            assert_eq!(visits(16, admission, false, 10_000), 10_000);
+            assert_eq!(visits(4096, admission, false, 10_000), 10_000);
+        }
+        // The counter does tell a scan apart: it pays the segment each time.
+        assert_eq!(visits(16, true, true, 100), 100 * 16);
+        assert_eq!(visits(4096, true, true, 100), 100 * 4096);
     }
 }

@@ -48,6 +48,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Encoded size of a read-request package carrying `count` reads.
+fn read_request_bytes(count: usize) -> u64 {
+    HEADER_BYTES + 8 + 4 * count as u64 + CRC_BYTES
+}
+
 /// A read-request package: up to 64 same-size reads sharing one base
 /// address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,7 +101,7 @@ impl ReadRequestPackage {
 
     /// Encoded size in bytes: header + base + offsets + CRC.
     pub fn wire_bytes(&self) -> u64 {
-        HEADER_BYTES + 8 + 4 * self.offsets.len() as u64 + CRC_BYTES
+        read_request_bytes(self.offsets.len())
     }
 
     /// Serializes to wire bytes.
@@ -430,69 +435,97 @@ impl PackedRequests {
     }
 }
 
-/// Packs an arrival-ordered address stream into [`ReadRequestPackage`]s
-/// greedily: each package keeps the *minimum* address seen so far as its
-/// base (rebasing earlier offsets when a smaller address arrives), adds
-/// requests while the package's address span fits a 4-byte offset, and
+/// What packing an address stream costs on the wire — the totals of
+/// [`PackedRequests`] without the packages.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PackedSize {
+    /// Packages the stream splits into.
+    pub packages: u64,
+    /// Total requests packed.
+    pub requests: u64,
+    /// Packages closed early by a base + offset overflow (see
+    /// [`PackedRequests::overflow_splits`]).
+    pub overflow_splits: u64,
+    /// Total wire bytes of every package.
+    pub wire_bytes: u64,
+}
+
+/// The packer's one split walk. Greedy over an arrival-ordered address
+/// stream: each package keeps the *minimum* address seen so far as its
+/// base, takes requests while its address span fits a 4-byte offset, and
 /// splits — rather than erroring — when the span would overflow or the
-/// 64-request capacity is reached. Never fails: any address stream packs
-/// into some sequence of valid packages.
+/// 64-request capacity is reached. Calls `close(base, count)` once per
+/// package in stream order and returns the overflow-split count; what a
+/// package *is* (offsets to encode, or just bytes to charge) is the
+/// caller's sink.
+fn split_read_requests(
+    addresses: impl IntoIterator<Item = u64>,
+    mut close: impl FnMut(u64, usize),
+) -> u64 {
+    let mut overflow_splits = 0u64;
+    // The open package: current minimum and maximum address, and size.
+    let (mut base, mut max_addr, mut count) = (0u64, 0u64, 0usize);
+    for addr in addresses {
+        if count > 0 {
+            let (new_base, new_max) = (base.min(addr), max_addr.max(addr));
+            if new_max - new_base <= u32::MAX as u64 {
+                (base, max_addr, count) = (new_base, new_max, count + 1);
+                if count == MAX_REQUESTS_PER_PACKAGE {
+                    close(base, count);
+                    count = 0;
+                }
+                continue;
+            }
+            overflow_splits += 1;
+            close(base, count);
+        }
+        (base, max_addr, count) = (addr, addr, 1);
+    }
+    if count > 0 {
+        close(base, count);
+    }
+    overflow_splits
+}
+
+/// Packs an arrival-ordered address stream into [`ReadRequestPackage`]s
+/// along the greedy split walk: a package's base is the smallest
+/// address it carries, so arrival order need not be address order.
+/// Never fails: any address stream packs into some sequence of valid
+/// packages.
 ///
 /// Sequence numbers count up from `first_seq`.
 pub fn pack_read_requests(addresses: &[u64], request_bytes: u16, first_seq: u32) -> PackedRequests {
     let mut packages = Vec::new();
-    let mut overflow_splits = 0u64;
-    let mut seq = first_seq;
-    // The open package: base (current minimum address) + offsets from it.
-    let mut base = 0u64;
-    let mut max_addr = 0u64;
-    let mut offsets: Vec<u32> = Vec::new();
-    let mut close = |base: u64, offsets: &mut Vec<u32>, packages: &mut Vec<ReadRequestPackage>| {
-        if !offsets.is_empty() {
-            let pkg = ReadRequestPackage::new(seq, base, offsets, request_bytes)
-                .expect("packer maintains the package invariants");
-            seq = seq.wrapping_add(1);
-            packages.push(pkg);
-            offsets.clear();
-        }
-    };
-    for &addr in addresses {
-        if offsets.is_empty() {
-            base = addr;
-            max_addr = addr;
-            offsets.push(0);
-            continue;
-        }
-        let new_base = base.min(addr);
-        let new_max = max_addr.max(addr);
-        if new_max - new_base > u32::MAX as u64 {
-            overflow_splits += 1;
-            close(base, &mut offsets, &mut packages);
-            base = addr;
-            max_addr = addr;
-            offsets.push(0);
-            continue;
-        }
-        if new_base < base {
-            // Rebase: shift every recorded offset up to the new minimum.
-            let shift = (base - new_base) as u32;
-            for o in offsets.iter_mut() {
-                *o += shift;
-            }
-            base = new_base;
-        }
-        max_addr = new_max;
-        offsets.push((addr - base) as u32);
-        if offsets.len() == MAX_REQUESTS_PER_PACKAGE {
-            close(base, &mut offsets, &mut packages);
-        }
-    }
-    close(base, &mut offsets, &mut packages);
+    let mut taken = 0usize;
+    let overflow_splits = split_read_requests(addresses.iter().copied(), |base, count| {
+        let members = &addresses[taken..taken + count];
+        packages.push(ReadRequestPackage {
+            seq: first_seq.wrapping_add(packages.len() as u32),
+            base_address: base,
+            // The walk closed the package with span <= u32::MAX.
+            offsets: members.iter().map(|&a| (a - base) as u32).collect(),
+            request_bytes,
+        });
+        taken += count;
+    });
     PackedRequests {
         packages,
         requests: addresses.len() as u64,
         overflow_splits,
     }
+}
+
+/// Sizes the packages [`pack_read_requests`] would build for the same
+/// stream, without building them — the accounting-only sink of the
+/// split walk, fed straight from an iterator.
+pub fn packed_request_size(addresses: impl IntoIterator<Item = u64>) -> PackedSize {
+    let mut size = PackedSize::default();
+    size.overflow_splits = split_read_requests(addresses, |_, count| {
+        size.packages += 1;
+        size.requests += count as u64;
+        size.wire_bytes += read_request_bytes(count);
+    });
+    size
 }
 
 #[cfg(test)]
@@ -654,6 +687,30 @@ mod tests {
         assert!(packed.packages.is_empty());
         assert_eq!(packed.wire_bytes(), 0);
         assert_eq!(packed.occupancy(), 0.0);
+    }
+
+    #[test]
+    fn sizing_sink_agrees_with_the_package_sink() {
+        // Streams that rebase, fill packages and overflow the offset
+        // range: both sinks ride the same walk, so every total matches.
+        let far = u32::MAX as u64 + 1;
+        let streams: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![7],
+            (0..200)
+                .map(|i| 0xAA00_0000 + (i * 7919) % 4096 * 72)
+                .collect(),
+            (0..150).map(|i| (i % 3) * far + (150 - i) * 8).collect(),
+            vec![1000, 4000, 200, far + 1000, far + 200, 0],
+        ];
+        for addrs in streams {
+            let packed = pack_read_requests(&addrs, 8, 0);
+            let size = packed_request_size(addrs.iter().copied());
+            assert_eq!(size.packages, packed.packages.len() as u64);
+            assert_eq!(size.requests, packed.requests);
+            assert_eq!(size.overflow_splits, packed.overflow_splits);
+            assert_eq!(size.wire_bytes, packed.wire_bytes());
+        }
     }
 
     #[test]

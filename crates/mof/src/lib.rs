@@ -44,8 +44,8 @@ pub use bdi::{
 pub use endpoint::{EndpointStats, MofEndpoint};
 pub use flow::CreditFlow;
 pub use frame::{
-    pack_read_requests, PackedRequests, ReadRequestPackage, ReadResponsePackage,
-    WriteRequestPackage, CRC_BYTES, HEADER_BYTES, MAX_REQUESTS_PER_PACKAGE,
+    pack_read_requests, packed_request_size, PackedRequests, PackedSize, ReadRequestPackage,
+    ReadResponsePackage, WriteRequestPackage, CRC_BYTES, HEADER_BYTES, MAX_REQUESTS_PER_PACKAGE,
 };
 pub use packing::{ByteBreakdown, PackingScheme};
 pub use reliability::{ChannelAbandoned, LinkOutcome, ReliableChannel};
