@@ -3,24 +3,45 @@
 # Run from the workspace root: ./ci.sh
 set -eu
 
-echo "==> cargo fmt --check"
+# Each step prints its elapsed seconds when the next one starts, and the
+# run ends with the steps sorted slowest first, so a step that has grown
+# is named by the log rather than by memory.
+STEP=""
+STEP_T0=0
+STEP_TIMES=""
+step_end() {
+    [ -n "$STEP" ] || return 0
+    elapsed=$(($(date +%s) - STEP_T0))
+    echo "    ($elapsed s) $STEP"
+    STEP_TIMES="$STEP_TIMES$elapsed $STEP
+"
+    STEP=""
+}
+step() {
+    step_end
+    STEP=$1
+    STEP_T0=$(date +%s)
+    echo "==> $STEP"
+}
+
+step "cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
+step "cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "==> cargo test -q"
+step "cargo test -q"
 cargo test -q
 
-echo "==> cargo test -p lsdgnn-telemetry -q"
+step "cargo test -p lsdgnn-telemetry -q"
 cargo test -p lsdgnn-telemetry -q
 
 # benchmark/ is a package of its own (the workspace does not know it), so
 # a rename under crates/ can break it without any step above noticing.
-echo "==> benchmark package: unit tests + smoke run"
+step "benchmark package: unit tests + smoke run"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> telemetry smoke: fig14 with --metrics-out/--trace-out"
+step "telemetry smoke: fig14 with --metrics-out/--trace-out"
 SMOKE_DIR=results/ci_smoke
 rm -rf "$SMOKE_DIR"
 LSDGNN_SCALE=800 LSDGNN_BATCHES=1 cargo run --release -q -p lsdgnn-bench -- fig14 \
@@ -34,14 +55,14 @@ grep -q 'latency_us' "$SMOKE_DIR/metrics.json" \
 grep -q '"ph"' "$SMOKE_DIR/trace.json" \
     || { echo "FAIL: no trace events in chrome trace"; exit 1; }
 
-echo "==> kernel microbenchmark smoke: bench kernel --quick"
+step "kernel microbenchmark smoke: bench kernel --quick"
 cargo run --release -q -p lsdgnn-bench -- kernel --quick
 test -s BENCH_desim_kernel.json \
     || { echo "FAIL: BENCH_desim_kernel.json missing or empty"; exit 1; }
 grep -q 'schedule_heavy' BENCH_desim_kernel.json \
     || { echo "FAIL: schedule_heavy workload absent from kernel bench json"; exit 1; }
 
-echo "==> chaos sweep smoke: bench chaos --quick"
+step "chaos sweep smoke: bench chaos --quick"
 cargo run --release -q -p lsdgnn-bench -- chaos --quick
 test -s BENCH_chaos.json \
     || { echo "FAIL: BENCH_chaos.json missing or empty"; exit 1; }
@@ -50,7 +71,7 @@ grep -q '"any_degraded_success":true' BENCH_chaos.json \
 grep -q '"identical":true' BENCH_chaos.json \
     || { echo "FAIL: zero-fault plan not bit-identical to fault-free run"; exit 1; }
 
-echo "==> dataplane smoke: bench dataplane --quick"
+step "dataplane smoke: bench dataplane --quick"
 cargo run --release -q -p lsdgnn-bench -- dataplane --quick
 test -s BENCH_dataplane.json \
     || { echo "FAIL: BENCH_dataplane.json missing or empty"; exit 1; }
@@ -59,7 +80,7 @@ grep -q '"digests_match":true' BENCH_dataplane.json \
 grep -q '"speedup_ok":true' BENCH_dataplane.json \
     || { echo "FAIL: flat data plane slower than legacy path"; exit 1; }
 
-echo "==> wire smoke: bench wire --quick"
+step "wire smoke: bench wire --quick"
 cargo run --release -q -p lsdgnn-bench -- wire --quick
 test -s BENCH_wire.json \
     || { echo "FAIL: BENCH_wire.json missing or empty"; exit 1; }
@@ -70,7 +91,7 @@ grep -q '"compression_ratio_ok":true' BENCH_wire.json \
 grep -q '"coalesce_ok":true' BENCH_wire.json \
     || { echo "FAIL: no reorder policy beat the scrambled baseline's locality"; exit 1; }
 
-echo "==> inference pipeline smoke: bench inference --quick"
+step "inference pipeline smoke: bench inference --quick"
 cargo run --release -q -p lsdgnn-bench -- inference --quick
 test -s BENCH_inference.json \
     || { echo "FAIL: BENCH_inference.json missing or empty"; exit 1; }
@@ -81,7 +102,7 @@ grep -q '"pipelined_p99_us":[0-9]' BENCH_inference.json \
 grep -q '"speedup_ok":true' BENCH_inference.json \
     || { echo "FAIL: pipelined inference slower than sequential reference"; exit 1; }
 
-echo "==> observability smoke: bench obs --quick"
+step "observability smoke: bench obs --quick"
 cargo run --release -q -p lsdgnn-bench -- obs --quick
 test -s BENCH_obs.json \
     || { echo "FAIL: BENCH_obs.json missing or empty"; exit 1; }
@@ -97,7 +118,7 @@ fi
 grep -q '"merge_jobs_parity":true' BENCH_obs.json \
     || { echo "FAIL: ledger merge digest depends on recorder threads"; exit 1; }
 
-echo "==> traffic smoke: bench traffic --quick"
+step "traffic smoke: bench traffic --quick"
 cargo run --release -q -p lsdgnn-bench -- traffic --quick
 test -s BENCH_traffic.json \
     || { echo "FAIL: BENCH_traffic.json missing or empty"; exit 1; }
@@ -110,7 +131,7 @@ grep -q '"no_unbounded_queue":true' BENCH_traffic.json \
 grep -q '"autoscaler_cost_ok":true' BENCH_traffic.json \
     || { echo "FAIL: autoscaler costs more per SLO-met than static peak provisioning"; exit 1; }
 
-echo "==> cache smoke: bench cache --quick"
+step "cache smoke: bench cache --quick"
 cargo run --release -q -p lsdgnn-bench -- cache --quick
 test -s BENCH_cache.json \
     || { echo "FAIL: BENCH_cache.json missing or empty"; exit 1; }
@@ -127,12 +148,15 @@ grep -q '"wire_cut_ok":true' BENCH_cache.json \
 grep -q '"cache_hit_blamed":true' BENCH_cache.json \
     || { echo "FAIL: blame report never attributed time to cache_hit"; exit 1; }
 
-echo "==> trace-report smoke: per-stage summary of the fig14 trace"
+step "trace-report smoke: per-stage summary of the fig14 trace"
 cargo run --release -q -p lsdgnn-bench -- trace-report "$SMOKE_DIR/trace.json" \
     | grep -q 'dispatch' \
     || { echo "FAIL: trace-report did not summarize service spans"; exit 1; }
 
-echo "==> parallel harness smoke: fig14 through --jobs 2"
+step "parallel harness smoke: fig14 through --jobs 2"
 LSDGNN_SCALE=800 LSDGNN_BATCHES=1 cargo run --release -q -p lsdgnn-bench -- fig14 --jobs 2
 
+step_end
+echo "step times, slowest first:"
+printf '%s' "$STEP_TIMES" | sort -rn | sed 's/^\([0-9]*\) /  \1 s  /'
 echo "CI OK"

@@ -27,6 +27,7 @@ use crate::hot_cache::{AttrTier, CacheConfig, CacheSnapshot, ShardedTier};
 use lsdgnn_graph::{AttributeStore, CsrGraph, NodeId, PartitionedGraph};
 use lsdgnn_sampler::{SampleBatch, SampleBlock};
 use lsdgnn_telemetry::ledger::{self, Stage, NO_SHARD};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -205,6 +206,17 @@ pub trait SamplingBackend: Send + Sync {
     fn cache_snapshot(&self) -> Option<CacheSnapshot> {
         None
     }
+
+    /// Tells the backend that its caller runs a gather stage of its own
+    /// over every block it is handed ([`SamplingBackend::gather_attr_rows`]
+    /// on roots + nodes): from here on the sampling verbs may *expand
+    /// only* and leave the attribute rows to that gather, instead of
+    /// fetching them a first time just to drop them. Answers do not
+    /// change — same block, same `degraded`, same `unreachable` — only
+    /// which call moves the rows. The default keeps the full op (always
+    /// correct, and all there is for a backend whose sampling op moves
+    /// no rows); decorators forward to the backend they wrap.
+    fn defer_attr_fetch(&self) {}
 }
 
 /// The AliGraph CPU path: a [`Cluster`] of server threads behind the
@@ -218,6 +230,9 @@ pub struct CpuBackend {
     cluster: Cluster,
     stats: Mutex<RequestStats>,
     legacy: bool,
+    /// Set by [`SamplingBackend::defer_attr_fetch`]: the caller gathers
+    /// the rows itself, so sampling runs the cluster's expand verb alone.
+    expand_only: AtomicBool,
 }
 
 impl std::fmt::Debug for CpuBackend {
@@ -303,6 +318,7 @@ impl CpuBackend {
             cluster,
             stats: Mutex::new(RequestStats::default()),
             legacy: false,
+            expand_only: AtomicBool::new(false),
         }
     }
 
@@ -315,6 +331,21 @@ impl CpuBackend {
         self.stats.lock().expect("stats lock").merge(s);
     }
 
+    /// One fused dispatch on the flat data plane: the stand-alone op
+    /// (expand + attribute fetch), or the expansion alone once the
+    /// caller has taken over the gather.
+    fn run_many(
+        &self,
+        reqs: &[&SampleRequest],
+        excluded: &[u32],
+    ) -> (Vec<SampleBlock>, RequestStats) {
+        if self.expand_only.load(Ordering::Relaxed) {
+            self.cluster.expand_blocks_excluding(reqs, excluded)
+        } else {
+            self.cluster.sample_blocks_excluding(reqs, excluded)
+        }
+    }
+
     fn run(&self, req: &SampleRequest, excluded: &[u32]) -> (SampleBlock, RequestStats) {
         if self.legacy {
             let (batch, s) = self
@@ -322,8 +353,8 @@ impl CpuBackend {
                 .sample_batch_excluding(&req.roots, req.hops, req.fanout, req.seed, excluded);
             (SampleBlock::from_batch(&batch), s)
         } else {
-            self.cluster
-                .sample_block_excluding(&req.roots, req.hops, req.fanout, req.seed, excluded)
+            let (mut blocks, s) = self.run_many(&[req], excluded);
+            (blocks.pop().expect("one block per request"), s)
         }
     }
 }
@@ -349,7 +380,7 @@ impl SamplingBackend for CpuBackend {
         let mut blocks = Vec::with_capacity(reqs.len());
         for chunk in reqs.chunks(COALESCE_WIDTH) {
             let t0 = obs_on.then(Instant::now);
-            let (mut b, s) = self.cluster.sample_blocks_excluding(chunk, &[]);
+            let (mut b, s) = self.run_many(chunk, &[]);
             self.record(s);
             if let Some(t0) = t0 {
                 ledger::scope_record(
@@ -439,6 +470,12 @@ impl SamplingBackend for CpuBackend {
 
     fn cache_snapshot(&self) -> Option<CacheSnapshot> {
         self.cluster.cache_snapshot()
+    }
+
+    fn defer_attr_fetch(&self) {
+        // The legacy arm has no expand verb (and no adjacency to gather
+        // over); it keeps its full op.
+        self.expand_only.store(true, Ordering::Relaxed);
     }
 }
 
@@ -633,6 +670,10 @@ impl SamplingBackend for CachedBackend {
             neigh: self.inner.cache_snapshot().and_then(|s| s.neigh),
             attr: Some(self.tier.snapshot()),
         })
+    }
+
+    fn defer_attr_fetch(&self) {
+        self.inner.defer_attr_fetch();
     }
 }
 

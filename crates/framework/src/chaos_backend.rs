@@ -162,6 +162,10 @@ impl SamplingBackend for ChaosBackend {
     fn cache_snapshot(&self) -> Option<crate::hot_cache::CacheSnapshot> {
         self.inner.cache_snapshot()
     }
+
+    fn defer_attr_fetch(&self) {
+        self.inner.defer_attr_fetch();
+    }
 }
 
 #[cfg(test)]

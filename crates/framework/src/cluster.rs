@@ -3,8 +3,13 @@
 //!
 //! # The flat-buffer data plane
 //!
-//! The hot serving path ([`Cluster::sample_block`]) is built around three
-//! ideas, mirroring how the paper's AxE moves data:
+//! The hot serving path is two verbs, as in the paper's command
+//! interface: *expand* ([`Cluster::expand_blocks_excluding`]: hops, picks,
+//! adjacency) and the attribute fetch ([`Cluster::fetch_attr_rows_into`]).
+//! The stand-alone sampling op ([`Cluster::sample_blocks_excluding`]) is
+//! their composition; a caller with a gather stage of its own asks for
+//! the expansion alone. Both are built around three ideas, mirroring how
+//! the paper's AxE moves data:
 //!
 //! * **Flat buffers** — servers answer neighbor requests with one
 //!   `offsets` array plus one flat `nodes` array (CSR shape), and the
@@ -708,6 +713,17 @@ fn resolve_picks(
     }
 }
 
+/// Hop `h`'s frontier of a block under expansion. The frontier lives
+/// inside the block: hop h's samples land at the tail of `block.nodes`
+/// and become hop h+1's frontier — no scratch buffers to fill, swap, or
+/// copy into the block.
+fn frontier(block: &SampleBlock, h: u32) -> &[NodeId] {
+    match h {
+        0 => &block.roots,
+        _ => &block.nodes[block.hop_offsets[h as usize - 1] as usize..],
+    }
+}
+
 /// A running cluster: one server thread per partition, the caller acting
 /// as the worker co-located with partition 0.
 pub struct Cluster {
@@ -961,9 +977,9 @@ impl Cluster {
         &self.graph
     }
 
-    /// Runs a full multi-hop sampling operation on the flat-buffer data
-    /// plane — coalesced fetches, pooled buffers, zero-copy local reads —
-    /// and returns the flat block plus request stats. Byte-identical
+    /// The stand-alone sampling op for one request — the batch of one
+    /// of [`Cluster::sample_blocks_excluding`], so expansion, attribute
+    /// fetch and degradation accounting exist in one place. Byte-identical
     /// samples to [`Cluster::sample_batch`] for the same arguments.
     pub fn sample_block(
         &self,
@@ -985,118 +1001,90 @@ impl Cluster {
         seed: u64,
         excluded: &[u32],
     ) -> (SampleBlock, RequestStats) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut stats = RequestStats::default();
-        let mut block = self.pool.take_block();
-        block.roots.extend_from_slice(roots);
-        let mut unique = self.pool.take_nodes();
-        let mut slot_of = self.pool.take_offsets();
-        let mut picks = self.pool.take_offsets();
-        let mut index = self.pool.take_stamps();
-        let mut line_index = self.pool.take_stamps();
-        let mut table = NeighborTable::from_pool(&self.pool);
-        let csr = self.graph.graph().targets();
-        let num_nodes = self.graph.graph().num_nodes() as usize;
-        // The frontier lives inside the block: hop h's samples land at
-        // the tail of `block.nodes` and become hop h+1's frontier — no
-        // scratch buffers to fill, swap, or copy into the block.
-        let obs_on = ledger::scope_active();
-        let mut frontier_start = 0usize;
-        for h in 0..hops {
-            let hop_t0 = obs_on.then(Instant::now);
-            // Coalesce: fetch each distinct frontier node once, then
-            // sample per frontier *entry* so RNG consumption (and thus
-            // the result) matches the uncoalesced legacy path exactly.
-            // `slot_of` remembers each entry's table slot so the passes
-            // below never hash.
-            unique.clear();
-            slot_of.clear();
-            index.begin(num_nodes);
-            line_index.begin(num_nodes / FRONTIER_LINE_NODES as usize + 1);
-            let frontier: &[NodeId] = if h == 0 {
-                &block.roots
-            } else {
-                &block.nodes[frontier_start..]
-            };
-            for &v in frontier {
-                let slot = match index.get(v.index()) {
-                    Some(s) => s,
-                    None => {
-                        let s = unique.len() as u32;
-                        index.set(v.index(), s);
-                        unique.push(v);
-                        s
-                    }
-                };
-                slot_of.push(slot);
-                let line = v.index() / FRONTIER_LINE_NODES as usize;
-                if line_index.get(line).is_some() {
-                    stats.frontier_line_hits += 1;
-                } else {
-                    line_index.set(line, 0);
-                }
-            }
-            stats.nodes_expanded += frontier.len() as u64;
-            stats.coalesce_lookups += frontier.len() as u64;
-            stats.coalesce_hits += (frontier.len() - unique.len()) as u64;
-            stats.frontier_line_lookups += frontier.len() as u64;
-            self.fetch_neighbors_table(&unique, excluded, &mut stats, &mut table);
-            picks.clear();
-            generate_picks(&mut rng, &table, &slot_of, fanout, &mut picks);
-            frontier_start = block.nodes.len();
-            resolve_picks(
-                csr,
-                &table,
-                &slot_of,
-                &picks,
-                fanout,
-                &mut block.nodes,
-                &mut block.adj_offsets,
-                &mut stats,
-            );
-            block.hop_offsets.push(block.nodes.len() as u32);
-            if let Some(t0) = hop_t0 {
-                ledger::scope_record(
-                    Stage::SampleHop,
-                    self.worker_partition.0,
-                    0.0,
-                    t0.elapsed().as_secs_f64() * 1e6,
-                    u64::from(h),
-                );
-            }
-        }
-        table.recycle(&self.pool);
-        self.pool.put_nodes(unique);
-        self.pool.put_offsets(slot_of);
-        self.pool.put_offsets(picks);
-        self.pool.put_stamps(index);
-        self.pool.put_stamps(line_index);
-        // Attribute fetch for roots + samples, in deduplicated row form
-        // through pooled buffers: hub rows move once no matter how often
-        // the mini-batch resampled them.
+        let req = SampleRequest {
+            roots: roots.to_vec(),
+            hops,
+            fanout,
+            seed,
+        };
+        let (mut blocks, stats) = self.sample_blocks_excluding(&[&req], excluded);
+        (blocks.pop().expect("one block per request"), stats)
+    }
+
+    /// The stand-alone sampling op (the paper's `GetSample` answered
+    /// together with its `GetAttribute`): [`Cluster::expand_blocks_excluding`]'s
+    /// expansion, then one combined attribute fetch for the whole batch
+    /// in deduplicated row form — a hub any request resampled moves once
+    /// — through pooled buffers that go straight back to the pool. A
+    /// caller that gathers the rows itself asks for the expansion alone.
+    pub fn sample_blocks_excluding(
+        &self,
+        reqs: &[&SampleRequest],
+        excluded: &[u32],
+    ) -> (Vec<SampleBlock>, RequestStats) {
+        let (blocks, mut stats) = self.expand(reqs, excluded);
         let mut fetch = self.pool.take_nodes();
-        block.attr_fetch_into(&mut fetch);
+        for b in &blocks {
+            b.attr_fetch_into(&mut fetch);
+        }
         let mut rows = self.pool.take_floats();
         let mut row_of = self.pool.take_offsets();
-        let s = self.fetch_attr_rows_into(&fetch, excluded, &mut rows, &mut row_of);
-        stats.merge(s);
+        stats.merge(self.fetch_attr_rows_into(&fetch, excluded, &mut rows, &mut row_of));
         self.pool.put_floats(rows);
         self.pool.put_offsets(row_of);
         self.pool.put_nodes(fetch);
-        (block, stats)
+        (blocks, stats)
     }
 
-    /// The batch-level data plane: samples every request of a service
-    /// batch through *one* coalesced fetch per hop per partition.
+    /// The *expand* verb on its own — hops, picks, adjacency — for a
+    /// caller that runs its own gather stage: no attribute row moves, no
+    /// gather leg is dispatched, the attribute tier and the wire plane
+    /// are not touched. Blocks and [`RequestStats::unreachable_nodes`]
+    /// equal [`Cluster::sample_blocks_excluding`]'s: the rows the fetch
+    /// would have found unreachable are counted by an availability pass
+    /// instead.
+    pub fn expand_blocks_excluding(
+        &self,
+        reqs: &[&SampleRequest],
+        excluded: &[u32],
+    ) -> (Vec<SampleBlock>, RequestStats) {
+        let (blocks, mut stats) = self.expand(reqs, excluded);
+        stats.unreachable_nodes += self.unreachable_attr_rows(&blocks, excluded);
+        (blocks, stats)
+    }
+
+    /// What [`Cluster::fetch_attr_rows_into`] over `blocks`' roots and
+    /// nodes would add to `unreachable_nodes`, per occurrence, without
+    /// moving a row: entries whose attribute owner is down or excluded,
+    /// less those the attribute tier holds for a dead *remote* owner
+    /// (the fetch serves them from the tier — a partition save). Reads
+    /// nothing at all while every partition is up and the mask is empty.
+    fn unreachable_attr_rows(&self, blocks: &[SampleBlock], excluded: &[u32]) -> u64 {
+        if excluded.is_empty() && self.alive_partitions() == self.partitions() {
+            return 0;
+        }
+        let local = self.worker_partition.0 as usize;
+        let attr_tier = self.cache.as_deref().and_then(HotSetCache::attr);
+        let entries = blocks.iter().flat_map(|b| b.roots.iter().chain(&b.nodes));
+        entries
+            .filter(|&&v| {
+                let p = self.graph.owner(v).0 as usize;
+                let saved = || p != local && attr_tier.is_some_and(|t| t.contains(v));
+                self.unreachable(p, excluded) && !saved()
+            })
+            .count() as u64
+    }
+
+    /// The batch-level expansion both sampling ops share: every request
+    /// of a service batch goes through *one* coalesced neighbor fetch
+    /// per hop per partition.
     ///
-    /// Where [`Cluster::sample_block_excluding`] dedupes within one
-    /// request's frontier, this dedupes the union of every active
-    /// request's frontier — a hub two requests both reached is fetched
-    /// once — and amortizes the per-hop channel round trips across the
-    /// whole batch. Each request still consumes its own seeded RNG per
-    /// frontier entry in order, so every block is byte-identical to a
-    /// solo [`Cluster::sample_block`] call with the same request.
-    pub fn sample_blocks_excluding(
+    /// Each hop dedupes the union of every active request's frontier — a
+    /// hub two requests both reached is fetched once — and amortizes the
+    /// per-hop channel round trips across the whole batch. Each request
+    /// still consumes its own seeded RNG per frontier entry in order, so
+    /// every block is byte-identical to the same request sampled alone.
+    fn expand(
         &self,
         reqs: &[&SampleRequest],
         excluded: &[u32],
@@ -1122,30 +1110,24 @@ impl Cluster {
         let mut table = NeighborTable::from_pool(&self.pool);
         let csr = self.graph.graph().targets();
         let num_nodes = self.graph.graph().num_nodes() as usize;
-        // Per-request frontier start: each request's frontier is the
-        // tail of its own block, exactly as in the solo path.
         let obs_on = ledger::scope_active();
-        let mut frontier_starts = vec![0usize; reqs.len()];
         let max_hops = reqs.iter().map(|r| r.hops).max().unwrap_or(0);
         for h in 0..max_hops {
             let hop_t0 = obs_on.then(Instant::now);
-            // Coalesce the union of every active request's frontier.
+            // Coalesce: fetch each distinct node of the union frontier
+            // once, then sample per frontier *entry* so RNG consumption
+            // (and thus the result) matches the uncoalesced legacy path
+            // exactly. `slot_of` remembers each entry's table slot so
+            // the passes below never hash.
             unique.clear();
             slot_of.clear();
             index.begin(num_nodes);
             line_index.begin(num_nodes / FRONTIER_LINE_NODES as usize + 1);
-            let mut total = 0usize;
-            for (i, r) in reqs.iter().enumerate() {
+            for (r, b) in reqs.iter().zip(&blocks) {
                 if r.hops <= h {
                     continue;
                 }
-                let frontier: &[NodeId] = if h == 0 {
-                    &blocks[i].roots
-                } else {
-                    &blocks[i].nodes[frontier_starts[i]..]
-                };
-                total += frontier.len();
-                for &v in frontier {
+                for &v in frontier(b, h) {
                     let slot = match index.get(v.index()) {
                         Some(s) => s,
                         None => {
@@ -1164,29 +1146,24 @@ impl Cluster {
                     }
                 }
             }
-            stats.nodes_expanded += total as u64;
-            stats.coalesce_lookups += total as u64;
-            stats.coalesce_hits += (total - unique.len()) as u64;
-            stats.frontier_line_lookups += total as u64;
+            let total = slot_of.len() as u64;
+            stats.nodes_expanded += total;
+            stats.coalesce_lookups += total;
+            stats.coalesce_hits += total - unique.len() as u64;
+            stats.frontier_line_lookups += total;
             self.fetch_neighbors_table(&unique, excluded, &mut stats, &mut table);
             // Sample per request, per frontier entry, in order — the
-            // exact RNG consumption of the solo path.
+            // exact RNG consumption of the request sampled alone.
             let mut cursor = 0usize;
-            for (i, r) in reqs.iter().enumerate() {
+            for ((r, b), rng) in reqs.iter().zip(&mut blocks).zip(&mut rngs) {
                 if r.hops <= h {
                     continue;
                 }
-                let flen = if h == 0 {
-                    blocks[i].roots.len()
-                } else {
-                    blocks[i].nodes.len() - frontier_starts[i]
-                };
+                let flen = frontier(b, h).len();
                 let slots = &slot_of[cursor..cursor + flen];
                 cursor += flen;
                 picks.clear();
-                generate_picks(&mut rngs[i], &table, slots, r.fanout, &mut picks);
-                frontier_starts[i] = blocks[i].nodes.len();
-                let b = &mut blocks[i];
+                generate_picks(rng, &table, slots, r.fanout, &mut picks);
                 resolve_picks(
                     csr,
                     &table,
@@ -1197,8 +1174,7 @@ impl Cluster {
                     &mut b.adj_offsets,
                     &mut stats,
                 );
-                let end = b.nodes.len() as u32;
-                b.hop_offsets.push(end);
+                b.hop_offsets.push(b.nodes.len() as u32);
             }
             if let Some(t0) = hop_t0 {
                 ledger::scope_record(
@@ -1216,20 +1192,6 @@ impl Cluster {
         self.pool.put_offsets(picks);
         self.pool.put_stamps(index);
         self.pool.put_stamps(line_index);
-        // One combined attribute gather for the whole batch, in
-        // deduplicated row form: a hub any request resampled moves once
-        // for the entire batch.
-        let mut fetch = self.pool.take_nodes();
-        for b in &blocks {
-            b.attr_fetch_into(&mut fetch);
-        }
-        let mut rows = self.pool.take_floats();
-        let mut row_of = self.pool.take_offsets();
-        let s = self.fetch_attr_rows_into(&fetch, excluded, &mut rows, &mut row_of);
-        stats.merge(s);
-        self.pool.put_floats(rows);
-        self.pool.put_offsets(row_of);
-        self.pool.put_nodes(fetch);
         (blocks, stats)
     }
 
@@ -1262,8 +1224,10 @@ impl Cluster {
         let neigh_tier = self.cache.as_deref().and_then(HotSetCache::neigh);
         let cache_t0 = (obs_on && neigh_tier.is_some()).then(Instant::now);
         let mut cache_hits: u64 = 0;
+        // Cached spans land in one pooled arena; `reset` just emptied the
+        // table, so that arena's index is known before the first hit.
         let mut cache_flat = self.pool.take_nodes();
-        let mut cache_spans: Vec<(u32, usize, usize)> = Vec::new();
+        let cache_arena = table.arenas.len();
         let mut remote = self.pool.take_groups(parts);
         let mut local_seen = false;
         for (i, &v) in unique.iter().enumerate() {
@@ -1281,7 +1245,11 @@ impl Cluster {
                 if let Some(tier) = neigh_tier {
                     let start = cache_flat.len();
                     if let Some(len) = tier.append_to(v, &mut cache_flat) {
-                        cache_spans.push((i as u32, start, len));
+                        table.spans[i] = Span::Flat {
+                            arena: cache_arena,
+                            start,
+                            len,
+                        };
                         cache_hits += 1;
                         if self.unreachable(p, excluded) {
                             tier.note_partition_save();
@@ -1295,13 +1263,9 @@ impl Cluster {
         if local_seen && local_up {
             stats.local_requests += 1;
         }
-        if cache_spans.is_empty() {
+        if cache_hits == 0 {
             self.pool.put_nodes(cache_flat);
         } else {
-            let arena = table.arenas.len();
-            for &(i, start, len) in &cache_spans {
-                table.spans[i as usize] = Span::Flat { arena, start, len };
-            }
             table.arenas.push(cache_flat);
         }
         if let (Some(t0), true) = (cache_t0, cache_hits > 0) {

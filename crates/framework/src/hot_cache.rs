@@ -531,6 +531,17 @@ impl<T: Copy> ShardedTier<T> {
             .fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Whether a lookup of `v` would hit right now — a read-only probe:
+    /// no counter, sketch count or recency refresh moves, so asking does
+    /// not change what the tier later admits or evicts. For a caller
+    /// that must know a row is servable without fetching it.
+    pub fn contains(&self, v: NodeId) -> bool {
+        let (seg, _, epoch) = self.enter(v);
+        seg.map
+            .get(&v)
+            .is_some_and(|&i| seg.slots[i as usize].epoch == epoch)
+    }
+
     /// Looks `v` up; on a hit the payload is *appended* to `out` and its
     /// length returned. The spans-into-arena shape tier N needs: the
     /// caller owns where cached bytes land.
@@ -1192,6 +1203,24 @@ mod tests {
         // A lookup that reclaims a stale slot leaves the count alone.
         assert!(get(&c, NodeId(1)).is_none());
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn contains_answers_what_a_lookup_would_and_moves_nothing() {
+        // Capacity 2 in one segment: if the probe refreshed recency, the
+        // admit below would evict node 2 instead of node 1.
+        let c: AttrTier = ShardedTier::new(2, 1, false);
+        c.admit(NodeId(1), &attrs(NodeId(1)));
+        c.admit(NodeId(2), &attrs(NodeId(2)));
+        let before = c.snapshot();
+        assert!(c.contains(NodeId(1)));
+        assert!(!c.contains(NodeId(3)));
+        assert_eq!(c.snapshot(), before, "a probe is not a lookup");
+        c.admit(NodeId(3), &attrs(NodeId(3)));
+        assert!(!c.contains(NodeId(1)), "node 1 stayed the LRU victim");
+        assert!(c.contains(NodeId(2)) && c.contains(NodeId(3)));
+        c.invalidate_all();
+        assert!(!c.contains(NodeId(2)), "stale-epoch entries do not hit");
     }
 
     #[test]

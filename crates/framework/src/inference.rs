@@ -265,6 +265,9 @@ impl InferenceService {
         if let Some(o) = &obs {
             o.defer_sample_finish();
         }
+        // Likewise the gather authority: stage 2 fetches every block's
+        // rows, so stage 1 expands only instead of fetching them first.
+        svc.backend().defer_attr_fetch();
 
         let gather_handle = {
             let svc = Arc::clone(&svc);
@@ -650,11 +653,17 @@ fn estimate_recall(sampled: u64, unreachable: u64, fanout: usize) -> f64 {
 /// the *same* stage bodies the pipeline uses. Replies are
 /// bitwise-identical to the pipelined service's on a deterministic
 /// backend — pipelining changes latency, never results.
+///
+/// Like [`InferenceService::start`], this makes itself the gather
+/// authority of `svc`, which stays an inference sample stage afterwards:
+/// its replies are unchanged, but its backend no longer fetches (or
+/// warms a cache with) the rows of the blocks it samples.
 pub fn run_sequential(
     svc: &SamplingService,
     model: &SageModel,
     reqs: impl IntoIterator<Item = SampleRequest>,
 ) -> Vec<InferenceReply> {
+    svc.backend().defer_attr_fetch();
     let pool = BufferPool::new();
     let mut scratch = SageScratch::new();
     let mut replies = Vec::new();

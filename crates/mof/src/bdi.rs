@@ -121,12 +121,29 @@ pub fn bdi_compress(words: &[u64]) -> CompressedBlock {
 /// base: `Some((width_bytes, signed))` with widths 0 (all equal), 1, 2
 /// or 4, preferring unsigned at equal width (the cheaper datapath), or
 /// `None` when some delta exceeds 32 bits either way.
+///
+/// Every width needs all deltas inside `[-2^31, 2^32)`, so the walk
+/// stops at the first word outside it — on float attribute lines (two
+/// `f32` per word) that is almost always the second word — and the
+/// surviving deltas fit `i64` exactly.
 fn delta_encoding(words: &[u64]) -> Option<(u8, bool)> {
-    let base = words[0] as i128;
-    let mut min_d = 0i128;
-    let mut max_d = 0i128;
+    let base = words[0];
+    let mut min_d = 0i64;
+    let mut max_d = 0i64;
     for &w in words {
-        let d = w as i128 - base;
+        let d = if w >= base {
+            let up = w - base;
+            if up >= 1 << 32 {
+                return None;
+            }
+            up as i64
+        } else {
+            let down = base - w;
+            if down > 1 << 31 {
+                return None;
+            }
+            -(down as i64)
+        };
         min_d = min_d.min(d);
         max_d = max_d.max(d);
     }
@@ -135,10 +152,10 @@ fn delta_encoding(words: &[u64]) -> Option<(u8, bool)> {
     }
     for width in [1u8, 2, 4] {
         let bits = 8 * width as u32;
-        if min_d >= 0 && max_d < (1i128 << bits) {
+        if min_d >= 0 && max_d < (1i64 << bits) {
             return Some((width, false));
         }
-        if min_d >= -(1i128 << (bits - 1)) && max_d < (1i128 << (bits - 1)) {
+        if min_d >= -(1i64 << (bits - 1)) && max_d < (1i64 << (bits - 1)) {
             return Some((width, true));
         }
     }
@@ -267,6 +284,83 @@ impl BdiStreamSizer {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// [`delta_encoding`] as it was first written: every word's delta in
+    /// `i128`, the range checked once at the end. The early-exit walk is
+    /// held against it.
+    fn delta_encoding_full_walk(words: &[u64]) -> Option<(u8, bool)> {
+        let base = words[0] as i128;
+        let mut min_d = 0i128;
+        let mut max_d = 0i128;
+        for &w in words {
+            let d = w as i128 - base;
+            min_d = min_d.min(d);
+            max_d = max_d.max(d);
+        }
+        if min_d == 0 && max_d == 0 {
+            return Some((0, false));
+        }
+        for width in [1u8, 2, 4] {
+            let bits = 8 * width as u32;
+            if min_d >= 0 && max_d < (1i128 << bits) {
+                return Some((width, false));
+            }
+            if min_d >= -(1i128 << (bits - 1)) && max_d < (1i128 << (bits - 1)) {
+                return Some((width, true));
+            }
+        }
+        None
+    }
+
+    /// A delta on or next to a width boundary (1-, 2-, 4-byte, signed
+    /// and unsigned) for `edge < 12`, anywhere at all otherwise.
+    fn boundary_delta(edge: usize, off: u8, far: u64, neg: bool) -> i128 {
+        const EDGES: [i128; 12] = [
+            0,
+            1 << 7,
+            1 << 8,
+            1 << 15,
+            1 << 16,
+            1 << 31,
+            1 << 32,
+            -(1 << 7),
+            -(1 << 8),
+            -(1 << 15),
+            -(1 << 31),
+            -(1 << 32),
+        ];
+        match EDGES.get(edge) {
+            Some(&e) => e + i128::from(off) - 2,
+            None if neg => -i128::from(far),
+            None => i128::from(far),
+        }
+    }
+
+    /// `base + delta`, clamped into `u64`.
+    fn offset_word(base: u64, delta: i128) -> u64 {
+        (i128::from(base) + delta).clamp(0, i128::from(u64::MAX)) as u64
+    }
+
+    #[test]
+    fn early_exit_agrees_on_every_pair_of_boundary_deltas() {
+        // Every two-delta line over {each width boundary} x {-2..=2},
+        // from a base in the middle and one near each end of u64.
+        let boundary: Vec<i128> = (0..12)
+            .flat_map(|edge| (0..5).map(move |off| boundary_delta(edge, off, 0, false)))
+            .collect();
+        for base in [1u64 << 40, 3, u64::MAX - 3] {
+            for &d1 in &boundary {
+                for &d2 in &boundary {
+                    let words = [base, offset_word(base, d1), offset_word(base, d2)];
+                    assert_eq!(
+                        delta_encoding(&words),
+                        delta_encoding_full_walk(&words),
+                        "words {words:?}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn constant_block_compresses_to_base_only() {
@@ -399,6 +493,34 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn early_exit_picks_the_encoding_the_full_walk_picks(
+            base in (0u8..3, any::<u64>()),
+            deltas in proptest::collection::vec((0usize..14, 0u8..5, any::<u64>(), any::<bool>()), 0..12),
+            random in proptest::collection::vec(any::<u64>(), 1..12),
+        ) {
+            // A base near either end of u64 or anywhere, a line of words
+            // at boundary deltas from it (clamped into u64), and an
+            // arbitrary line.
+            let base = match base {
+                (0, raw) => raw >> 31,
+                (1, raw) => u64::MAX - (raw >> 31),
+                (_, raw) => raw,
+            };
+            let mut line = vec![base];
+            line.extend(deltas.iter().map(|&(edge, off, far, neg)| {
+                offset_word(base, boundary_delta(edge, off, far, neg))
+            }));
+            for words in [&line, &random] {
+                prop_assert_eq!(
+                    delta_encoding(words),
+                    delta_encoding_full_walk(words),
+                    "words {:?}",
+                    words
+                );
+            }
+        }
+
         #[test]
         fn roundtrip_any_block(words in proptest::collection::vec(any::<u64>(), 1..128)) {
             let block = bdi_compress(&words);
