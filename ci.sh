@@ -41,6 +41,15 @@ cargo test -p lsdgnn-telemetry -q
 step "benchmark package: unit tests + smoke run"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+# tools/sigprof: the LD_PRELOAD sampler this host uses in place of perf.
+step "tools/sigprof: compile prof.c"
+if command -v gcc >/dev/null 2>&1; then
+    mkdir -p target/sigprof
+    gcc -O2 -shared -fPIC -Wall -Werror -o target/sigprof/libsigprof.so tools/sigprof/prof.c
+else
+    echo "    gcc not found: skipped"
+fi
+
 step "telemetry smoke: fig14 with --metrics-out/--trace-out"
 SMOKE_DIR=results/ci_smoke
 rm -rf "$SMOKE_DIR"

@@ -22,6 +22,18 @@
 //! contract end to end: every reply is complete and digest-identical to
 //! the sequential reference, degraded replies carry `recall < 1`.
 //!
+//! Thread placement is fixed, because on a small host it decides the
+//! number: the client runs on one CPU and the sampling service (shard
+//! worker and partition servers) on another — a client is not
+//! co-scheduled with the card it calls — so every sequential request
+//! pays its hand-offs across CPUs, which is the latency the pipeline
+//! overlaps; the pipeline's own stage threads run wherever there is
+//! room. Left to the scheduler the same build reads 0.9x or 2.2x by
+//! whether it packs the threads onto one CPU. The packed case is
+//! measured too and reported ungated as `one_cpu_speedup`: with every
+//! thread on one CPU there is no hand-off latency to hide and the
+//! pipeline only costs its extra hops.
+//!
 //! The run also measures the sequential stage breakdown (sampling /
 //! gather / compute fractions) — the measured counterpart of
 //! `nn::e2e::E2eModel`'s analytical split — and writes everything to
@@ -33,7 +45,7 @@ use lsdgnn_core::chaos::{FaultInjector, FaultPlan, ScenarioSpec};
 use lsdgnn_core::desim::{Histogram, Time};
 use lsdgnn_core::framework::{
     run_sequential, ChaosBackend, CpuBackend, InferenceConfig, InferenceReply, InferenceService,
-    SampleRequest, SamplingBackend, SamplingService, ServiceConfig,
+    InferenceStats, SampleRequest, SamplingBackend, SamplingService, ServiceConfig,
 };
 use lsdgnn_core::graph::{AttributeStore, CsrGraph};
 use lsdgnn_core::nn::{Matrix, SageModel, SageScratch};
@@ -62,13 +74,14 @@ const VERIFY_REQUESTS: u64 = 48;
 const BREAKDOWN_REQUESTS: u64 = 32;
 /// Requests in the chaos sub-run; the card dies halfway through.
 const CHAOS_REQUESTS: u64 = 32;
-/// In-flight window for the pipelined arm: deep enough that the
-/// sampling batcher always has a full batch to coalesce.
+/// In-flight window for the pipelined arm: deep enough that no stage
+/// runs out of queued requests.
 const WINDOW: u64 = 64;
+/// Least time each arm's throughput passes are repeated for.
+const MIN_TIMED: std::time::Duration = std::time::Duration::from_millis(500);
 
-/// Single sampling worker on both arms: the bench box is one core, and
-/// the speedup claim is about pipelining + cross-request coalescing, not
-/// thread count.
+/// Single sampling worker on both arms: the speedup claim is about
+/// pipelining + cross-request coalescing, not sampling thread count.
 fn service_cfg() -> ServiceConfig {
     ServiceConfig {
         workers: 1,
@@ -76,6 +89,56 @@ fn service_cfg() -> ServiceConfig {
         max_batch: 32,
         ..ServiceConfig::default()
     }
+}
+
+extern "C" {
+    /// `sched_{get,set}affinity(2)` from the C library std already links.
+    fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
+    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
+}
+
+/// CPUs the calling thread, and every thread it spawns from then on,
+/// may run on.
+#[derive(Clone, Copy)]
+struct CpuSet([u64; 16]);
+
+impl CpuSet {
+    /// The set this process was started with (`taskset`, cgroup).
+    fn allowed() -> CpuSet {
+        let mut mask = [0u64; 16];
+        // SAFETY: `mask` is a live, aligned buffer of exactly the size
+        // passed, and pid 0 names the calling thread.
+        let rc = unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) };
+        assert_eq!(rc, 0, "the affinity mask is readable on Linux");
+        CpuSet(mask)
+    }
+
+    fn cpus(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.0.len() * 64).filter(|c| self.0[c / 64] >> (c % 64) & 1 == 1)
+    }
+
+    fn one(cpu: usize) -> CpuSet {
+        let mut mask = [0u64; 16];
+        mask[cpu / 64] |= 1 << (cpu % 64);
+        CpuSet(mask)
+    }
+
+    /// Moves the calling thread into the set.
+    fn enter(&self) {
+        // SAFETY: as in `allowed`; the call only reads `self.0`.
+        let rc = unsafe { sched_setaffinity(0, std::mem::size_of_val(&self.0), self.0.as_ptr()) };
+        assert_eq!(rc, 0, "a subset of the allowed CPUs is always settable");
+    }
+}
+
+/// Where one measurement's threads run.
+#[derive(Clone, Copy)]
+struct Placement {
+    client: CpuSet,
+    /// Shard worker and partition servers.
+    sampling: CpuSet,
+    /// The pipeline's gather and compute threads.
+    stages: CpuSet,
 }
 
 fn backend(g: &CsrGraph, a: &AttributeStore) -> Box<dyn SamplingBackend> {
@@ -95,6 +158,22 @@ fn request(seed: u64, nodes: u64, roots: u64) -> SampleRequest {
         fanout: FANOUT,
         seed,
     }
+}
+
+/// Seconds of the fastest of at least three passes of `pass`, repeated
+/// for at least [`MIN_TIMED`]: a quick run's 40 ms pass is shorter than
+/// the host's slow spells, so it takes a dozen to see a calm one.
+fn best_pass(mut pass: impl FnMut()) -> f64 {
+    let timed = Instant::now();
+    let mut best = f64::INFINITY;
+    let mut passes = 0;
+    while passes < 3 || timed.elapsed() < MIN_TIMED {
+        let start = Instant::now();
+        pass();
+        best = best.min(start.elapsed().as_secs_f64());
+        passes += 1;
+    }
+    best
 }
 
 /// Serves the request stream one at a time through the reference
@@ -120,19 +199,15 @@ fn sequential_arm(
     ) {
         digest = fold(digest, r.digest());
     }
-    // Throughput: one run over the whole stream (shared pool/scratch),
-    // best of three.
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
+    // Throughput: one run over the whole stream (shared pool/scratch).
+    let best = best_pass(|| {
         let replies = run_sequential(
             svc,
             model,
             (0..requests).map(|s| request(s, nodes, ROOTS_PER_REQ)),
         );
         assert_eq!(replies.len(), requests as usize);
-        best = best.min(start.elapsed().as_secs_f64());
-    }
+    });
     // Latency distribution: the same stream timed per request.
     let mut lat = Histogram::default();
     for s in 0..requests {
@@ -164,9 +239,7 @@ fn pipelined_arm(pipe: &InferenceService, requests: u64, nodes: u64) -> (f64, u6
         digest = fold(digest, r.digest());
         pipe.recycle(r);
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
+    let best = best_pass(|| {
         let mut tickets = std::collections::VecDeque::new();
         let mut submitted = 0u64;
         while submitted < requests.min(WINDOW) {
@@ -180,8 +253,7 @@ fn pipelined_arm(pipe: &InferenceService, requests: u64, nodes: u64) -> (f64, u6
                 submitted += 1;
             }
         }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
+    });
     (requests as f64 / best, digest)
 }
 
@@ -274,6 +346,67 @@ fn chaos_run(g: &CsrGraph, a: &AttributeStore, nodes: u64) -> (bool, u64, f64, b
     (digests_match, degraded, min_recall, complete)
 }
 
+/// Both arms' numbers under one placement.
+struct Arms {
+    seq_rps: f64,
+    seq_digest: u64,
+    seq_lat: Histogram,
+    /// Sequential sampling / gather / compute fractions.
+    fractions: (f64, f64, f64),
+    pipe_rps: f64,
+    pipe_digest: u64,
+    pipe_stats: InferenceStats,
+}
+
+impl Arms {
+    fn speedup(&self) -> f64 {
+        self.pipe_rps / self.seq_rps
+    }
+}
+
+/// Runs the sequential arm (with its breakdown), then the pipelined
+/// arm, each over fresh services whose threads are spawned inside the
+/// placement's sets (a thread inherits its spawner's affinity).
+fn measure(g: &CsrGraph, a: &AttributeStore, requests: u64, place: Placement) -> Arms {
+    let nodes = g.num_nodes();
+    let sampling_service = || {
+        place.sampling.enter();
+        SamplingService::start(backend(g, a), service_cfg())
+    };
+
+    let seq_svc = sampling_service();
+    place.client.enter();
+    let (seq_rps, seq_digest, seq_lat) = sequential_arm(&seq_svc, &model(), requests, nodes);
+    let fractions = stage_breakdown(&seq_svc, &model(), nodes);
+    seq_svc.shutdown();
+
+    let gather_batch = std::env::var("LSDGNN_GATHER_BATCH")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(InferenceConfig::default().gather_batch);
+    let pipe_svc = sampling_service();
+    place.stages.enter();
+    let pipe = InferenceService::start(
+        pipe_svc,
+        model(),
+        InferenceConfig {
+            gather_batch,
+            ..InferenceConfig::default()
+        },
+    );
+    place.client.enter();
+    let (pipe_rps, pipe_digest) = pipelined_arm(&pipe, requests, nodes);
+    Arms {
+        seq_rps,
+        seq_digest,
+        seq_lat,
+        fractions,
+        pipe_rps,
+        pipe_digest,
+        pipe_stats: pipe.stats(),
+    }
+}
+
 /// Runs both arms, the breakdown, and the chaos sub-run; writes
 /// `BENCH_inference.json`.
 pub fn inference(quick: bool) {
@@ -287,42 +420,56 @@ pub fn inference(quick: bool) {
         widths.join("x")
     );
 
-    let seq_svc = SamplingService::start(backend(&g, &a), service_cfg());
-    let (seq_rps, seq_digest, seq_lat) = sequential_arm(&seq_svc, &model(), requests, nodes);
+    // Client on the first allowed CPU, sampling service on the second;
+    // a one-CPU host can only show the packed case.
+    let allowed = CpuSet::allowed();
+    let mut cpus = allowed.cpus();
+    let first = CpuSet::one(cpus.next().expect("at least one CPU"));
+    let second = cpus.next().map(CpuSet::one);
+    let packed = Placement {
+        client: first,
+        sampling: first,
+        stages: first,
+    };
+    let placed = second.map_or(packed, |sampling| Placement {
+        sampling,
+        stages: allowed,
+        ..packed
+    });
+    let split = measure(&g, &a, requests, placed);
+    let one_cpu_speedup = match second {
+        Some(_) => measure(&g, &a, requests, packed).speedup(),
+        None => split.speedup(),
+    };
+    allowed.enter();
+    let speedup = split.speedup();
+    let Arms {
+        seq_rps,
+        seq_lat,
+        fractions: (f_sample, f_gather, f_compute),
+        pipe_rps,
+        pipe_stats: stats,
+        ..
+    } = split;
     let (seq_p50, seq_p99) = (
         seq_lat.percentile(0.50).as_micros_f64(),
         seq_lat.percentile(0.99).as_micros_f64(),
     );
-    let (f_sample, f_gather, f_compute) = stage_breakdown(&seq_svc, &model(), nodes);
-    seq_svc.shutdown();
-
-    let gather_batch = std::env::var("LSDGNN_GATHER_BATCH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(InferenceConfig::default().gather_batch);
-    let pipe = InferenceService::start(
-        SamplingService::start(backend(&g, &a), service_cfg()),
-        model(),
-        InferenceConfig {
-            gather_batch,
-            ..InferenceConfig::default()
-        },
-    );
-    let (pipe_rps, pipe_digest) = pipelined_arm(&pipe, requests, nodes);
-    let stats = pipe.stats();
     let (pipe_p50, pipe_p99) = (stats.latency_p50_us(), stats.latency_p99_us());
 
     let (chaos_match, chaos_degraded, chaos_min_recall, chaos_complete) = chaos_run(&g, &a, nodes);
 
-    let speedup = pipe_rps / seq_rps;
-    let digests_match = seq_digest == pipe_digest && chaos_match;
+    let digests_match = split.seq_digest == split.pipe_digest && chaos_match;
     // Quick runs smoke the machinery; the >=1.3x claim is made on the
     // full workload.
     let speedup_ok = speedup >= if quick { 1.0 } else { 1.3 };
 
     outln!("  sequential {seq_rps:>8.1} req/s   p50 {seq_p50:>8.0}us  p99 {seq_p99:>8.0}us");
     outln!("  pipelined  {pipe_rps:>8.1} req/s   p50 {pipe_p50:>8.0}us  p99 {pipe_p99:>8.0}us");
-    outln!("  speedup {speedup:.2}x   digests_match {digests_match}");
+    outln!(
+        "  speedup {speedup:.2}x ({one_cpu_speedup:.2}x with every thread on one CPU)   \
+         digests_match {digests_match}"
+    );
     outln!(
         "  breakdown: sampling {:.1}%  gather {:.1}%  compute {:.1}%",
         f_sample * 100.0,
@@ -353,6 +500,7 @@ pub fn inference(quick: bool) {
             Json::Num(pipe_rps),
         ),
         ("pipeline_speedup".to_string(), Json::Num(speedup)),
+        ("one_cpu_speedup".to_string(), Json::Num(one_cpu_speedup)),
         ("sequential_p50_us".to_string(), Json::Num(seq_p50)),
         ("sequential_p99_us".to_string(), Json::Num(seq_p99)),
         ("pipelined_p50_us".to_string(), Json::Num(pipe_p50)),

@@ -39,7 +39,8 @@ use lsdgnn_graph::mem::prefetch_read;
 use lsdgnn_graph::{NodeId, NodeMap, PartitionId, PartitionedGraph};
 use lsdgnn_memfabric::LinkModel;
 use lsdgnn_mof::{
-    packed_request_size, BdiStreamSizer, CRC_BYTES, HEADER_BYTES, MAX_REQUESTS_PER_PACKAGE,
+    bdi_stream_bytes, packed_request_size, BDI_LINE_WORDS, CRC_BYTES, HEADER_BYTES,
+    MAX_REQUESTS_PER_PACKAGE,
 };
 use lsdgnn_sampler::{NeighborSampler, SampleBatch, SampleBlock, StreamingSampler};
 use lsdgnn_telemetry::ledger::{self, Stage};
@@ -443,7 +444,7 @@ impl lsdgnn_telemetry::MetricSource for WireSnapshot {
 /// [`Cluster::spawn_wired`], every remote leg's read addresses run
 /// through the real MoF packer's split walk ([`packed_request_size`])
 /// and every response payload through the real per-line BDI sizer
-/// ([`BdiStreamSizer`]) — *measured on the actual serving
+/// ([`bdi_stream_bytes`]) — *measured on the actual serving
 /// traffic*, with the link model charged the wire (compressed) byte
 /// count. Replies themselves are untouched, so sampled results are
 /// byte-identical with the plane on or off; only the accounting and the
@@ -463,14 +464,14 @@ impl WirePlane {
 
     /// Accounts one remote leg: `addrs` are the leg's read addresses in
     /// dispatch order (only sized, never materialised), `payload` the
-    /// response payload as 64-bit words, and `incompressible` extra
-    /// response bytes BDI does not touch (the CSR boundary array of a
-    /// neighbor reply).
-    fn account_leg(
+    /// response payload as 64-byte lines of lazily built 64-bit words,
+    /// and `incompressible` extra response bytes BDI does not touch (the
+    /// CSR boundary array of a neighbor reply).
+    fn account_leg<L: ExactSizeIterator<Item = u64>>(
         &self,
         leg: WireLeg,
         addrs: impl ExactSizeIterator<Item = u64>,
-        payload: impl ExactSizeIterator<Item = u64>,
+        payload: impl Iterator<Item = L>,
         incompressible: u64,
     ) {
         let c = &self.counters;
@@ -495,13 +496,9 @@ impl WirePlane {
         let framing =
             requests.div_ceil(MAX_REQUESTS_PER_PACKAGE as u64) * (HEADER_BYTES + CRC_BYTES);
         let (raw_payload, wire_payload) = if self.config.compression {
-            let mut sizer = BdiStreamSizer::new();
-            for w in payload {
-                sizer.push(w);
-            }
-            sizer.finish()
+            bdi_stream_bytes(payload)
         } else {
-            let n = 8 * payload.len() as u64;
+            let n = 8 * payload.map(|line| line.len() as u64).sum::<u64>();
             (n, n)
         };
         let raw_resp = framing + incompressible + raw_payload;
@@ -1317,7 +1314,8 @@ impl Cluster {
                             WireLeg::Sampling,
                             pos.iter()
                                 .map(|&i| g.neighbor_range(unique[i as usize]).start as u64 * 8),
-                            flat.iter().map(|v| v.0),
+                            flat.chunks(BDI_LINE_WORDS)
+                                .map(|line| line.iter().map(|v| v.0)),
                             4 * offsets.len() as u64,
                         );
                     }
@@ -1509,10 +1507,12 @@ impl Cluster {
                             WireLeg::Attrs,
                             pos.iter()
                                 .map(|&i| unique[i as usize].index() as u64 * attr_len as u64 * 4),
-                            attrs.chunks(2).map(|c| {
-                                let lo = c[0].to_bits() as u64;
-                                let hi = c.get(1).map_or(0, |v| v.to_bits()) as u64;
-                                lo | (hi << 32)
+                            attrs.chunks(2 * BDI_LINE_WORDS).map(|line| {
+                                line.chunks(2).map(|c| {
+                                    let lo = c[0].to_bits() as u64;
+                                    let hi = c.get(1).map_or(0, |v| v.to_bits()) as u64;
+                                    lo | (hi << 32)
+                                })
                             }),
                             0,
                         );

@@ -4,7 +4,8 @@
 //!
 //! Worker shards pull [`SampleRequest`]s from a *bounded* queue (a full
 //! queue blocks producers — backpressure, not unbounded memory growth),
-//! coalesce them into size/deadline-bounded batches, dispatch the batch
+//! coalesce whatever is queued into size-bounded batches (idling for
+//! company only when `batch_deadline` opts in), dispatch the batch
 //! to the backend with [`SamplingBackend::sample_many`], and return each
 //! result through its per-request reply channel. Because every request
 //! carries its own seed and backends are deterministic per seed, the
@@ -178,18 +179,21 @@ impl Default for DegradeConfig {
     }
 }
 
-/// How a shard decides a growing batch is done waiting.
+/// How long a shard holding a batch may additionally *idle* for company.
+///
+/// Requests already queued always join the batch at once (up to
+/// `max_batch`), whatever the policy: batches form from what piled up
+/// while the shards were busy. The policy only governs the opt-in wait
+/// on an *empty* queue ([`ServiceConfig::batch_deadline`], default off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPolicy {
-    /// Close `batch_deadline` after the batch's first request arrived —
-    /// the original fixed-timer path, retained for differential tests.
+    /// Idle until `batch_deadline` after the batch's first request.
     FixedDeadline,
-    /// Deadline-aware close: keep growing only while every admitted
-    /// request still has *slack* — `deadline − elapsed − est_service` —
-    /// left. The batch closes the moment the tightest request's slack
-    /// runs out, so coalescing can never be the reason a request misses
-    /// its deadline. Requests without a deadline contribute the fixed
-    /// `batch_deadline` wait, making the two policies identical on
+    /// Deadline-aware idle wait: stop as soon as the tightest admitted
+    /// request's *slack* — `deadline − elapsed − est_service` — runs
+    /// out, so waiting for company can never be the reason a request
+    /// misses its deadline. Requests without a deadline tolerate the
+    /// full `batch_deadline`, making the two policies identical on
     /// deadline-less traffic.
     SlackDriven {
         /// Estimated service time of one dispatched batch (reserved out
@@ -207,9 +211,11 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Most requests coalesced into one backend dispatch.
     pub max_batch: usize,
-    /// How long a shard waits to grow a batch before dispatching.
+    /// How long a shard may idle on an empty queue to grow its batch.
+    /// Zero (the default) is work-conserving: a shard never waits while
+    /// it holds a request, and dispatches what was queued.
     pub batch_deadline: Duration,
-    /// Batch-close rule (fixed timer vs deadline slack).
+    /// What may cut that idle wait short (see [`BatchPolicy`]).
     pub batch: BatchPolicy,
     /// The degradation policy (only exercised under faults).
     pub degrade: DegradeConfig,
@@ -221,7 +227,7 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 64,
             max_batch: 16,
-            batch_deadline: Duration::from_micros(200),
+            batch_deadline: Duration::ZERO,
             batch: BatchPolicy::FixedDeadline,
             degrade: DegradeConfig::default(),
         }
@@ -535,8 +541,8 @@ fn shard_loop(
     let mut lh = obs.as_ref().map(|o| o.ledger().handle());
     let mut dispatch_no = 0u64;
     // A closed queue (sender dropped) ends the shard once drained.
-    // Slack-driven batching: a joining job may only *shrink* the close
-    // time, to the latest instant at which dispatching still leaves
+    // Slack-driven batching: a joining job may only *shrink* the idle
+    // wait, to the latest instant at which dispatching still leaves
     // `est_service` before that job's deadline. A job with no deadline
     // tolerates the full fixed wait — on deadline-less traffic the two
     // policies close identically.
@@ -551,17 +557,23 @@ fn shard_loop(
         let mut close_at = job_close(&first, fixed_close).min(fixed_close);
         let mut jobs = vec![first];
         while jobs.len() < cfg.max_batch {
-            let now = Instant::now();
-            if now >= close_at {
-                break;
-            }
-            match rx.recv_timeout(close_at - now) {
-                Ok(job) => {
-                    close_at = close_at.min(job_close(&job, fixed_close));
-                    jobs.push(job);
+            // Work-conserving close: what is already queued joins at
+            // once; only an empty queue is idled on, until `close_at`.
+            let job = match rx.try_recv() {
+                Ok(job) => job,
+                Err(_) => {
+                    let now = Instant::now();
+                    if now >= close_at {
+                        break;
+                    }
+                    match rx.recv_timeout(close_at - now) {
+                        Ok(job) => job,
+                        Err(_) => break, // close time hit or queue closed
+                    }
                 }
-                Err(_) => break, // close time hit or queue closed
-            }
+            };
+            close_at = close_at.min(job_close(&job, fixed_close));
+            jobs.push(job);
         }
         dispatch_no += 1;
         if let Some(inj) = &chaos {
@@ -1052,6 +1064,7 @@ mod tests {
     use super::*;
     use crate::backend::CpuBackend;
     use crate::chaos_backend::ChaosBackend;
+    use crossbeam::channel::unbounded;
     use lsdgnn_chaos::{FaultPlan, ScenarioSpec};
     use lsdgnn_graph::{generators, AttributeStore};
 
@@ -1147,60 +1160,155 @@ mod tests {
         svc.shutdown();
     }
 
-    #[test]
-    fn slack_driven_close_dispatches_tight_deadlines_immediately() {
-        // Same long fixed wait in both arms; the slack arm's requests
-        // carry deadlines with no slack left, so batches close at once
-        // instead of sitting out the 20ms growth timer.
+    /// A backend double whose dispatches block until the test releases
+    /// them: batch formation is asserted from what was queued while a
+    /// dispatch was held, never from a clock.
+    struct GateBackend {
+        inner: CpuBackend,
+        /// Batch size of each dispatch, sent as it enters the backend.
+        entered: Sender<usize>,
+        /// One token lets one dispatch through.
+        release: Receiver<()>,
+    }
+
+    impl SamplingBackend for GateBackend {
+        fn sample_block(&self, req: &SampleRequest) -> SampleBlock {
+            self.inner.sample_block(req)
+        }
+        fn gather_attributes(&self, nodes: &[NodeId]) -> Vec<f32> {
+            self.inner.gather_attributes(nodes)
+        }
+        fn stats(&self) -> RequestStats {
+            self.inner.stats()
+        }
+        fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleBlock> {
+            self.entered.send(reqs.len()).expect("test listens");
+            self.release.recv().expect("test releases");
+            self.inner.sample_many(reqs)
+        }
+    }
+
+    /// A one-worker service over a [`GateBackend`], with the channel
+    /// reporting each dispatch's batch size and the one releasing it.
+    fn gated(config: ServiceConfig) -> (SamplingService, Receiver<usize>, Sender<()>) {
         let g = generators::power_law(300, 8, 32);
         let a = AttributeStore::synthetic(300, 8, 32);
-        let build = |policy| {
-            SamplingService::start(
-                Box::new(CpuBackend::new(&g, &a, 1)),
-                ServiceConfig {
-                    workers: 1,
-                    // Larger than the burst so the fixed arm cannot close
-                    // early on batch size and must sit out the timer.
-                    max_batch: 16,
-                    batch_deadline: Duration::from_millis(20),
-                    batch: policy,
-                    ..ServiceConfig::default()
-                },
-            )
+        let (entered, entered_rx) = unbounded();
+        let (release_tx, release) = unbounded();
+        let backend = GateBackend {
+            inner: CpuBackend::new(&g, &a, 1),
+            entered,
+            release,
         };
-        let fixed = build(BatchPolicy::FixedDeadline);
-        let t0 = Instant::now();
-        let tickets: Vec<_> = (0..8)
-            .map(|s| fixed.submit_with_deadline(req(s), Duration::from_millis(1)))
-            .collect();
-        tickets.into_iter().for_each(|t| {
-            t.wait();
-        });
-        let fixed_elapsed = t0.elapsed();
-        let fixed_dispatches = fixed.stats().dispatches;
-        fixed.shutdown();
+        let config = ServiceConfig {
+            workers: 1,
+            ..config
+        };
+        let svc = SamplingService::start(Box::new(backend), config);
+        (svc, entered_rx, release_tx)
+    }
 
-        let slack = build(BatchPolicy::SlackDriven {
+    /// Holds dispatch 1 (one request), queues `n` more behind it, lets
+    /// everything through; returns the batch size of every dispatch and
+    /// the replies in submission order.
+    fn dispatch_sizes_of_a_held_burst(
+        config: ServiceConfig,
+        n: usize,
+    ) -> (Vec<usize>, Vec<SampleReply>) {
+        let (svc, entered, release) = gated(config);
+        let first = svc.submit(req(0));
+        assert_eq!(entered.recv().unwrap(), 1, "dispatch 1 is held");
+        let queued: Vec<_> = (1..=n as u64).map(|s| svc.submit(req(s))).collect();
+        (0..=n).for_each(|_| release.send(()).unwrap());
+        let replies: Vec<_> = std::iter::once(first)
+            .chain(queued)
+            .map(SampleTicket::wait_reply)
+            .collect();
+        let dispatches = svc.stats().dispatches;
+        // Shutdown drops the backend, which ends the `entered` stream.
+        svc.shutdown();
+        let sizes: Vec<usize> = entered.iter().collect();
+        assert_eq!(dispatches, 1 + sizes.len() as u64);
+        (sizes, replies)
+    }
+
+    #[test]
+    fn queued_requests_join_the_next_batch_without_a_timer() {
+        // The default never idles on the batch timer.
+        assert!(ServiceConfig::default().batch_deadline.is_zero());
+        let unbatched = ServiceConfig {
+            max_batch: 1,
+            ..ServiceConfig::default()
+        };
+        let explicit_zero = ServiceConfig {
+            batch_deadline: Duration::ZERO,
+            max_batch: 8,
+            ..ServiceConfig::default()
+        };
+        for config in [explicit_zero, ServiceConfig::default()] {
+            for n in [1, 5, config.max_batch, 3 * config.max_batch + 2] {
+                let (sizes, replies) = dispatch_sizes_of_a_held_burst(config, n);
+                // Dispatch 2 carries everything queued, up to max_batch,
+                // and the rest follows in full batches.
+                assert_eq!(sizes[0], n.min(config.max_batch), "n={n}");
+                assert_eq!(sizes.len(), n.div_ceil(config.max_batch), "n={n}");
+                assert_eq!(sizes.iter().sum::<usize>(), n);
+                // Batching changes latency, never results.
+                let (singles, unbatched_replies) = dispatch_sizes_of_a_held_burst(unbatched, n);
+                assert_eq!(singles, vec![1; n]);
+                assert_eq!(replies, unbatched_replies, "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn slack_driven_close_dispatches_tight_deadlines_immediately() {
+        // Same long idle wait in both arms; the slack arm's requests
+        // carry deadlines with no slack left, so a batch dispatches the
+        // moment its queue is drained instead of sitting out the timer
+        // for company.
+        const TIMER: Duration = Duration::from_millis(100);
+        // Returns whether dispatch 2 entered the backend inside half the
+        // timer, and the burst's wall time.
+        let run = |policy| {
+            let (svc, entered, release) = gated(ServiceConfig {
+                // Larger than the burst so the fixed arm cannot close
+                // early on batch size and must sit out the timer.
+                max_batch: 16,
+                batch_deadline: TIMER,
+                batch: policy,
+                ..ServiceConfig::default()
+            });
+            let t0 = Instant::now();
+            let tight = |s| svc.submit_with_deadline(req(s), Duration::from_millis(1));
+            let first = tight(0);
+            assert_eq!(entered.recv().unwrap(), 1, "dispatch 1 is held");
+            let queued: Vec<_> = (1..=8).map(tight).collect();
+            release.send(()).unwrap();
+            // Joining what is queued costs no wait under either policy;
+            // the timer, where it applies, starts once the queue is empty.
+            let early = entered.recv_timeout(TIMER / 2);
+            let size = early.or_else(|_| entered.recv()).unwrap();
+            assert_eq!(size, 8, "the queued burst is one batch");
+            release.send(()).unwrap();
+            std::iter::once(first).chain(queued).for_each(|t| {
+                t.wait();
+            });
+            let elapsed = t0.elapsed();
+            assert_eq!(svc.stats().dispatches, 2);
+            svc.shutdown();
+            (early.is_ok(), elapsed)
+        };
+        let (fixed_early, fixed_elapsed) = run(BatchPolicy::FixedDeadline);
+        assert!(!fixed_early, "the fixed arm idles for company");
+        assert!(fixed_elapsed >= TIMER, "{fixed_elapsed:?}");
+        let (slack_early, slack_elapsed) = run(BatchPolicy::SlackDriven {
             est_service: Duration::from_millis(5),
         });
-        let t0 = Instant::now();
-        let tickets: Vec<_> = (0..8)
-            .map(|s| slack.submit_with_deadline(req(s), Duration::from_millis(1)))
-            .collect();
-        tickets.into_iter().for_each(|t| {
-            t.wait();
-        });
-        let slack_elapsed = t0.elapsed();
-        let slack_dispatches = slack.stats().dispatches;
-        slack.shutdown();
-
+        assert!(slack_early, "a zero-slack batch dispatches once drained");
         assert!(
-            slack_dispatches > fixed_dispatches,
-            "zero-slack requests must stop coalescing ({slack_dispatches} vs {fixed_dispatches})"
-        );
-        assert!(
-            slack_elapsed < fixed_elapsed,
-            "slack close must not sit out the growth timer ({slack_elapsed:?} vs {fixed_elapsed:?})"
+            slack_elapsed < TIMER,
+            "slack close must not sit out the growth timer ({slack_elapsed:?})"
         );
     }
 

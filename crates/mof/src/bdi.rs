@@ -86,7 +86,7 @@ impl CompressedBlock {
 pub fn bdi_compress(words: &[u64]) -> CompressedBlock {
     assert!(!words.is_empty(), "cannot compress an empty block");
     let base = words[0];
-    let Some((delta_width, signed)) = delta_encoding(words) else {
+    let Some((delta_width, signed)) = delta_encoding(words.iter().copied()) else {
         return CompressedBlock::Raw(words.to_vec());
     };
     let compressed = 1 + 8 + delta_width as u64 * words.len() as u64;
@@ -123,14 +123,15 @@ pub fn bdi_compress(words: &[u64]) -> CompressedBlock {
 /// `None` when some delta exceeds 32 bits either way.
 ///
 /// Every width needs all deltas inside `[-2^31, 2^32)`, so the walk
-/// stops at the first word outside it — on float attribute lines (two
-/// `f32` per word) that is almost always the second word — and the
-/// surviving deltas fit `i64` exactly.
-fn delta_encoding(words: &[u64]) -> Option<(u8, bool)> {
-    let base = words[0];
+/// stops at the first word outside it and pulls no further word from
+/// the iterator — on float attribute lines (two `f32` per word, packed
+/// on demand) that is almost always the second word — and the surviving
+/// deltas fit `i64` exactly.
+fn delta_encoding(mut words: impl Iterator<Item = u64>) -> Option<(u8, bool)> {
+    let base = words.next().expect("cannot size an empty block");
     let mut min_d = 0i64;
     let mut max_d = 0i64;
-    for &w in words {
+    for w in words {
         let d = if w >= base {
             let up = w - base;
             if up >= 1 << 32 {
@@ -231,59 +232,111 @@ pub const BDI_LINE_WORDS: usize = 8;
 /// exists) and the 1-byte-tagged raw fallback. Matches
 /// [`CompressedBlock::compressed_bytes`] for the same input.
 pub fn bdi_block_bytes(words: &[u64]) -> u64 {
-    assert!(!words.is_empty(), "cannot size an empty block");
-    let raw = 1 + 8 * words.len() as u64;
+    line_bytes(words.iter().copied())
+}
+
+/// [`bdi_block_bytes`] of a line whose words are produced on demand: a
+/// line no delta width covers is charged raw without its tail being built.
+fn line_bytes(words: impl ExactSizeIterator<Item = u64>) -> u64 {
+    let n = words.len() as u64;
+    assert!(n > 0, "cannot size an empty block");
+    let raw = 1 + 8 * n;
     match delta_encoding(words) {
-        Some((width, _)) => raw.min(1 + 8 + width as u64 * words.len() as u64),
+        Some((width, _)) => raw.min(1 + 8 + width as u64 * n),
         None => raw,
     }
 }
 
-/// Allocation-free streaming BDI accountant: feed a payload as 64-bit
-/// words; it sizes each [`BDI_LINE_WORDS`]-word line independently (the
-/// hardware compresses per memory line, not per message) and accumulates
-/// raw vs compressed byte totals. This is what the serving path charges
-/// the wire with — measured on the actual response payload, per line,
-/// with the raw fallback's expansion honestly included.
-#[derive(Debug, Clone, Default)]
-pub struct BdiStreamSizer {
-    buf: [u64; BDI_LINE_WORDS],
-    len: usize,
-    raw_bytes: u64,
-    wire_bytes: u64,
-}
-
-impl BdiStreamSizer {
-    /// A fresh accountant.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one 64-bit word.
-    pub fn push(&mut self, w: u64) {
-        self.buf[self.len] = w;
-        self.len += 1;
-        self.raw_bytes += 8;
-        if self.len == BDI_LINE_WORDS {
-            self.wire_bytes += bdi_block_bytes(&self.buf);
-            self.len = 0;
-        }
-    }
-
-    /// Flushes a partial trailing line and returns
-    /// `(raw_bytes, compressed_bytes)`.
-    pub fn finish(mut self) -> (u64, u64) {
-        if self.len > 0 {
-            self.wire_bytes += bdi_block_bytes(&self.buf[..self.len]);
-        }
-        (self.raw_bytes, self.wire_bytes)
-    }
+/// Allocation-free BDI accountant for a payload handed over as *lines*
+/// of at most [`BDI_LINE_WORDS`] lazily produced words (the hardware
+/// compresses per memory line, not per message): sizes each line
+/// independently and returns `(raw_bytes, compressed_bytes)`. This is
+/// what the serving path charges the wire with — measured on the actual
+/// response payload, with the raw fallback's expansion honestly included.
+pub fn bdi_stream_bytes<L>(lines: impl Iterator<Item = L>) -> (u64, u64)
+where
+    L: ExactSizeIterator<Item = u64>,
+{
+    lines.fold((0, 0), |(raw, wire), line| {
+        (raw + 8 * line.len() as u64, wire + line_bytes(line))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The slice form the tests below were written against.
+    fn delta_encoding(words: &[u64]) -> Option<(u8, bool)> {
+        super::delta_encoding(words.iter().copied())
+    }
+
+    /// The eager accountant [`bdi_stream_bytes`] replaced, kept as its
+    /// reference: buffers every word of a line before sizing it.
+    #[derive(Debug, Clone, Default)]
+    struct BdiStreamSizer {
+        buf: [u64; BDI_LINE_WORDS],
+        len: usize,
+        raw_bytes: u64,
+        wire_bytes: u64,
+    }
+
+    impl BdiStreamSizer {
+        fn new() -> Self {
+            Self::default()
+        }
+
+        fn push(&mut self, w: u64) {
+            self.buf[self.len] = w;
+            self.len += 1;
+            self.raw_bytes += 8;
+            if self.len == BDI_LINE_WORDS {
+                self.wire_bytes += bdi_block_bytes(&self.buf);
+                self.len = 0;
+            }
+        }
+
+        fn finish(mut self) -> (u64, u64) {
+            if self.len > 0 {
+                self.wire_bytes += bdi_block_bytes(&self.buf[..self.len]);
+            }
+            (self.raw_bytes, self.wire_bytes)
+        }
+    }
+
+    /// Two `f32` per word, a lone trailing float zero-extended — how
+    /// attribute rows cross the wire.
+    fn pack_floats(c: &[f32]) -> u64 {
+        let lo = c[0].to_bits() as u64;
+        let hi = c.get(1).map_or(0, |v| v.to_bits()) as u64;
+        lo | (hi << 32)
+    }
+
+    /// `words` through the eager reference accountant.
+    fn eager_stream_bytes(words: impl Iterator<Item = u64>) -> (u64, u64) {
+        let mut sizer = BdiStreamSizer::new();
+        words.for_each(|w| sizer.push(w));
+        sizer.finish()
+    }
+
+    #[test]
+    fn line_sizer_stops_building_words_once_no_width_fits() {
+        // A float line is rejected at its second word: the lazy sizer
+        // must not pull the other six from the iterator.
+        let floats: Vec<f32> = (0..16).map(|i| 0.37 * i as f32 - 2.0).collect();
+        let built = std::cell::Cell::new(0);
+        let line = floats.chunks(2).map(|c| {
+            built.set(built.get() + 1);
+            pack_floats(c)
+        });
+        assert_eq!(bdi_stream_bytes(std::iter::once(line)), (64, 65));
+        assert_eq!(built.get(), 2);
+        assert_eq!(
+            bdi_stream_bytes(std::iter::empty::<std::vec::IntoIter<u64>>()),
+            (0, 0)
+        );
+    }
 
     /// [`delta_encoding`] as it was first written: every word's delta in
     /// `i128`, the range checked once at the end. The early-exit walk is
@@ -593,6 +646,47 @@ mod tests {
             // Float payloads are usually incompressible: the accountant
             // must charge the expansion, never claim savings it lacks.
             prop_assert!(block.compressed_bytes() <= 1 + 8 * words.len() as u64);
+        }
+
+        #[test]
+        fn line_sizer_equals_per_chunk_blocks_and_the_eager_sizer(
+            words in proptest::collection::vec(any::<u64>(), 0..80),
+            base in any::<u64>(),
+            strides in proptest::collection::vec(0u64..70_000, 0..80),
+        ) {
+            // An arbitrary stream and a compressible one (small strides
+            // from a base), any length incl. not a multiple of 8.
+            let local: Vec<u64> = strides
+                .iter()
+                .scan(base >> 1, |cur, s| { *cur += s; Some(*cur) })
+                .collect();
+            for words in [&words, &local] {
+                let lazy = bdi_stream_bytes(
+                    words.chunks(BDI_LINE_WORDS).map(|line| line.iter().copied()),
+                );
+                let per_chunk: u64 = words.chunks(BDI_LINE_WORDS).map(bdi_block_bytes).sum();
+                prop_assert_eq!(lazy, (8 * words.len() as u64, per_chunk));
+                prop_assert_eq!(lazy, eager_stream_bytes(words.iter().copied()));
+            }
+        }
+
+        #[test]
+        fn line_sizer_packs_odd_width_float_rows_across_row_boundaries(
+            width in 1usize..12,
+            rows in 0usize..12,
+            seed in any::<u32>(),
+            constant in any::<bool>(),
+        ) {
+            // The attribute leg's payload: `rows` rows of `width` floats
+            // in one flat buffer, packed two per word regardless of where
+            // a row ends, 16 floats (8 words) per line.
+            let attrs: Vec<f32> = (0..width * rows)
+                .map(|i| if constant { 1.5 } else { f32::from_bits(seed.wrapping_mul(i as u32 + 1)) })
+                .collect();
+            let lazy = bdi_stream_bytes(
+                attrs.chunks(2 * BDI_LINE_WORDS).map(|line| line.chunks(2).map(pack_floats)),
+            );
+            prop_assert_eq!(lazy, eager_stream_bytes(attrs.chunks(2).map(pack_floats)));
         }
 
         #[test]

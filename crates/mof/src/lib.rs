@@ -39,7 +39,8 @@ pub mod packing;
 pub mod reliability;
 
 pub use bdi::{
-    bdi_block_bytes, bdi_compress, bdi_decompress, BdiStreamSizer, CompressedBlock, BDI_LINE_WORDS,
+    bdi_block_bytes, bdi_compress, bdi_decompress, bdi_stream_bytes, CompressedBlock,
+    BDI_LINE_WORDS,
 };
 pub use endpoint::{EndpointStats, MofEndpoint};
 pub use flow::CreditFlow;

@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Symbolise a sigprof dump (see prof.c) with binutils' addr2line.
+
+    python3 sym.py sigprof.<pid>.out [--top N] [--file cluster.rs]
+
+Prints sample totals by outermost (non-inlined) function, by inline
+chain, and - with --file - by source line of the named file, charging a
+sample to the innermost frame of its chain that lies in that file.
+Build the profiled binary with CARGO_PROFILE_RELEASE_DEBUG=line-tables-only
+so inlined frames and lines resolve without changing the generated code.
+"""
+import argparse
+import bisect
+import collections
+import subprocess
+
+
+def load_segments(path):
+    """(file offset, vaddr, size) of the ELF's PT_LOAD segments."""
+    out = subprocess.run(["readelf", "-lW", path], capture_output=True, text=True).stdout
+    segs = []
+    for line in out.splitlines():
+        f = line.split()
+        if len(f) >= 6 and f[0] == "LOAD":
+            segs.append((int(f[1], 16), int(f[2], 16), int(f[4], 16)))
+    return segs
+
+
+def parse(dump):
+    samples, maps = [], []
+    for line in open(dump):
+        kind, _, rest = line.partition(" ")
+        if kind == "s":
+            samples.append(int(rest, 16))
+        elif kind == "m":
+            f = rest.split()
+            start, end = (int(x, 16) for x in f[0].split("-"))
+            maps.append((start, end, int(f[2], 16), f[5] if len(f) > 5 else "[anon]"))
+    return samples, sorted(maps)
+
+
+def resolve(samples, maps):
+    """address -> (binary, vaddr inside it), or (region name, None)."""
+    starts = [m[0] for m in maps]
+    segs, where = {}, {}
+    for addr in set(samples):
+        i = bisect.bisect_right(starts, addr) - 1
+        if i < 0 or addr >= maps[i][1]:
+            where[addr] = ("[unmapped]", None)
+            continue
+        start, _, offset, path = maps[i]
+        if not path.startswith("/"):
+            where[addr] = (path, None)
+            continue
+        if path not in segs:
+            segs[path] = load_segments(path)
+        off = addr - start + offset
+        vaddr = next((off - o + v for o, v, n in segs[path] if o <= off < o + n), None)
+        where[addr] = (path, vaddr)
+    return where
+
+
+def symbolise(where):
+    """address -> list of (function, file:line), innermost frame first."""
+    by_bin = collections.defaultdict(list)
+    for addr, (path, vaddr) in where.items():
+        if vaddr is not None:
+            by_bin[path].append((addr, vaddr))
+    frames = {a: [(p, "?")] for a, (p, v) in where.items() if v is None}
+    for path, addrs in by_bin.items():
+        out = subprocess.run(
+            ["addr2line", "-a", "-f", "-i", "-C", "-e", path],
+            input="".join(f"{v:#x}\n" for _, v in addrs),
+            capture_output=True,
+            text=True,
+        ).stdout.splitlines()
+        # Per address: its "0x..." line, then function / file:line pairs.
+        chains, func = [], None
+        for line in out:
+            if line.startswith("0x") and " " not in line:
+                chains.append([])
+                func = None
+            elif func is None:
+                func = line
+            else:
+                chains[-1].append((func, line.split(" (discriminator")[0]))
+                func = None
+        for (addr, _), chain in zip(addrs, chains):
+            frames[addr] = chain or [(path, "?")]
+    return frames
+
+
+def table(title, counts, total, top):
+    print(f"\n{title}")
+    for key, n in counts.most_common(top):
+        print(f"  {n:8d} {100.0 * n / total:6.2f}%  {key}")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("dump")
+    ap.add_argument("--top", type=int, default=25)
+    ap.add_argument("--file", help="also total by source line of this file (suffix match)")
+    args = ap.parse_args()
+
+    samples, maps = parse(args.dump)
+    if not samples:
+        raise SystemExit("no samples: was PROF=1 set, and did the program exit normally?")
+    frames = symbolise(resolve(samples, maps))
+    outer, chain, lines = (collections.Counter() for _ in range(3))
+    for addr in samples:
+        fr = frames[addr]
+        outer[fr[-1][0]] += 1
+        chain[" > ".join(fn for fn, _ in reversed(fr))] += 1
+        if args.file:
+            hit = next((loc for _, loc in fr if loc.split(":")[0].endswith(args.file)), None)
+            if hit:
+                lines[hit] += 1
+    total = len(samples)
+    print(f"{total} samples")
+    table("by outermost function", outer, total, args.top)
+    table("by inline chain (outermost > ... > innermost)", chain, total, args.top)
+    if args.file:
+        table(f"by line of {args.file} (innermost frame in that file)", lines, total, args.top)
+
+
+if __name__ == "__main__":
+    main()
