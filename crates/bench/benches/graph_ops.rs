@@ -37,11 +37,11 @@ fn bench_cluster_sampling(c: &mut Criterion) {
     let roots: Vec<NodeId> = (0..64).map(NodeId).collect();
     let mut group = c.benchmark_group("cluster");
     group.sample_size(20);
-    group.bench_function("sample_batch_2x10_batch64_4servers", |b| {
+    group.bench_function("sample_block_2x10_batch64_4servers", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            black_box(cluster.sample_batch(&roots, 2, 10, seed))
+            black_box(cluster.sample_block(&roots, 2, 10, seed))
         });
     });
     group.finish();

@@ -18,7 +18,7 @@
 //! * **timed** — serving throughput, cache-off vs both tiers, best of
 //!   three runs, on the reference skew and again on uniform roots (the
 //!   traffic the paper says has no reuse, where all a cache can do is
-//!   cost little); `LSDGNN_CACHE_OMIT_TIMING=1` zeroes the wall-clock
+//!   cost little); `LSDGNN_OMIT_TIMING=1` zeroes the wall-clock
 //!   fields so `--jobs` parity can compare artifacts byte-for-byte.
 //! * **wire** — the same traffic through [`WireConfig`]-metered arms:
 //!   cache hits skip the remote leg *and* its byte accounting, so
@@ -425,7 +425,7 @@ fn arm_json(a: &Arm) -> Json {
 
 /// Runs the sweep and writes the artifact to `out`.
 pub fn cache(quick: bool, seed: u64, out: &str) {
-    let omit_timing = std::env::var("LSDGNN_CACHE_OMIT_TIMING").is_ok();
+    let omit_timing = crate::util::omit_timing();
     let skews: &[u64] = if quick { &[60, 98] } else { &[60, 85, 98] };
     let caps: &[usize] = if quick {
         &[256, REF_CAPACITY]

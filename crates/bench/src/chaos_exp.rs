@@ -22,7 +22,7 @@
 //!
 //! Wall-clock observations (p99 latency, retry/hedge/breaker counters —
 //! anything that depends on attempt counts or sleeps) live in a separate
-//! `observed` block per cell; `LSDGNN_CHAOS_OMIT_TIMING=1` zeroes that
+//! `observed` block per cell; `LSDGNN_OMIT_TIMING=1` zeroes that
 //! block so determinism tests can compare whole artifacts byte-for-byte.
 //!
 //! The zero-fault cell is the pay-for-what-you-use gate: its replies are
@@ -333,7 +333,7 @@ fn hex(d: u64) -> String {
 pub fn chaos(quick: bool, seed: u64, out: &str) {
     let requests = if quick { QUICK_REQUESTS } else { FULL_REQUESTS };
     let frames = if quick { QUICK_FRAMES } else { FULL_FRAMES };
-    let omit_timing = std::env::var("LSDGNN_CHAOS_OMIT_TIMING").is_ok();
+    let omit_timing = crate::util::omit_timing();
     outln!(
         "chaos sweep: seed {seed}, {requests} requests/cell over {PARTITIONS} cards, \
          loss x card-failure grid{}",

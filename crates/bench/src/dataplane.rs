@@ -1,30 +1,10 @@
-//! `bench dataplane` — before/after microbenchmark of the flat-buffer
-//! serving data plane.
-//!
-//! Two arms over the same partitioned cluster workload:
-//!
-//! * **legacy** — `CpuBackend::new_legacy`: nested `Vec<Vec<NodeId>>`
-//!   frontiers, one allocation per neighbor list, every partition —
-//!   local included — reached over its channel.
-//! * **flat** — `CpuBackend::new`: [`SampleBlock`] flat buffers, per-hop
-//!   request coalescing, pooled arenas, zero-copy CSR reads on the
-//!   worker-local shard.
-//!
-//! Both arms are measured on the batched 2-hop service-level workload
-//! (requests through a [`SamplingService`]) and on the raw one-hop
-//! `fetch_neighbors` inner loop (direct backend calls). Samples are
-//! byte-identical across arms — the run folds every block digest and
-//! writes `digests_match` next to the speedups in
-//! `BENCH_dataplane.json`, along with the flat arm's coalescing hit rate
-//! and buffer-pool reuse rate.
+//! The serving benches' shared workload: a skewed power-law graph with
+//! its hot head placed on the worker-local shard, popularity-skewed
+//! roots, the request shape and the digest fold that `bench wire`,
+//! `cache`, `obs` and `inference` all measure on.
 
-use crate::util::outln;
-use lsdgnn_core::framework::{
-    CpuBackend, RequestStats, SampleRequest, SamplingBackend, SamplingService, ServiceConfig,
-};
+use lsdgnn_core::framework::SampleRequest;
 use lsdgnn_core::graph::{generators, AttributeStore, CsrGraph, NodeId, PartitionedGraph};
-use lsdgnn_core::telemetry::Json;
-use std::time::Instant;
 
 /// Server partitions; partition 0 is the worker-local (zero-copy) shard.
 pub(crate) const PARTITIONS: u32 = 2;
@@ -39,13 +19,6 @@ pub(crate) const HOT_SET: u64 = 256;
 /// (256 B/node), so attribute movement is a first-class cost the way the
 /// paper's GetAttribute stage is.
 pub(crate) const ATTR_LEN: usize = 64;
-/// Roots per inner-loop call (one big single-hop frontier fetch).
-const INNER_ROOTS: u64 = 512;
-
-const SERVICE_REQUESTS: u64 = 512;
-const QUICK_SERVICE_REQUESTS: u64 = 64;
-const INNER_ITERS: u64 = 256;
-const QUICK_INNER_ITERS: u64 = 32;
 
 pub(crate) fn graph(quick: bool) -> (CsrGraph, AttributeStore) {
     let n = if quick { 20_000 } else { 100_000 };
@@ -55,12 +28,10 @@ pub(crate) fn graph(quick: bool) -> (CsrGraph, AttributeStore) {
     )
 }
 
-/// Partition placement both arms serve from: the hot head lives on the
+/// Partition placement the benches serve from: the hot head lives on the
 /// worker-local shard (the paper co-locates hot vertices with the
 /// accelerator), the tail is hash-spread across every shard exactly as
-/// the default map does. The legacy arm runs over the *same* placement —
-/// it just cannot exploit it, because its wire format channels every
-/// lookup, local or not.
+/// the default map does.
 pub(crate) fn placement(g: &CsrGraph, a: &AttributeStore) -> PartitionedGraph {
     let assignment: Vec<u32> = (0..g.num_nodes())
         .map(|v| {
@@ -112,184 +83,4 @@ pub(crate) fn request(seed: u64, nodes: u64, roots: u64) -> SampleRequest {
 /// samples produce equal fingerprints.
 pub(crate) fn fold(digest: u64, block_digest: u64) -> u64 {
     digest.wrapping_mul(0x0000_0100_0000_01b3) ^ block_digest
-}
-
-/// Requests per arm whose sample digests are folded (untimed) to pin
-/// the two arms to byte-identical results.
-const VERIFY_REQUESTS: u64 = 64;
-
-/// Serves `requests` batched 2-hop requests through a service over
-/// `backend` and returns (requests/sec, folded digest, backend stats).
-/// Digest folding runs in a separate untimed pass so the timed window
-/// measures serving, not fingerprinting. The timed pass repeats three
-/// times and the best run counts — the bench box is a shared machine,
-/// and the before/after claim is about the data plane, not about who
-/// else had the core that second.
-fn service_arm(
-    backend: Box<dyn SamplingBackend>,
-    requests: u64,
-    nodes: u64,
-) -> (f64, u64, RequestStats) {
-    // One worker shard: the single-core bench box makes extra workers
-    // pure scheduler noise. Both arms serve the identical config.
-    let cfg = ServiceConfig {
-        workers: 1,
-        queue_capacity: 128,
-        max_batch: 32,
-        ..ServiceConfig::default()
-    };
-    let svc = SamplingService::start(backend, cfg);
-    // Warm caches, pools and thread pools outside the timed window.
-    for s in 0..8 {
-        let block = svc.sample_block(request(1 << 32 | s, nodes, ROOTS_PER_REQ));
-        svc.backend().recycle(block);
-    }
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for s in 0..VERIFY_REQUESTS.min(requests) {
-        let block = svc.sample_block(request(s, nodes, ROOTS_PER_REQ));
-        digest = fold(digest, block.digest());
-        svc.backend().recycle(block);
-    }
-    // Sliding window: keep the queue full so the batcher always has a
-    // whole batch to coalesce, with no drain bubble between waves.
-    let window = 64u64;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let mut tickets = std::collections::VecDeque::new();
-        let mut submitted = 0u64;
-        while submitted < requests.min(window) {
-            tickets.push_back(svc.submit(request(submitted, nodes, ROOTS_PER_REQ)));
-            submitted += 1;
-        }
-        while let Some(t) = tickets.pop_front() {
-            svc.backend().recycle(t.wait_block());
-            if submitted < requests {
-                tickets.push_back(svc.submit(request(submitted, nodes, ROOTS_PER_REQ)));
-                submitted += 1;
-            }
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    let stats = svc.stats().backend;
-    svc.shutdown();
-    (requests as f64 / best, digest, stats)
-}
-
-/// Runs the raw one-hop frontier-fetch loop directly against `backend`
-/// and returns (calls/sec, folded digest).
-fn inner_arm(backend: &CpuBackend, iters: u64, nodes: u64) -> (f64, u64) {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for s in 0..VERIFY_REQUESTS.min(iters) {
-        let block = backend.sample_block(&SampleRequest {
-            hops: 1,
-            ..request(s, nodes, INNER_ROOTS)
-        });
-        digest = fold(digest, block.digest());
-        backend.recycle(block);
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for s in 0..iters {
-            backend.recycle(backend.sample_block(&SampleRequest {
-                hops: 1,
-                ..request(s, nodes, INNER_ROOTS)
-            }));
-        }
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (iters as f64 / best, digest)
-}
-
-/// Runs both arms of both workloads and writes `BENCH_dataplane.json`.
-pub fn dataplane(quick: bool) {
-    let (requests, iters) = if quick {
-        (QUICK_SERVICE_REQUESTS, QUICK_INNER_ITERS)
-    } else {
-        (SERVICE_REQUESTS, INNER_ITERS)
-    };
-    let (g, a) = graph(quick);
-    let nodes = g.num_nodes();
-    outln!(
-        "dataplane bench: {nodes} nodes, {PARTITIONS} partitions, \
-         {requests} service requests x {ROOTS_PER_REQ} roots ({HOPS} hops, fanout {FANOUT}), \
-         {iters} inner-loop calls x {INNER_ROOTS} roots"
-    );
-
-    // Service-level arm: batched 2-hop requests through the service.
-    let (legacy_rps, legacy_digest, _) = service_arm(
-        Box::new(CpuBackend::from_partitioned_legacy(placement(&g, &a))),
-        requests,
-        nodes,
-    );
-    let flat_backend = CpuBackend::from_partitioned(placement(&g, &a));
-    let pool = flat_backend.cluster().pool().clone();
-    let (flat_rps, flat_digest, flat_stats) = service_arm(Box::new(flat_backend), requests, nodes);
-    let coalesce_hit_rate = flat_stats.coalesce_hit_rate();
-    let attr_coalesce_hit_rate = flat_stats.attr_coalesce_hit_rate();
-    let service_speedup = flat_rps / legacy_rps;
-    let service_match = legacy_digest == flat_digest;
-
-    // Inner-loop arm: raw one-hop frontier fetch, no service in front.
-    let legacy_inner = CpuBackend::from_partitioned_legacy(placement(&g, &a));
-    let flat_inner = CpuBackend::from_partitioned(placement(&g, &a));
-    let (legacy_ips, legacy_inner_digest) = inner_arm(&legacy_inner, iters, nodes);
-    let (flat_ips, flat_inner_digest) = inner_arm(&flat_inner, iters, nodes);
-    let inner_speedup = flat_ips / legacy_ips;
-    let inner_match = legacy_inner_digest == flat_inner_digest;
-
-    let pool_reuse_rate = pool.stats().reuse_rate();
-    let digests_match = service_match && inner_match;
-    // Quick runs smoke the machinery; the full workload is what the >=2x
-    // claim is made on.
-    let speedup_ok = service_speedup >= if quick { 1.0 } else { 2.0 };
-
-    outln!(
-        "  service (2-hop): legacy {legacy_rps:>8.1} req/s   flat {flat_rps:>8.1} req/s   speedup {service_speedup:.2}x"
-    );
-    outln!(
-        "  inner loop (1-hop): legacy {legacy_ips:>8.1} call/s  flat {flat_ips:>8.1} call/s  speedup {inner_speedup:.2}x"
-    );
-    outln!(
-        "  digests_match {digests_match}   coalesce_hit_rate {coalesce_hit_rate:.3}   \
-         attr_coalesce_hit_rate {attr_coalesce_hit_rate:.3}   pool_reuse_rate {pool_reuse_rate:.3}"
-    );
-
-    let doc = Json::Obj(vec![
-        ("bench".to_string(), Json::Str("dataplane".to_string())),
-        ("quick".to_string(), Json::Bool(quick)),
-        ("nodes".to_string(), Json::Num(nodes as f64)),
-        ("partitions".to_string(), Json::Num(PARTITIONS as f64)),
-        ("service_requests".to_string(), Json::Num(requests as f64)),
-        (
-            "roots_per_request".to_string(),
-            Json::Num(ROOTS_PER_REQ as f64),
-        ),
-        ("hops".to_string(), Json::Num(HOPS as f64)),
-        ("fanout".to_string(), Json::Num(FANOUT as f64)),
-        ("legacy_requests_per_sec".to_string(), Json::Num(legacy_rps)),
-        ("flat_requests_per_sec".to_string(), Json::Num(flat_rps)),
-        ("service_speedup".to_string(), Json::Num(service_speedup)),
-        ("inner_iters".to_string(), Json::Num(iters as f64)),
-        (
-            "legacy_inner_calls_per_sec".to_string(),
-            Json::Num(legacy_ips),
-        ),
-        ("flat_inner_calls_per_sec".to_string(), Json::Num(flat_ips)),
-        ("inner_speedup".to_string(), Json::Num(inner_speedup)),
-        (
-            "coalesce_hit_rate".to_string(),
-            Json::Num(coalesce_hit_rate),
-        ),
-        (
-            "attr_coalesce_hit_rate".to_string(),
-            Json::Num(attr_coalesce_hit_rate),
-        ),
-        ("pool_reuse_rate".to_string(), Json::Num(pool_reuse_rate)),
-        ("digests_match".to_string(), Json::Bool(digests_match)),
-        ("speedup_ok".to_string(), Json::Bool(speedup_ok)),
-    ]);
-    std::fs::write("BENCH_dataplane.json", doc.render()).expect("write dataplane bench json");
-    outln!("wrote BENCH_dataplane.json");
 }

@@ -1,9 +1,9 @@
 //! `bench inference` — end-to-end inference serving: pipelined
 //! [`InferenceService`] versus the sequential reference execution.
 //!
-//! Both arms serve the *same* skewed 2-partition workload as `bench
-//! dataplane` (hot head pinned to the worker-local shard, 80% of roots
-//! on it) through the same flat-data-plane backend and the same
+//! Both arms serve the shared skewed 2-partition workload of
+//! `dataplane.rs` (hot head pinned to the worker-local shard, 80% of
+//! roots on it) through the same backend and the same
 //! [`SageModel`] — only the execution discipline differs:
 //!
 //! * **sequential** — [`run_sequential`]: each request runs sample →
@@ -149,7 +149,7 @@ fn model() -> SageModel {
     SageModel::new(&WIDTHS, MODEL_SEED)
 }
 
-/// A small skewed inference request over the dataplane bench's hot-head
+/// A small skewed inference request over the shared workload's hot-head
 /// root distribution.
 fn request(seed: u64, nodes: u64, roots: u64) -> SampleRequest {
     SampleRequest {

@@ -27,6 +27,8 @@
 //! * `LSDGNN_SCALE`   — max nodes for scaled-down graphs (default 4000)
 //! * `LSDGNN_BATCHES` — mini-batches per DES measurement (default 3)
 //! * `LSDGNN_JOBS`    — default worker count when `--jobs` is absent
+//! * `LSDGNN_OMIT_TIMING` — `chaos`/`wire`/`cache`/`obs`/`traffic` zero
+//!   their wall-clock fields, for byte-identical artifacts
 
 mod ablations;
 mod cache_exp;
@@ -126,7 +128,6 @@ fn usage_and_exit(unknown: &str) -> ! {
     eprintln!("  kernel [--quick]   event-kernel throughput microbenchmark");
     eprintln!("  harness            --jobs wall-clock scaling benchmark");
     eprintln!("  chaos [--quick] [--seed N] [--out path]   fault-injection sweep");
-    eprintln!("  dataplane [--quick]   flat-buffer vs legacy serving-path benchmark");
     eprintln!(
         "  wire [--quick] [--seed N] [--out path]   reorder x BDI-compression wire-byte sweep"
     );
@@ -207,10 +208,6 @@ fn main() {
     }
     if args.iter().any(|a| a == "chaos") {
         chaos_exp::chaos(quick, seed, out.as_deref().unwrap_or("BENCH_chaos.json"));
-        return;
-    }
-    if args.iter().any(|a| a == "dataplane") {
-        dataplane::dataplane(quick);
         return;
     }
     if args.iter().any(|a| a == "wire") {

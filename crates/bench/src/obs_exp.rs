@@ -27,7 +27,7 @@
 //! layer, and degraded requests must produce flight dumps carrying the
 //! plan's seed + digest for byte-exact replay.
 //!
-//! `LSDGNN_OBS_OMIT_TIMING=1` zeroes every wall-clock-derived field
+//! `LSDGNN_OMIT_TIMING=1` zeroes every wall-clock-derived field
 //! (stdout and artifact) so two runs — at any `--jobs` — are
 //! byte-identical; `tests/jobs_parity.rs` pins that. The deterministic
 //! ledger-merge check (synthetic timestamps, 1 vs 4 recorder threads)
@@ -266,7 +266,7 @@ fn merge_digest(threads: u64) -> u64 {
 
 /// Runs every arm and writes `BENCH_obs.json`.
 pub fn obs(quick: bool, seed: u64, out: &str) {
-    let omit_timing = std::env::var("LSDGNN_OBS_OMIT_TIMING").is_ok();
+    let omit_timing = crate::util::omit_timing();
     let zero = |v: f64| if omit_timing { 0.0 } else { v };
     let requests = if quick { QUICK_REQUESTS } else { REQUESTS };
     let (g, a) = graph(quick);

@@ -24,7 +24,7 @@
 //! times and therefore replay identically at any `--jobs` count.
 //!
 //! Wall-clock observations live in `observed` blocks;
-//! `LSDGNN_TRAFFIC_OMIT_TIMING=1` zeroes them so determinism tests can
+//! `LSDGNN_OMIT_TIMING=1` zeroes them so determinism tests can
 //! compare whole artifacts byte-for-byte.
 //!
 //! In-binary gates (also in the artifact for CI): `digests_match`,
@@ -563,7 +563,7 @@ fn report_json(r: &PolicyReport) -> Json {
 /// Runs the sweep and writes the artifact to `out`.
 pub fn traffic(quick: bool, seed: u64, out: &str) {
     let requests = if quick { QUICK_REQUESTS } else { FULL_REQUESTS };
-    let omit_timing = std::env::var("LSDGNN_TRAFFIC_OMIT_TIMING").is_ok();
+    let omit_timing = crate::util::omit_timing();
     outln!(
         "traffic sweep: seed {seed}, burstiness x tenant-mix x policy over a \
          {SIM_CARDS}-card modeled fleet, live legs on {GRAPH_NODES} nodes / {PARTITIONS} \

@@ -16,7 +16,7 @@
 //! are permutation-invariant and stay flat by design), measured wire
 //! bytes (packed/unpacked requests, raw/BDI-compressed responses),
 //! packing occupancy, the link model's simulated wire time, and served
-//! requests/sec. `LSDGNN_WIRE_OMIT_TIMING=1` zeroes the wall-clock
+//! requests/sec. `LSDGNN_OMIT_TIMING=1` zeroes the wall-clock
 //! throughput fields so `--jobs` parity can compare artifacts
 //! byte-for-byte; everything else — bytes, ratios, digests — is
 //! deterministic at a fixed seed.
@@ -123,7 +123,7 @@ fn run_arm(
     let snap = backend.wire_snapshot();
 
     // Timed serving pass: throughput is reported, never asserted, and
-    // zeroed under LSDGNN_WIRE_OMIT_TIMING for artifact parity.
+    // zeroed under LSDGNN_OMIT_TIMING for artifact parity.
     let requests_per_sec = if omit_timing {
         0.0
     } else {
@@ -242,7 +242,7 @@ fn arm_json(a: &Arm) -> Json {
 
 /// Runs the reorder × compression sweep and writes the artifact.
 pub fn wire(quick: bool, seed: u64, out_path: &str) {
-    let omit_timing = std::env::var("LSDGNN_WIRE_OMIT_TIMING").is_ok();
+    let omit_timing = crate::util::omit_timing();
     let (verify, timed) = if quick {
         (QUICK_VERIFY_REQUESTS, QUICK_TIMED_REQUESTS)
     } else {

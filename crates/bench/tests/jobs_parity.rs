@@ -8,7 +8,7 @@
 //! serving experiments (fig2b, fig14) measure real thread latencies and
 //! differ even between two identical serial runs.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// DES-only ablation experiments — deterministic at fixed scale.
@@ -62,299 +62,108 @@ fn jobs4_output_is_byte_identical_to_serial() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs `chaos --quick` with timing fields zeroed, returning stdout and
-/// the artifact bytes.
-fn run_chaos(jobs: &str, seed: &str, out: &PathBuf) -> (String, Vec<u8>) {
+/// Runs `<bench> --quick` with the wall-clock fields zeroed
+/// (`LSDGNN_OMIT_TIMING`), returning stdout (artifact path masked) and
+/// the artifact.
+fn run_bench(bench: &str, jobs: &str, seed: &str, out: &Path) -> (String, String) {
     let cmd = Command::new(env!("CARGO_BIN_EXE_lsdgnn-bench"))
-        .args(["chaos", "--quick", "--jobs", jobs, "--seed", seed, "--out"])
+        .args([bench, "--quick", "--jobs", jobs, "--seed", seed, "--out"])
         .arg(out)
-        .env("LSDGNN_CHAOS_OMIT_TIMING", "1")
+        .env("LSDGNN_OMIT_TIMING", "1")
         .output()
         .expect("spawn bench binary");
     assert!(
         cmd.status.success(),
-        "chaos --jobs {jobs} failed: {}",
+        "{bench} --jobs {jobs} failed: {}",
         String::from_utf8_lossy(&cmd.stderr)
     );
     let stdout = String::from_utf8_lossy(&cmd.stdout).replace(&out.display().to_string(), "<out>");
-    let artifact = std::fs::read(out).expect("chaos artifact written");
+    let artifact = std::fs::read_to_string(out).expect("artifact written");
     (stdout, artifact)
 }
 
-/// Same chaos seed + scenario grid → byte-identical fault-plan digests,
-/// sample-result digests and artifact across `--jobs 1` and `--jobs 4`
-/// (wall-clock observations are zeroed via `LSDGNN_CHAOS_OMIT_TIMING`
-/// since attempt counts under load are inherently timing-dependent).
-#[test]
-fn chaos_sweep_is_byte_identical_across_jobs() {
-    let dir = std::env::temp_dir().join(format!("lsdgnn_chaos_parity_{}", std::process::id()));
+/// A seeded serving bench is a pure function of `(seed, config)` once its
+/// wall-clock fields are zeroed — plans, traces, permutations, verdicts,
+/// counters and digests never depend on scheduling — so stdout and the
+/// artifact must be byte-identical across `--jobs 1` and `--jobs 4`. The
+/// artifact must carry every one of `markers` (its own exact gates), and
+/// where the seed drives the measured stream (`seed_is_identity`) a
+/// different seed must change it.
+fn assert_jobs_parity(bench: &str, seed_is_identity: bool, markers: &[&str]) {
+    let dir = std::env::temp_dir().join(format!("lsdgnn_{bench}_parity_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create tmp dir");
 
-    let (out1, art1) = run_chaos("1", "42", &dir.join("j1.json"));
-    let (out4, art4) = run_chaos("4", "42", &dir.join("j4.json"));
-    assert_eq!(out1, out4, "chaos stdout must not depend on --jobs");
-    assert!(!art1.is_empty(), "chaos artifact is non-empty");
-    assert_eq!(
-        String::from_utf8_lossy(&art1),
-        String::from_utf8_lossy(&art4),
-        "chaos artifact must not depend on --jobs"
-    );
-    assert!(
-        String::from_utf8_lossy(&art1).contains("\"plan_digest\""),
-        "artifact carries the fault-plan fingerprints"
-    );
-
-    // A different seed must change the stochastic decisions (and thus
-    // the plan digests in the artifact) — the seed is the identity.
-    let (_, other) = run_chaos("1", "43", &dir.join("seed43.json"));
-    assert_ne!(
-        String::from_utf8_lossy(&art1),
-        String::from_utf8_lossy(&other),
-        "seed must be part of the replay identity"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Runs `obs --quick` with timing fields zeroed, returning stdout and
-/// the artifact bytes.
-fn run_obs(jobs: &str, out: &PathBuf) -> (String, Vec<u8>) {
-    let cmd = Command::new(env!("CARGO_BIN_EXE_lsdgnn-bench"))
-        .args(["obs", "--quick", "--jobs", jobs, "--seed", "42", "--out"])
-        .arg(out)
-        .env("LSDGNN_OBS_OMIT_TIMING", "1")
-        .output()
-        .expect("spawn bench binary");
-    assert!(
-        cmd.status.success(),
-        "obs --jobs {jobs} failed: {}",
-        String::from_utf8_lossy(&cmd.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&cmd.stdout).replace(&out.display().to_string(), "<out>");
-    let artifact = std::fs::read(out).expect("obs artifact written");
-    (stdout, artifact)
-}
-
-/// Runs `wire --quick` with timing fields zeroed, returning stdout and
-/// the artifact bytes.
-fn run_wire(jobs: &str, seed: &str, out: &PathBuf) -> (String, Vec<u8>) {
-    let cmd = Command::new(env!("CARGO_BIN_EXE_lsdgnn-bench"))
-        .args(["wire", "--quick", "--jobs", jobs, "--seed", seed, "--out"])
-        .arg(out)
-        .env("LSDGNN_WIRE_OMIT_TIMING", "1")
-        .output()
-        .expect("spawn bench binary");
-    assert!(
-        cmd.status.success(),
-        "wire --jobs {jobs} failed: {}",
-        String::from_utf8_lossy(&cmd.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&cmd.stdout).replace(&out.display().to_string(), "<out>");
-    let artifact = std::fs::read(out).expect("wire artifact written");
-    (stdout, artifact)
-}
-
-/// The wire sweep is deterministic at a fixed seed: permutations, wire
-/// bytes, locality rates and back-mapped digests are all functions of
-/// the graph and the request stream; `LSDGNN_WIRE_OMIT_TIMING` zeroes
-/// the only wall-clock field (requests/sec).
-#[test]
-fn wire_artifact_is_byte_identical_across_jobs() {
-    let dir = std::env::temp_dir().join(format!("lsdgnn_wire_parity_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
-
-    let (out1, art1) = run_wire("1", "42", &dir.join("j1.json"));
-    let (out4, art4) = run_wire("4", "42", &dir.join("j4.json"));
-    assert_eq!(out1, out4, "wire stdout must not depend on --jobs");
-    assert!(!art1.is_empty(), "wire artifact is non-empty");
-    assert_eq!(
-        String::from_utf8_lossy(&art1),
-        String::from_utf8_lossy(&art4),
-        "wire artifact must not depend on --jobs"
-    );
-    let text = String::from_utf8_lossy(&art1);
-    assert!(
-        text.contains("\"digests_equivalent\":true"),
-        "every reorder/compression arm must back-map to identical samples"
-    );
-    assert!(
-        text.contains("\"compression_ratio_ok\":true"),
-        "BDI must shrink the sampled remote traffic"
-    );
-
-    // A different scramble seed changes the layout under measurement
-    // (and thus the locality rates in the artifact) but not the
-    // logical samples.
-    let (_, other) = run_wire("1", "43", &dir.join("seed43.json"));
-    assert_ne!(
-        String::from_utf8_lossy(&art1),
-        String::from_utf8_lossy(&other),
-        "the scramble seed must be part of the measurement identity"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Runs `traffic --quick` with timing fields zeroed, returning stdout
-/// and the artifact bytes.
-fn run_traffic(jobs: &str, seed: &str, out: &PathBuf) -> (String, Vec<u8>) {
-    let cmd = Command::new(env!("CARGO_BIN_EXE_lsdgnn-bench"))
-        .args([
-            "traffic", "--quick", "--jobs", jobs, "--seed", seed, "--out",
-        ])
-        .arg(out)
-        .env("LSDGNN_TRAFFIC_OMIT_TIMING", "1")
-        .output()
-        .expect("spawn bench binary");
-    assert!(
-        cmd.status.success(),
-        "traffic --jobs {jobs} failed: {}",
-        String::from_utf8_lossy(&cmd.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&cmd.stdout).replace(&out.display().to_string(), "<out>");
-    let artifact = std::fs::read(out).expect("traffic artifact written");
-    (stdout, artifact)
-}
-
-/// The traffic sweep is deterministic at a fixed seed: traces, admission
-/// verdicts (virtual-time bucket arithmetic), simulation outcomes and
-/// reply digests are all pure functions of `(seed, config)`;
-/// `LSDGNN_TRAFFIC_OMIT_TIMING` zeroes the only wall-clock field.
-#[test]
-fn traffic_artifact_is_byte_identical_across_jobs() {
-    let dir = std::env::temp_dir().join(format!("lsdgnn_traffic_parity_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
-
-    let (out1, art1) = run_traffic("1", "42", &dir.join("j1.json"));
-    let (out4, art4) = run_traffic("4", "42", &dir.join("j4.json"));
-    assert_eq!(out1, out4, "traffic stdout must not depend on --jobs");
-    assert!(!art1.is_empty(), "traffic artifact is non-empty");
-    assert_eq!(
-        String::from_utf8_lossy(&art1),
-        String::from_utf8_lossy(&art4),
-        "traffic artifact must not depend on --jobs"
-    );
-    let text = String::from_utf8_lossy(&art1);
-    assert!(
-        text.contains("\"digests_match\":true"),
-        "unshaped ShapedService must replay the plain service"
-    );
-    assert!(
-        text.contains("\"slo_met_improved\":true"),
-        "shaping must improve interactive SLO attainment"
-    );
-    assert!(
-        text.contains("\"no_unbounded_queue\":true"),
-        "shaped lanes must stay bounded"
-    );
-
-    // A different seed changes the traces (and thus the per-cell
-    // digests and counts) — the seed is the replay identity.
-    let (_, other) = run_traffic("1", "43", &dir.join("seed43.json"));
-    assert_ne!(
-        String::from_utf8_lossy(&art1),
-        String::from_utf8_lossy(&other),
-        "seed must be part of the replay identity"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The observability bench must not depend on `--jobs`: reply digests,
-/// blame attribution, chaos-arm verdicts and the canonical ledger-merge
-/// digest are all scheduling-independent, and `LSDGNN_OBS_OMIT_TIMING`
-/// zeroes the wall-clock-derived rest.
-#[test]
-fn obs_artifact_is_byte_identical_across_jobs() {
-    let dir = std::env::temp_dir().join(format!("lsdgnn_obs_parity_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
-
-    let (out1, art1) = run_obs("1", &dir.join("j1.json"));
-    let (out4, art4) = run_obs("4", &dir.join("j4.json"));
-    assert_eq!(out1, out4, "obs stdout must not depend on --jobs");
-    assert_eq!(
-        String::from_utf8_lossy(&art1),
-        String::from_utf8_lossy(&art4),
-        "obs artifact must not depend on --jobs"
-    );
-    let text = String::from_utf8_lossy(&art1);
-    assert!(
-        text.contains("\"digest_identical\":true"),
-        "instrumented replies must digest-match the baseline"
-    );
-    assert!(
-        text.contains("\"merge_jobs_parity\":true"),
-        "ledger merge must be order-independent"
-    );
-    for fault in ["request_loss", "card_down", "queue_stall"] {
-        assert!(
-            text.contains(&format!("\"top_fault\":\"{fault}\"")),
-            "blame must name the injected {fault} fault"
+    let (out1, art1) = run_bench(bench, "1", "42", &dir.join("j1.json"));
+    let (out4, art4) = run_bench(bench, "4", "42", &dir.join("j4.json"));
+    assert_eq!(out1, out4, "{bench} stdout must not depend on --jobs");
+    assert!(!art1.is_empty(), "{bench} artifact is non-empty");
+    assert_eq!(art1, art4, "{bench} artifact must not depend on --jobs");
+    for marker in markers {
+        assert!(art1.contains(marker), "{bench} artifact lacks {marker}");
+    }
+    if seed_is_identity {
+        let (_, other) = run_bench(bench, "1", "43", &dir.join("seed43.json"));
+        assert_ne!(
+            art1, other,
+            "{bench}: the seed must be part of the identity"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs `cache --quick` with timing fields zeroed, returning stdout and
-/// the artifact bytes.
-fn run_cache(jobs: &str, seed: &str, out: &PathBuf) -> (String, Vec<u8>) {
-    let cmd = Command::new(env!("CARGO_BIN_EXE_lsdgnn-bench"))
-        .args(["cache", "--quick", "--jobs", jobs, "--seed", seed, "--out"])
-        .arg(out)
-        .env("LSDGNN_CACHE_OMIT_TIMING", "1")
-        .output()
-        .expect("spawn bench binary");
-    assert!(
-        cmd.status.success(),
-        "cache --jobs {jobs} failed: {}",
-        String::from_utf8_lossy(&cmd.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&cmd.stdout).replace(&out.display().to_string(), "<out>");
-    let artifact = std::fs::read(out).expect("cache artifact written");
-    (stdout, artifact)
+#[test]
+fn chaos_sweep_is_byte_identical_across_jobs() {
+    // The artifact carries the fault-plan fingerprints.
+    assert_jobs_parity("chaos", true, &["\"plan_digest\""]);
 }
 
-/// The hot-set cache sweep must not depend on `--jobs`: per-cell
-/// digests, remote-request counts, tier counters and the wire-cut leg
-/// are all deterministic under a fixed seed, and
-/// `LSDGNN_CACHE_OMIT_TIMING` zeroes the throughput and blame-share
-/// fields that ride on wall-clock batching.
+#[test]
+fn wire_artifact_is_byte_identical_across_jobs() {
+    // Every reorder/compression arm back-maps to identical samples, and
+    // BDI shrinks the sampled remote traffic.
+    let gates = [
+        "\"digests_equivalent\":true",
+        "\"compression_ratio_ok\":true",
+    ];
+    assert_jobs_parity("wire", true, &gates);
+}
+
+#[test]
+fn traffic_artifact_is_byte_identical_across_jobs() {
+    // Unshaped replays the plain service; shaping improves interactive
+    // SLO attainment; shaped lanes stay bounded.
+    let gates = [
+        "\"digests_match\":true",
+        "\"slo_met_improved\":true",
+        "\"no_unbounded_queue\":true",
+    ];
+    assert_jobs_parity("traffic", true, &gates);
+}
+
+#[test]
+fn obs_artifact_is_byte_identical_across_jobs() {
+    // Instrumented replies digest-match the baseline, the ledger merge
+    // is order-independent, and blame names each injected fault.
+    let gates = [
+        "\"digest_identical\":true",
+        "\"merge_jobs_parity\":true",
+        "\"top_fault\":\"request_loss\"",
+        "\"top_fault\":\"card_down\"",
+        "\"top_fault\":\"queue_stall\"",
+    ];
+    assert_jobs_parity("obs", false, &gates);
+}
+
 #[test]
 fn cache_artifact_is_byte_identical_across_jobs() {
-    let dir = std::env::temp_dir().join(format!("lsdgnn_cache_parity_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
-
-    let (out1, art1) = run_cache("1", "42", &dir.join("j1.json"));
-    let (out4, art4) = run_cache("4", "42", &dir.join("j4.json"));
-    assert_eq!(out1, out4, "cache stdout must not depend on --jobs");
-    assert!(!art1.is_empty(), "cache artifact is non-empty");
-    assert_eq!(
-        String::from_utf8_lossy(&art1),
-        String::from_utf8_lossy(&art4),
-        "cache artifact must not depend on --jobs"
-    );
-    let text = String::from_utf8_lossy(&art1);
-    assert!(
-        text.contains("\"digests_match\":true"),
-        "cached arms must digest-match the cache-off arm"
-    );
-    assert!(
-        text.contains("\"remote_cut_ok\":true"),
-        "the warm cache must cut remote requests at the reference cell"
-    );
-    assert!(
-        text.contains("\"wire_cut_ok\":true"),
-        "cache hits must skip WirePlane accounting"
-    );
-    assert!(
-        text.contains("\"cache_hit_blamed\":true"),
-        "the blame report must attribute time to cache_hit"
-    );
-
-    // A different seed changes the request stream (and thus the per-cell
-    // digests) — the seed is the replay identity.
-    let (_, other) = run_cache("1", "43", &dir.join("seed43.json"));
-    assert_ne!(
-        String::from_utf8_lossy(&art1),
-        String::from_utf8_lossy(&other),
-        "seed must be part of the replay identity"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    // Cached arms digest-match the cache-off arm, the warm cache cuts
+    // remote requests, hits skip WirePlane accounting, and blame
+    // attributes time to cache_hit.
+    let gates = [
+        "\"digests_match\":true",
+        "\"remote_cut_ok\":true",
+        "\"wire_cut_ok\":true",
+        "\"cache_hit_blamed\":true",
+    ];
+    assert_jobs_parity("cache", true, &gates);
 }

@@ -654,7 +654,12 @@ impl ShapedService {
     /// (callers replaying a trace pass the arrival timestamp; wall-clock
     /// callers pass any monotonic µs reading). Returns exactly one
     /// terminal verdict; only `Admitted` occupies any queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sr.req.fanout` is zero.
     pub fn submit(&self, sr: ShapedRequest, now_us: u64) -> SubmitVerdict {
+        sr.req.assert_well_formed();
         let burn = self.obs.as_ref().map_or(0.0, |o| o.sampling_burn_rate());
         let verdict = {
             let mut ctrl = self.ctrl.lock().expect("admission lock");

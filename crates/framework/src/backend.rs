@@ -12,8 +12,10 @@
 //!
 //! The primary sampling verb is [`SamplingBackend::sample_block`],
 //! returning the flat [`SampleBlock`] the zero-copy data plane produces;
-//! [`SamplingBackend::sample_neighbors`] remains as a nested-`Vec`
-//! conversion shim for callers that still want a [`SampleBatch`].
+//! [`SamplingBackend::sample_neighbors`] converts it to the nested
+//! client form, [`SampleBatch`] — a format (what `AxeBackend`, the
+//! offload session and `SampleTicket::wait` hand to clients), not a
+//! second sampling path.
 //!
 //! Determinism contract: a backend must produce the same
 //! [`SampleBlock`] for the same [`SampleRequest`] (including its `seed`),
@@ -43,6 +45,15 @@ pub struct SampleRequest {
     pub fanout: usize,
     /// RNG seed; equal seeds must yield equal batches on every backend.
     pub seed: u64,
+}
+
+impl SampleRequest {
+    /// The front doors' entry check, run on the submitting thread: a
+    /// zero fanout divides by zero inside the sampler, and past the
+    /// queue that would take a shard worker down with it.
+    pub(crate) fn assert_well_formed(&self) {
+        assert!(self.fanout > 0, "fanout must be non-zero");
+    }
 }
 
 /// One sampling answer with its degradation provenance: the flat block
@@ -104,8 +115,8 @@ pub trait SamplingBackend: Send + Sync {
     /// sampling verb on the zero-copy data plane.
     fn sample_block(&self, req: &SampleRequest) -> SampleBlock;
 
-    /// Expands one request into the legacy nested-`Vec` batch shape. The
-    /// default converts the flat block; samples are identical either way.
+    /// Expands one request into the nested client form. The default
+    /// converts the flat block; samples are identical either way.
     fn sample_neighbors(&self, req: &SampleRequest) -> SampleBatch {
         self.sample_block(req).into_batch()
     }
@@ -222,14 +233,11 @@ pub trait SamplingBackend: Send + Sync {
 /// The AliGraph CPU path: a [`Cluster`] of server threads behind the
 /// backend interface.
 ///
-/// By default requests run on the cluster's flat-buffer data plane
-/// (coalesced, pooled, zero-copy local reads). [`CpuBackend::new_legacy`]
-/// builds the same backend pinned to the nested-`Vec` path instead — the
-/// before/after arm of the `dataplane` bench and differential tests.
+/// Requests run on the cluster's flat-buffer data plane (coalesced,
+/// pooled, zero-copy local reads) — the substrate's one sampling path.
 pub struct CpuBackend {
     cluster: Cluster,
     stats: Mutex<RequestStats>,
-    legacy: bool,
     /// Set by [`SamplingBackend::defer_attr_fetch`]: the caller gathers
     /// the rows itself, so sampling runs the cluster's expand verb alone.
     expand_only: AtomicBool,
@@ -239,7 +247,6 @@ impl std::fmt::Debug for CpuBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CpuBackend")
             .field("cluster", &self.cluster)
-            .field("legacy", &self.legacy)
             .finish()
     }
 }
@@ -257,29 +264,11 @@ impl CpuBackend {
         Self::from_cluster(Cluster::spawn(pg))
     }
 
-    /// Like [`CpuBackend::new`], but every sample runs on the legacy
-    /// nested-`Vec` path (converted to a block at the boundary). Samples
-    /// are byte-identical to the flat path; only the data movement
-    /// differs.
-    pub fn new_legacy(graph: &CsrGraph, attributes: &AttributeStore, partitions: u32) -> Self {
-        let mut b = Self::new(graph, attributes, partitions);
-        b.legacy = true;
-        b
-    }
-
     /// Spawns a cluster over an already-partitioned graph — used when
     /// the caller controls placement (e.g. pinning the hot head of a
     /// skewed workload onto the worker-local shard).
     pub fn from_partitioned(pg: PartitionedGraph) -> Self {
         Self::from_cluster(Cluster::spawn(pg))
-    }
-
-    /// Like [`CpuBackend::from_partitioned`], on the legacy nested-`Vec`
-    /// path.
-    pub fn from_partitioned_legacy(pg: PartitionedGraph) -> Self {
-        let mut b = Self::from_partitioned(pg);
-        b.legacy = true;
-        b
     }
 
     /// Like [`CpuBackend::from_partitioned`], with the MoF wire plane
@@ -317,7 +306,6 @@ impl CpuBackend {
         CpuBackend {
             cluster,
             stats: Mutex::new(RequestStats::default()),
-            legacy: false,
             expand_only: AtomicBool::new(false),
         }
     }
@@ -347,15 +335,8 @@ impl CpuBackend {
     }
 
     fn run(&self, req: &SampleRequest, excluded: &[u32]) -> (SampleBlock, RequestStats) {
-        if self.legacy {
-            let (batch, s) = self
-                .cluster
-                .sample_batch_excluding(&req.roots, req.hops, req.fanout, req.seed, excluded);
-            (SampleBlock::from_batch(&batch), s)
-        } else {
-            let (mut blocks, s) = self.run_many(&[req], excluded);
-            (blocks.pop().expect("one block per request"), s)
-        }
+        let (mut blocks, s) = self.run_many(&[req], excluded);
+        (blocks.pop().expect("one block per request"), s)
     }
 }
 
@@ -367,11 +348,6 @@ impl SamplingBackend for CpuBackend {
     }
 
     fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleBlock> {
-        if self.legacy {
-            // The legacy arm dispatches each request on its own, as the
-            // pre-flat-buffer service did.
-            return reqs.iter().map(|r| self.sample_block(r)).collect();
-        }
         // Coalesce in chunks: a wider union frontier dedups more (the
         // skewed head repeats across requests), but its lookup table and
         // reply arenas eventually outgrow the cache, so the fused fetch
@@ -397,13 +373,6 @@ impl SamplingBackend for CpuBackend {
     }
 
     fn gather_attributes(&self, nodes: &[NodeId]) -> Vec<f32> {
-        if self.legacy {
-            // The legacy arm keeps the channel-based scatter wrapper for
-            // before/after comparison; it records no coalesce telemetry.
-            let (attrs, s) = self.cluster.fetch_attrs_deduped(nodes);
-            self.record(s);
-            return attrs;
-        }
         let mut out = Vec::new();
         let s = self.cluster.fetch_attrs_into(nodes, &[], &mut out);
         self.record(s);
@@ -473,8 +442,6 @@ impl SamplingBackend for CpuBackend {
     }
 
     fn defer_attr_fetch(&self) {
-        // The legacy arm has no expand verb (and no adjacency to gather
-        // over); it keeps its full op.
         self.expand_only.store(true, Ordering::Relaxed);
     }
 }
@@ -782,37 +749,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_backend_matches_flat_backend_exactly() {
-        let (g, a) = setup();
-        let flat = CpuBackend::new(&g, &a, 4);
-        let legacy = CpuBackend::new_legacy(&g, &a, 4);
-        for seed in [0u64, 5, 99] {
-            let fb = flat.sample_block(&req(seed));
-            let lb = legacy.sample_block(&req(seed));
-            assert_eq!(fb, lb, "seed {seed}");
-            assert_eq!(fb.digest(), lb.digest());
-        }
-        // Coalescing only happens on the flat plane.
-        assert!(flat.stats().coalesce_lookups > 0);
-        assert_eq!(legacy.stats().coalesce_lookups, 0);
-    }
-
-    #[test]
     fn gather_attributes_routes_through_the_coalesced_path() {
         let (g, a) = setup();
-        let flat = CpuBackend::new(&g, &a, 2);
-        let legacy = CpuBackend::new_legacy(&g, &a, 2);
+        let b = CpuBackend::new(&g, &a, 2);
         let nodes: Vec<NodeId> = (0..40).map(|i| NodeId(i % 7)).collect();
-        // Same answer either way; only the flat arm records coalesce
-        // telemetry.
-        assert_eq!(
-            flat.gather_attributes(&nodes),
-            legacy.gather_attributes(&nodes)
-        );
-        let s = flat.stats();
+        // The store's own rows, one per occurrence, with each distinct
+        // row fetched once.
+        assert_eq!(b.gather_attributes(&nodes), a.gather(&nodes));
+        let s = b.stats();
         assert_eq!(s.attr_coalesce_lookups, 40);
         assert_eq!(s.attr_coalesce_hits, 33);
-        assert_eq!(legacy.stats().attr_coalesce_lookups, 0);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   shard dispatch (the software analogue of the AxE's 8 KB coalescing
 //!   cache): a hub node appearing 40 times in a frontier is fetched once.
 //!   Sampling still runs per frontier *entry* with the per-request RNG,
-//!   so results are byte-identical to the uncoalesced path.
+//!   so results are byte-identical to uncoalesced sampling.
 //! * **Zero-copy local reads** — frontier nodes owned by the worker's
 //!   co-located partition never cross a channel: their neighbor lists are
 //!   [`Span::Csr`] ranges borrowed straight from the shared CSR target
@@ -27,22 +27,26 @@
 //!
 //! All transient buffers (frontier scratch, server replies, attribute
 //! gathers, the result blocks) recycle through the cluster's shared
-//! [`BufferPool`]. The nested-`Vec` path ([`Cluster::sample_batch`])
-//! remains as the legacy arm; the `dataplane` differential tests pin both
-//! paths to identical samples.
+//! [`BufferPool`].
+//!
+//! This is the only sampling path of the CPU substrate. Its reference is
+//! outside the cluster: `tests/dataplane_differential.rs` pins every
+//! block, degradation verdict and gathered row to the single-machine
+//! `MultiHopSampler` over the unpartitioned graph, plus a table of
+//! frozen digests.
 
 use crate::backend::SampleRequest;
 use crate::hot_cache::{CacheConfig, CacheSnapshot, HotSetCache};
 use crate::pool::BufferPool;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use lsdgnn_graph::mem::prefetch_read;
-use lsdgnn_graph::{NodeId, NodeMap, PartitionId, PartitionedGraph};
+use lsdgnn_graph::{NodeId, PartitionId, PartitionedGraph};
 use lsdgnn_memfabric::LinkModel;
 use lsdgnn_mof::{
     bdi_stream_bytes, packed_request_size, BDI_LINE_WORDS, CRC_BYTES, HEADER_BYTES,
     MAX_REQUESTS_PER_PACKAGE,
 };
-use lsdgnn_sampler::{NeighborSampler, SampleBatch, SampleBlock, StreamingSampler};
+use lsdgnn_sampler::{SampleBlock, StreamingSampler};
 use lsdgnn_telemetry::ledger::{self, Stage};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -77,14 +81,6 @@ enum Request {
     Neighbors {
         nodes: Vec<NodeId>,
         reply: Sender<NeighborsReply>,
-    },
-    /// The pre-flat-buffer wire format: one allocated `Vec<NodeId>` per
-    /// requested node. Kept verbatim for the legacy shim so the
-    /// `bench dataplane` before/after comparison measures the data plane
-    /// this PR replaced, not a retrofitted hybrid.
-    NeighborsNested {
-        nodes: Vec<NodeId>,
-        reply: Sender<Vec<Vec<NodeId>>>,
     },
     /// Attribute gather for owned nodes.
     Attrs {
@@ -783,16 +779,6 @@ fn serve(
                     request: nodes,
                 });
             }
-            Request::NeighborsNested { nodes, reply } => {
-                let lists = nodes
-                    .iter()
-                    .map(|&v| {
-                        debug_assert!(graph.is_local(v, p), "misrouted request");
-                        graph.graph().neighbors(v).to_vec()
-                    })
-                    .collect();
-                let _ = reply.send(lists);
-            }
             Request::Attrs { nodes, reply } => {
                 let mut attrs = pool.take_floats();
                 graph
@@ -976,8 +962,7 @@ impl Cluster {
 
     /// The stand-alone sampling op for one request — the batch of one
     /// of [`Cluster::sample_blocks_excluding`], so expansion, attribute
-    /// fetch and degradation accounting exist in one place. Byte-identical
-    /// samples to [`Cluster::sample_batch`] for the same arguments.
+    /// fetch and degradation accounting exist in one place.
     pub fn sample_block(
         &self,
         roots: &[NodeId],
@@ -988,8 +973,13 @@ impl Cluster {
         self.sample_block_excluding(roots, hops, fanout, seed, &[])
     }
 
-    /// [`Cluster::sample_block`] with a per-operation shard exclusion
-    /// mask (see [`Cluster::sample_batch_excluding`] for the semantics).
+    /// [`Cluster::sample_block`], additionally treating the `excluded`
+    /// partitions as unreachable *for this operation only* — the
+    /// per-request shard mask the chaos layer uses to model a card crash
+    /// deterministically. Frontier nodes owned by an excluded (or
+    /// genuinely down) partition expand to nothing; the result is a
+    /// structurally valid partial sample with
+    /// [`RequestStats::unreachable_nodes`] quantifying what was missed.
     pub fn sample_block_excluding(
         &self,
         roots: &[NodeId],
@@ -1113,7 +1103,7 @@ impl Cluster {
             let hop_t0 = obs_on.then(Instant::now);
             // Coalesce: fetch each distinct node of the union frontier
             // once, then sample per frontier *entry* so RNG consumption
-            // (and thus the result) matches the uncoalesced legacy path
+            // (and thus the result) matches entry-by-entry sampling
             // exactly. `slot_of` remembers each entry's table slot so
             // the passes below never hash.
             unique.clear();
@@ -1538,9 +1528,8 @@ impl Cluster {
             }
         }
         self.pool.put_groups(remote);
-        // Unreachable rows count per *occurrence*, matching the
-        // uncoalesced accounting — a flag read per entry, not a row
-        // copy.
+        // Unreachable rows count per *occurrence* (what an uncoalesced
+        // gather would report) — a flag read per entry, not a row copy.
         for &slot in slot_of.iter() {
             stats.unreachable_nodes += u64::from(down[slot as usize]);
         }
@@ -1551,14 +1540,12 @@ impl Cluster {
         stats
     }
 
-    /// [`Cluster::fetch_attr_rows_into`] expanded back to the legacy
-    /// answer shape: `out` is cleared and filled with `nodes.len()` rows
-    /// in request order (unreachable rows zeroed), exactly as the
-    /// uncoalesced [`Cluster::fetch_attrs_masked`] path answers. The
-    /// expansion is a sequential append from the dense unique-row
-    /// buffer — kept for callers (and differential tests) that want the
-    /// per-occurrence layout; the sampling data plane itself stays in
-    /// row form.
+    /// [`Cluster::fetch_attr_rows_into`] expanded to one row per
+    /// occurrence: `out` is cleared and filled with `nodes.len()` rows in
+    /// request order (unreachable rows zeroed) — the answer shape of
+    /// [`crate::SamplingBackend::gather_attributes`]. The expansion is a
+    /// sequential append from the dense unique-row buffer; the sampling
+    /// data plane itself stays in row form.
     pub fn fetch_attrs_into(
         &self,
         nodes: &[NodeId],
@@ -1582,220 +1569,6 @@ impl Cluster {
         self.pool.put_floats(rows);
         self.pool.put_offsets(slot_of);
         stats
-    }
-
-    /// Runs a full multi-hop sampling operation (worker-side traversal,
-    /// server-side storage) and returns the batch plus request stats —
-    /// the legacy nested-`Vec` arm kept for differential testing and
-    /// before/after benchmarking of the flat data plane.
-    pub fn sample_batch(
-        &self,
-        roots: &[NodeId],
-        hops: u32,
-        fanout: usize,
-        seed: u64,
-    ) -> (SampleBatch, RequestStats) {
-        self.sample_batch_excluding(roots, hops, fanout, seed, &[])
-    }
-
-    /// Like [`Cluster::sample_batch`], but additionally treats the
-    /// `excluded` partitions as unreachable *for this operation only* —
-    /// the per-request shard mask the chaos layer uses to model a card
-    /// crash deterministically. Frontier nodes owned by an excluded (or
-    /// genuinely down) partition expand to nothing; the result is a
-    /// structurally valid partial sample with
-    /// [`RequestStats::unreachable_nodes`] quantifying what was missed.
-    pub fn sample_batch_excluding(
-        &self,
-        roots: &[NodeId],
-        hops: u32,
-        fanout: usize,
-        seed: u64,
-        excluded: &[u32],
-    ) -> (SampleBatch, RequestStats) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut stats = RequestStats::default();
-        let mut hop_results: Vec<Vec<NodeId>> = Vec::with_capacity(hops as usize);
-        for h in 0..hops as usize {
-            // Each hop's frontier is borrowed from the previous hop's
-            // result — no per-hop clone of the frontier vector.
-            let frontier: &[NodeId] = if h == 0 { roots } else { &hop_results[h - 1] };
-            let (lists, s) = self.fetch_neighbors_masked(frontier, excluded);
-            stats.merge(s);
-            let mut next = Vec::with_capacity(frontier.len() * fanout);
-            for list in lists {
-                next.extend(StreamingSampler.sample(&mut rng, &list, fanout));
-            }
-            hop_results.push(next);
-        }
-        let batch = SampleBatch {
-            roots: roots.to_vec(),
-            hops: hop_results,
-        };
-        // Attribute fetch for roots + samples.
-        let fetch = batch.attr_fetch_list();
-        let (_, s) = self.fetch_attrs_masked(&fetch, excluded);
-        stats.merge(s);
-        (batch, stats)
-    }
-
-    /// Gathers attributes for arbitrary nodes (order preserved),
-    /// deduplicating repeated nodes before hitting the servers — the
-    /// request-fusion optimization AliGraph applies (a 2-hop batch
-    /// re-samples popular nodes constantly).
-    pub fn fetch_attrs_deduped(&self, nodes: &[NodeId]) -> (Vec<f32>, RequestStats) {
-        let attr_len = self
-            .graph
-            .attributes()
-            .expect("cluster requires attributes")
-            .attr_len();
-        // Unique nodes in first-appearance order.
-        let mut index: NodeMap<usize> = NodeMap::default();
-        let mut unique: Vec<NodeId> = Vec::new();
-        for &v in nodes {
-            index.entry(v).or_insert_with(|| {
-                unique.push(v);
-                unique.len() - 1
-            });
-        }
-        let (fetched, stats) = self.fetch_attrs(&unique);
-        let mut out = vec![0.0f32; nodes.len() * attr_len];
-        for (i, v) in nodes.iter().enumerate() {
-            let u = index[v];
-            out[i * attr_len..(i + 1) * attr_len]
-                .copy_from_slice(&fetched[u * attr_len..(u + 1) * attr_len]);
-        }
-        (out, stats)
-    }
-
-    /// Gathers attributes for arbitrary nodes (order preserved).
-    pub fn fetch_attrs(&self, nodes: &[NodeId]) -> (Vec<f32>, RequestStats) {
-        self.fetch_attrs_masked(nodes, &[])
-    }
-
-    /// [`Cluster::fetch_attrs`] with a per-operation shard exclusion
-    /// mask; unreachable nodes' rows stay zeroed and are counted. The
-    /// legacy arm: every partition — the local one included — is reached
-    /// over its channel.
-    pub fn fetch_attrs_masked(
-        &self,
-        nodes: &[NodeId],
-        excluded: &[u32],
-    ) -> (Vec<f32>, RequestStats) {
-        let attr_len = self
-            .graph
-            .attributes()
-            .expect("cluster requires attributes")
-            .attr_len();
-        let mut stats = RequestStats {
-            attrs_fetched: nodes.len() as u64,
-            ..Default::default()
-        };
-        let parts = self.senders.len();
-        let mut groups: Vec<(Vec<NodeId>, Vec<usize>)> = vec![(Vec::new(), Vec::new()); parts];
-        for (i, &v) in nodes.iter().enumerate() {
-            let p = self.graph.owner(v).0 as usize;
-            groups[p].0.push(v);
-            groups[p].1.push(i);
-        }
-        let mut out = vec![0.0f32; nodes.len() * attr_len];
-        for (p, (group, pos)) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            if self.unreachable(p, excluded) {
-                stats.unreachable_nodes += group.len() as u64;
-                continue; // rows stay zeroed: a degraded partial gather
-            }
-            let (reply_tx, reply_rx) = bounded(1);
-            let sent = self.senders[p].send(Request::Attrs {
-                nodes: group,
-                reply: reply_tx,
-            });
-            let reply = match sent.ok().and_then(|()| reply_rx.recv().ok()) {
-                Some(reply) => reply,
-                None => {
-                    // The server died between the down-check and the
-                    // send/recv: same degraded answer, no panic.
-                    stats.unreachable_nodes += pos.len() as u64;
-                    continue;
-                }
-            };
-            if PartitionId(p as u32) == self.worker_partition {
-                stats.local_requests += 1;
-            } else {
-                stats.remote_requests += 1;
-            }
-            for (j, &orig) in pos.iter().enumerate() {
-                out[orig * attr_len..(orig + 1) * attr_len]
-                    .copy_from_slice(&reply.attrs[j * attr_len..(j + 1) * attr_len]);
-            }
-            self.pool.put_floats(reply.attrs);
-            self.pool.put_nodes(reply.request);
-        }
-        (out, stats)
-    }
-
-    /// Like `fetch_neighbors`, with per-group reply channels so responses
-    /// are matched to their request groups.
-    pub fn fetch_neighbors_indexed(&self, nodes: &[NodeId]) -> (Vec<Vec<NodeId>>, RequestStats) {
-        self.fetch_neighbors_masked(nodes, &[])
-    }
-
-    /// [`Cluster::fetch_neighbors_indexed`] with a per-operation shard
-    /// exclusion mask; unreachable nodes get empty lists and are counted.
-    ///
-    /// This is the legacy nested-`Vec` shape: the servers answer flat
-    /// (offsets + one array) and this shim splits the reply back into one
-    /// `Vec` per node — exactly the per-node allocation cost the flat
-    /// data plane removes.
-    pub fn fetch_neighbors_masked(
-        &self,
-        nodes: &[NodeId],
-        excluded: &[u32],
-    ) -> (Vec<Vec<NodeId>>, RequestStats) {
-        let mut stats = RequestStats {
-            nodes_expanded: nodes.len() as u64,
-            ..Default::default()
-        };
-        let parts = self.senders.len();
-        let mut groups: Vec<(Vec<NodeId>, Vec<usize>)> = vec![(Vec::new(), Vec::new()); parts];
-        for (i, &v) in nodes.iter().enumerate() {
-            let p = self.graph.owner(v).0 as usize;
-            groups[p].0.push(v);
-            groups[p].1.push(i);
-        }
-        let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); nodes.len()];
-        for (p, (group, pos)) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            if self.unreachable(p, excluded) {
-                stats.unreachable_nodes += group.len() as u64;
-                continue; // lists stay empty: the frontier loses this shard
-            }
-            let (reply_tx, reply_rx) = bounded(1);
-            let sent = self.senders[p].send(Request::NeighborsNested {
-                nodes: group,
-                reply: reply_tx,
-            });
-            let lists = match sent.ok().and_then(|()| reply_rx.recv().ok()) {
-                Some(lists) => lists,
-                None => {
-                    stats.unreachable_nodes += pos.len() as u64;
-                    continue;
-                }
-            };
-            if PartitionId(p as u32) == self.worker_partition {
-                stats.local_requests += 1;
-            } else {
-                stats.remote_requests += 1;
-            }
-            for (list, &orig) in lists.into_iter().zip(&pos) {
-                out[orig] = list;
-            }
-        }
-        (out, stats)
     }
 
     /// Stops all server threads.
@@ -1826,6 +1599,7 @@ impl Drop for Cluster {
 mod tests {
     use super::*;
     use lsdgnn_graph::{generators, AttributeStore};
+    use lsdgnn_sampler::MultiHopSampler;
 
     fn cluster(partitions: u32) -> Cluster {
         let g = generators::power_law(800, 8, 60);
@@ -1833,13 +1607,20 @@ mod tests {
         Cluster::spawn(PartitionedGraph::new(g, partitions).with_attributes(attrs))
     }
 
+    /// One hop at a fanout no list exceeds: every reachable list comes
+    /// back whole, as `block.children(i)` of `nodes[i]`.
+    fn whole_lists(c: &Cluster, nodes: &[NodeId]) -> (SampleBlock, RequestStats) {
+        let fanout = c.graph().graph().max_degree() as usize;
+        c.sample_block(nodes, 1, fanout, 0)
+    }
+
     #[test]
     fn neighbors_match_source_graph() {
         let c = cluster(4);
         let nodes: Vec<NodeId> = (0..50).map(NodeId).collect();
-        let (lists, stats) = c.fetch_neighbors_indexed(&nodes);
-        for (i, list) in lists.iter().enumerate() {
-            assert_eq!(list.as_slice(), c.graph().graph().neighbors(nodes[i]));
+        let (block, stats) = whole_lists(&c, &nodes);
+        for (i, &v) in nodes.iter().enumerate() {
+            assert_eq!(block.children(i), c.graph().graph().neighbors(v));
         }
         assert_eq!(stats.nodes_expanded, 50);
         assert!(stats.remote_requests > 0);
@@ -1850,7 +1631,8 @@ mod tests {
     fn attrs_match_source_store_in_order() {
         let c = cluster(3);
         let nodes = vec![NodeId(700), NodeId(3), NodeId(250)];
-        let (attrs, stats) = c.fetch_attrs(&nodes);
+        let mut attrs = Vec::new();
+        let stats = c.fetch_attrs_into(&nodes, &[], &mut attrs);
         let expect = c.graph().attributes().unwrap().gather(&nodes);
         assert_eq!(attrs, expect);
         assert_eq!(stats.attrs_fetched, 3);
@@ -1861,13 +1643,33 @@ mod tests {
     fn sample_batch_produces_real_edges() {
         let c = cluster(4);
         let roots: Vec<NodeId> = (0..8).map(NodeId).collect();
-        let (batch, stats) = c.sample_batch(&roots, 2, 5, 9);
-        assert_eq!(batch.hops.len(), 2);
-        assert!(batch.total_sampled() > 0);
-        for v in &batch.hops[0] {
+        let (block, stats) = c.sample_block(&roots, 2, 5, 9);
+        assert_eq!(block.num_hops(), 2);
+        assert!(block.total_sampled() > 0);
+        for v in block.hop(0) {
             assert!(roots.iter().any(|&r| c.graph().graph().has_edge(r, *v)));
         }
         assert!(stats.attrs_fetched > 0);
+        // The accounting follows from the block: one expansion per
+        // frontier entry, one row per root and sample, and per hop (and
+        // for the gather) one request to each partition the list touches.
+        assert_eq!(
+            stats.nodes_expanded,
+            (roots.len() + block.hop(0).len()) as u64
+        );
+        let fetch = block.attr_fetch_list();
+        assert_eq!(stats.attrs_fetched, fetch.len() as u64);
+        let (mut local, mut remote) = (0, 0);
+        for list in [&roots[..], block.hop(0), &fetch[..]] {
+            let mut owners: Vec<u32> = list.iter().map(|&v| c.graph().owner(v).0).collect();
+            owners.sort_unstable();
+            owners.dedup();
+            local += owners.iter().filter(|&&p| p == 0).count() as u64;
+            remote += owners.iter().filter(|&&p| p != 0).count() as u64;
+        }
+        assert_eq!(stats.local_requests, local);
+        assert_eq!(stats.remote_requests, remote);
+        assert_eq!(stats.unreachable_nodes, 0);
         c.shutdown();
     }
 
@@ -1875,7 +1677,7 @@ mod tests {
     fn single_partition_cluster_is_all_local() {
         let c = cluster(1);
         let roots: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let (_, stats) = c.sample_batch(&roots, 2, 5, 10);
+        let (_, stats) = c.sample_block(&roots, 2, 5, 10);
         assert_eq!(stats.remote_requests, 0);
         assert_eq!(stats.remote_fraction(), 0.0);
         c.shutdown();
@@ -1886,8 +1688,8 @@ mod tests {
         let c2 = cluster(2);
         let c8 = cluster(8);
         let roots: Vec<NodeId> = (0..16).map(NodeId).collect();
-        let (_, s2) = c2.sample_batch(&roots, 2, 5, 11);
-        let (_, s8) = c8.sample_batch(&roots, 2, 5, 11);
+        let (_, s2) = c2.sample_block(&roots, 2, 5, 11);
+        let (_, s8) = c8.sample_block(&roots, 2, 5, 11);
         assert!(s8.remote_fraction() > s2.remote_fraction());
         c2.shutdown();
         c8.shutdown();
@@ -1898,15 +1700,14 @@ mod tests {
         let c = cluster(4);
         // A fetch list with heavy repetition (hub re-sampling).
         let nodes: Vec<NodeId> = (0..200).map(|i| NodeId(i % 10)).collect();
-        let (plain, s_plain) = c.fetch_attrs(&nodes);
-        let (deduped, s_dedup) = c.fetch_attrs_deduped(&nodes);
-        assert_eq!(plain, deduped);
-        assert!(
-            s_dedup.attrs_fetched < s_plain.attrs_fetched / 10,
-            "dedup fetched {} vs plain {}",
-            s_dedup.attrs_fetched,
-            s_plain.attrs_fetched
-        );
+        let plain = c.graph().attributes().unwrap().gather(&nodes);
+        let mut per_occurrence = Vec::new();
+        let stats = c.fetch_attrs_into(&nodes, &[], &mut per_occurrence);
+        assert_eq!(per_occurrence, plain);
+        let (mut rows, mut slot_of) = (Vec::new(), Vec::new());
+        c.fetch_attr_rows_into(&nodes, &[], &mut rows, &mut slot_of);
+        assert_eq!(rows.len(), 10 * c.attr_len(), "one row per distinct node");
+        assert_eq!(stats.attr_coalesce_hits, 190, "each repeat is a table hit");
         c.shutdown();
     }
 
@@ -1914,30 +1715,10 @@ mod tests {
     fn deterministic_given_seed() {
         let c = cluster(4);
         let roots: Vec<NodeId> = (0..8).map(NodeId).collect();
-        let (b1, _) = c.sample_batch(&roots, 2, 5, 42);
-        let (b2, _) = c.sample_batch(&roots, 2, 5, 42);
+        let (b1, _) = c.sample_block(&roots, 2, 5, 42);
+        let (b2, _) = c.sample_block(&roots, 2, 5, 42);
         assert_eq!(b1, b2);
-        c.shutdown();
-    }
-
-    #[test]
-    fn flat_block_matches_legacy_batch_exactly() {
-        // The data-plane contract: same cluster, same request, the flat
-        // and nested paths produce byte-identical samples and agree on
-        // the degradation accounting.
-        let c = cluster(4);
-        let roots: Vec<NodeId> = (0..16).map(NodeId).collect();
-        for seed in [0u64, 7, 42, 1_000_003] {
-            let (batch, s_legacy) = c.sample_batch(&roots, 2, 5, seed);
-            let (block, s_flat) = c.sample_block(&roots, 2, 5, seed);
-            assert_eq!(block, SampleBlock::from_batch(&batch), "seed {seed}");
-            assert_eq!(block.digest(), SampleBlock::from_batch(&batch).digest());
-            assert_eq!(s_flat.nodes_expanded, s_legacy.nodes_expanded);
-            assert_eq!(s_flat.attrs_fetched, s_legacy.attrs_fetched);
-            assert_eq!(s_flat.unreachable_nodes, s_legacy.unreachable_nodes);
-            assert_eq!(s_flat.local_requests, s_legacy.local_requests);
-            assert_eq!(s_flat.remote_requests, s_legacy.remote_requests);
-        }
+        assert_eq!(b1.adj_offsets, b2.adj_offsets);
         c.shutdown();
     }
 
@@ -1980,30 +1761,23 @@ mod tests {
     }
 
     #[test]
-    fn flat_block_matches_legacy_under_exclusion() {
-        let c = cluster(4);
-        let roots: Vec<NodeId> = (0..16).map(NodeId).collect();
-        let (batch, s_legacy) = c.sample_batch_excluding(&roots, 2, 5, 13, &[2]);
-        let (block, s_flat) = c.sample_block_excluding(&roots, 2, 5, 13, &[2]);
-        assert_eq!(block, SampleBlock::from_batch(&batch));
-        assert!(s_flat.unreachable_nodes > 0);
-        assert_eq!(s_flat.unreachable_nodes, s_legacy.unreachable_nodes);
-        c.shutdown();
-    }
-
-    #[test]
     fn coalescing_counts_duplicate_lookups_without_changing_samples() {
         let c = cluster(2);
         // Duplicate roots force coalescing hits on the very first hop.
         let roots = vec![NodeId(5), NodeId(5), NodeId(5), NodeId(9)];
-        let (batch, _) = c.sample_batch(&roots, 2, 4, 3);
+        let want = MultiHopSampler::new(2, 4).sample(
+            &mut SmallRng::seed_from_u64(3),
+            c.graph().graph(),
+            &StreamingSampler,
+            &roots,
+        );
         let (block, stats) = c.sample_block(&roots, 2, 4, 3);
-        assert_eq!(block, SampleBlock::from_batch(&batch));
+        assert_eq!(block, SampleBlock::from_batch(&want));
         assert!(stats.coalesce_hits >= 2, "dup roots must hit the table");
         assert!(stats.coalesce_lookups >= stats.coalesce_hits);
         assert!(stats.coalesce_hit_rate() > 0.0);
         // Each duplicate root still drew its own samples.
-        assert_eq!(block.hop(0).len(), batch.hops[0].len());
+        assert_eq!(block.hop(0).len(), want.hops[0].len());
         c.shutdown();
     }
 
@@ -2074,12 +1848,21 @@ mod tests {
     fn fetch_attrs_into_matches_masked_path() {
         let c = cluster(3);
         let nodes: Vec<NodeId> = (0..60).map(|i| NodeId(i * 13 % 800)).collect();
-        let (want, s_want) = c.fetch_attrs_masked(&nodes, &[1]);
+        // The store's rows with the masked owner's rows zeroed.
+        let mut want = c.graph().attributes().unwrap().gather(&nodes);
+        let mut masked = 0;
+        for (i, &v) in nodes.iter().enumerate() {
+            if c.graph().owner(v) == PartitionId(1) {
+                want[i * c.attr_len()..(i + 1) * c.attr_len()].fill(0.0);
+                masked += 1;
+            }
+        }
         let mut got = Vec::new();
-        let s_got = c.fetch_attrs_into(&nodes, &[1], &mut got);
+        let stats = c.fetch_attrs_into(&nodes, &[1], &mut got);
         assert_eq!(got, want);
-        assert_eq!(s_got.attrs_fetched, s_want.attrs_fetched);
-        assert_eq!(s_got.unreachable_nodes, s_want.unreachable_nodes);
+        assert_eq!(stats.attrs_fetched, 60);
+        assert!(masked > 0);
+        assert_eq!(stats.unreachable_nodes, masked);
         c.shutdown();
     }
 
@@ -2091,14 +1874,14 @@ mod tests {
         assert_eq!(c.alive_partitions(), 3);
         assert!(c.partition_down(PartitionId(1)));
         let nodes: Vec<NodeId> = (0..100).map(NodeId).collect();
-        let (lists, stats) = c.fetch_neighbors_indexed(&nodes);
+        let (block, stats) = whole_lists(&c, &nodes);
         assert!(stats.unreachable_nodes > 0, "partition 1 owns some nodes");
         assert!(stats.any_unreachable());
-        for (i, list) in lists.iter().enumerate() {
-            if c.graph().owner(nodes[i]) == PartitionId(1) {
-                assert!(list.is_empty(), "down shard answers empty");
+        for (i, &v) in nodes.iter().enumerate() {
+            if c.graph().owner(v) == PartitionId(1) {
+                assert!(block.children(i).is_empty(), "down shard answers empty");
             } else {
-                assert_eq!(list.as_slice(), c.graph().graph().neighbors(nodes[i]));
+                assert_eq!(block.children(i), c.graph().graph().neighbors(v));
             }
         }
         c.shutdown();
@@ -2108,13 +1891,13 @@ mod tests {
     fn excluded_shards_mask_only_the_one_operation() {
         let c = cluster(4);
         let roots: Vec<NodeId> = (0..16).map(NodeId).collect();
-        let (full, s_full) = c.sample_batch(&roots, 2, 5, 7);
-        let (partial, s_part) = c.sample_batch_excluding(&roots, 2, 5, 7, &[2]);
+        let (full, s_full) = c.sample_block(&roots, 2, 5, 7);
+        let (partial, s_part) = c.sample_block_excluding(&roots, 2, 5, 7, &[2]);
         assert_eq!(s_full.unreachable_nodes, 0);
         assert!(s_part.unreachable_nodes > 0);
         assert!(partial.total_sampled() <= full.total_sampled());
         // The mask is per-operation: the next unmasked call is exact again.
-        let (again, s_again) = c.sample_batch(&roots, 2, 5, 7);
+        let (again, s_again) = c.sample_block(&roots, 2, 5, 7);
         assert_eq!(again, full);
         assert_eq!(s_again.unreachable_nodes, 0);
         c.shutdown();
@@ -2124,8 +1907,8 @@ mod tests {
     fn masked_sampling_is_deterministic() {
         let c = cluster(4);
         let roots: Vec<NodeId> = (0..8).map(NodeId).collect();
-        let (b1, s1) = c.sample_batch_excluding(&roots, 2, 5, 42, &[1, 3]);
-        let (b2, s2) = c.sample_batch_excluding(&roots, 2, 5, 42, &[1, 3]);
+        let (b1, s1) = c.sample_block_excluding(&roots, 2, 5, 42, &[1, 3]);
+        let (b2, s2) = c.sample_block_excluding(&roots, 2, 5, 42, &[1, 3]);
         assert_eq!(b1, b2);
         assert_eq!(s1.unreachable_nodes, s2.unreachable_nodes);
         c.shutdown();
@@ -2138,13 +1921,10 @@ mod tests {
         c.fail_partition(PartitionId(1));
         assert_eq!(c.alive_partitions(), 0);
         let roots: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let (batch, stats) = c.sample_batch(&roots, 2, 5, 1);
-        assert_eq!(batch.total_sampled(), 0, "nothing reachable");
-        assert!(stats.unreachable_nodes >= 4);
-        // The flat path agrees on total outage too.
-        let (block, s_flat) = c.sample_block(&roots, 2, 5, 1);
-        assert_eq!(block.total_sampled(), 0);
-        assert_eq!(s_flat.unreachable_nodes, stats.unreachable_nodes);
+        let (block, stats) = c.sample_block(&roots, 2, 5, 1);
+        assert_eq!(block.total_sampled(), 0, "nothing reachable");
+        // Four roots nobody expands, four root rows nobody serves.
+        assert_eq!(stats.unreachable_nodes, 8);
         c.shutdown();
     }
 }

@@ -1308,7 +1308,7 @@ mod tests {
         assert!(s.estimate(h) >= 4, "pre-age estimate");
         s.age();
         let e = s.estimate(h);
-        assert!(e >= 2 && e <= 7, "aging halves, got {e}");
+        assert!((2..=7).contains(&e), "aging halves, got {e}");
         s.raise(h, 15);
         assert_eq!(s.estimate(h), 15);
     }

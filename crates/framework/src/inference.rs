@@ -305,9 +305,10 @@ impl InferenceService {
     ///
     /// # Panics
     ///
-    /// Panics if `req.hops` disagrees with the model's layer count or
-    /// `req.roots` is empty.
+    /// Panics if `req.hops` disagrees with the model's layer count,
+    /// `req.roots` is empty or `req.fanout` is zero.
     pub fn submit(&self, req: SampleRequest) -> InferenceTicket {
+        req.assert_well_formed();
         assert_eq!(
             req.hops as usize,
             self.model.num_layers(),

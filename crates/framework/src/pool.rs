@@ -14,8 +14,8 @@
 //! The pool is deliberately dumb: `take_*` pops a cleared buffer or makes
 //! a fresh one, `put_*` clears and returns it unless the free list is at
 //! capacity (then the buffer just drops — the pool bounds memory, it
-//! doesn't grow it). Alloc/reuse counters register into telemetry so the
-//! dataplane bench can report the recycle rate.
+//! doesn't grow it). Alloc/reuse counters register into telemetry; the
+//! benchmark reports the recycle rate as `pool.reuse_rate`.
 
 use crate::cluster::Span;
 use lsdgnn_graph::NodeId;

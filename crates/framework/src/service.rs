@@ -309,7 +309,7 @@ impl SampleTicket {
         self.trace
     }
     /// Blocks until the service replies, discarding degradation
-    /// metadata — the legacy synchronous path, in nested-`Vec` form.
+    /// metadata — the synchronous call, in the nested client form.
     ///
     /// # Panics
     ///
@@ -928,7 +928,12 @@ impl SamplingService {
 
     /// Enqueues a request, blocking while the queue is full
     /// (backpressure), and returns a ticket for the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `req.fanout` is zero.
     pub fn submit(&self, req: SampleRequest) -> SampleTicket {
+        req.assert_well_formed();
         let trace = self.register_submit(&req);
         let (reply, rx) = bounded(1);
         self.submit_routed(
@@ -945,7 +950,12 @@ impl SamplingService {
     /// Like [`SamplingService::submit`], but with a relative deadline:
     /// slack-driven batch formation will not let coalescing push this
     /// request past `deadline`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `req.fanout` is zero.
     pub fn submit_with_deadline(&self, req: SampleRequest, deadline: Duration) -> SampleTicket {
+        req.assert_well_formed();
         let trace = self.register_submit(&req);
         let (reply, rx) = bounded(1);
         let now = Instant::now();
@@ -1108,6 +1118,28 @@ mod tests {
         for seed in 0..8 {
             assert_eq!(svc.sample(req(seed)), direct.sample_neighbors(&req(seed)));
         }
+        svc.shutdown();
+    }
+
+    #[test]
+    fn zero_fanout_is_refused_at_submit_and_the_worker_survives() {
+        // One worker: had the request reached it, the division by zero
+        // in the sampler would leave nobody to serve the next one.
+        let svc = service(1);
+        let bad = SampleRequest {
+            fanout: 0,
+            ..req(1)
+        };
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.submit(bad.clone())));
+        assert!(refused.is_err(), "submit must refuse a zero fanout");
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.submit_with_deadline(bad, Duration::from_millis(5))
+        }));
+        assert!(refused.is_err(), "and so must submit_with_deadline");
+        let block = svc.submit(req(2)).wait_block();
+        assert_eq!(block.num_hops(), 2);
+        assert_eq!(svc.stats().requests, 1);
         svc.shutdown();
     }
 

@@ -192,7 +192,7 @@ proptest! {
             }
             if let Verdict::Admit { .. } = v {
                 // Drain occasionally so admits keep flowing.
-                if (i as u64) % dequeue_every == 0 {
+                if (i as u64).is_multiple_of(dequeue_every) {
                     ctrl.dequeued(arr.class);
                 }
             }

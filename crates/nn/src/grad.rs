@@ -386,7 +386,7 @@ mod tests {
         for _ in 0..5 {
             fast_losses.push(fast.train_mse(&x, &t, 0.05));
         }
-        for step in 0..5 {
+        for &fast_loss in &fast_losses {
             let y = manual.forward(&x);
             let (rows, cols) = y.shape();
             let mut grad = Matrix::zeros(rows, cols);
@@ -399,7 +399,7 @@ mod tests {
                 }
             }
             manual.backward(&grad, 0.05);
-            assert_eq!(fast_losses[step], loss / (rows * cols) as f32);
+            assert_eq!(fast_loss, loss / (rows * cols) as f32);
         }
         assert_eq!(fast, manual, "weights must evolve identically");
     }

@@ -8,10 +8,11 @@
 //! allocations (all recyclable through a buffer pool), and hop access is
 //! a slice borrow.
 //!
-//! The nested-`Vec` [`SampleBatch`](crate::SampleBatch) remains as the
-//! client-facing/legacy form; [`SampleBlock::to_batch`] /
-//! [`SampleBlock::from_batch`] are the conversion shim the differential
-//! tests use to pin both representations to identical samples.
+//! The nested-`Vec` [`SampleBatch`](crate::SampleBatch) is the nested
+//! client form — what `MultiHopSampler`, the AxE command path and
+//! `SampleBatch` clients of the serving stack speak;
+//! [`SampleBlock::to_batch`] / [`SampleBlock::from_batch`] convert
+//! between the two formats without touching the samples.
 
 use crate::SampleBatch;
 use lsdgnn_graph::NodeId;
@@ -39,13 +40,14 @@ pub struct SampleBlock {
     /// (full short lists, `fanout` picks from long ones, nothing from an
     /// unreachable owner), so only the sampling pass itself can record
     /// them: the flat data plane fills this in, while conversions from
-    /// the nested legacy form leave it empty ([`Self::has_adjacency`]
+    /// the nested client form leave it empty ([`Self::has_adjacency`]
     /// tells the two apart).
     ///
     /// Derived routing metadata, not sample content: `PartialEq` and
-    /// [`Self::digest`] cover `roots`/`hop_offsets`/`nodes` only, so
-    /// legacy-vs-flat differential comparisons keep working on blocks
-    /// that agree on samples but differ in adjacency availability.
+    /// [`Self::digest`] cover `roots`/`hop_offsets`/`nodes` only, so a
+    /// block converted from a `SampleBatch` (the AxE path, the
+    /// single-machine reference) compares equal to the plane's block
+    /// with the same samples.
     pub adj_offsets: Vec<u32>,
 }
 
@@ -59,8 +61,8 @@ impl Default for SampleBlock {
 /// roots, hop boundaries and sampled nodes. `adj_offsets` is *derived*
 /// metadata (fully determined by the request under the per-seed
 /// determinism contract) and deliberately excluded, so a flat-plane
-/// block compares equal to the same samples converted from the legacy
-/// nested form, which cannot carry adjacency.
+/// block compares equal to the same samples converted from the nested
+/// client form, which cannot carry adjacency.
 impl PartialEq for SampleBlock {
     fn eq(&self, other: &Self) -> bool {
         self.roots == other.roots
@@ -134,7 +136,7 @@ impl SampleBlock {
 
     /// Whether this block carries the per-parent adjacency table — true
     /// for blocks produced by the flat sampling data plane, false for
-    /// conversions from the nested legacy form (whose per-parent counts
+    /// conversions from the nested client form (whose per-parent counts
     /// are unrecoverable).
     pub fn has_adjacency(&self) -> bool {
         self.num_hops() > 0 && self.adj_offsets.len() == self.num_parents()
@@ -171,7 +173,7 @@ impl SampleBlock {
         out.extend_from_slice(&self.nodes);
     }
 
-    /// Converts to the nested-`Vec` legacy form.
+    /// Converts to the nested client form.
     pub fn to_batch(&self) -> SampleBatch {
         SampleBatch {
             roots: self.roots.clone(),
@@ -199,9 +201,10 @@ impl SampleBlock {
 
     /// FNV-1a digest over the sample content (roots, boundaries, nodes).
     /// Two blocks are byte-identical iff their digests and lengths agree;
-    /// the differential tests compare digests across the legacy and flat
-    /// serving paths. Like `PartialEq`, the digest excludes the derived
-    /// `adj_offsets` table so both paths fingerprint identically.
+    /// the differential tests compare digests across backends and
+    /// against the single-machine reference. Like `PartialEq`, the digest
+    /// excludes the derived `adj_offsets` table so a converted block
+    /// fingerprints identically.
     pub fn digest(&self) -> u64 {
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -323,7 +326,7 @@ mod tests {
 
     #[test]
     fn equality_and_digest_ignore_derived_adjacency() {
-        // The legacy conversion cannot reconstruct adjacency; blocks that
+        // The nested form cannot reconstruct adjacency; blocks that
         // agree on samples must still compare (and fingerprint) equal.
         let plain = SampleBlock::from_batch(&sample_batch());
         let mut with_adj = plain.clone();
