@@ -90,16 +90,21 @@ grep -q '"compression_ratio_ok":true' BENCH_wire.json \
 grep -q '"coalesce_ok":true' BENCH_wire.json \
     || { echo "FAIL: no reorder policy beat the scrambled baseline's locality"; exit 1; }
 
-step "inference pipeline smoke: bench inference --quick"
+# Exact fields only: capacity and latency are judged by benchmark/'s
+# infer_uniform workload, not by a floor on unpinned threads.
+step "inference smoke: bench inference --quick"
 cargo run --release -q -p lsdgnn-bench -- inference --quick
 test -s BENCH_inference.json \
     || { echo "FAIL: BENCH_inference.json missing or empty"; exit 1; }
 grep -q '"digests_match":true' BENCH_inference.json \
-    || { echo "FAIL: pipelined inference not bitwise-identical to sequential reference"; exit 1; }
-grep -q '"pipelined_p99_us":[0-9]' BENCH_inference.json \
+    || { echo "FAIL: InferenceService replies not bitwise-identical to the sequential reference"; exit 1; }
+grep -q '"one_in_flight_p99_us":[0-9]' BENCH_inference.json \
     || { echo "FAIL: end-to-end p99 absent from inference bench json"; exit 1; }
-grep -q '"speedup_ok":true' BENCH_inference.json \
-    || { echo "FAIL: pipelined inference slower than sequential reference"; exit 1; }
+grep -q '"chaos_all_complete":true' BENCH_inference.json \
+    || { echo "FAIL: a reply under card failure was incomplete"; exit 1; }
+if grep -q '"chaos_degraded_replies":0,' BENCH_inference.json; then
+    echo "FAIL: the mid-stream card failure degraded no reply"; exit 1
+fi
 
 step "observability smoke: bench obs --quick"
 cargo run --release -q -p lsdgnn-bench -- obs --quick

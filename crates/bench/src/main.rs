@@ -30,6 +30,8 @@
 //! * `LSDGNN_OMIT_TIMING` — `chaos`/`wire`/`cache`/`obs`/`traffic` zero
 //!   their wall-clock fields, for byte-identical artifacts
 
+#![forbid(unsafe_code)]
+
 mod ablations;
 mod cache_exp;
 mod chaos_exp;
@@ -131,7 +133,7 @@ fn usage_and_exit(unknown: &str) -> ! {
     eprintln!(
         "  wire [--quick] [--seed N] [--out path]   reorder x BDI-compression wire-byte sweep"
     );
-    eprintln!("  inference [--quick]   pipelined vs sequential end-to-end inference benchmark");
+    eprintln!("  inference [--quick]   end-to-end inference: digest checks, latency and breakdown");
     eprintln!(
         "  obs [--quick] [--seed N] [--out path]   observability overhead + tail-blame benchmark"
     );

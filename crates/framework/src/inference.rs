@@ -1,45 +1,52 @@
-//! The end-to-end inference pipeline: sample → gather → GraphSAGE-max,
+//! The end-to-end inference front door: sample → gather → GraphSAGE-max,
 //! as one request path with one latency number.
 //!
 //! The paper's FaaS architecture exists to serve *inference*: a request
 //! names root nodes, the answer is their embeddings, and the SLO is
 //! end-to-end per-request latency — not the throughput of any single
-//! stage. [`InferenceService`] realizes that path as a three-stage
-//! pipeline over the serving stack that already exists:
+//! stage. [`InferenceService`] serves that path with run-to-completion
+//! workers over the serving stack that already exists:
 //!
-//! 1. **Sample** — requests go through [`SamplingService`] (bounded
-//!    queue, coalesced batches, the full retry/hedge/degrade ladder).
-//! 2. **Gather** — the flat blocks' node planes are fed to the coalesced
+//! 1. **Sample** — [`InferenceService::submit`] hands the request to
+//!    [`SamplingService`] (bounded queue, coalesced batches, the full
+//!    retry/hedge/degrade ladder) and queues the sample ticket on the
+//!    one bounded queue the workers pull from.
+//! 2. **Gather** — the worker that pulled the ticket waits for its flat
+//!    block and feeds the node planes to the coalesced
 //!    [`SamplingBackend::gather_attr_rows`] fetch: one attribute row per
 //!    *distinct* node plus a slot index, so a hub sampled 40 times is
-//!    fetched (and later embedded) once. Concurrent requests fuse into
-//!    one fetch (up to [`InferenceConfig::gather_batch`]), deduping the
-//!    shared hot head *across* requests and paying each partition
-//!    dispatch once per batch.
-//! 3. **Compute** — [`SageModel::forward_block_into`] consumes the
-//!    block's hop/adjacency offsets and the deduplicated rows directly;
-//!    all layer intermediates live in recycled scratch.
+//!    fetched (and later embedded) once. The rows land in the worker's
+//!    own reused buffer, still warm when compute reads them.
+//! 3. **Compute** — the same worker runs
+//!    [`SageModel::forward_block_into`]'s loop over the block's
+//!    hop/adjacency offsets and the deduplicated rows; all layer
+//!    intermediates live in the worker's scratch.
 //!
-//! Stages are connected by *bounded* crossbeam channels: a slow compute
-//! stage backpressures the gather stage, which backpressures submission —
-//! memory stays bounded under overload, exactly like the sampling
-//! service's own queue. Pipelining changes latency, never results: the
-//! per-request answer is bitwise-identical to [`run_sequential`]'s
-//! one-at-a-time reference execution, which the `bench inference` digest
-//! pins down.
+//! Concurrency comes from keeping several requests in flight — the
+//! sampling service batches what is queued while the workers gather and
+//! compute older requests — not from hand-offs between stage threads.
+//! The one bounded queue is the backpressure point: when it is full
+//! `submit` blocks, so memory stays bounded under overload exactly like
+//! the sampling service's own queue. How many requests are in flight
+//! changes latency, never results: [`run_sequential`] runs the workers'
+//! per-request body one request at a time, and every reply of the
+//! service is bitwise-identical to its reply (pinned by
+//! `tests/inference_differential.rs` and `bench inference`).
 //!
 //! Degradation composes: a degraded [`SampleReply`] (card down, retries
-//! exhausted) flows through gather and compute like any other block —
-//! the pipeline *never* errors on a degraded sample — and surfaces as
+//! exhausted) is gathered and embedded like any other block — the
+//! service *never* errors on a degraded sample — and surfaces as
 //! [`InferenceReply::degraded`] with an estimated
 //! [`InferenceReply::recall`] quantifying the loss.
+//!
+//! [`SamplingBackend::gather_attr_rows`]: crate::backend::SamplingBackend::gather_attr_rows
 
 use crate::backend::SampleRequest;
-use crate::obs::Observability;
 use crate::pool::BufferPool;
 use crate::service::{SampleReply, SampleTicket, SamplingService};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use lsdgnn_desim::{Histogram, Time};
+use lsdgnn_graph::NodeId;
 use lsdgnn_nn::{Matrix, SageModel, SageScratch};
 use lsdgnn_telemetry::ledger::{self, Stage, NO_SHARD};
 use lsdgnn_telemetry::{Log2Histogram, MetricSource, Scope};
@@ -47,30 +54,26 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+/// Run-to-completion worker threads of an [`InferenceService`]. A
+/// constant, not a knob: with every thread pinned to one CPU one worker
+/// and two are within a tenth of each other on the `benchmark`
+/// `infer_uniform` workload, and on two CPUs the second worker is worth
+/// about 1.4x closed-loop throughput (EXPERIMENTS.md, "One inference
+/// execution model").
+const WORKERS: usize = 2;
+
 /// Tuning knobs of an [`InferenceService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InferenceConfig {
-    /// Bounded capacity of each inter-stage queue; a full queue blocks
-    /// the upstream stage (backpressure, not unbounded buffering).
+    /// Bound of the queue between [`InferenceService::submit`] and the
+    /// workers; a full queue blocks submission (backpressure, not
+    /// unbounded buffering).
     pub stage_capacity: usize,
-    /// Max requests fused into one attribute fetch by the gather stage.
-    /// Concurrent requests share the hot head of a skewed workload, so a
-    /// fused fetch dedups their row fetches *across* requests and pays
-    /// the per-partition dispatch once per batch instead of once per
-    /// request. Values per entry are unchanged — fusing never alters
-    /// replies.
-    pub gather_batch: usize,
 }
 
 impl Default for InferenceConfig {
     fn default() -> Self {
-        InferenceConfig {
-            stage_capacity: 64,
-            // Measured sweet spot on the bench workload: wide enough to
-            // amortize partition dispatches, small enough that the fused
-            // feature matrix stays cache-resident for the compute stage.
-            gather_batch: 4,
-        }
+        InferenceConfig { stage_capacity: 64 }
     }
 }
 
@@ -98,9 +101,9 @@ pub struct InferenceReply {
 
 impl InferenceReply {
     /// FNV-1a digest over the embedding bits and the degradation outcome
-    /// — the pipelined-vs-sequential equivalence check. Timing-dependent
-    /// provenance (attempts, hedges) is excluded; the *answer* is what
-    /// must match.
+    /// — the service-vs-[`run_sequential`] equivalence check.
+    /// Timing-dependent provenance (attempts, hedges) is excluded; the
+    /// *answer* is what must match.
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -135,7 +138,10 @@ pub struct InferenceStats {
     /// Submit-to-embedding latency per request, in wall-clock
     /// microseconds.
     pub latency: Histogram,
-    /// Requests fused per gather-stage attribute fetch.
+    /// Vestige of the deleted cross-request gather fusion: one sample of
+    /// 1 per request. `benchmark/src/layers.rs` still reads it for its
+    /// `inference.gather_batch_mean` row; the `benchmark` follow-up that
+    /// drops that row deletes this field and its metric too.
     pub gather_batch: Log2Histogram,
 }
 
@@ -178,62 +184,33 @@ pub struct InferenceTicket {
 }
 
 impl InferenceTicket {
-    /// Blocks until the pipeline replies.
+    /// Blocks until the service replies. Shutting the service down does
+    /// not lose the request: the workers answer everything queued first.
     ///
     /// # Panics
     ///
-    /// Panics if the service shut down before serving the request.
+    /// Panics if the worker serving the request panicked.
     pub fn wait(self) -> InferenceReply {
         self.rx.recv().expect("inference service replies")
     }
 }
 
-/// Sample stage → gather stage handoff.
-struct GatherJob {
+/// One queued request: its pending sample and where the answer goes.
+struct Job {
     ticket: SampleTicket,
     fanout: usize,
     submitted: Instant,
     reply: Sender<InferenceReply>,
 }
 
-/// One request resolved by the gather stage: its sample reply plus the
-/// segment of the fused fetch it owns.
-struct Resolved {
-    sreply: SampleReply,
-    trace: u64,
-    slot_start: usize,
-    slot_len: usize,
-    fanout: usize,
-    submitted: Instant,
-    reply: Sender<InferenceReply>,
-}
-
-/// Gather stage → compute stage handoff. A fused gather batch shares
-/// one feature matrix and one slot table across its requests; each job
-/// owns a contiguous segment of the slot table (the `Arc`s drop back to
-/// the pool when the batch's last job finishes computing).
-struct ComputeJob {
-    sreply: SampleReply,
-    trace: u64,
-    feats: Arc<Matrix>,
-    slots: Arc<Vec<u32>>,
-    slot_start: usize,
-    slot_len: usize,
-    fanout: usize,
-    submitted: Instant,
-    enqueued: Instant,
-    reply: Sender<InferenceReply>,
-}
-
-/// The pipelined sample → gather → compute inference service.
+/// The sample → gather → GraphSAGE-max inference service.
 pub struct InferenceService {
     svc: Arc<SamplingService>,
     model: Arc<SageModel>,
     pool: Arc<BufferPool>,
     stats: Arc<Mutex<InferenceStats>>,
-    gather_tx: Option<Sender<GatherJob>>,
-    gather_handle: Option<JoinHandle<()>>,
-    compute_handle: Option<JoinHandle<()>>,
+    tx: Option<Sender<Job>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for InferenceService {
@@ -245,7 +222,7 @@ impl std::fmt::Debug for InferenceService {
 }
 
 impl InferenceService {
-    /// Starts the pipeline over an already-running sampling service
+    /// Starts the workers over an already-running sampling service
     /// (plain, traced, or faulted — degradation composes transparently).
     ///
     /// The model's layer count fixes the hop count requests must carry;
@@ -255,53 +232,44 @@ impl InferenceService {
         let model = Arc::new(model);
         let pool = Arc::new(BufferPool::new());
         let stats = Arc::new(Mutex::new(InferenceStats::default()));
-        let (gather_tx, gather_rx) = bounded::<GatherJob>(config.stage_capacity.max(1));
-        let (compute_tx, compute_rx) = bounded::<ComputeJob>(config.stage_capacity.max(1));
+        let (tx, rx) = bounded::<Job>(config.stage_capacity.max(1));
 
-        // When the sampling service carries an observability bundle, the
-        // pipeline becomes the finish authority: a request is only "done"
+        // When the sampling service carries an observability bundle, this
+        // service becomes the finish authority: a request is only "done"
         // (flight dumps, deadline checks) once its embeddings exist.
-        let obs = svc.observability().cloned();
-        if let Some(o) = &obs {
+        if let Some(o) = svc.observability() {
             o.defer_sample_finish();
         }
-        // Likewise the gather authority: stage 2 fetches every block's
-        // rows, so stage 1 expands only instead of fetching them first.
+        // Likewise the gather authority: the workers fetch every block's
+        // rows, so the sampling service expands only instead of fetching
+        // them first.
         svc.backend().defer_attr_fetch();
 
-        let gather_handle = {
-            let svc = Arc::clone(&svc);
-            let pool = Arc::clone(&pool);
-            let stats = Arc::clone(&stats);
-            let batch = config.gather_batch.max(1);
-            let obs = obs.clone();
-            std::thread::spawn(move || {
-                gather_loop(&svc, &pool, &stats, batch, &gather_rx, &compute_tx, obs)
+        let workers = (0..WORKERS)
+            .map(|_| {
+                let svc = Arc::clone(&svc);
+                let model = Arc::clone(&model);
+                let pool = Arc::clone(&pool);
+                let stats = Arc::clone(&stats);
+                let rx = rx.clone();
+                std::thread::spawn(move || worker_loop(&svc, &model, &pool, &stats, &rx))
             })
-        };
-        let compute_handle = {
-            let svc = Arc::clone(&svc);
-            let model = Arc::clone(&model);
-            let pool = Arc::clone(&pool);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || compute_loop(&svc, &model, &pool, &stats, &compute_rx, obs))
-        };
+            .collect();
 
         InferenceService {
             svc,
             model,
             pool,
             stats,
-            gather_tx: Some(gather_tx),
-            gather_handle: Some(gather_handle),
-            compute_handle: Some(compute_handle),
+            tx: Some(tx),
+            workers,
         }
     }
 
-    /// Submits a request; blocks only when the pipeline is saturated
-    /// (bounded stage queues). Keeping several tickets in flight is what
-    /// lets the sampling stage coalesce batches while older requests
-    /// gather and compute — the source of the pipelined speedup.
+    /// Submits a request; blocks only when the service is saturated (the
+    /// bounded queue is full). Keeping several tickets in flight lets
+    /// the sampling service coalesce batches while the workers gather
+    /// and compute older requests.
     ///
     /// # Panics
     ///
@@ -319,16 +287,16 @@ impl InferenceService {
         let submitted = Instant::now();
         let ticket = self.svc.submit(req);
         let (reply, rx) = bounded(1);
-        self.gather_tx
+        self.tx
             .as_ref()
             .expect("service running")
-            .send(GatherJob {
+            .send(Job {
                 ticket,
                 fanout,
                 submitted,
                 reply,
             })
-            .expect("pipeline stages alive");
+            .expect("workers alive");
         InferenceTicket { rx }
     }
 
@@ -337,7 +305,7 @@ impl InferenceService {
         self.submit(req).wait()
     }
 
-    /// Returns a finished reply's embedding buffer to the pipeline's
+    /// Returns a finished reply's embedding buffer to the service's
     /// pool, so steady-state serving recycles instead of allocating.
     pub fn recycle(&self, reply: InferenceReply) {
         self.pool.put_floats(reply.embeddings.into_vec());
@@ -348,7 +316,7 @@ impl InferenceService {
         self.stats.lock().expect("stats lock").clone()
     }
 
-    /// The sampling service underneath (its stats cover stage 1 only).
+    /// The sampling service underneath (its stats cover sampling only).
     pub fn sampling(&self) -> &SamplingService {
         &self.svc
     }
@@ -358,20 +326,21 @@ impl InferenceService {
         &self.model
     }
 
-    /// Drains in-flight requests and stops the stage threads (the
-    /// sampling service shuts down with its last owner).
+    /// Answers every request already submitted, then stops the workers
+    /// (the sampling service shuts down with its last owner).
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
+    /// Stops accepting requests; each worker's loop ends once the queue
+    /// is empty.
+    fn close_queue(&mut self) {
+        drop(self.tx.take());
+    }
+
     fn shutdown_inner(&mut self) {
-        // Closing the gather queue cascades: gather drains and drops the
-        // compute sender, compute drains and exits.
-        drop(self.gather_tx.take());
-        if let Some(h) = self.gather_handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.compute_handle.take() {
+        self.close_queue();
+        for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
@@ -383,259 +352,158 @@ impl Drop for InferenceService {
     }
 }
 
-/// Stage 2: await sample replies in submission order and run the
-/// coalesced row gather. Whatever is already queued (up to
-/// `gather_batch` requests) is fused into *one* attribute fetch: the
-/// requests' fetch lists concatenate, dedup across each other, and pay
-/// each partition dispatch once for the whole batch. Runs on its own
-/// thread; a full compute queue blocks it (backpressure).
-fn gather_loop(
-    svc: &SamplingService,
-    pool: &BufferPool,
-    stats: &Mutex<InferenceStats>,
-    gather_batch: usize,
-    rx: &Receiver<GatherJob>,
-    tx: &Sender<ComputeJob>,
-    obs: Option<Observability>,
-) {
-    loop {
-        // Block for one job, then drain peers already in the queue —
-        // their samples are in flight (or done), so fusing them costs no
-        // added wait.
-        let first = match rx.recv() {
-            Ok(j) => j,
-            Err(_) => return, // submitters gone: shutting down
-        };
-        let mut jobs = vec![first];
-        while jobs.len() < gather_batch {
-            match rx.try_recv() {
-                Ok(j) => jobs.push(j),
-                Err(_) => break,
-            }
-        }
-        stats
-            .lock()
-            .expect("stats lock")
-            .gather_batch
-            .record(jobs.len() as u64);
-
-        // Resolve in submission order and build the fused fetch list;
-        // remember each request's entry segment.
-        let fused = jobs.len() as u64;
-        let wait_t0 = obs.as_ref().map(|_| Instant::now());
-        let mut fetch = pool.take_nodes();
-        let mut resolved = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            let trace = job.ticket.trace();
-            let sreply = job.ticket.wait_reply();
-            let slot_start = fetch.len();
-            fetch.extend_from_slice(&sreply.block.roots);
-            fetch.extend_from_slice(&sreply.block.nodes);
-            let slot_len = fetch.len() - slot_start;
-            resolved.push(Resolved {
-                sreply,
-                trace,
-                slot_start,
-                slot_len,
-                fanout: job.fanout,
-                submitted: job.submitted,
-                reply: job.reply,
-            });
-        }
-        let wait_us = wait_t0.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e6);
-        // The fused fetch runs inside a ledger scope covering every fused
-        // request, so the per-partition gather legs underneath attribute
-        // to each of them.
-        let _scope = obs
-            .as_ref()
-            .map(|o| ledger::enter_scope(o.ledger(), resolved.iter().map(|r| r.trace).collect()));
-        let fetch_t0 = obs.as_ref().map(|_| Instant::now());
-        let mut rows = pool.take_floats();
-        let mut slot_of = pool.take_offsets();
-        let attr_len = svc.gather_attr_rows(&fetch, &mut rows, &mut slot_of);
-        if let Some(t0) = fetch_t0 {
-            // queue = time spent waiting on the sample tickets; service =
-            // the fused coalesced fetch; detail = requests fused.
-            ledger::scope_record(
-                Stage::Gather,
-                NO_SHARD,
-                wait_us,
-                t0.elapsed().as_secs_f64() * 1e6,
-                fused,
-            );
-        }
-        drop(_scope);
-        pool.put_nodes(fetch);
-
-        let feats = Arc::new(Matrix::from_vec(
-            rows.len() / attr_len.max(1),
-            attr_len,
-            rows,
-        ));
-        let slots = Arc::new(slot_of);
-        let enqueued = Instant::now();
-        for r in resolved {
-            let sent = tx.send(ComputeJob {
-                sreply: r.sreply,
-                trace: r.trace,
-                feats: Arc::clone(&feats),
-                slots: Arc::clone(&slots),
-                slot_start: r.slot_start,
-                slot_len: r.slot_len,
-                fanout: r.fanout,
-                submitted: r.submitted,
-                enqueued,
-                reply: r.reply,
-            });
-            if sent.is_err() {
-                return; // compute stage gone: shutting down
-            }
-        }
-    }
-}
-
-/// Stage 3: layer-wise forward into pooled output, end-to-end latency
-/// accounting, reply delivery.
-fn compute_loop(
+/// One worker: pull a job, wait for its sample, run the per-request
+/// body, account end-to-end latency, reply. Exits when the queue is
+/// closed *and* empty, so a request accepted by `submit` is always
+/// answered.
+fn worker_loop(
     svc: &SamplingService,
     model: &SageModel,
-    pool: &Arc<BufferPool>,
+    pool: &BufferPool,
     stats: &Mutex<InferenceStats>,
-    rx: &Receiver<ComputeJob>,
-    obs: Option<Observability>,
+    rx: &Receiver<Job>,
 ) {
-    let mut scratch = SageScratch::new();
-    let mut lh = obs.as_ref().map(|o| o.ledger().handle());
-    let mut marks: Vec<f64> = Vec::new();
+    // The observability bundle and this worker's handle for finishing
+    // requests in its ledger.
+    let mut observed = svc.observability().map(|o| (o, o.ledger().handle()));
+    let mut bufs = RequestBuffers::default();
     for job in rx.iter() {
-        let queue_us = if lh.is_some() {
-            job.enqueued.elapsed().as_secs_f64() * 1e6
-        } else {
-            0.0
-        };
-        let compute_t0 = lh.is_some().then(Instant::now);
-        marks.clear();
-        let out_buf = pool.take_floats();
-        let slots = &job.slots[job.slot_start..job.slot_start + job.slot_len];
-        let reply = compute_stage(
+        let trace = job.ticket.trace();
+        let wait_t0 = observed.is_some().then(Instant::now);
+        let sreply = job.ticket.wait_reply();
+        let sample_wait_us = wait_t0.map_or(0.0, elapsed_us);
+        // The body records its gather and compute events (and the
+        // per-partition gather legs underneath) against this scope.
+        let scope = observed
+            .as_ref()
+            .map(|(o, _)| ledger::enter_scope(o.ledger(), vec![trace]));
+        let reply = bufs.serve(
+            svc,
             model,
-            &mut scratch,
-            out_buf,
-            &job.sreply,
-            &job.feats,
-            slots,
+            pool.take_floats(),
+            sreply,
             job.fanout,
-            |_k| {
-                if let Some(t0) = compute_t0 {
-                    marks.push(t0.elapsed().as_secs_f64() * 1e6);
-                }
-            },
+            sample_wait_us,
         );
-        // The batch's last job returns the shared buffers to the pool.
-        if let Ok(m) = Arc::try_unwrap(job.feats) {
-            pool.put_floats(m.into_vec());
-        }
-        if let Ok(s) = Arc::try_unwrap(job.slots) {
-            pool.put_offsets(s);
-        }
-        svc.backend().recycle(job.sreply.block);
-        let elapsed_us = job.submitted.elapsed().as_micros() as u64;
+        drop(scope);
+        let total_us = job.submitted.elapsed().as_micros() as u64;
         {
             let mut s = stats.lock().expect("stats lock");
             s.requests += 1;
             if reply.degraded {
                 s.degraded += 1;
             }
-            s.latency.record(Time::from_micros(elapsed_us));
+            s.latency.record(Time::from_micros(total_us));
+            s.gather_batch.record(1);
         }
-        if let (Some(o), Some(h)) = (obs.as_ref(), lh.as_mut()) {
-            // One ComputeLayer event per layer (service = that layer's
-            // share of the forward pass); the compute-queue wait is
-            // charged to layer 0.
-            let mut prev = 0.0;
-            for (k, &m) in marks.iter().enumerate() {
-                let q = if k == 0 { queue_us } else { 0.0 };
-                h.record(
-                    job.trace,
-                    Stage::ComputeLayer,
-                    NO_SHARD,
-                    q,
-                    m - prev,
-                    k as u64,
-                );
-                prev = m;
-            }
-            o.observe_e2e(elapsed_us as f64, reply.degraded);
-            h.finish(job.trace, elapsed_us as f64, reply.degraded);
+        if let Some((o, h)) = observed.as_mut() {
+            o.observe_e2e(total_us as f64, reply.degraded);
+            h.finish(trace, total_us as f64, reply.degraded);
         }
         // A dropped ticket just discards the reply.
         let _ = job.reply.send(reply);
     }
 }
 
-/// The gather stage's body, shared verbatim with [`run_sequential`]:
-/// fetch one attribute row per distinct entry (roots + node plane) plus
-/// the entry → row slot index.
-fn gather_stage(
-    svc: &SamplingService,
-    pool: &BufferPool,
-    sreply: &SampleReply,
-) -> (Vec<f32>, Vec<u32>, usize) {
-    let mut fetch = pool.take_nodes();
-    fetch.extend_from_slice(&sreply.block.roots);
-    fetch.extend_from_slice(&sreply.block.nodes);
-    let mut rows = pool.take_floats();
-    let mut slot_of = pool.take_offsets();
-    let attr_len = svc.gather_attr_rows(&fetch, &mut rows, &mut slot_of);
-    pool.put_nodes(fetch);
-    (rows, slot_of, attr_len)
+fn elapsed_us(since: Instant) -> f64 {
+    since.elapsed().as_secs_f64() * 1e6
 }
 
-/// The compute stage's body, shared verbatim with [`run_sequential`]:
-/// forward the block through the model over its slice of the (possibly
-/// batch-shared) feature matrix, and attach degradation provenance. The
-/// answer depends only on each entry's feature *values*, so a fused
-/// gather's global row order produces bitwise-identical embeddings.
-/// `after_layer` fires once per finished layer (the observability
-/// timing hook); the unobserved path passes a no-op closure that
-/// monomorphizes away.
-#[allow(clippy::too_many_arguments)]
-fn compute_stage<F: FnMut(usize)>(
-    model: &SageModel,
-    scratch: &mut SageScratch,
-    out_buf: Vec<f32>,
-    sreply: &SampleReply,
-    feats: &Matrix,
-    slot_of: &[u32],
-    fanout: usize,
-    after_layer: F,
-) -> InferenceReply {
-    let block = &sreply.block;
-    assert!(
-        block.has_adjacency(),
-        "inference requires a flat-data-plane backend (block carries no adjacency)"
-    );
-    let mut out = Matrix::from_pooled(block.roots.len(), model.out_dim(), out_buf);
-    // The block's boundary table carries a trailing end sentinel
-    // (`nodes.len()`); the model wants only the per-hop starts.
-    let hop_starts = &block.hop_offsets[..block.hop_offsets.len() - 1];
-    model.forward_block_observed(
-        block.roots.len(),
-        hop_starts,
-        &block.adj_offsets,
-        feats,
-        slot_of,
-        scratch,
-        &mut out,
-        after_layer,
-    );
-    InferenceReply {
-        embeddings: out,
-        degraded: sreply.degraded,
-        recall: estimate_recall(block.nodes.len() as u64, sreply.unreachable, fanout),
-        unreachable: sreply.unreachable,
-        attempts: sreply.attempts,
-        hedged: sreply.hedged,
+/// What one request needs between its sample reply and its embeddings,
+/// reused from request to request by whoever runs the body (a worker, or
+/// [`run_sequential`]).
+#[derive(Default)]
+struct RequestBuffers {
+    /// Roots then node plane: the entries whose rows are fetched.
+    fetch: Vec<NodeId>,
+    /// One attribute row per distinct entry of `fetch`.
+    rows: Vec<f32>,
+    /// Entry → row of `rows`.
+    slot_of: Vec<u32>,
+    scratch: SageScratch,
+}
+
+impl RequestBuffers {
+    /// The per-request body, the only one there is: fetch one attribute
+    /// row per distinct entry of the block, forward the block through
+    /// the model into `out_buf`, attach the degradation provenance and
+    /// hand the block back to the backend.
+    ///
+    /// Under a ledger scope (a worker of an observed service installs
+    /// one per request) it records one `Gather` event — queue = the
+    /// caller's wait on the sample ticket, service = the fetch, detail =
+    /// distinct rows fetched — and one `ComputeLayer` event per layer.
+    fn serve(
+        &mut self,
+        svc: &SamplingService,
+        model: &SageModel,
+        out_buf: Vec<f32>,
+        sreply: SampleReply,
+        fanout: usize,
+        sample_wait_us: f64,
+    ) -> InferenceReply {
+        let block = &sreply.block;
+        assert!(
+            block.has_adjacency(),
+            "inference requires a flat-data-plane backend (block carries no adjacency)"
+        );
+        let observed = ledger::scope_active();
+
+        self.fetch.clear();
+        self.fetch.extend_from_slice(&block.roots);
+        self.fetch.extend_from_slice(&block.nodes);
+        let fetch_t0 = observed.then(Instant::now);
+        let attr_len = svc.gather_attr_rows(&self.fetch, &mut self.rows, &mut self.slot_of);
+        let distinct = self.rows.len() / attr_len.max(1);
+        if let Some(t0) = fetch_t0 {
+            ledger::scope_record(
+                Stage::Gather,
+                NO_SHARD,
+                sample_wait_us,
+                elapsed_us(t0),
+                distinct as u64,
+            );
+        }
+
+        let feats = Matrix::from_vec(distinct, attr_len, std::mem::take(&mut self.rows));
+        let mut out = Matrix::from_pooled(block.roots.len(), model.out_dim(), out_buf);
+        // The block's boundary table carries a trailing end sentinel
+        // (`nodes.len()`); the model wants only the per-hop starts.
+        let hop_starts = &block.hop_offsets[..block.hop_offsets.len() - 1];
+        let mut layer_t0 = observed.then(Instant::now);
+        model.forward_block_observed(
+            block.roots.len(),
+            hop_starts,
+            &block.adj_offsets,
+            &feats,
+            &self.slot_of,
+            &mut self.scratch,
+            &mut out,
+            |k| {
+                if let Some(t0) = layer_t0 {
+                    ledger::scope_record(
+                        Stage::ComputeLayer,
+                        NO_SHARD,
+                        0.0,
+                        elapsed_us(t0),
+                        k as u64,
+                    );
+                    layer_t0 = Some(Instant::now());
+                }
+            },
+        );
+        self.rows = feats.into_vec();
+
+        let reply = InferenceReply {
+            embeddings: out,
+            degraded: sreply.degraded,
+            recall: estimate_recall(block.nodes.len() as u64, sreply.unreachable, fanout),
+            unreachable: sreply.unreachable,
+            attempts: sreply.attempts,
+            hedged: sreply.hedged,
+        };
+        svc.backend().recycle(sreply.block);
+        reply
     }
 }
 
@@ -649,11 +517,11 @@ fn estimate_recall(sampled: u64, unreachable: u64, fanout: usize) -> f64 {
     sampled as f64 / (sampled + missing) as f64
 }
 
-/// The unpipelined reference execution: each request runs sample →
-/// gather → compute to completion before the next is submitted, through
-/// the *same* stage bodies the pipeline uses. Replies are
-/// bitwise-identical to the pipelined service's on a deterministic
-/// backend — pipelining changes latency, never results.
+/// The one-at-a-time reference execution: each request is sampled,
+/// gathered and embedded before the next is submitted, by the *same*
+/// per-request body the service's workers run. Replies are
+/// bitwise-identical to the service's on a deterministic backend — how
+/// many requests are in flight changes latency, never results.
 ///
 /// Like [`InferenceService::start`], this makes itself the gather
 /// authority of `svc`, which stays an inference sample stage afterwards:
@@ -665,31 +533,14 @@ pub fn run_sequential(
     reqs: impl IntoIterator<Item = SampleRequest>,
 ) -> Vec<InferenceReply> {
     svc.backend().defer_attr_fetch();
-    let pool = BufferPool::new();
-    let mut scratch = SageScratch::new();
-    let mut replies = Vec::new();
-    for req in reqs {
-        let fanout = req.fanout;
-        let sreply = svc.sample_reply(req);
-        let (rows, slot_of, attr_len) = gather_stage(svc, &pool, &sreply);
-        let feats = Matrix::from_vec(rows.len() / attr_len.max(1), attr_len, rows);
-        let out_buf = pool.take_floats();
-        let reply = compute_stage(
-            model,
-            &mut scratch,
-            out_buf,
-            &sreply,
-            &feats,
-            &slot_of,
-            fanout,
-            |_| {},
-        );
-        pool.put_floats(feats.into_vec());
-        pool.put_offsets(slot_of);
-        svc.backend().recycle(sreply.block);
-        replies.push(reply);
-    }
-    replies
+    let mut bufs = RequestBuffers::default();
+    reqs.into_iter()
+        .map(|req| {
+            let fanout = req.fanout;
+            let sreply = svc.sample_reply(req);
+            bufs.serve(svc, model, Vec::new(), sreply, fanout, 0.0)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -697,6 +548,8 @@ mod tests {
     use super::*;
     use crate::backend::{CachedBackend, CpuBackend, SamplingBackend};
     use crate::chaos_backend::ChaosBackend;
+    use crate::obs::Observability;
+    use crate::service::tests::gated;
     use crate::service::ServiceConfig;
     use lsdgnn_chaos::{FaultInjector, FaultPlan, ScenarioSpec};
     use lsdgnn_graph::{generators, AttributeStore, NodeId};
@@ -830,12 +683,9 @@ mod tests {
         let pipe = InferenceService::start(
             SamplingService::start(backend(2), service_cfg(2)),
             model(),
-            InferenceConfig {
-                stage_capacity: 1,
-                gather_batch: 2,
-            },
+            InferenceConfig { stage_capacity: 1 },
         );
-        // More in-flight requests than any queue can hold: submission
+        // More in-flight requests than the queue can hold: submission
         // must backpressure, not deadlock or drop.
         let replies: Vec<InferenceReply> = (0..40)
             .map(|s| pipe.submit(req(s)))
@@ -845,6 +695,75 @@ mod tests {
             .collect();
         assert_eq!(replies.len(), 40);
         assert_eq!(pipe.stats().requests, 40);
+    }
+
+    /// Drop order (ROADMAP 5b): a request `submit` accepted is answered
+    /// exactly once even when the service shuts down with it still
+    /// queued. The sampling backend is gated, so which requests are
+    /// queued when the queue closes is fixed by tokens, not by a clock.
+    #[test]
+    fn shutdown_answers_every_queued_request_exactly_once() {
+        const CAPACITY: usize = 2;
+        const TOTAL: u64 = 16;
+        // The tail whose samples are held: it fills the queue and every
+        // worker's hands, so the submitter still ends.
+        const HELD: u64 = (CAPACITY + WORKERS) as u64;
+        let small = |s: u64| SampleRequest {
+            roots: vec![NodeId(s * 17 % 300), NodeId((s * 7 + 3) % 300)],
+            hops: 2,
+            fanout: 4,
+            seed: s,
+        };
+        // One request per dispatch: one token releases one sample.
+        let one_per_dispatch = ServiceConfig {
+            max_batch: 1,
+            ..ServiceConfig::default()
+        };
+
+        let (svc, _entered, release) = gated(one_per_dispatch);
+        let mut pipe = InferenceService::start(
+            svc,
+            model(),
+            InferenceConfig {
+                stage_capacity: CAPACITY,
+            },
+        );
+        (HELD..TOTAL).for_each(|_| release.send(()).unwrap());
+        // A second thread submits more than the queue holds; backpressure
+        // blocks it until the workers catch up.
+        let tickets = std::thread::scope(|s| {
+            s.spawn(|| {
+                (0..TOTAL)
+                    .map(|i| pipe.submit(small(i)))
+                    .collect::<Vec<_>>()
+            })
+            .join()
+            .expect("submitter")
+        });
+        // Shutdown begins with the held tail unanswered: at most WORKERS
+        // of it sit in workers blocked on their samples, the rest is
+        // queued.
+        pipe.close_queue();
+        (0..HELD).for_each(|_| release.send(()).unwrap());
+        let mut digests: Vec<u64> = tickets
+            .into_iter()
+            .rev()
+            .map(|t| {
+                let reply = t.rx.recv().expect("a queued request is answered");
+                assert!(t.rx.try_recv().is_err(), "one reply per ticket");
+                reply.digest()
+            })
+            .collect();
+        digests.reverse();
+        assert_eq!(pipe.stats().requests, TOTAL);
+        // Joins the workers: the test ends only if none is left blocked.
+        pipe.shutdown();
+
+        let (ref_svc, _entered, release) = gated(one_per_dispatch);
+        (0..TOTAL).for_each(|_| release.send(()).unwrap());
+        let seq = run_sequential(&ref_svc, &model(), (0..TOTAL).map(small));
+        let want: Vec<u64> = seq.iter().map(InferenceReply::digest).collect();
+        assert_eq!(digests, want);
     }
 
     #[test]

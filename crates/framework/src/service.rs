@@ -1070,7 +1070,7 @@ impl Drop for SamplingService {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backend::CpuBackend;
     use crate::chaos_backend::ChaosBackend;
@@ -1222,7 +1222,7 @@ mod tests {
 
     /// A one-worker service over a [`GateBackend`], with the channel
     /// reporting each dispatch's batch size and the one releasing it.
-    fn gated(config: ServiceConfig) -> (SamplingService, Receiver<usize>, Sender<()>) {
+    pub(crate) fn gated(config: ServiceConfig) -> (SamplingService, Receiver<usize>, Sender<()>) {
         let g = generators::power_law(300, 8, 32);
         let a = AttributeStore::synthetic(300, 8, 32);
         let (entered, entered_rx) = unbounded();

@@ -1,17 +1,17 @@
-//! Differential pinning of the inference pipeline: for arbitrary
-//! graphs, request shapes, stage-queue bounds and gather-batch widths,
-//! the pipelined [`InferenceService`] must produce bitwise-identical
-//! replies to the sequential sample → gather → compute reference
+//! Differential pinning of the inference service: for arbitrary graphs,
+//! request shapes, queue bounds and in-flight windows, the
+//! [`InferenceService`] must produce bitwise-identical replies to the
+//! one-at-a-time sample → gather → compute reference
 //! ([`run_sequential`]) — solo, batched, cache-wrapped, and under
 //! chaos-injected card failures, where degraded samples must still
 //! yield complete (degraded, recall-quantified) replies on both arms.
-//! Pipelining, gather fusion and batching may change latency, never
-//! answers.
+//! Concurrency and batching may change latency, never answers.
 
 use lsdgnn_chaos::{FaultInjector, FaultPlan, ScenarioSpec};
 use lsdgnn_framework::{
     run_sequential, CachedBackend, ChaosBackend, CpuBackend, InferenceConfig, InferenceReply,
-    InferenceService, SampleRequest, SamplingBackend, SamplingService, ServiceConfig,
+    InferenceService, InferenceTicket, SampleRequest, SamplingBackend, SamplingService,
+    ServiceConfig,
 };
 use lsdgnn_graph::{generators, AttributeStore, NodeId};
 use lsdgnn_nn::SageModel;
@@ -60,20 +60,31 @@ fn assert_replies_match(piped: &[InferenceReply], seq: &[InferenceReply]) {
     }
 }
 
+/// Serves `reqs` with at most `window` requests in flight, replies in
+/// request order.
 fn pipeline_replies(
     svc: SamplingService,
     model: SageModel,
     config: InferenceConfig,
+    window: usize,
     reqs: impl Iterator<Item = SampleRequest>,
 ) -> Vec<InferenceReply> {
     let pipe = InferenceService::start(svc, model, config);
-    let tickets: Vec<_> = reqs.map(|r| pipe.submit(r)).collect();
-    tickets.into_iter().map(|t| t.wait()).collect()
+    let mut tickets = std::collections::VecDeque::<InferenceTicket>::new();
+    let mut replies = Vec::new();
+    for r in reqs {
+        if tickets.len() == window {
+            replies.push(tickets.pop_front().expect("window is non-zero").wait());
+        }
+        tickets.push_back(pipe.submit(r));
+    }
+    replies.extend(tickets.into_iter().map(InferenceTicket::wait));
+    replies
 }
 
 proptest! {
-    /// Healthy backends, arbitrary shapes and stage bounds: pipelined
-    /// output is bitwise-identical to the sequential reference.
+    /// Healthy backends, arbitrary shapes, queue bounds and windows: the
+    /// service's output is bitwise-identical to the sequential reference.
     #[test]
     fn pipelined_matches_sequential_on_healthy_backends(
         gseed in 1u64..500,
@@ -82,15 +93,16 @@ proptest! {
         roots in 1u64..12,
         fanout in 1usize..6,
         stage_capacity in 1usize..8,
-        gather_batch in 1usize..6,
+        window in 1usize..16,
     ) {
         let reqs = requests(gseed, roots, fanout);
-        let config = InferenceConfig { stage_capacity, gather_batch };
+        let config = InferenceConfig { stage_capacity };
 
         let piped = pipeline_replies(
             SamplingService::start(backend(edges, gseed, parts), service_cfg()),
             model(gseed),
             config,
+            window,
             reqs.clone(),
         );
         let seq_svc = SamplingService::start(backend(edges, gseed, parts), service_cfg());
@@ -115,6 +127,7 @@ proptest! {
             SamplingService::start(Box::new(cached), service_cfg()),
             model(gseed),
             InferenceConfig::default(),
+            REQUESTS as usize,
             reqs.clone(),
         );
         let seq_svc = SamplingService::start(backend(6, gseed, 2), service_cfg());
@@ -153,6 +166,7 @@ proptest! {
             faulted(),
             model(gseed),
             InferenceConfig::default(),
+            REQUESTS as usize,
             reqs.clone(),
         );
         let seq = run_sequential(&faulted(), &model(gseed), reqs);

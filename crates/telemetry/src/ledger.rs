@@ -87,11 +87,14 @@ pub enum Stage {
     Fallback,
     /// An injected fault was observed (`detail` = [`faults`] code).
     Fault,
-    /// The coalesced attribute gather (`detail` = fused batch size).
+    /// One request's coalesced attribute gather (`queue_us` = the wait
+    /// for its sample reply, `service_us` = the fetch, `detail` =
+    /// distinct rows fetched).
     Gather,
     /// One remote attribute-fetch leg (`shard` = partition).
     GatherLeg,
-    /// One GraphSAGE layer forward (`detail` = layer index).
+    /// One GraphSAGE layer forward (`detail` = layer index; no queue
+    /// time: the worker that gathered the rows computes on them).
     ComputeLayer,
     /// Sampling finished (`service_us` = submit→reply latency,
     /// `detail` bit 0 = degraded).
