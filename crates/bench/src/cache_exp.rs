@@ -13,13 +13,8 @@
 //! attribute rows are folded into one fingerprint per arm.
 //!
 //! Legs beyond the sweep, at the reference cell (highest skew, modest
-//! capacity) unless they say otherwise:
+//! capacity):
 //!
-//! * **timed** — serving throughput, cache-off vs both tiers, best of
-//!   three runs, on the reference skew and again on uniform roots (the
-//!   traffic the paper says has no reuse, where all a cache can do is
-//!   cost little); `LSDGNN_OMIT_TIMING=1` zeroes the wall-clock
-//!   fields so `--jobs` parity can compare artifacts byte-for-byte.
 //! * **wire** — the same traffic through [`WireConfig`]-metered arms:
 //!   cache hits skip the remote leg *and* its byte accounting, so
 //!   sampling-leg response bytes must drop with the neighbor-tier hit
@@ -29,14 +24,14 @@
 //!   the `cache_hit` stage (the ledger knows where the skipped legs
 //!   went).
 //!
-//! In-binary gates (also in `BENCH_cache.json` for CI): `digests_match`
+//! In-binary gates (also in `BENCH_cache.json`): `digests_match`
 //! (every cache arm byte-identical to cache-off), `remote_cut_ok`
-//! (≥ 2× fewer remote requests at the reference cell), `speedup_ok`
-//! (≥ 1.3× serving throughput with both tiers, full mode),
-//! `miss_path_ok` (on uniform roots both tiers keep ≥ 0.45× the
-//! cache-off throughput: a miss costs bookkeeping, never a scan),
-//! `wire_cut_ok` (sampling-leg wire bytes drop with the hit rate), and
-//! `cache_hit_blamed`.
+//! (≥ 2× fewer remote requests at the reference cell), `wire_cut_ok`
+//! (sampling-leg wire bytes drop with the hit rate), and
+//! `cache_hit_blamed`. Every field is a count, a byte total or a digest:
+//! what a hit saves and a miss costs in time is measured by the
+//! `benchmark` package (`cache.delta_sample_us`, `cache.delta_gather_us`
+//! and `infer_uniform` end to end).
 
 use crate::dataplane::fold;
 use crate::util::{outln, par_map, Table};
@@ -48,7 +43,7 @@ use lsdgnn_core::framework::{
 use lsdgnn_core::graph::{generators, AttributeStore, NodeId, PartitionedGraph};
 use lsdgnn_core::telemetry::ledger::Stage;
 use lsdgnn_core::telemetry::Json;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Graph size is fixed (not `LSDGNN_SCALE`) so the committed artifact
 /// replays identically in any environment.
@@ -77,11 +72,6 @@ const WARM_REQUESTS: u64 = 160;
 const QUICK_WARM_REQUESTS: u64 = 64;
 const MEASURE_REQUESTS: u64 = 128;
 const QUICK_MEASURE_REQUESTS: u64 = 40;
-const TIMED_REQUESTS: u64 = 192;
-const QUICK_TIMED_REQUESTS: u64 = 48;
-/// Timed runs per arm; the minimum survives a noisy box.
-const TIMED_RUNS: usize = 3;
-const TIMED_CHUNK: usize = 16;
 /// Requests through the observed service (after a direct warm phase).
 const OBS_REQUESTS: u64 = 48;
 
@@ -91,12 +81,6 @@ const REF_CAPACITY: usize = 4_096;
 /// The uniform cell: no root comes from the hot head, so nearly every
 /// lookup misses and nearly every offer meets a full segment.
 const UNIFORM: u64 = 0;
-/// Share of the cache-off throughput both tiers must keep on uniform
-/// roots. On these small one-hop requests an uncached remote row costs
-/// about 0.4 us, so even O(1) bookkeeping (two locked sketch-and-map
-/// probes per missed row) shows: measured 0.54-0.67 with the recency
-/// list, 0.26-0.40 when eviction scanned the segment.
-const MISS_PATH_FLOOR: f64 = 0.45;
 
 fn graph() -> (PartitionedGraph, u64) {
     // Uniform degrees: every hot node has a full, diverse neighbor list,
@@ -284,33 +268,6 @@ fn run_cell(pg: &PartitionedGraph, hot_pct: u64, capacity: usize, seed: u64, qui
     }
 }
 
-/// Timed serving pass: `timed` requests in `TIMED_CHUNK`-sized
-/// `sample_many` dispatches plus per-block attribute gathers, on an
-/// already-warm backend. Returns requests/sec, best of [`TIMED_RUNS`].
-fn throughput(backend: &CpuBackend, hot_pct: u64, seed: u64, timed: u64) -> f64 {
-    let mut fetch = Vec::new();
-    let mut rows = Vec::new();
-    let mut slots = Vec::new();
-    let mut best = 0.0f64;
-    for run in 0..TIMED_RUNS {
-        let reqs: Vec<SampleRequest> = (0..timed)
-            .map(|s| request(seed ^ 0x5eed ^ (run as u64) << 32 ^ s, hot_pct))
-            .collect();
-        let t0 = Instant::now();
-        for chunk in reqs.chunks(TIMED_CHUNK) {
-            let refs: Vec<&SampleRequest> = chunk.iter().collect();
-            for block in backend.sample_many(&refs) {
-                fetch.clear();
-                block.attr_fetch_into(&mut fetch);
-                backend.gather_attr_rows(&fetch, &mut rows, &mut slots);
-                backend.recycle(block);
-            }
-        }
-        best = best.max(timed as f64 / t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Wire-metered pair at the reference cell: the cached arm's
 /// sampling-leg bytes must drop with the neighbor-tier hit rate, and
 /// its digest must still equal the unwired cache-off fingerprint.
@@ -349,9 +306,8 @@ fn wire_leg(pg: &PartitionedGraph, hot_pct: u64, seed: u64, quick: bool) -> Wire
 }
 
 /// Observed leg: a warm cached backend behind an instrumented service;
-/// returns whether tail blame attributes time to `cache_hit`, plus the
-/// stage's share for the report.
-fn observed_leg(pg: &PartitionedGraph, hot_pct: u64, seed: u64, quick: bool) -> (bool, f64, u64) {
+/// returns whether tail blame attributes time to `cache_hit`.
+fn observed_leg(pg: &PartitionedGraph, hot_pct: u64, seed: u64, quick: bool) -> bool {
     let backend = CpuBackend::from_partitioned_cached(pg.clone(), both_tiers(REF_CAPACITY));
     let warm = if quick {
         QUICK_WARM_REQUESTS
@@ -382,11 +338,10 @@ fn observed_leg(pg: &PartitionedGraph, hot_pct: u64, seed: u64, quick: bool) -> 
     svc.shutdown();
     // Quantile 0: the whole population is the tail, so the attribution
     // depends only on which stages ran, not on wall-clock ordering.
-    let blame = snap.blame(0.0);
-    let hit_stage = blame.stages.iter().find(|s| s.stage == Stage::CacheHit);
-    let share = hit_stage.map_or(0.0, |s| s.share);
-    let events = hit_stage.map_or(0, |s| s.events);
-    (hit_stage.is_some(), share, events)
+    snap.blame(0.0)
+        .stages
+        .iter()
+        .any(|s| s.stage == Stage::CacheHit)
 }
 
 fn hex(d: u64) -> String {
@@ -425,7 +380,6 @@ fn arm_json(a: &Arm) -> Json {
 
 /// Runs the sweep and writes the artifact to `out`.
 pub fn cache(quick: bool, seed: u64, out: &str) {
-    let omit_timing = crate::util::omit_timing();
     let skews: &[u64] = if quick { &[60, 98] } else { &[60, 85, 98] };
     let caps: &[usize] = if quick {
         &[256, REF_CAPACITY]
@@ -436,8 +390,7 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
     outln!(
         "cache sweep: seed {seed}, skew {skews:?} x capacity {caps:?} x \
          {{off, attr, attr+neigh}} on {GRAPH_NODES} nodes / {PARTITIONS} partitions \
-         (hash-spread placement){}",
-        if omit_timing { " (timing omitted)" } else { "" }
+         (hash-spread placement)"
     );
     let (pg, _) = graph();
 
@@ -497,52 +450,6 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
          ({ref_off} -> {ref_both}); the gate demands 2x"
     );
 
-    // -- timed leg at the reference cell.
-    let timed = if quick {
-        QUICK_TIMED_REQUESTS
-    } else {
-        TIMED_REQUESTS
-    };
-    // Cache-off vs both tiers on `hot_pct` traffic, the cached arm
-    // warmed by `warm` requests first — the sweep grades steady state,
-    // and so does the throughput claim: (off, both, ratio).
-    let timed_pair = |hot_pct: u64, warm: u64| -> (f64, f64, f64) {
-        if omit_timing {
-            return (0.0, 0.0, 0.0);
-        }
-        let off = CpuBackend::from_partitioned(pg.clone());
-        let both = CpuBackend::from_partitioned_cached(pg.clone(), both_tiers(REF_CAPACITY));
-        warm_backend(&both, hot_pct, seed, warm);
-        let rps_off = throughput(&off, hot_pct, seed, timed);
-        let rps_both = throughput(&both, hot_pct, seed, timed);
-        (rps_off, rps_both, rps_both / rps_off)
-    };
-    let warm = if quick {
-        QUICK_WARM_REQUESTS
-    } else {
-        WARM_REQUESTS
-    };
-    let (rps_off, rps_both, speedup) = timed_pair(ref_skew, warm);
-    let speedup_floor = if quick { 1.0 } else { 1.3 };
-    let speedup_ok = omit_timing || speedup >= speedup_floor;
-    assert!(
-        speedup_ok,
-        "both-tier serving only reached {speedup:.2}x over cache-off; \
-         the gate demands {speedup_floor}x"
-    );
-
-    // -- timed leg on uniform roots: almost nothing hits, so the cached
-    // arm shows what a miss and a turned-away offer cost. The full warm
-    // phase even in quick mode: it takes that many offers to fill the
-    // attribute tier, and only a full segment has to choose a victim.
-    let (uni_off, uni_both, uni_ratio) = timed_pair(UNIFORM, WARM_REQUESTS);
-    let miss_path_ok = omit_timing || uni_ratio >= MISS_PATH_FLOOR;
-    assert!(
-        miss_path_ok,
-        "on uniform roots both-tier serving fell to {uni_ratio:.2}x of cache-off; \
-         the gate demands {MISS_PATH_FLOOR}x: a miss must stay cheap"
-    );
-
     // -- wire leg at the reference cell.
     let wire = wire_leg(&pg, ref_skew, seed, quick);
     let wire_cut_ok = wire.digest == ref_cell.arms[0].digest
@@ -558,15 +465,8 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
         wire.cached_bytes
     );
 
-    // -- observed leg: blame knows about the cache. The boolean is
-    // stable; the share and event count ride on wall-clock batching, so
-    // they zero with the rest of the timing fields.
-    let (cache_hit_blamed, blame_share, blame_traces) = observed_leg(&pg, ref_skew, seed, quick);
-    let (blame_share, blame_traces) = if omit_timing {
-        (0.0, 0)
-    } else {
-        (blame_share, blame_traces)
-    };
+    // -- observed leg: blame knows about the cache.
+    let cache_hit_blamed = observed_leg(&pg, ref_skew, seed, quick);
     assert!(
         cache_hit_blamed,
         "the tail-blame report never attributed time to cache_hit on a warm cache"
@@ -574,21 +474,13 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
 
     outln!(
         "  reference cell hot{ref_skew}%/cap{REF_CAPACITY}: remote cut {remote_cut:.2}x, \
-         wire bytes -{:.1}% (neigh hit {:.2}), cache_hit blamed over {blame_traces} events",
+         wire bytes -{:.1}% (neigh hit {:.2})",
         wire.reduction * 100.0,
         wire.neigh_hit_rate
     );
-    if !omit_timing {
-        outln!(
-            "  throughput: off {rps_off:.0} req/s, attr+neigh {rps_both:.0} req/s \
-             ({speedup:.2}x); uniform roots: off {uni_off:.0} req/s, attr+neigh \
-             {uni_both:.0} req/s ({uni_ratio:.2}x)"
-        );
-    }
     outln!(
         "  gates: digests_match {digests_match}, remote_cut_ok {remote_cut_ok}, \
-         speedup_ok {speedup_ok}, miss_path_ok {miss_path_ok}, wire_cut_ok {wire_cut_ok}, \
-         cache_hit_blamed {cache_hit_blamed}"
+         wire_cut_ok {wire_cut_ok}, cache_hit_blamed {cache_hit_blamed}"
     );
 
     // -- artifact.
@@ -612,7 +504,6 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
         ("graph_nodes".to_string(), Json::Num(GRAPH_NODES as f64)),
         ("partitions".to_string(), Json::Num(PARTITIONS as f64)),
         ("attr_len".to_string(), Json::Num(ATTR_LEN as f64)),
-        ("timing_omitted".to_string(), Json::Bool(omit_timing)),
         ("cells".to_string(), Json::Arr(cell_rows)),
         (
             "reference".to_string(),
@@ -620,19 +511,6 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
                 ("hot_pct".to_string(), Json::Num(ref_skew as f64)),
                 ("capacity".to_string(), Json::Num(REF_CAPACITY as f64)),
                 ("remote_cut".to_string(), Json::Num(remote_cut)),
-                ("rps_off".to_string(), Json::Num(rps_off)),
-                ("rps_both".to_string(), Json::Num(rps_both)),
-                ("speedup".to_string(), Json::Num(speedup)),
-            ]),
-        ),
-        (
-            "uniform".to_string(),
-            Json::Obj(vec![
-                ("hot_pct".to_string(), Json::Num(UNIFORM as f64)),
-                ("capacity".to_string(), Json::Num(REF_CAPACITY as f64)),
-                ("rps_off".to_string(), Json::Num(uni_off)),
-                ("rps_both".to_string(), Json::Num(uni_both)),
-                ("ratio".to_string(), Json::Num(uni_ratio)),
             ]),
         ),
         (
@@ -651,19 +529,10 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
             ]),
         ),
         (
-            "observed".to_string(),
-            Json::Obj(vec![
-                ("blame_share".to_string(), Json::Num(blame_share)),
-                ("blame_traces".to_string(), Json::Num(blame_traces as f64)),
-            ]),
-        ),
-        (
             "gates".to_string(),
             Json::Obj(vec![
                 ("digests_match".to_string(), Json::Bool(digests_match)),
                 ("remote_cut_ok".to_string(), Json::Bool(remote_cut_ok)),
-                ("speedup_ok".to_string(), Json::Bool(speedup_ok)),
-                ("miss_path_ok".to_string(), Json::Bool(miss_path_ok)),
                 ("wire_cut_ok".to_string(), Json::Bool(wire_cut_ok)),
                 ("cache_hit_blamed".to_string(), Json::Bool(cache_hit_blamed)),
             ]),

@@ -20,10 +20,12 @@
 //!   the real [`ReliableChannel`] retransmit path (transmissions,
 //!   retransmissions, delivery).
 //!
-//! Wall-clock observations (p99 latency, retry/hedge/breaker counters —
-//! anything that depends on attempt counts or sleeps) live in a separate
-//! `observed` block per cell; `LSDGNN_OMIT_TIMING=1` zeroes that
-//! block so determinism tests can compare whole artifacts byte-for-byte.
+//! Nothing here reads a clock, so the artifact is byte-identical across
+//! runs and `--jobs` counts (`tests/jobs_parity.rs`). Retry, hedge,
+//! breaker and injector counters are not reported: how many attempts a
+//! request gets is cut short by the ladder's wall-clock deadline, so
+//! they depend on scheduling (the service's metrics export still carries
+//! them).
 //!
 //! The zero-fault cell is the pay-for-what-you-use gate: its replies are
 //! digest-compared against a service started with *no* injector at all,
@@ -40,7 +42,7 @@ use lsdgnn_core::graph::{generators, AttributeStore, NodeId};
 use lsdgnn_core::mof::ReliableChannel;
 use lsdgnn_core::sampler::quality;
 use lsdgnn_core::telemetry::Json;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Graph size for every cell — fixed (not `LSDGNN_SCALE`) so the
 /// committed artifact replays identically in any environment.
@@ -184,8 +186,7 @@ fn serve_stream(svc: &SamplingService, requests: u64) -> Vec<SampleReply> {
     tickets.into_iter().map(|t| t.wait_reply()).collect()
 }
 
-/// Everything one cell produced; split into replay-deterministic fields
-/// and wall-clock observations.
+/// Everything one cell produced.
 struct CellResult {
     name: String,
     loss: f64,
@@ -201,16 +202,6 @@ struct CellResult {
     mof_retransmissions: u64,
     mof_delivered: u64,
     mof_abandoned: bool,
-    // -- observed (timing-dependent) --
-    p99_us: f64,
-    wall_ms: f64,
-    faults: u64,
-    fallbacks: u64,
-    hedges: u64,
-    breaker_opens: u64,
-    breaker_fastpaths: u64,
-    requests_dropped: u64,
-    straggler_delays: u64,
 }
 
 impl CellResult {
@@ -240,13 +231,10 @@ fn run_cell(cell: &Cell, seed: u64, requests: u64, frames: u32) -> CellResult {
         Box::new(ChaosBackend::new(backend(), injector.clone())),
         cell_config(),
         None,
-        Some(injector.clone()),
+        Some(injector),
     );
 
-    let start = Instant::now();
     let replies = serve_stream(&svc, requests);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let stats = svc.stats();
     svc.shutdown();
 
     // Quality: recall of each reply against the fault-free exact batch.
@@ -278,7 +266,6 @@ fn run_cell(cell: &Cell, seed: u64, requests: u64, frames: u32) -> CellResult {
         .is_err();
     assert!(ch.accounting_balances(), "go-back-N accounting drifted");
 
-    let inj = injector.stats();
     CellResult {
         name: cell.name.clone(),
         loss: cell.loss,
@@ -294,15 +281,6 @@ fn run_cell(cell: &Cell, seed: u64, requests: u64, frames: u32) -> CellResult {
         mof_retransmissions: ch.retransmissions(),
         mof_delivered: ch.received().len() as u64,
         mof_abandoned,
-        p99_us: stats.latency_p99_us(),
-        wall_ms,
-        faults: stats.faults,
-        fallbacks: stats.fallbacks,
-        hedges: stats.hedges,
-        breaker_opens: stats.breaker_opens,
-        breaker_fastpaths: stats.breaker_fastpaths,
-        requests_dropped: inj.requests_dropped,
-        straggler_delays: inj.straggler_delays,
     }
 }
 
@@ -333,11 +311,9 @@ fn hex(d: u64) -> String {
 pub fn chaos(quick: bool, seed: u64, out: &str) {
     let requests = if quick { QUICK_REQUESTS } else { FULL_REQUESTS };
     let frames = if quick { QUICK_FRAMES } else { FULL_FRAMES };
-    let omit_timing = crate::util::omit_timing();
     outln!(
         "chaos sweep: seed {seed}, {requests} requests/cell over {PARTITIONS} cards, \
-         loss x card-failure grid{}",
-        if omit_timing { " (timing omitted)" } else { "" }
+         loss x card-failure grid"
     );
 
     let (baseline_digest, zero_identical) = zero_fault_gate(seed, requests);
@@ -354,7 +330,6 @@ pub fn chaos(quick: bool, seed: u64, out: &str) {
     let cells = grid(quick);
     let results = par_map(cells, |cell| run_cell(&cell, seed, requests, frames));
 
-    let zero = |v: f64| if omit_timing { 0.0 } else { v };
     let table = Table::new(
         &[
             "cell",
@@ -362,11 +337,10 @@ pub fn chaos(quick: bool, seed: u64, out: &str) {
             "degraded",
             "recall",
             "q-delta",
-            "p99(us)",
             "mof tx/re",
             "digest",
         ],
-        &[22, 7, 9, 7, 8, 9, 10, 19],
+        &[22, 7, 9, 7, 8, 10, 19],
     );
     for r in &results {
         table.row(&[
@@ -375,7 +349,6 @@ pub fn chaos(quick: bool, seed: u64, out: &str) {
             format!("{}", r.degraded),
             format!("{:.3}", r.mean_recall),
             format!("{:.3}", r.quality_delta()),
-            format!("{:.0}", zero(r.p99_us)),
             format!("{}/{}", r.mof_transmissions, r.mof_retransmissions),
             hex(r.results_digest),
         ]);
@@ -454,32 +427,6 @@ pub fn chaos(quick: bool, seed: u64, out: &str) {
                         ("abandoned".to_string(), Json::Bool(r.mof_abandoned)),
                     ]),
                 ),
-                (
-                    "observed".to_string(),
-                    Json::Obj(vec![
-                        ("p99_us".to_string(), Json::Num(zero(r.p99_us))),
-                        ("wall_ms".to_string(), Json::Num(zero(r.wall_ms))),
-                        ("faults".to_string(), Json::Num(zero(r.faults as f64))),
-                        ("fallbacks".to_string(), Json::Num(zero(r.fallbacks as f64))),
-                        ("hedges".to_string(), Json::Num(zero(r.hedges as f64))),
-                        (
-                            "breaker_opens".to_string(),
-                            Json::Num(zero(r.breaker_opens as f64)),
-                        ),
-                        (
-                            "breaker_fastpaths".to_string(),
-                            Json::Num(zero(r.breaker_fastpaths as f64)),
-                        ),
-                        (
-                            "requests_dropped".to_string(),
-                            Json::Num(zero(r.requests_dropped as f64)),
-                        ),
-                        (
-                            "straggler_delays".to_string(),
-                            Json::Num(zero(r.straggler_delays as f64)),
-                        ),
-                    ]),
-                ),
             ])
         })
         .collect();
@@ -491,7 +438,6 @@ pub fn chaos(quick: bool, seed: u64, out: &str) {
         ("graph_nodes".to_string(), Json::Num(GRAPH_NODES as f64)),
         ("partitions".to_string(), Json::Num(PARTITIONS as f64)),
         ("requests_per_cell".to_string(), Json::Num(requests as f64)),
-        ("timing_omitted".to_string(), Json::Bool(omit_timing)),
         (
             "zero_fault".to_string(),
             Json::Obj(vec![

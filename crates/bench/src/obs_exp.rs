@@ -1,6 +1,6 @@
-//! `bench obs` — observability overhead + tail-blame benchmark.
+//! `bench obs` — observability digest-identity + blame benchmark.
 //!
-//! Three healthy arms serve the same pipelined inference workload as
+//! Three healthy arms serve the same inference workload as
 //! `bench inference` (skewed 2-partition dataplane graph, GraphSAGE on
 //! top) and differ only in how much of the request ledger is wired in:
 //!
@@ -16,10 +16,11 @@
 //!   compute → done) lands in the ledger.
 //!
 //! The run asserts the observability contract: all three arms fold the
-//! same reply digest (recording may never touch results), and the
-//! instrumented arm's throughput stays within 5% of baseline. The
-//! instrumented ledger then yields the tail [`BlameReport`] and SLO
-//! burn summary.
+//! same reply digest (recording may never touch results). The
+//! instrumented ledger then yields a [`BlameReport`] over every finished
+//! trace (quantile 0, so which stages appear depends on the workload, not
+//! on wall-clock ordering). What recording costs in time is measured by
+//! the `benchmark` package's `obs.overhead_frac` row.
 //!
 //! Three chaos arms (request loss, card failure, queue stall) re-run
 //! the workload under a [`FaultPlan`] and check blame attribution end
@@ -27,54 +28,35 @@
 //! layer, and degraded requests must produce flight dumps carrying the
 //! plan's seed + digest for byte-exact replay.
 //!
-//! `LSDGNN_OMIT_TIMING=1` zeroes every wall-clock-derived field
-//! (stdout and artifact) so two runs — at any `--jobs` — are
-//! byte-identical; `tests/jobs_parity.rs` pins that. The deterministic
-//! ledger-merge check (synthetic timestamps, 1 vs 4 recorder threads)
-//! runs in both modes: canonical event ordering makes the snapshot
-//! digest independent of recorder interleaving.
+//! Stdout and artifact are byte-identical across runs and `--jobs`
+//! counts; `tests/jobs_parity.rs` pins that. The ledger-merge check
+//! (synthetic timestamps, 1 vs 4 recorder threads) shows canonical event
+//! ordering makes the snapshot digest independent of recorder
+//! interleaving.
 //!
 //! [`BlameReport`]: lsdgnn_core::telemetry::ledger::BlameReport
 //! [`FaultPlan`]: lsdgnn_core::chaos::FaultPlan
 
-use crate::dataplane::{fold, graph, placement, skewed_root, ATTR_LEN, FANOUT, HOPS, PARTITIONS};
-use crate::util::{outln, Table};
+use crate::dataplane::{fold, graph, placement, request, ATTR_LEN, PARTITIONS};
+use crate::util::outln;
 use lsdgnn_core::chaos::{FaultInjector, FaultPlan, ScenarioSpec};
 use lsdgnn_core::framework::{
     ChaosBackend, CpuBackend, DegradeConfig, InferenceConfig, InferenceService, ObsConfig,
-    Observability, SampleRequest, SamplingBackend, SamplingService, ServiceConfig,
+    Observability, SamplingBackend, SamplingService, ServiceConfig,
 };
 use lsdgnn_core::graph::{AttributeStore, CsrGraph};
 use lsdgnn_core::nn::SageModel;
 use lsdgnn_core::telemetry::ledger::{LedgerConfig, RequestLedger, Stage, NO_SHARD};
 use lsdgnn_core::telemetry::Json;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Same GraphSAGE as `bench inference`: the overhead claim is made on
-/// the workload the pipeline bench already measures.
+/// Same GraphSAGE and request shape as `bench inference`.
 const WIDTHS: [usize; 3] = [ATTR_LEN, 16, 8];
 const MODEL_SEED: u64 = 61;
 const ROOTS_PER_REQ: u64 = 16;
 
-const REQUESTS: u64 = 512;
-const QUICK_REQUESTS: u64 = 128;
-/// Requests whose reply digests are folded (untimed) on every arm.
+/// Requests whose reply digests are folded on every arm.
 const VERIFY_REQUESTS: u64 = 48;
-/// In-flight window for the timed runs.
-const WINDOW: u64 = 64;
-/// Timed rounds. Each round times every arm back to back and yields
-/// one *paired* overhead ratio; the median across rounds is the claim.
-/// Pairing plus the median is what survives a noisy single-core box:
-/// machine-wide slowdowns hit both sides of a round's ratio, and
-/// outlier rounds (scheduler stalls) fall out of the median. Rounds
-/// rotate the arm order (multiple of 3 so each arm takes each slot
-/// equally often) — with a fixed order, whatever drift accumulates
-/// *within* a round lands on the same arm every time and shows up as a
-/// phantom overhead even between identical configurations.
-const TIMED_RUNS: usize = 15;
-const QUICK_TIMED_RUNS: usize = 9;
-/// Instrumented throughput must stay within this fraction of baseline.
-const OVERHEAD_BUDGET: f64 = 0.05;
 
 /// Requests per chaos arm; the card-failure arm kills a card halfway.
 const CHAOS_REQUESTS: u64 = 32;
@@ -119,23 +101,14 @@ fn model() -> SageModel {
     SageModel::new(&WIDTHS, MODEL_SEED)
 }
 
-fn request(seed: u64, nodes: u64, roots: u64) -> SampleRequest {
-    SampleRequest {
-        roots: (0..roots).map(|i| skewed_root(seed, i, nodes)).collect(),
-        hops: HOPS,
-        fanout: FANOUT,
-        seed,
-    }
-}
-
-/// Warms the pipeline and folds the verification digest (untimed).
-fn warm_and_digest(pipe: &InferenceService, requests: u64, nodes: u64) -> u64 {
+/// Warms the pipeline and folds the verification digest.
+fn warm_and_digest(pipe: &InferenceService, nodes: u64) -> u64 {
     for s in 0..8 {
         let r = pipe.infer(request(1 << 32 | s, nodes, ROOTS_PER_REQ));
         pipe.recycle(r);
     }
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    let tickets: Vec<_> = (0..VERIFY_REQUESTS.min(requests))
+    let tickets: Vec<_> = (0..VERIFY_REQUESTS)
         .map(|s| pipe.submit(request(s, nodes, ROOTS_PER_REQ)))
         .collect();
     for t in tickets {
@@ -144,25 +117,6 @@ fn warm_and_digest(pipe: &InferenceService, requests: u64, nodes: u64) -> u64 {
         pipe.recycle(r);
     }
     digest
-}
-
-/// One timed windowed pass over the request stream.
-fn timed_pass(pipe: &InferenceService, requests: u64, nodes: u64) -> f64 {
-    let start = Instant::now();
-    let mut tickets = std::collections::VecDeque::new();
-    let mut submitted = 0u64;
-    while submitted < requests.min(WINDOW) {
-        tickets.push_back(pipe.submit(request(submitted, nodes, ROOTS_PER_REQ)));
-        submitted += 1;
-    }
-    while let Some(t) = tickets.pop_front() {
-        pipe.recycle(t.wait());
-        if submitted < requests {
-            tickets.push_back(pipe.submit(request(submitted, nodes, ROOTS_PER_REQ)));
-            submitted += 1;
-        }
-    }
-    start.elapsed().as_secs_f64()
 }
 
 /// One chaos arm's outcome; everything here is deterministic for a
@@ -264,25 +218,17 @@ fn merge_digest(threads: u64) -> u64 {
     ledger.snapshot().digest()
 }
 
-/// Runs every arm and writes `BENCH_obs.json`.
+/// Runs every arm and writes the artifact to `out`.
 pub fn obs(quick: bool, seed: u64, out: &str) {
-    let omit_timing = crate::util::omit_timing();
-    let zero = |v: f64| if omit_timing { 0.0 } else { v };
-    let requests = if quick { QUICK_REQUESTS } else { REQUESTS };
     let (g, a) = graph(quick);
     let nodes = g.num_nodes();
     let widths: Vec<String> = WIDTHS.iter().map(|w| w.to_string()).collect();
     outln!(
-        "obs bench: {nodes} nodes, {PARTITIONS} partitions, {requests} requests, sage [{}]{}",
-        widths.join("x"),
-        if omit_timing { " (timing omitted)" } else { "" }
+        "obs bench: {nodes} nodes, {PARTITIONS} partitions, {VERIFY_REQUESTS} requests, sage [{}]",
+        widths.join("x")
     );
 
     // --- healthy arms -------------------------------------------------
-    // All three pipelines live side by side and the timed passes
-    // interleave round-robin, so clock drift and cache state perturb
-    // every arm equally — the overhead claim is a ratio of minima and
-    // must not inherit run-order bias.
     let baseline = InferenceService::start(
         SamplingService::start(backend(&g, &a), service_cfg()),
         model(),
@@ -305,39 +251,12 @@ pub fn obs(quick: bool, seed: u64, out: &str) {
         model(),
         InferenceConfig::default(),
     );
-    let base_digest = warm_and_digest(&baseline, requests, nodes);
-    let dis_digest = warm_and_digest(&disabled, requests, nodes);
-    let inst_digest = warm_and_digest(&instrumented, requests, nodes);
-    let rounds = if quick { QUICK_TIMED_RUNS } else { TIMED_RUNS };
-    let arms = [&baseline, &disabled, &instrumented];
-    let mut best = [f64::INFINITY; 3];
-    let mut dis_ratios = Vec::with_capacity(rounds);
-    let mut inst_ratios = Vec::with_capacity(rounds);
-    for round in 0..rounds {
-        let mut secs = [0.0f64; 3];
-        for slot in 0..3 {
-            let which = (round + slot) % 3;
-            secs[which] = timed_pass(arms[which], requests, nodes);
-        }
-        for (b, s) in best.iter_mut().zip(secs) {
-            *b = b.min(s);
-        }
-        dis_ratios.push(secs[1] / secs[0]);
-        inst_ratios.push(secs[2] / secs[0]);
-    }
-    let [base_secs, dis_secs, inst_secs] = best;
+    let base_digest = warm_and_digest(&baseline, nodes);
+    let dis_digest = warm_and_digest(&disabled, nodes);
+    let inst_digest = warm_and_digest(&instrumented, nodes);
     drop(baseline);
     drop(disabled);
     drop(instrumented);
-    let median = |rs: &mut Vec<f64>| {
-        rs.sort_by(|x, y| x.partial_cmp(y).expect("finite ratios"));
-        rs[rs.len() / 2]
-    };
-    // Two estimators, keep the cleaner (lower) one: scheduler stalls
-    // only ever *add* time, so between the median paired ratio and the
-    // ratio of per-arm minima, the smaller is the less contaminated.
-    let dis_ratio = median(&mut dis_ratios).min(dis_secs / base_secs);
-    let inst_ratio = median(&mut inst_ratios).min(inst_secs / base_secs);
 
     let digest_identical = base_digest == dis_digest && base_digest == inst_digest;
     assert!(
@@ -345,73 +264,25 @@ pub fn obs(quick: bool, seed: u64, out: &str) {
         "recording must never change answers: baseline {base_digest:#x} \
          disabled {dis_digest:#x} instrumented {inst_digest:#x}"
     );
-    let overhead = zero(inst_ratio - 1.0);
-    let disabled_overhead = zero(dis_ratio - 1.0);
-    let overhead_ok = overhead < OVERHEAD_BUDGET;
-
-    outln!(
-        "  baseline     {:>8.1} req/s",
-        zero(requests as f64 / base_secs)
-    );
-    outln!(
-        "  disabled     {:>8.1} req/s   overhead {:+.2}%",
-        zero(requests as f64 / dis_secs),
-        disabled_overhead * 100.0
-    );
-    outln!(
-        "  instrumented {:>8.1} req/s   overhead {:+.2}% (budget {:.0}%, ok {overhead_ok})",
-        zero(requests as f64 / inst_secs),
-        overhead * 100.0,
-        OVERHEAD_BUDGET * 100.0
-    );
     outln!(
         "  digest_identical {digest_identical} ({})",
         hex(base_digest)
     );
 
-    // --- instrumented ledger: SLO + tail blame ------------------------
+    // --- instrumented ledger: blame over every finished trace ----------
     let snap = ob.ledger().snapshot();
-    let e2e = ob.e2e_slo();
+    let mut blame = snap.blame(0.0);
+    blame.stages.sort_by_key(|s| s.stage.rank());
+    let stage_names: Vec<&str> = blame.stages.iter().map(|s| s.stage.name()).collect();
     outln!(
-        "  slo e2e: target p99 {:.0}us  achieved {:.0}us  violations {}/{}  burn {:.2}",
-        e2e.target_p99_us(),
-        zero(e2e.achieved_p99_us()),
-        if omit_timing { 0 } else { e2e.violations() },
-        e2e.total(),
-        zero(e2e.burn_rate())
-    );
-    // With timing omitted the p99 cut is meaningless; blame the whole
-    // population instead so the stage *set* is workload-deterministic.
-    let blame_q = if omit_timing { 0.0 } else { 0.99 };
-    let mut blame = snap.blame(blame_q);
-    if omit_timing {
-        blame.stages.sort_by_key(|s| s.stage.rank());
-    }
-    outln!(
-        "  blame (q={blame_q}): {} tail traces of {}",
+        "  blame (q=0): {} traces of {}, stages {}",
         blame.tail_traces,
-        blame.traces
+        blame.traces,
+        stage_names.join(" ")
     );
-    let table = Table::new(
-        &["stage", "events", "queue_ms", "service_ms", "share%"],
-        &[13, 8, 10, 11, 7],
-    );
-    for s in &blame.stages {
-        table.row(&[
-            s.stage.name().to_string(),
-            if omit_timing {
-                "-".to_string()
-            } else {
-                s.events.to_string()
-            },
-            format!("{:.2}", zero(s.queue_us) / 1e3),
-            format!("{:.2}", zero(s.service_us) / 1e3),
-            format!("{:.1}", zero(s.share) * 100.0),
-        ]);
-    }
     assert!(
         !blame.stages.is_empty(),
-        "instrumented run must attribute tail time to at least one stage"
+        "instrumented run must attribute time to at least one stage"
     );
 
     // --- chaos arms: blame must name the injected fault ---------------
@@ -487,37 +358,12 @@ pub fn obs(quick: bool, seed: u64, out: &str) {
          independent of recorder interleaving"
     );
 
-    let opt_str = |v: Option<&'static str>| match v {
-        Some(s) if !omit_timing => Json::Str(s.to_string()),
-        _ => Json::Bool(false),
-    };
     let doc = Json::Obj(vec![
         ("bench".to_string(), Json::Str("obs".to_string())),
         ("quick".to_string(), Json::Bool(quick)),
-        ("timing_omitted".to_string(), Json::Bool(omit_timing)),
         ("nodes".to_string(), Json::Num(nodes as f64)),
         ("partitions".to_string(), Json::Num(PARTITIONS as f64)),
-        ("requests".to_string(), Json::Num(requests as f64)),
         ("model_widths".to_string(), Json::Str(widths.join("x"))),
-        (
-            "baseline_requests_per_sec".to_string(),
-            Json::Num(zero(requests as f64 / base_secs)),
-        ),
-        (
-            "disabled_requests_per_sec".to_string(),
-            Json::Num(zero(requests as f64 / dis_secs)),
-        ),
-        (
-            "instrumented_requests_per_sec".to_string(),
-            Json::Num(zero(requests as f64 / inst_secs)),
-        ),
-        ("overhead_frac".to_string(), Json::Num(overhead)),
-        (
-            "disabled_overhead_frac".to_string(),
-            Json::Num(disabled_overhead),
-        ),
-        ("overhead_budget".to_string(), Json::Num(OVERHEAD_BUDGET)),
-        ("overhead_ok".to_string(), Json::Bool(overhead_ok)),
         ("digest_identical".to_string(), Json::Bool(digest_identical)),
         ("reply_digest".to_string(), Json::Str(hex(base_digest))),
         (
@@ -525,39 +371,9 @@ pub fn obs(quick: bool, seed: u64, out: &str) {
             Json::Num(snap.finished as f64),
         ),
         (
-            "ledger_events".to_string(),
-            Json::Num(zero(snap.events.len() as f64)),
-        ),
-        (
-            "e2e_target_p99_us".to_string(),
-            Json::Num(e2e.target_p99_us()),
-        ),
-        (
-            "e2e_achieved_p99_us".to_string(),
-            Json::Num(zero(e2e.achieved_p99_us())),
-        ),
-        (
-            "e2e_violation_rate".to_string(),
-            Json::Num(zero(e2e.violation_rate())),
-        ),
-        (
-            "e2e_burn_rate".to_string(),
-            Json::Num(zero(e2e.burn_rate())),
-        ),
-        (
-            "e2e_budget_exhausted".to_string(),
-            Json::Bool(if omit_timing {
-                false
-            } else {
-                e2e.budget_exhausted()
-            }),
-        ),
-        ("blame_quantile".to_string(), Json::Num(blame_q)),
-        (
             "blame_stages".to_string(),
             Json::Num(blame.stages.len() as f64),
         ),
-        ("blame_top_stage".to_string(), opt_str(blame.top_stage())),
         (
             "chaos_arms".to_string(),
             Json::Arr(

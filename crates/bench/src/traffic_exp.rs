@@ -23,11 +23,10 @@
 //! verdict counts are a pure function of the trace's virtual arrival
 //! times and therefore replay identically at any `--jobs` count.
 //!
-//! Wall-clock observations live in `observed` blocks;
-//! `LSDGNN_OMIT_TIMING=1` zeroes them so determinism tests can
-//! compare whole artifacts byte-for-byte.
+//! Nothing in the artifact reads a clock, so it is byte-identical across
+//! runs and `--jobs` counts (`tests/jobs_parity.rs`).
 //!
-//! In-binary gates (also in the artifact for CI): `digests_match`,
+//! In-binary gates (also in the artifact): `digests_match`,
 //! `slo_met_improved` (strictly better interactive SLO attainment with
 //! refusals confined to best-effort), `no_unbounded_queue`,
 //! `autoscaler_cost_ok`.
@@ -45,7 +44,7 @@ use lsdgnn_core::framework::{
     SubmitVerdict, TenantConfig, TenantSpec, TrafficConfig, TrafficTrace, CLASSES,
 };
 use lsdgnn_core::graph::{generators, AttributeStore, DatasetConfig, NodeId};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Graph size for the live leg — fixed (not `LSDGNN_SCALE`) so the
 /// committed artifact replays identically in any environment.
@@ -409,7 +408,6 @@ struct OpenLoopResult {
     shed: [u64; CLASSES],
     replies_digest: u64,
     degraded: u64,
-    wall_ms: f64,
 }
 
 /// Replays a seeded trace through a bucket-limited [`ShapedService`] at
@@ -458,7 +456,6 @@ fn open_loop_leg(seed: u64, quick: bool) -> OpenLoopResult {
         None,
     );
     let rng = ChaosRng::new(trace.seed);
-    let start = Instant::now();
     let mut accepted = [0u64; CLASSES];
     let mut rejected = [0u64; CLASSES];
     let mut shed = [0u64; CLASSES];
@@ -483,7 +480,6 @@ fn open_loop_leg(seed: u64, quick: bool) -> OpenLoopResult {
         }
     }
     let replies: Vec<_> = tickets.into_iter().map(|t| t.wait_reply()).collect();
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let stats = shaped.admission_stats();
     shaped.shutdown();
     assert!(
@@ -497,7 +493,6 @@ fn open_loop_leg(seed: u64, quick: bool) -> OpenLoopResult {
         shed,
         replies_digest: digest_replies(&replies),
         degraded: replies.iter().filter(|r| r.degraded).count() as u64,
-        wall_ms,
     }
 }
 
@@ -563,12 +558,10 @@ fn report_json(r: &PolicyReport) -> Json {
 /// Runs the sweep and writes the artifact to `out`.
 pub fn traffic(quick: bool, seed: u64, out: &str) {
     let requests = if quick { QUICK_REQUESTS } else { FULL_REQUESTS };
-    let omit_timing = crate::util::omit_timing();
     outln!(
         "traffic sweep: seed {seed}, burstiness x tenant-mix x policy over a \
          {SIM_CARDS}-card modeled fleet, live legs on {GRAPH_NODES} nodes / {PARTITIONS} \
-         partitions{}",
-        if omit_timing { " (timing omitted)" } else { "" }
+         partitions"
     );
 
     // -- live leg 1: the no-shaping digest gate.
@@ -684,7 +677,6 @@ pub fn traffic(quick: bool, seed: u64, out: &str) {
     );
 
     // -- artifact.
-    let zero = |v: f64| if omit_timing { 0.0 } else { v };
     let cell_rows: Vec<Json> = cells
         .iter()
         .map(|c| {
@@ -713,7 +705,6 @@ pub fn traffic(quick: bool, seed: u64, out: &str) {
         ("graph_nodes".to_string(), Json::Num(GRAPH_NODES as f64)),
         ("partitions".to_string(), Json::Num(PARTITIONS as f64)),
         ("sim_cards".to_string(), Json::Num(SIM_CARDS as f64)),
-        ("timing_omitted".to_string(), Json::Bool(omit_timing)),
         (
             "no_shaping".to_string(),
             Json::Obj(vec![
@@ -735,10 +726,6 @@ pub fn traffic(quick: bool, seed: u64, out: &str) {
                     Json::Str(hex(live.replies_digest)),
                 ),
                 ("degraded".to_string(), Json::Num(live.degraded as f64)),
-                (
-                    "observed".to_string(),
-                    Json::Obj(vec![("wall_ms".to_string(), Json::Num(zero(live.wall_ms)))]),
-                ),
             ]),
         ),
         ("cells".to_string(), Json::Arr(cell_rows)),

@@ -68,14 +68,6 @@ pub fn jobs() -> usize {
     *JOBS.get().unwrap_or(&1)
 }
 
-/// Whether `LSDGNN_OMIT_TIMING` is set: `bench chaos|wire|cache|obs|traffic`
-/// then zero their wall-clock-derived fields, so an artifact is
-/// byte-identical across runs and `--jobs` counts
-/// (`tests/jobs_parity.rs`).
-pub(crate) fn omit_timing() -> bool {
-    std::env::var_os("LSDGNN_OMIT_TIMING").is_some()
-}
-
 /// Maps `f` over `items` on up to [`jobs`] scoped worker threads,
 /// returning results in item order. With one job (or one item) it runs
 /// inline. `f` must not print — compute in `par_map`, then print from

@@ -15,11 +15,11 @@
 //! line-hit and attribute page-hit rates — the exact-id coalesce rates
 //! are permutation-invariant and stay flat by design), measured wire
 //! bytes (packed/unpacked requests, raw/BDI-compressed responses),
-//! packing occupancy, the link model's simulated wire time, and served
-//! requests/sec. `LSDGNN_OMIT_TIMING=1` zeroes the wall-clock
-//! throughput fields so `--jobs` parity can compare artifacts
-//! byte-for-byte; everything else — bytes, ratios, digests — is
-//! deterministic at a fixed seed.
+//! packing occupancy and the link model's simulated wire time — all
+//! deterministic at a fixed seed. The binary asserts its gates
+//! (`digests_equivalent`, `compression_ratio_ok`, `coalesce_ok`); what
+//! the wire plane costs in time is measured by the `benchmark` package
+//! (`wire.delta_sample_us`, `mof.*`).
 
 use crate::dataplane::{fold, graph, placement, request, ROOTS_PER_REQ};
 use crate::util::outln;
@@ -29,19 +29,12 @@ use lsdgnn_core::framework::{
 use lsdgnn_core::graph::{NodeId, PartitionedGraph, Permutation, ReorderPolicy};
 use lsdgnn_core::sampler::SampleBlock;
 use lsdgnn_core::telemetry::Json;
-use std::time::Instant;
 
-/// Requests in the deterministic measurement pass (digests, locality
-/// counters, wire bytes).
+/// Requests per arm (digests, locality counters, wire bytes).
 const VERIFY_REQUESTS: u64 = 48;
 const QUICK_VERIFY_REQUESTS: u64 = 16;
-/// Requests in the timed serving pass.
-const TIMED_REQUESTS: u64 = 256;
-const QUICK_TIMED_REQUESTS: u64 = 32;
 /// Gorder sliding-window width (§ reorder module docs).
 const GORDER_WINDOW: usize = 5;
-/// Requests fused per `sample_many` dispatch in the timed pass.
-const TIMED_CHUNK: usize = 32;
 
 /// One measured sweep point.
 struct Arm {
@@ -52,7 +45,6 @@ struct Arm {
     digest: u64,
     stats: RequestStats,
     snap: Option<WireSnapshot>,
-    requests_per_sec: f64,
 }
 
 /// Maps a logical-space request into the arm's label space.
@@ -75,11 +67,8 @@ fn logical_digest(block: &SampleBlock, to_logical: &dyn Fn(NodeId) -> NodeId) ->
     back.digest()
 }
 
-/// Runs one arm: a deterministic measurement pass (sample + attribute
-/// gather per request, digest-folded in logical space, stats and wire
-/// counters snapshotted at the end), then an optional timed serving
-/// pass over the same traffic shape.
-#[allow(clippy::too_many_arguments)]
+/// Runs one arm: sample + attribute gather per request, digest-folded
+/// in logical space, stats and wire counters snapshotted at the end.
 fn run_arm(
     label: &str,
     policy: &str,
@@ -88,8 +77,6 @@ fn run_arm(
     to_arm: &dyn Fn(NodeId) -> NodeId,
     to_logical: &dyn Fn(NodeId) -> NodeId,
     reqs: &[SampleRequest],
-    timed: u64,
-    omit_timing: bool,
 ) -> Arm {
     let (wired, compression) = match &wire {
         Some(cfg) => (true, cfg.compression),
@@ -99,11 +86,8 @@ fn run_arm(
         Some(cfg) => CpuBackend::from_partitioned_wired(pg, cfg),
         None => CpuBackend::from_partitioned(pg),
     };
-    let nodes = backend.cluster().graph().graph().num_nodes();
-
-    // Deterministic measurement pass: fixed requests through the
-    // batch-coalesced plane, attributes gathered per block exactly as
-    // the inference service would.
+    // Fixed requests through the batch-coalesced plane, attributes
+    // gathered per block exactly as the inference service would.
     let mapped: Vec<SampleRequest> = reqs.iter().map(|r| map_request(r, to_arm)).collect();
     let refs: Vec<&SampleRequest> = mapped.iter().collect();
     let blocks = backend.sample_many(&refs);
@@ -122,26 +106,6 @@ fn run_arm(
     let stats = backend.stats();
     let snap = backend.wire_snapshot();
 
-    // Timed serving pass: throughput is reported, never asserted, and
-    // zeroed under LSDGNN_OMIT_TIMING for artifact parity.
-    let requests_per_sec = if omit_timing {
-        0.0
-    } else {
-        let t0 = Instant::now();
-        let timed_reqs: Vec<SampleRequest> = (0..timed)
-            .map(|s| map_request(&request(s ^ 0x5eed, nodes, ROOTS_PER_REQ), to_arm))
-            .collect();
-        for chunk in timed_reqs.chunks(TIMED_CHUNK) {
-            let refs: Vec<&SampleRequest> = chunk.iter().collect();
-            for block in backend.sample_many(&refs) {
-                block.attr_fetch_into(&mut fetch);
-                backend.gather_attr_rows(&fetch, &mut rows, &mut slots);
-                backend.recycle(block);
-            }
-        }
-        timed as f64 / t0.elapsed().as_secs_f64()
-    };
-
     Arm {
         label: label.to_string(),
         policy: policy.to_string(),
@@ -150,7 +114,6 @@ fn run_arm(
         digest,
         stats,
         snap,
-        requests_per_sec,
     }
 }
 
@@ -164,10 +127,6 @@ fn arm_json(a: &Arm) -> Json {
         (
             "digest".to_string(),
             Json::Str(format!("{:016x}", a.digest)),
-        ),
-        (
-            "requests_per_sec".to_string(),
-            Json::Num(a.requests_per_sec),
         ),
         (
             "coalesce_hit_rate".to_string(),
@@ -242,11 +201,10 @@ fn arm_json(a: &Arm) -> Json {
 
 /// Runs the reorder × compression sweep and writes the artifact.
 pub fn wire(quick: bool, seed: u64, out_path: &str) {
-    let omit_timing = crate::util::omit_timing();
-    let (verify, timed) = if quick {
-        (QUICK_VERIFY_REQUESTS, QUICK_TIMED_REQUESTS)
+    let verify = if quick {
+        QUICK_VERIFY_REQUESTS
     } else {
-        (VERIFY_REQUESTS, TIMED_REQUESTS)
+        VERIFY_REQUESTS
     };
     let (g, a) = graph(quick);
     let nodes = g.num_nodes();
@@ -256,8 +214,8 @@ pub fn wire(quick: bool, seed: u64, out_path: &str) {
     // permutation, so the local/remote split is identical in every arm.
     let (pg_b, s_perm) = pg0.reorder(ReorderPolicy::Random { seed });
     outln!(
-        "wire bench: {nodes} nodes, seed {seed}, {verify} measured + {timed} timed requests \
-         x {ROOTS_PER_REQ} roots, scrambled baseline -> reorder x compression sweep"
+        "wire bench: {nodes} nodes, seed {seed}, {verify} requests x {ROOTS_PER_REQ} roots, \
+         scrambled baseline -> reorder x compression sweep"
     );
 
     // Logical-space traffic, shared by every arm.
@@ -278,8 +236,6 @@ pub fn wire(quick: bool, seed: u64, out_path: &str) {
         &move |v| s_for.to_new(v),
         &move |v| s_back.to_old(v),
         &reqs,
-        timed,
-        omit_timing,
     ));
 
     let policies = [
@@ -311,8 +267,6 @@ pub fn wire(quick: bool, seed: u64, out_path: &str) {
                 &to_arm,
                 &to_logical,
                 &reqs,
-                timed,
-                omit_timing,
             ));
         }
     }
@@ -350,7 +304,7 @@ pub fn wire(quick: bool, seed: u64, out_path: &str) {
         let snap = a.snap.unwrap_or_default();
         outln!(
             "  {:<18} digest {:016x}  line {:.3}  page {:.3}  ratio {:.2}x  occ {:.2}  \
-             wire {:>9} B  {:>8.1} req/s",
+             wire {:>9} B",
             a.label,
             a.digest,
             a.stats.frontier_line_hit_rate(),
@@ -358,12 +312,23 @@ pub fn wire(quick: bool, seed: u64, out_path: &str) {
             snap.sampling_compression_ratio(),
             snap.packing_occupancy(),
             snap.wire_bytes(),
-            a.requests_per_sec,
         );
     }
     outln!(
         "  digests_equivalent {digests_equivalent}   compression_ratio {compression_ratio:.2}x \
          (ok {compression_ratio_ok})   coalesce_ok {coalesce_ok}"
+    );
+    assert!(
+        digests_equivalent,
+        "a reordered or wired arm sampled differently from the plain arm"
+    );
+    assert!(
+        compression_ratio_ok,
+        "BDI did not shrink the sampled remote traffic ({compression_ratio:.2}x)"
+    );
+    assert!(
+        coalesce_ok,
+        "no reorder policy beat the scrambled baseline's locality"
     );
 
     let doc = Json::Obj(vec![
@@ -372,12 +337,10 @@ pub fn wire(quick: bool, seed: u64, out_path: &str) {
         ("seed".to_string(), Json::Num(seed as f64)),
         ("nodes".to_string(), Json::Num(nodes as f64)),
         ("measured_requests".to_string(), Json::Num(verify as f64)),
-        ("timed_requests".to_string(), Json::Num(timed as f64)),
         (
             "roots_per_request".to_string(),
             Json::Num(ROOTS_PER_REQ as f64),
         ),
-        ("omit_timing".to_string(), Json::Bool(omit_timing)),
         (
             "arms".to_string(),
             Json::Arr(arms.iter().map(arm_json).collect()),

@@ -62,14 +62,12 @@ fn jobs4_output_is_byte_identical_to_serial() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs `<bench> --quick` with the wall-clock fields zeroed
-/// (`LSDGNN_OMIT_TIMING`), returning stdout (artifact path masked) and
+/// Runs `<bench> --quick`, returning stdout (artifact path masked) and
 /// the artifact.
 fn run_bench(bench: &str, jobs: &str, seed: &str, out: &Path) -> (String, String) {
     let cmd = Command::new(env!("CARGO_BIN_EXE_lsdgnn-bench"))
         .args([bench, "--quick", "--jobs", jobs, "--seed", seed, "--out"])
         .arg(out)
-        .env("LSDGNN_OMIT_TIMING", "1")
         .output()
         .expect("spawn bench binary");
     assert!(
@@ -82,10 +80,10 @@ fn run_bench(bench: &str, jobs: &str, seed: &str, out: &Path) -> (String, String
     (stdout, artifact)
 }
 
-/// A seeded serving bench is a pure function of `(seed, config)` once its
-/// wall-clock fields are zeroed — plans, traces, permutations, verdicts,
-/// counters and digests never depend on scheduling — so stdout and the
-/// artifact must be byte-identical across `--jobs 1` and `--jobs 4`. The
+/// A seeded serving bench reads no clock: plans, traces, permutations,
+/// verdicts, counters and digests are a pure function of `(seed,
+/// --quick)` and never depend on scheduling, so stdout and the artifact
+/// must be byte-identical across `--jobs 1` and `--jobs 4`. The
 /// artifact must carry every one of `markers` (its own exact gates), and
 /// where the seed drives the measured stream (`seed_is_identity`) a
 /// different seed must change it.

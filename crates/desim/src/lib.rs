@@ -8,8 +8,8 @@
 //! primitives hardware simulation needs — bounded FIFOs with
 //! back-pressure accounting, bandwidth-serialized resources,
 //! fixed-latency pipes and time-weighted statistics. The original
-//! heap-based kernel is preserved in [`reference`] as the differential
-//! -testing model and benchmark baseline.
+//! heap-based kernel survives only as the differential-testing model of
+//! `tests/proptests.rs` (`tests/reference/`); it is not part of this API.
 //!
 //! Time is an opaque tick count. Hardware crates interpret one tick as one
 //! picosecond so that clocks of different frequencies (250 MHz logic,
@@ -36,7 +36,6 @@ pub mod arbiter;
 pub mod arena;
 pub mod calendar;
 pub mod fifo;
-pub mod reference;
 pub mod resource;
 pub mod rng;
 pub mod sim;
@@ -46,7 +45,6 @@ pub mod time;
 pub use arbiter::RoundRobinArbiter;
 pub use arena::EventHandle;
 pub use fifo::{Fifo, FifoStats};
-pub use reference::ReferenceSimulation;
 pub use resource::{BandwidthResource, BandwidthStats, LatencyPipe, Server, ServerStats};
 pub use rng::DetRng;
 pub use sim::Simulation;

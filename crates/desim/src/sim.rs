@@ -21,9 +21,9 @@ const TRACE_SAMPLE_EVERY: u64 = 1024;
 /// overflow heap (see [`calendar`](crate::calendar)), and closures live
 /// in a slab arena with inline storage for small captures (see
 /// [`arena`](crate::arena)) — `schedule` → fire is allocation-free in
-/// steady state. The pre-optimization heap kernel survives as
-/// [`reference::ReferenceSimulation`](crate::reference::ReferenceSimulation),
-/// the differential-test model.
+/// steady state. The pre-optimization heap kernel survives as the
+/// differential-test model of `tests/proptests.rs`
+/// (`tests/reference/mod.rs`).
 ///
 /// # Example
 ///

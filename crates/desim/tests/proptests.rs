@@ -2,8 +2,11 @@
 //! including the differential test that replays random event programs
 //! on the calendar-queue kernel and the heap-based reference kernel.
 
-use lsdgnn_desim::{BandwidthResource, DetRng, ReferenceSimulation, Server, Simulation, Time};
+mod reference;
+
+use lsdgnn_desim::{BandwidthResource, DetRng, Server, Simulation, Time};
 use proptest::prelude::*;
+use reference::ReferenceSimulation;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -120,7 +123,7 @@ impl Kernel for Simulation {
 }
 
 impl Kernel for ReferenceSimulation {
-    type Handle = lsdgnn_desim::reference::ReferenceHandle;
+    type Handle = reference::ReferenceHandle;
     fn schedule_logged(
         &mut self,
         delay: Time,

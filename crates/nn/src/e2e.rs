@@ -159,11 +159,13 @@ impl E2eModel {
         storage_bytes as f64 / (self.model_params() * 4) as f64
     }
 
-    /// Re-fits the two rate knobs against a measured serving run
-    /// (`bench inference` → `BENCH_inference.json`): given one batch's
-    /// measured data-plane seconds (sampling + attribute gather) and NN
-    /// compute seconds, back out the effective `sampling_rate` and
-    /// `nn_flops` the host actually delivers for this model's shape.
+    /// Re-fits the two rate knobs against a measured serving run (the
+    /// `benchmark` package's `infer_uniform` traced replay, whose
+    /// `inference.gather_us` / `inference.compute_us` rows split a
+    /// request): given one batch's measured data-plane seconds
+    /// (sampling plus attribute gather) and NN compute seconds, back out
+    /// the effective `sampling_rate` and `nn_flops` the host actually
+    /// delivers for this model's shape.
     /// The shape knobs (`batch_size`, `fanout`, `hops`, `attr_len`)
     /// must already describe the measured workload; the fitted rates
     /// absorb any mismatch between this analytical model's layer stack
@@ -223,8 +225,9 @@ mod tests {
 
     #[test]
     fn calibration_reproduces_measured_serving_split() {
-        // Measured on the serving bench (`bench inference`, sequential
-        // arm, 16-root requests on the 2-partition skewed workload):
+        // Measured once by the serving bench's since-deleted stage
+        // breakdown (sequential arm, 16-root requests on the
+        // 2-partition skewed workload):
         // per-request p50 ≈ 811 µs split ≈ 68.8 % sampling + 17.8 %
         // attribute gather + 13.4 % GNN compute. The analytical model
         // folds gather into the sampling stage (the paper's "sampling"
