@@ -83,4 +83,17 @@ LSDGNN_SCALE=800 LSDGNN_BATCHES=1 cargo run --release -q -p lsdgnn-bench -- fig1
 step_end
 echo "step times, slowest first:"
 printf '%s' "$STEP_TIMES" | sort -rn | sed 's/^\([0-9]*\) /  \1 s  /'
+
+# ROADMAP aim 2's size tally: per file, the lines above its first
+# column-0 `#[cfg(test)]` (the whole file when it has none), summed per
+# crate. Printed for the record; it gates nothing.
+echo "non-test lines:"
+for dir in crates/framework/src crates/bench/src; do
+    lines=$(find "$dir" -name '*.rs' -exec awk '
+        FNR == 1 { cut = 0 }
+        /^#\[cfg\(test\)\]/ { cut = 1 }
+        !cut { n++ }
+        END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')
+    echo "  $lines  $dir"
+done
 echo "CI OK"

@@ -4,7 +4,9 @@
 //! so the batching layer's overhead is tracked in the perf trajectory.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use lsdgnn_core::framework::{AxeBackend, SampleRequest, SamplingBackend, SamplingService};
+use lsdgnn_core::framework::{
+    AxeBackend, SampleRequest, SamplingBackend, SamplingService, ServiceConfig,
+};
 use lsdgnn_core::graph::{generators, AttributeStore, NodeId};
 use std::sync::Arc;
 
@@ -41,7 +43,7 @@ fn bench_direct(c: &mut Criterion) {
 }
 
 fn bench_service(c: &mut Criterion) {
-    let service = SamplingService::with_defaults(Box::new(backend()));
+    let service = SamplingService::start(Box::new(backend()), ServiceConfig::default());
     let mut group = c.benchmark_group("sampling_service");
     for &roots in &BATCH_SIZES {
         group.bench_with_input(BenchmarkId::new("roots", roots), &roots, |bench, &roots| {

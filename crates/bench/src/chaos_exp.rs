@@ -227,11 +227,12 @@ fn run_cell(cell: &Cell, seed: u64, requests: u64, frames: u32) -> CellResult {
     let plan = FaultPlan::build(seed, spec).expect("grid specs are valid");
     let plan_digest = plan.digest();
     let injector = FaultInjector::new(plan.clone());
-    let svc = SamplingService::start_faulted(
+    let svc = SamplingService::start_observed(
         Box::new(ChaosBackend::new(backend(), injector.clone())),
         cell_config(),
         None,
         Some(injector),
+        None,
     );
 
     let replies = serve_stream(&svc, requests);
@@ -292,11 +293,12 @@ fn zero_fault_gate(seed: u64, requests: u64) -> (u64, bool) {
     plain.shutdown();
 
     let injector = FaultInjector::new(FaultPlan::zero(seed));
-    let chaotic = SamplingService::start_faulted(
+    let chaotic = SamplingService::start_observed(
         Box::new(ChaosBackend::new(backend(), injector.clone())),
         cell_config(),
         None,
         Some(injector),
+        None,
     );
     let zeroed = digest_replies(&serve_stream(&chaotic, requests));
     chaotic.shutdown();

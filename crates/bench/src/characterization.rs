@@ -69,10 +69,12 @@ pub fn fig2b(scale_nodes: u64, tel: &mut Telemetry) {
         &[8, 12, 14, 16],
     );
     for partitions in [1u32, 4, 8] {
-        let service = SamplingService::start_traced(
+        let service = SamplingService::start_observed(
             Box::new(CpuBackend::new(&g, &attrs, partitions)),
             ServiceConfig::default(),
             tel.tracer(),
+            None,
+            None,
         );
         let tickets: Vec<_> = (0..16u64)
             .map(|b| {

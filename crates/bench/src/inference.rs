@@ -122,7 +122,7 @@ fn chaos_run(g: &CsrGraph, a: &AttributeStore, nodes: u64) -> (bool, u64, f64, b
     let faulted = |plan: &FaultPlan| {
         let injector = FaultInjector::new(plan.clone());
         let chaos = ChaosBackend::new(backend(g, a), injector.clone());
-        SamplingService::start_faulted(Box::new(chaos), service_cfg(), None, Some(injector))
+        SamplingService::start_observed(Box::new(chaos), service_cfg(), None, Some(injector), None)
     };
 
     let seq = run_sequential(

@@ -68,8 +68,13 @@ pub fn fig14(scale_nodes: u64, batches: u32, tel: &mut Telemetry) {
     ];
     let mut sample_counts = Vec::new();
     for (name, backend) in backends {
-        let service =
-            SamplingService::start_traced(backend, ServiceConfig::default(), tel.tracer());
+        let service = SamplingService::start_observed(
+            backend,
+            ServiceConfig::default(),
+            tel.tracer(),
+            None,
+            None,
+        );
         let tickets: Vec<_> = (0..u64::from(batches) * 4)
             .map(|b| {
                 service.submit(SampleRequest {

@@ -57,7 +57,9 @@ pub use lsdgnn_telemetry as telemetry;
 pub use bridge::QrchAxeBridge;
 
 use lsdgnn_axe::{AccessEngine, AxeConfig, Measurement};
-use lsdgnn_framework::{AxeBackend, CpuClusterModel, SampleRequest, SamplingService};
+use lsdgnn_framework::{
+    AxeBackend, CpuClusterModel, SampleRequest, SamplingService, ServiceConfig,
+};
 use lsdgnn_graph::{AttributeStore, CsrGraph, DatasetConfig, FootprintModel, NodeId};
 use std::sync::Arc;
 
@@ -127,10 +129,13 @@ impl PocSystem {
     /// [`SamplingService`] fed by an [`AxeBackend`]. Swapping the boxed
     /// backend for a `CpuBackend` is the one-line CPU-vs-AxE switch.
     pub fn serving_stack(&self) -> SamplingService {
-        SamplingService::with_defaults(Box::new(AxeBackend::new(
-            Arc::new(self.graph.clone()),
-            Arc::new(self.attributes.clone()),
-        )))
+        SamplingService::start(
+            Box::new(AxeBackend::new(
+                Arc::new(self.graph.clone()),
+                Arc::new(self.attributes.clone()),
+            )),
+            ServiceConfig::default(),
+        )
     }
 
     /// Runs the Figure 14 comparison: AxE throughput versus the per-vCPU

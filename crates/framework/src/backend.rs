@@ -3,12 +3,16 @@
 //!
 //! The paper's near-transparent offload story only works if the framework
 //! talks to *an interface* rather than a device: the AliGraph CPU cluster
-//! ([`CpuBackend`]), the Access Engine ([`AxeBackend`], see
-//! `crate::offload`), and the system-level hot-node cache
-//! ([`CachedBackend`]) all serve the same four verbs — sample, gather,
-//! report, flush. [`crate::service::SamplingService`] then batches and
-//! schedules over any of them, so a CPU-vs-AxE comparison is a one-line
-//! backend swap.
+//! ([`CpuBackend`]) and the Access Engine ([`AxeBackend`], see
+//! `crate::offload`) serve the same verbs — sample (one request, a
+//! batch, fallibly, or with shards excluded), gather attributes, report
+//! stats and cache counters, flush. The system-level hot-node cache of
+//! the paper's Tech-4 has one home: the cluster's inline
+//! [`crate::hot_cache::HotSetCache`], mounted with
+//! [`CpuBackend::from_partitioned_cached`]. The fault injector
+//! (`crate::chaos_backend`) is the one decorator.
+//! [`crate::service::SamplingService`] then batches and schedules over
+//! any of them, so a CPU-vs-AxE comparison is a one-line backend swap.
 //!
 //! The primary sampling verb is [`SamplingBackend::sample_block`],
 //! returning the flat [`SampleBlock`] the zero-copy data plane produces;
@@ -25,7 +29,7 @@
 //! `integration_backend_parity` test pins down.
 
 use crate::cluster::{Cluster, RequestStats, WireConfig, WireSnapshot};
-use crate::hot_cache::{AttrTier, CacheConfig, CacheSnapshot, ShardedTier};
+use crate::hot_cache::{CacheConfig, CacheSnapshot};
 use lsdgnn_graph::{AttributeStore, CsrGraph, NodeId, PartitionedGraph};
 use lsdgnn_sampler::{SampleBatch, SampleBlock};
 use lsdgnn_telemetry::ledger::{self, Stage, NO_SHARD};
@@ -212,8 +216,8 @@ pub trait SamplingBackend: Send + Sync {
     }
 
     /// Hot-set cache counters, when a cache sits on this backend's data
-    /// plane (`None` for uncached backends). Decorators forward to their
-    /// inner backend's tiers where they have none of their own.
+    /// plane (`None` for uncached backends). The chaos decorator forwards
+    /// its inner backend's.
     fn cache_snapshot(&self) -> Option<CacheSnapshot> {
         None
     }
@@ -446,204 +450,6 @@ impl SamplingBackend for CpuBackend {
     }
 }
 
-/// A decorator folding a framework-level attribute tier in front of any
-/// backend's attribute path (the paper's Tech-4 premise: system-level
-/// caching lives in the framework, not the hardware). The tier is the
-/// same sharded [`AttrTier`] the cluster's inline cache uses — no global
-/// lock around the whole cache.
-pub struct CachedBackend {
-    inner: Box<dyn SamplingBackend>,
-    tier: AttrTier,
-    attr_len: usize,
-}
-
-impl std::fmt::Debug for CachedBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachedBackend")
-            .field("attr_len", &self.attr_len)
-            .finish()
-    }
-}
-
-impl CachedBackend {
-    /// Wraps `inner`, caching up to `capacity` attribute vectors of
-    /// `attr_len` floats each.
-    pub fn new(inner: Box<dyn SamplingBackend>, capacity: usize, attr_len: usize) -> Self {
-        CachedBackend {
-            inner,
-            tier: ShardedTier::new(capacity, 16, true),
-            attr_len,
-        }
-    }
-
-    /// Attribute-cache hit rate so far.
-    pub fn hit_rate(&self) -> f64 {
-        self.tier.hit_rate()
-    }
-
-    /// Rebuilds the decorator over a relabeled inner backend, carrying
-    /// the warm cache across the reorder: every cached key is rewritten
-    /// through `map` (old id → new id), and keys the map drops are
-    /// invalidated. Without this step a cache warmed on the old labeling
-    /// would serve node `k`'s attributes for whatever node now holds id
-    /// `k` — the correctness hazard the relabeling regression test pins.
-    pub fn into_reordered(
-        self,
-        inner: Box<dyn SamplingBackend>,
-        map: impl FnMut(NodeId) -> Option<NodeId>,
-    ) -> Self {
-        self.tier.rekey(map);
-        CachedBackend {
-            inner,
-            tier: self.tier,
-            attr_len: self.attr_len,
-        }
-    }
-}
-
-impl SamplingBackend for CachedBackend {
-    fn sample_block(&self, req: &SampleRequest) -> SampleBlock {
-        // Structure traversal bypasses the cache: batch-random frontier
-        // expansion sees ~zero temporal reuse (Tech-4 measurement in
-        // `hot_cache`); only attribute gathers are worth caching.
-        self.inner.sample_block(req)
-    }
-
-    fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleBlock> {
-        self.inner.sample_many(reqs)
-    }
-
-    fn recycle(&self, block: SampleBlock) {
-        self.inner.recycle(block);
-    }
-
-    fn gather_attributes(&self, nodes: &[NodeId]) -> Vec<f32> {
-        let mut out = vec![0.0f32; nodes.len() * self.attr_len];
-        // Serve hits; collect each missing node once, in first-appearance
-        // order (the dedup the cluster path also applies).
-        let mut missing: Vec<NodeId> = Vec::new();
-        let mut miss_slots: Vec<(usize, usize)> = Vec::new(); // (out row, missing idx)
-        for (i, &v) in nodes.iter().enumerate() {
-            if !self
-                .tier
-                .copy_to(v, &mut out[i * self.attr_len..(i + 1) * self.attr_len])
-            {
-                let idx = match missing.iter().position(|&m| m == v) {
-                    Some(idx) => idx,
-                    None => {
-                        missing.push(v);
-                        missing.len() - 1
-                    }
-                };
-                miss_slots.push((i, idx));
-            }
-        }
-        if !missing.is_empty() {
-            let fetched = self.inner.gather_attributes(&missing);
-            for (row, idx) in miss_slots {
-                out[row * self.attr_len..(row + 1) * self.attr_len]
-                    .copy_from_slice(&fetched[idx * self.attr_len..(idx + 1) * self.attr_len]);
-            }
-            for (idx, &v) in missing.iter().enumerate() {
-                self.tier
-                    .admit(v, &fetched[idx * self.attr_len..(idx + 1) * self.attr_len]);
-            }
-        }
-        out
-    }
-
-    fn gather_attr_rows(
-        &self,
-        nodes: &[NodeId],
-        rows: &mut Vec<f32>,
-        slot_of: &mut Vec<u32>,
-    ) -> usize {
-        let mut index: std::collections::HashMap<NodeId, u32> = std::collections::HashMap::new();
-        let mut unique: Vec<NodeId> = Vec::new();
-        slot_of.clear();
-        slot_of.reserve(nodes.len());
-        for &v in nodes {
-            let slot = *index.entry(v).or_insert_with(|| {
-                unique.push(v);
-                (unique.len() - 1) as u32
-            });
-            slot_of.push(slot);
-        }
-        // Serve hits row-natively; fetch each miss once through the inner
-        // backend, then remember it.
-        rows.clear();
-        rows.resize(unique.len() * self.attr_len, 0.0);
-        let mut missing: Vec<NodeId> = Vec::new();
-        let mut miss_rows: Vec<usize> = Vec::new();
-        for (i, &v) in unique.iter().enumerate() {
-            if !self
-                .tier
-                .copy_to(v, &mut rows[i * self.attr_len..(i + 1) * self.attr_len])
-            {
-                missing.push(v);
-                miss_rows.push(i);
-            }
-        }
-        if !missing.is_empty() {
-            let fetched = self.inner.gather_attributes(&missing);
-            for (j, &i) in miss_rows.iter().enumerate() {
-                rows[i * self.attr_len..(i + 1) * self.attr_len]
-                    .copy_from_slice(&fetched[j * self.attr_len..(j + 1) * self.attr_len]);
-            }
-            for (j, &v) in missing.iter().enumerate() {
-                self.tier
-                    .admit(v, &fetched[j * self.attr_len..(j + 1) * self.attr_len]);
-            }
-        }
-        self.attr_len
-    }
-
-    fn stats(&self) -> RequestStats {
-        self.inner.stats()
-    }
-
-    fn flush(&self) {
-        // Release cached entries in place — O(occupied), every slot
-        // buffer retained for the refill — and flush whatever is
-        // underneath. (The old implementation rebuilt a whole new cache
-        // under its global lock.)
-        self.tier.clear();
-        self.inner.flush();
-    }
-
-    // Degradation verbs pass straight through: the cache sits only on the
-    // attribute path, shard structure and faults belong to the inner
-    // backend.
-    fn try_sample(&self, req: &SampleRequest, attempt: u32) -> Result<SampleOutcome, BackendError> {
-        self.inner.try_sample(req, attempt)
-    }
-
-    fn sample_excluding(&self, req: &SampleRequest, excluded: &[u32]) -> SampleOutcome {
-        self.inner.sample_excluding(req, excluded)
-    }
-
-    fn fail_shard(&self, shard: u32) -> bool {
-        self.inner.fail_shard(shard)
-    }
-
-    fn shards(&self) -> u32 {
-        self.inner.shards()
-    }
-
-    fn cache_snapshot(&self) -> Option<CacheSnapshot> {
-        // The decorator owns the attribute tier; a neighbor tier can only
-        // come from an inline cluster cache underneath.
-        Some(CacheSnapshot {
-            neigh: self.inner.cache_snapshot().and_then(|s| s.neigh),
-            attr: Some(self.tier.snapshot()),
-        })
-    }
-
-    fn defer_attr_fetch(&self) {
-        self.inner.defer_attr_fetch();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,6 +471,18 @@ mod tests {
         }
     }
 
+    /// A 2-way cluster with the inline hot-set cache mounted.
+    fn cached(g: &CsrGraph, a: &AttributeStore) -> CpuBackend {
+        let pg = PartitionedGraph::new(g.clone(), 2).with_attributes(a.clone());
+        CpuBackend::from_partitioned_cached(pg, CacheConfig::with_capacity(64))
+    }
+
+    fn attr_tier(b: &CpuBackend) -> crate::hot_cache::TierSnapshot {
+        b.cache_snapshot()
+            .and_then(|s| s.attr)
+            .expect("attr tier on")
+    }
+
     #[test]
     fn cpu_backend_is_deterministic_per_seed() {
         let (g, a) = setup();
@@ -677,24 +495,32 @@ mod tests {
     fn cached_backend_preserves_attribute_values() {
         let (g, a) = setup();
         let plain = CpuBackend::new(&g, &a, 2);
-        let cached = CachedBackend::new(Box::new(CpuBackend::new(&g, &a, 2)), 64, a.attr_len());
-        // Repeated nodes: second pass should hit the cache, values equal.
+        let cached = cached(&g, &a);
+        // Repeated nodes: each distinct remote row misses on the first
+        // pass and hits on the second, values equal both times.
         let nodes: Vec<NodeId> = (0..40).map(|i| NodeId(i % 7)).collect();
         let want = plain.gather_attributes(&nodes);
         assert_eq!(cached.gather_attributes(&nodes), want);
         assert_eq!(cached.gather_attributes(&nodes), want);
-        assert!(cached.hit_rate() > 0.4, "hit rate {}", cached.hit_rate());
+        let attr = attr_tier(&cached);
+        assert!(attr.hits > 0, "second pass must hit");
+        assert_eq!(attr.hits, attr.misses);
     }
 
     #[test]
     fn cached_backend_delegates_sampling_unchanged() {
         let (g, a) = setup();
         let plain = CpuBackend::new(&g, &a, 2);
-        let cached = CachedBackend::new(Box::new(CpuBackend::new(&g, &a, 2)), 64, a.attr_len());
-        assert_eq!(
-            plain.sample_neighbors(&req(9)),
-            cached.sample_neighbors(&req(9))
-        );
+        let cached = cached(&g, &a);
+        // Cold, then warm through the neighbor tier: the same batch.
+        let want = plain.sample_neighbors(&req(9));
+        assert_eq!(cached.sample_neighbors(&req(9)), want);
+        assert_eq!(cached.sample_neighbors(&req(9)), want);
+        let neigh = cached
+            .cache_snapshot()
+            .and_then(|s| s.neigh)
+            .expect("neigh tier on");
+        assert!(neigh.hits > 0, "the warm pass must hit tier N");
     }
 
     #[test]
@@ -782,9 +608,9 @@ mod tests {
             );
         }
 
-        // The cached decorator's row-native path answers identically,
-        // cold and warm.
-        let cached = CachedBackend::new(Box::new(CpuBackend::new(&g, &a, 2)), 64, a.attr_len());
+        // The inline cache's row-native path answers identically, cold
+        // and warm.
+        let cached = cached(&g, &a);
         for pass in 0..2 {
             let mut crows = Vec::new();
             let mut cslots = Vec::new();
@@ -795,7 +621,7 @@ mod tests {
             assert_eq!(crows, rows, "pass {pass}");
             assert_eq!(cslots, slot_of, "pass {pass}");
         }
-        assert!(cached.hit_rate() > 0.0, "second pass must hit");
+        assert!(attr_tier(&cached).hits > 0, "second pass must hit");
     }
 
     #[test]

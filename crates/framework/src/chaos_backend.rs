@@ -81,6 +81,12 @@ impl SamplingBackend for ChaosBackend {
         self.inner.sample_block(req)
     }
 
+    /// The batched dispatch a zero-fault service takes: forwarded whole,
+    /// so the inner backend coalesces across the batch as it would bare.
+    fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleBlock> {
+        self.inner.sample_many(reqs)
+    }
+
     fn recycle(&self, block: SampleBlock) {
         self.inner.recycle(block);
     }
@@ -205,6 +211,22 @@ mod tests {
             assert_eq!(outcome.block, bare.sample_block(&req(s)));
         }
         assert_eq!(wrapped.injector().stats().requests_dropped, 0);
+    }
+
+    #[test]
+    fn zero_fault_batch_coalesces_like_the_bare_backend() {
+        // Four overlapping requests (the same roots, different seeds):
+        // a batch dispatch over the chaos wrapper must reach the inner
+        // backend's coalescing path, not run one request at a time.
+        let bare = cpu();
+        let wrapped = chaos(ScenarioSpec::none());
+        let reqs: Vec<SampleRequest> = (0..4).map(req).collect();
+        let refs: Vec<&SampleRequest> = reqs.iter().collect();
+        assert_eq!(wrapped.sample_many(&refs), bare.sample_many(&refs));
+        let (w, b) = (wrapped.stats(), bare.stats());
+        assert_eq!(w.remote_requests, b.remote_requests);
+        assert_eq!(w.coalesce_hits, b.coalesce_hits);
+        assert!(b.coalesce_hits > 0, "overlapping frontiers must coalesce");
     }
 
     #[test]

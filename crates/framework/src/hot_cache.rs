@@ -13,9 +13,9 @@
 //!   only from span *lengths* — and every downstream digest are
 //!   untouched. Caching structure is safe precisely because the cache
 //!   stores the truth, not an approximation of it.
-//! * **Tier A** ([`AttrTier`]) caches remote **attribute rows**, subsuming
-//!   the old `HotNodeCache` that [`crate::backend::CachedBackend`] kept
-//!   behind one global lock.
+//! * **Tier A** ([`AttrTier`]) caches remote **attribute rows** — only
+//!   remote ones: a local row is already a memory read. It is the
+//!   framework's one attribute cache.
 //!
 //! Both tiers are a [`ShardedTier`]: segments selected by node hash, each
 //! behind its own small `Mutex`, so concurrent service workers contend
@@ -499,11 +499,6 @@ impl<T: Copy> ShardedTier<T> {
     /// must not move this counter.
     pub fn data_allocs(&self) -> u64 {
         self.counters.data_allocs.load(Ordering::Relaxed)
-    }
-
-    /// Hit rate over all lookups so far.
-    pub fn hit_rate(&self) -> f64 {
-        self.snapshot().hit_rate()
     }
 
     /// Counter snapshot.
@@ -1008,9 +1003,9 @@ mod tests {
             }
         }
         assert!(
-            c.hit_rate() < 0.01,
+            c.snapshot().hit_rate() < 0.01,
             "uniform sampling hit rate {} should be ~0",
-            c.hit_rate()
+            c.snapshot().hit_rate()
         );
     }
 
@@ -1031,9 +1026,9 @@ mod tests {
             }
         }
         assert!(
-            c.hit_rate() > 0.6,
+            c.snapshot().hit_rate() > 0.6,
             "hub-skewed hit rate {} should be high",
-            c.hit_rate()
+            c.snapshot().hit_rate()
         );
     }
 

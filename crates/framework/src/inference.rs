@@ -546,13 +546,14 @@ pub fn run_sequential(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CachedBackend, CpuBackend, SamplingBackend};
+    use crate::backend::{CpuBackend, SamplingBackend};
     use crate::chaos_backend::ChaosBackend;
+    use crate::hot_cache::CacheConfig;
     use crate::obs::Observability;
     use crate::service::tests::gated;
     use crate::service::ServiceConfig;
     use lsdgnn_chaos::{FaultInjector, FaultPlan, ScenarioSpec};
-    use lsdgnn_graph::{generators, AttributeStore, NodeId};
+    use lsdgnn_graph::{generators, AttributeStore, NodeId, PartitionedGraph};
     use lsdgnn_telemetry::Registry;
 
     const ATTR_LEN: usize = 8;
@@ -561,6 +562,17 @@ mod tests {
         let g = generators::power_law(500, 8, 31);
         let a = AttributeStore::synthetic(500, ATTR_LEN, 31);
         Box::new(CpuBackend::new(&g, &a, parts))
+    }
+
+    /// The same cluster with the inline hot-set cache mounted.
+    fn cached_backend(parts: u32, capacity: usize) -> Box<dyn SamplingBackend> {
+        let g = generators::power_law(500, 8, 31);
+        let a = AttributeStore::synthetic(500, ATTR_LEN, 31);
+        let pg = PartitionedGraph::new(g, parts).with_attributes(a);
+        Box::new(CpuBackend::from_partitioned_cached(
+            pg,
+            CacheConfig::with_capacity(capacity),
+        ))
     }
 
     fn model() -> SageModel {
@@ -620,7 +632,13 @@ mod tests {
             let chaos = ChaosBackend::new(backend(2), injector.clone());
             // workers: 1 keeps breaker state in request order, so the
             // sequential arm sees identical degradation decisions.
-            SamplingService::start_faulted(Box::new(chaos), service_cfg(1), None, Some(injector))
+            SamplingService::start_observed(
+                Box::new(chaos),
+                service_cfg(1),
+                None,
+                Some(injector),
+                None,
+            )
         };
         let pipe = InferenceService::start(make(), model(), InferenceConfig::default());
         let tickets: Vec<InferenceTicket> = (0..16).map(|s| pipe.submit(req(s))).collect();
@@ -647,9 +665,8 @@ mod tests {
 
     #[test]
     fn cached_backend_serves_identical_embeddings() {
-        let cached = CachedBackend::new(backend(2), 128, ATTR_LEN);
         let pipe = InferenceService::start(
-            SamplingService::start(Box::new(cached), service_cfg(2)),
+            SamplingService::start(cached_backend(2, 128), service_cfg(2)),
             model(),
             InferenceConfig::default(),
         );

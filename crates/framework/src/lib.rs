@@ -10,10 +10,10 @@
 //!   Figure 2(b)/(c) characterization.
 //! * [`backend`] — the hardware-abstraction layer: the
 //!   [`SamplingBackend`] trait plus its implementations — `CpuBackend`
-//!   (the cluster), `AxeBackend` (the Access Engine, in [`offload`]) and
-//!   the `CachedBackend` decorator folding a [`hot_cache`] attribute tier
-//!   in front of any of them; the cluster itself can mount the full
-//!   two-tier [`hot_cache::HotSetCache`] inline on its remote data plane.
+//!   (the cluster) and `AxeBackend` (the Access Engine, in [`offload`]).
+//!   The framework's one cache is the two-tier
+//!   [`hot_cache::HotSetCache`] the cluster mounts inline on its remote
+//!   data plane (`CpuBackend::from_partitioned_cached`).
 //! * [`service`] — the batched, backpressured [`SamplingService`]:
 //!   worker shards coalescing `SampleRequest`s from a bounded queue into
 //!   deadline-bounded batches, with queue/batch/latency histograms.
@@ -27,14 +27,15 @@
 //! # Example
 //!
 //! ```
-//! use lsdgnn_framework::{CpuBackend, SampleRequest, SamplingService};
+//! use lsdgnn_framework::{CpuBackend, SampleRequest, SamplingService, ServiceConfig};
 //! use lsdgnn_graph::{generators, AttributeStore, NodeId};
 //!
 //! let g = generators::power_law(500, 8, 1);
 //! let attrs = AttributeStore::synthetic(500, 16, 1);
 //! // The one-line backend choice: swap CpuBackend for AxeBackend and
 //! // the rest of this snippet is unchanged.
-//! let service = SamplingService::with_defaults(Box::new(CpuBackend::new(&g, &attrs, 4)));
+//! let backend = CpuBackend::new(&g, &attrs, 4);
+//! let service = SamplingService::start(Box::new(backend), ServiceConfig::default());
 //! let batch = service.sample(SampleRequest {
 //!     roots: vec![NodeId(1), NodeId(2)],
 //!     hops: 2,
@@ -66,9 +67,7 @@ pub use admission::{
     ClassCounters, Priority, RejectReason, ShapedRequest, ShapedService, SubmitVerdict,
     TenantConfig, TokenBucket, Verdict, CLASSES,
 };
-pub use backend::{
-    BackendError, CachedBackend, CpuBackend, SampleOutcome, SampleRequest, SamplingBackend,
-};
+pub use backend::{BackendError, CpuBackend, SampleOutcome, SampleRequest, SamplingBackend};
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use chaos_backend::ChaosBackend;
 pub use cluster::{

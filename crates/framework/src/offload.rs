@@ -1,9 +1,10 @@
 //! The near-transparent user interface of §5: one Graph-Learn-style
 //! session whose sampling calls route through the
 //! [`SamplingService`] over any [`SamplingBackend`] — the AliGraph CPU
-//! cluster, the Access Engine, or a cache-decorated variant. Swapping
-//! hardware is a one-line backend change; results are identical because
-//! backends share the per-request-seed determinism contract.
+//! cluster (with or without its inline hot-set cache) or the Access
+//! Engine. Swapping hardware is a one-line backend change; results are
+//! identical because backends share the per-request-seed determinism
+//! contract.
 
 use crate::backend::{CpuBackend, SampleRequest, SamplingBackend};
 use crate::cluster::RequestStats;
@@ -171,8 +172,8 @@ impl GraphLearnSession {
         )
     }
 
-    /// Opens a session over an arbitrary backend (e.g. a
-    /// [`crate::backend::CachedBackend`] decorator), sharing graph data
+    /// Opens a session over an arbitrary backend (e.g. a cluster built
+    /// with [`CpuBackend::from_partitioned_cached`]), sharing graph data
     /// by reference count.
     pub fn with_backend(
         graph: Arc<CsrGraph>,
@@ -256,8 +257,8 @@ impl GraphLearnSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::CachedBackend;
-    use lsdgnn_graph::generators;
+    use crate::hot_cache::CacheConfig;
+    use lsdgnn_graph::{generators, PartitionedGraph};
 
     fn setup() -> (CsrGraph, AttributeStore) {
         let g = generators::power_law(600, 8, 70);
@@ -310,18 +311,17 @@ mod tests {
     #[test]
     fn custom_cached_backend_plugs_into_the_session() {
         let (g, a) = setup();
-        let graph = Arc::new(g.clone());
-        let attrs = Arc::new(a.clone());
-        let cached = CachedBackend::new(
-            Box::new(AxeBackend::new(graph.clone(), attrs.clone())),
-            128,
-            a.attr_len(),
-        );
-        let mut s = GraphLearnSession::with_backend(graph, attrs, Box::new(cached), 4);
+        let pg = PartitionedGraph::new(g.clone(), 4).with_attributes(a.clone());
+        let cached = CpuBackend::from_partitioned_cached(pg, CacheConfig::with_capacity(128));
+        let mut s =
+            GraphLearnSession::with_backend(Arc::new(g), Arc::new(a.clone()), Box::new(cached), 4);
         let batch = s.sample(&(0..8).map(NodeId).collect::<Vec<_>>(), 1, 5);
         let fetch = batch.attr_fetch_list();
         let first = s.node_attributes(&fetch);
+        assert_eq!(first, a.gather(&fetch));
         assert_eq!(s.node_attributes(&fetch), first); // cache round trip
+        let attr = s.stats().cache.and_then(|c| c.attr).expect("attr tier on");
+        assert!(attr.hits > 0, "the second gather must hit the tier");
         s.close();
     }
 

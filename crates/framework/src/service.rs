@@ -14,7 +14,7 @@
 //!
 //! # Graceful degradation
 //!
-//! Started with a [`FaultInjector`] ([`SamplingService::start_faulted`]),
+//! Started with a [`FaultInjector`] ([`SamplingService::start_observed`]),
 //! the service serves each request through the fallible
 //! [`SamplingBackend::try_sample`] path behind a ladder of defenses:
 //! bounded retries with exponential backoff and deterministic jitter, a
@@ -758,54 +758,27 @@ impl SamplingService {
     ///
     /// Panics if `workers`, `queue_capacity` or `max_batch` is zero.
     pub fn start(backend: Box<dyn SamplingBackend>, config: ServiceConfig) -> Self {
-        Self::start_faulted(backend, config, None, None)
+        Self::start_observed(backend, config, None, None, None)
     }
 
-    /// Like [`SamplingService::start`], but records wall-clock
-    /// `service`-category spans into `tracer`: one `dispatch` span per
-    /// backend call and one `request` span per submit→reply lifecycle,
-    /// on the shard's thread track.
+    /// The instrumented entry point: [`SamplingService::start`] plus
+    /// three optional attachments, each `None` in `start`.
     ///
-    /// # Panics
-    ///
-    /// Panics if `workers`, `queue_capacity` or `max_batch` is zero.
-    pub fn start_traced(
-        backend: Box<dyn SamplingBackend>,
-        config: ServiceConfig,
-        tracer: Option<Tracer>,
-    ) -> Self {
-        Self::start_faulted(backend, config, tracer, None)
-    }
-
-    /// The chaos entry point: like [`SamplingService::start_traced`] but
-    /// with a [`FaultInjector`] whose plan schedules worker panics and
-    /// queue stalls at the service layer and whose counters receive the
-    /// degraded/exact reply tallies. A zero-fault plan leaves the exact
-    /// batched dispatch path untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers`, `queue_capacity` or `max_batch` is zero.
-    pub fn start_faulted(
-        backend: Box<dyn SamplingBackend>,
-        config: ServiceConfig,
-        tracer: Option<Tracer>,
-        injector: Option<FaultInjector>,
-    ) -> Self {
-        Self::start_observed(backend, config, tracer, injector, None)
-    }
-
-    /// The fully-instrumented entry point: [`SamplingService::start_faulted`]
-    /// plus an optional [`Observability`] bundle. With one installed,
-    /// every request gets a ledger trace id and the shards record
-    /// enqueue/admission/dispatch/degradation events with queue-wait vs
-    /// service-time split; without one (`None`, what every other
-    /// constructor passes) the service runs the exact code path it
-    /// always had.
-    ///
-    /// When a chaos injector with a non-trivial plan is also installed,
-    /// the ledger is correlated with the plan's seed and digest so
-    /// flight dumps name the replay coordinates.
+    /// * `tracer` records wall-clock `service`-category spans: one
+    ///   `dispatch` span per backend call and one `request` span per
+    ///   submit→reply lifecycle, on the shard's thread track.
+    /// * `injector` is the chaos entry point: a [`FaultInjector`] whose
+    ///   plan schedules worker panics and queue stalls at the service
+    ///   layer and whose counters receive the degraded/exact reply
+    ///   tallies. A zero-fault plan leaves the exact batched dispatch
+    ///   path untouched.
+    /// * `obs` is an [`Observability`] bundle: every request gets a
+    ///   ledger trace id and the shards record
+    ///   enqueue/admission/dispatch/degradation events with queue-wait vs
+    ///   service-time split; without one the service runs the exact code
+    ///   path it always had. When a chaos injector with a non-trivial
+    ///   plan is also installed, the ledger is correlated with the plan's
+    ///   seed and digest so flight dumps name the replay coordinates.
     ///
     /// # Panics
     ///
@@ -868,11 +841,6 @@ impl SamplingService {
             injector,
             obs,
         }
-    }
-
-    /// Starts the service with default tuning.
-    pub fn with_defaults(backend: Box<dyn SamplingBackend>) -> Self {
-        Self::start(backend, ServiceConfig::default())
     }
 
     /// The service configuration.
@@ -1106,7 +1074,7 @@ pub(crate) mod tests {
         let plan = FaultPlan::build(7, spec).unwrap();
         let injector = FaultInjector::new(plan);
         let backend = ChaosBackend::new(Box::new(CpuBackend::new(&g, &a, 4)), injector.clone());
-        SamplingService::start_faulted(Box::new(backend), config, None, Some(injector))
+        SamplingService::start_observed(Box::new(backend), config, None, Some(injector), None)
     }
 
     #[test]
@@ -1416,10 +1384,12 @@ pub(crate) mod tests {
         let g = generators::power_law(300, 8, 33);
         let a = AttributeStore::synthetic(300, 8, 33);
         let tracer = Tracer::new();
-        let svc = SamplingService::start_traced(
+        let svc = SamplingService::start_observed(
             Box::new(CpuBackend::new(&g, &a, 2)),
             ServiceConfig::default(),
             Some(tracer.clone()),
+            None,
+            None,
         );
         for s in 0..3 {
             svc.sample(req(s));

@@ -189,9 +189,9 @@ fn warm_cache_survives_partition_kill_without_degrading() {
 
 #[test]
 fn stale_tier_keys_serve_wrong_rows_and_rekey_fixes_it() {
-    // The tier-level twin of the CachedBackend rekey pin: warm the
-    // attribute tier under the old labeling, scramble the graph, and
-    // read under new labels.
+    // The relabeling hazard, pinned on the tier: warm the attribute
+    // tier under the old labeling, scramble the graph, and read under
+    // new labels.
     let pg0 = pg(11, 2);
     let (pg1, perm) = pg0.reorder(ReorderPolicy::Random { seed: 3 });
     let store1 = pg1.attributes().expect("attrs");

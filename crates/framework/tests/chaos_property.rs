@@ -56,7 +56,7 @@ proptest! {
         }
         let plan = FaultPlan::build(seed, spec).expect("generated specs are valid");
         let injector = FaultInjector::new(plan);
-        let svc = SamplingService::start_faulted(
+        let svc = SamplingService::start_observed(
             Box::new(ChaosBackend::new(backend(), injector.clone())),
             ServiceConfig {
                 workers: 2,
@@ -72,6 +72,7 @@ proptest! {
             },
             None,
             Some(injector),
+            None,
         );
         let reference = backend();
 

@@ -9,8 +9,9 @@
 //! graphs, partition counts, request shapes and shard-fault masks the
 //! plane (coalesced frontiers, pooled arenas, zero-copy local reads)
 //! must answer with byte-identical samples — solo, batch-coalesced,
-//! cache-wrapped, and under chaos-injected card failures, where the
-//! degradation verdict (`degraded`, `unreachable`) must agree as well —
+//! through the inline hot-set cache (cold and warm), and under
+//! chaos-injected card failures, where the degradation verdict
+//! (`degraded`, `unreachable`) must agree as well —
 //! and its gather must equal the attribute store's rows with the masked
 //! owners' rows zeroed.
 //!
@@ -20,7 +21,7 @@
 
 use lsdgnn_chaos::{FaultInjector, FaultPlan, ScenarioSpec};
 use lsdgnn_framework::{
-    CachedBackend, ChaosBackend, CpuBackend, SampleOutcome, SampleRequest, SamplingBackend,
+    CacheConfig, ChaosBackend, CpuBackend, SampleOutcome, SampleRequest, SamplingBackend,
 };
 use lsdgnn_graph::{generators, AttributeStore, CsrGraph, GraphBuilder, NodeId, PartitionedGraph};
 use lsdgnn_sampler::{MultiHopSampler, SampleBlock, StreamingSampler};
@@ -161,10 +162,18 @@ proptest! {
         prop_assert_eq!(&expanded, &a.gather(&nodes), "row-form gather diverges");
         prop_assert_eq!(&plane.gather_attributes(&nodes), &expanded);
 
-        // Decorated: the hot-node cache and the chaos layer sit above
-        // the data plane, so wrapping it must change nothing.
-        let cached = CachedBackend::new(Box::new(CpuBackend::new(&g, &a, partitions)), 64, ATTR_LEN);
-        prop_assert_eq!(&cached.sample_block(&req), &oracle(&pg, &req, &[]).block);
+        // Cached: the inline hot-set cache serves the truth, so a cold
+        // and a warm pass (tier-N spans, tier-A rows) answer alike.
+        let cached = CpuBackend::from_partitioned_cached(
+            PartitionedGraph::new(g.clone(), partitions).with_attributes(a.clone()),
+            CacheConfig::with_capacity(64),
+        );
+        for _ in 0..2 {
+            prop_assert_eq!(&cached.sample_block(&req), &oracle(&pg, &req, &[]).block);
+            prop_assert_eq!(&cached.gather_attributes(&nodes), &a.gather(&nodes));
+        }
+
+        // Decorated: the chaos layer sits above the data plane.
 
         let spec = ScenarioSpec::none().with_card_failure(chaos_card % partitions, chaos_at);
         let plan = FaultPlan::build(gseed, spec).expect("valid spec");

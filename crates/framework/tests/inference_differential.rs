@@ -2,18 +2,19 @@
 //! request shapes, queue bounds and in-flight windows, the
 //! [`InferenceService`] must produce bitwise-identical replies to the
 //! one-at-a-time sample → gather → compute reference
-//! ([`run_sequential`]) — solo, batched, cache-wrapped, and under
-//! chaos-injected card failures, where degraded samples must still
-//! yield complete (degraded, recall-quantified) replies on both arms.
+//! ([`run_sequential`]) — solo, batched, over the inline hot-set
+//! cache, and under chaos-injected card failures, where degraded
+//! samples must still yield complete (degraded, recall-quantified)
+//! replies on both arms.
 //! Concurrency and batching may change latency, never answers.
 
 use lsdgnn_chaos::{FaultInjector, FaultPlan, ScenarioSpec};
 use lsdgnn_framework::{
-    run_sequential, CachedBackend, ChaosBackend, CpuBackend, InferenceConfig, InferenceReply,
+    run_sequential, CacheConfig, ChaosBackend, CpuBackend, InferenceConfig, InferenceReply,
     InferenceService, InferenceTicket, SampleRequest, SamplingBackend, SamplingService,
     ServiceConfig,
 };
-use lsdgnn_graph::{generators, AttributeStore, NodeId};
+use lsdgnn_graph::{generators, AttributeStore, NodeId, PartitionedGraph};
 use lsdgnn_nn::SageModel;
 use proptest::prelude::*;
 
@@ -25,6 +26,18 @@ fn backend(edges: u64, gseed: u64, parts: u32) -> Box<dyn SamplingBackend> {
     let g = generators::power_law(NODES, edges.max(2), gseed);
     let a = AttributeStore::synthetic(NODES, ATTR_LEN, gseed);
     Box::new(CpuBackend::new(&g, &a, parts))
+}
+
+/// [`backend`] with the inline hot-set cache mounted, both tiers sized
+/// `capacity`.
+fn cached_backend(edges: u64, gseed: u64, parts: u32, capacity: usize) -> Box<dyn SamplingBackend> {
+    let g = generators::power_law(NODES, edges.max(2), gseed);
+    let a = AttributeStore::synthetic(NODES, ATTR_LEN, gseed);
+    let pg = PartitionedGraph::new(g, parts).with_attributes(a);
+    Box::new(CpuBackend::from_partitioned_cached(
+        pg,
+        CacheConfig::with_capacity(capacity),
+    ))
 }
 
 fn requests(seed: u64, roots: u64, fanout: usize) -> impl Iterator<Item = SampleRequest> + Clone {
@@ -114,7 +127,7 @@ proptest! {
         }
     }
 
-    /// A cache-wrapped backend serves the same embeddings, cold or warm.
+    /// A cached cluster serves the same embeddings, cold or warm.
     #[test]
     fn cached_backend_is_transparent(
         gseed in 1u64..500,
@@ -122,9 +135,8 @@ proptest! {
         capacity in 1usize..64,
     ) {
         let reqs = requests(gseed, roots, 4);
-        let cached = CachedBackend::new(backend(6, gseed, 2), capacity, ATTR_LEN);
         let piped = pipeline_replies(
-            SamplingService::start(Box::new(cached), service_cfg()),
+            SamplingService::start(cached_backend(6, gseed, 2, capacity), service_cfg()),
             model(gseed),
             InferenceConfig::default(),
             REQUESTS as usize,
@@ -153,11 +165,12 @@ proptest! {
         let faulted = || {
             let injector = FaultInjector::new(plan.clone());
             let chaos = ChaosBackend::new(backend(6, gseed, 2), injector.clone());
-            SamplingService::start_faulted(
+            SamplingService::start_observed(
                 Box::new(chaos),
                 service_cfg(),
                 None,
                 Some(injector),
+                None,
             )
         };
         let reqs = requests(gseed, roots, 4);

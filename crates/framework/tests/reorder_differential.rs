@@ -9,13 +9,12 @@
 //! topology and roots, not on which integers name the nodes), while the
 //! line/page locality counters are exactly the ones allowed to move.
 //!
-//! The second half pins the cache-correctness hazard of satellite (b):
-//! a hot-node cache warmed under the old labeling must be rekeyed
-//! through the permutation before it may front a relabeled backend — a
-//! stale-keyed cache serves node `k`'s attributes for whatever node now
-//! holds id `k`.
+//! The cache-correctness hazard of relabeling — a hot-set tier warmed
+//! under the old labeling serves node `k`'s row for whatever node now
+//! holds id `k` until it is rekeyed — is pinned on the tier itself by
+//! `cache_differential::stale_tier_keys_serve_wrong_rows_and_rekey_fixes_it`.
 
-use lsdgnn_framework::{CachedBackend, CpuBackend, SampleRequest, SamplingBackend, WireConfig};
+use lsdgnn_framework::{CpuBackend, SampleRequest, SamplingBackend, WireConfig};
 use lsdgnn_graph::reorder::{Permutation, ReorderPolicy};
 use lsdgnn_graph::{generators, AttributeStore, NodeId, PartitionedGraph};
 
@@ -162,55 +161,5 @@ fn wire_plane_is_accounting_only() {
         snap.compression_ratio() > 1.0,
         "BDI must shrink id-heavy responses, got {}",
         snap.compression_ratio()
-    );
-}
-
-#[test]
-fn stale_keyed_cache_serves_wrong_rows_and_rekey_fixes_it() {
-    let pg0 = baseline(11, 2);
-    let (pg1, perm) = pg0.reorder(ReorderPolicy::Random { seed: 3 });
-    let warm_nodes: Vec<NodeId> = (0..50).map(NodeId).collect();
-    let new_nodes = map_roots(&warm_nodes, &perm);
-    let truth = CpuBackend::from_partitioned(pg1.clone()).gather_attributes(&new_nodes);
-
-    // Warm a cache under the old labeling.
-    let warm = |cache: &CachedBackend| {
-        let _ = cache.gather_attributes(&warm_nodes);
-    };
-
-    // Arm 1 — the bug: swap in the relabeled backend but keep the old
-    // keys. Any key that collides with a *different* node's new id
-    // serves that node's stale row.
-    let stale = CachedBackend::new(
-        Box::new(CpuBackend::from_partitioned(pg0.clone())),
-        256,
-        ATTR_LEN,
-    );
-    warm(&stale);
-    let stale = stale.into_reordered(
-        Box::new(CpuBackend::from_partitioned(pg1.clone())),
-        Some, // identity: keys deliberately NOT remapped
-    );
-    assert_ne!(
-        stale.gather_attributes(&new_nodes),
-        truth,
-        "a stale-keyed cache must not be able to answer correctly under a scramble"
-    );
-
-    // Arm 2 — the fix: rekey through the permutation. Warm entries
-    // survive under their new names and the answers match the
-    // relabeled truth exactly.
-    let rekeyed = CachedBackend::new(Box::new(CpuBackend::from_partitioned(pg0)), 256, ATTR_LEN);
-    warm(&rekeyed);
-    let before_hits = rekeyed.hit_rate();
-    let rekeyed = rekeyed.into_reordered(Box::new(CpuBackend::from_partitioned(pg1)), |v| {
-        Some(perm.to_new(v))
-    });
-    assert_eq!(rekeyed.gather_attributes(&new_nodes), truth);
-    assert!(
-        rekeyed.hit_rate() > before_hits,
-        "rekeyed warm entries must hit: {} -> {}",
-        before_hits,
-        rekeyed.hit_rate()
     );
 }

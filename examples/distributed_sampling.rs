@@ -8,9 +8,9 @@
 //! ```
 
 use lsdgnn_core::framework::{
-    CachedBackend, CpuBackend, CpuClusterModel, SampleRequest, SamplingService,
+    CacheConfig, CpuBackend, CpuClusterModel, SampleRequest, SamplingService, ServiceConfig,
 };
-use lsdgnn_core::graph::{DatasetConfig, NodeId};
+use lsdgnn_core::graph::{DatasetConfig, NodeId, PartitionedGraph};
 
 fn main() {
     // The paper's `ml` dataset (207M nodes, 5.7B edges) scaled down to an
@@ -29,7 +29,7 @@ fn main() {
     for partitions in [1u32, 4, 8] {
         let backend = CpuBackend::new(&graph, &attrs, partitions);
         let cut = backend.cluster().graph().edge_cut_fraction();
-        let service = SamplingService::with_defaults(Box::new(backend));
+        let service = SamplingService::start(Box::new(backend), ServiceConfig::default());
         // A burst of mini-batches: the bounded queue applies
         // backpressure, the shards coalesce, every request keeps its own
         // seed so results are reproducible.
@@ -62,21 +62,28 @@ fn main() {
     }
 
     // The framework-level hot-node cache (Tech-4's "the framework already
-    // caches") is one decorator away from any backend.
-    let cached = CachedBackend::new(
-        Box::new(CpuBackend::new(&graph, &attrs, 4)),
-        2_048,
-        attrs.attr_len(),
-    );
+    // caches") is mounted inline on the cluster's remote data plane: a
+    // hit skips the remote leg. Each gather dedups its list first, so
+    // every remote hub is one tier lookup per gather.
+    let pg = PartitionedGraph::new(graph.clone(), 4).with_attributes(attrs.clone());
+    let cached = CpuBackend::from_partitioned_cached(pg, CacheConfig::with_capacity(2_048));
     let hot: Vec<NodeId> = (0..256).map(|i| NodeId(i % 32)).collect();
-    let service = SamplingService::with_defaults(Box::new(cached));
+    let service = SamplingService::start(Box::new(cached), ServiceConfig::default());
     for _ in 0..4 {
         service.gather_attributes(&hot);
     }
+    let attr = service
+        .stats()
+        .cache
+        .and_then(|c| c.attr)
+        .expect("attribute tier mounted");
     println!(
-        "cache-decorated backend: {} attribute floats per gather of {} hub nodes",
-        hot.len() * attrs.attr_len(),
+        "cached cluster: 4 gathers of {} hub nodes, attribute tier {} hits / {} misses \
+         (hit rate {:.0}%)",
         hot.len(),
+        attr.hits,
+        attr.misses,
+        attr.hit_rate() * 100.0,
     );
     service.shutdown();
 

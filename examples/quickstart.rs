@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use lsdgnn_core::framework::{AxeBackend, SampleRequest, SamplingService};
+use lsdgnn_core::framework::{AxeBackend, SampleRequest, SamplingService, ServiceConfig};
 use lsdgnn_core::graph::{generators, AttributeStore, NodeId};
 use std::sync::Arc;
 
@@ -25,8 +25,10 @@ fn main() {
     // Start the service over the AxE-offloaded backend. The CPU cluster
     // path is the one-line swap:
     //   Box::new(CpuBackend::new(&graph, &attrs, 4))
-    let service =
-        SamplingService::with_defaults(Box::new(AxeBackend::new(graph.clone(), attrs.clone())));
+    let service = SamplingService::start(
+        Box::new(AxeBackend::new(graph.clone(), attrs.clone())),
+        ServiceConfig::default(),
+    );
 
     // 2-hop, fanout-10 mini-batch over 8 roots — the paper's Table 2
     // sampling setup in miniature. The request carries its own seed, so

@@ -1,16 +1,17 @@
 //! Backend parity: the §5 transparency claim as an executable contract.
 //!
 //! With the same [`SampleRequest`] (same seed), every [`SamplingBackend`]
-//! — the CPU cluster, the AxE offload, and either wrapped in the
-//! [`CachedBackend`] decorator — must return the *identical*
+//! — the CPU cluster, the AxE offload, and the cluster with its inline
+//! hot-set cache mounted, bare and wired (the configuration the
+//! benchmark workloads serve) — must return the *identical*
 //! [`SampleBatch`] node sets, and the service must preserve that equality
 //! no matter how requests are sharded or coalesced.
 
 use lsdgnn_core::framework::{
-    AxeBackend, CachedBackend, CpuBackend, SampleRequest, SamplingBackend, SamplingService,
-    ServiceConfig,
+    AxeBackend, CacheConfig, CpuBackend, SampleRequest, SamplingBackend, SamplingService,
+    ServiceConfig, WireConfig,
 };
-use lsdgnn_core::graph::{generators, AttributeStore, NodeId};
+use lsdgnn_core::graph::{generators, AttributeStore, NodeId, PartitionedGraph};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,6 +25,8 @@ fn backends(
     graph: &Arc<lsdgnn_core::graph::CsrGraph>,
     attrs: &Arc<AttributeStore>,
 ) -> Vec<(&'static str, Box<dyn SamplingBackend>)> {
+    let pg = || PartitionedGraph::new((**graph).clone(), 4).with_attributes((**attrs).clone());
+    let cache = CacheConfig::with_capacity(256);
     vec![
         ("cpu", Box::new(CpuBackend::new(graph, attrs, 4))),
         (
@@ -31,19 +34,15 @@ fn backends(
             Box::new(AxeBackend::new(graph.clone(), attrs.clone())),
         ),
         (
-            "cached-cpu",
-            Box::new(CachedBackend::new(
-                Box::new(CpuBackend::new(graph, attrs, 4)),
-                256,
-                attrs.attr_len(),
-            )),
+            "cpu-cached",
+            Box::new(CpuBackend::from_partitioned_cached(pg(), cache)),
         ),
         (
-            "cached-axe",
-            Box::new(CachedBackend::new(
-                Box::new(AxeBackend::new(graph.clone(), attrs.clone())),
-                256,
-                attrs.attr_len(),
+            "cpu-wired-cached",
+            Box::new(CpuBackend::from_partitioned_wired_cached(
+                pg(),
+                WireConfig::default(),
+                cache,
             )),
         ),
     ]
@@ -94,11 +93,14 @@ fn all_backends_agree_on_gathered_attributes() {
     let nodes: Vec<NodeId> = (0..60).map(|i| NodeId((i * i) % 700)).collect();
     let want = attrs.gather(&nodes);
     for (name, backend) in backends(&graph, &attrs) {
-        assert_eq!(
-            backend.gather_attributes(&nodes),
-            want,
-            "backend `{name}` attribute mismatch"
-        );
+        // Twice: the cached arms answer cold, then from their tier.
+        for pass in 0..2 {
+            assert_eq!(
+                backend.gather_attributes(&nodes),
+                want,
+                "backend `{name}` attribute mismatch (pass {pass})"
+            );
+        }
     }
 }
 
@@ -140,21 +142,26 @@ fn parity_survives_the_service_pipeline() {
 }
 
 #[test]
-fn cached_decorator_reports_reuse_without_changing_values() {
+fn cached_tier_reports_reuse_without_changing_values() {
     let (graph, attrs) = setup();
-    let cached = CachedBackend::new(
-        Box::new(CpuBackend::new(&graph, &attrs, 2)),
-        128,
-        attrs.attr_len(),
-    );
+    let pg = PartitionedGraph::new((*graph).clone(), 2).with_attributes((*attrs).clone());
+    let cached = CpuBackend::from_partitioned_cached(pg, CacheConfig::with_capacity(128));
     let hubs: Vec<NodeId> = (0..64).map(|i| NodeId(i % 8)).collect();
     let want = attrs.gather(&hubs);
     for _ in 0..3 {
         assert_eq!(cached.gather_attributes(&hubs), want);
     }
+    // Each gather dedups first, so each distinct remote hub is one
+    // lookup per pass: a miss on the first, a hit on the other two.
+    let attr = cached
+        .cache_snapshot()
+        .and_then(|s| s.attr)
+        .expect("attr tier on");
+    assert!(attr.misses > 0, "some hubs are remote");
+    assert_eq!(attr.hits, 2 * attr.misses);
     assert!(
-        cached.hit_rate() > 0.5,
+        attr.hit_rate() > 0.5,
         "hub reuse should hit the cache: {}",
-        cached.hit_rate()
+        attr.hit_rate()
     );
 }
