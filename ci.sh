@@ -67,7 +67,7 @@ grep -q '"ph"' "$SMOKE_DIR/trace.json" \
 # totals) and exits non-zero when one fails; its artifact goes under
 # $SMOKE_DIR so a CI run leaves the committed full-run BENCH_*.json alone.
 # Timing is measured only by benchmark/.
-for bench in chaos wire inference obs traffic cache; do
+for bench in chaos wire inference traffic cache; do
     step "$bench smoke: bench $bench --quick"
     cargo run --release -q -p lsdgnn-bench -- "$bench" --quick --out "$SMOKE_DIR/BENCH_$bench.json"
 done

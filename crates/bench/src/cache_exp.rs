@@ -33,8 +33,9 @@
 //! `benchmark` package (`cache.delta_sample_us`, `cache.delta_gather_us`
 //! and `infer_uniform` end to end).
 
-use crate::dataplane::fold;
+use crate::report::{hex, Report};
 use crate::util::{outln, par_map, Table};
+use crate::workload::{fold, splitmix};
 use lsdgnn_core::chaos::plan::fnv1a;
 use lsdgnn_core::framework::{
     CacheConfig, CpuBackend, ObsConfig, Observability, RequestStats, SampleRequest,
@@ -106,19 +107,11 @@ fn graph() -> (PartitionedGraph, u64) {
     )
 }
 
-fn mix(v: u64) -> u64 {
-    let mut x = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// `hot_pct` of roots land on the hot head, the rest uniform — the
 /// zipf-skew axis of the sweep.
 fn root(seed: u64, i: u64, hot_pct: u64) -> NodeId {
-    let x = mix(seed.wrapping_mul(0x9e37).wrapping_add(i).wrapping_add(1));
+    let v = seed.wrapping_mul(0x9e37).wrapping_add(i).wrapping_add(1);
+    let x = splitmix(v.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     if x % 100 < hot_pct {
         NodeId(HOT_BASE + (x >> 32) % HOT_SET)
     } else {
@@ -344,10 +337,6 @@ fn observed_leg(pg: &PartitionedGraph, hot_pct: u64, seed: u64, quick: bool) -> 
         .any(|s| s.stage == Stage::CacheHit)
 }
 
-fn hex(d: u64) -> String {
-    format!("{d:#018x}")
-}
-
 fn tier_json(t: &Option<TierSnapshot>) -> Json {
     match t {
         None => Json::Null,
@@ -426,51 +415,14 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
     }
     table.note("remote = per-partition dispatches in the measured (post-warm) phase");
 
-    // -- gate: every cache arm reproduces the cache-off fingerprint.
-    let digests_match = cells.iter().all(|c| {
-        let off = c.arms[0].digest;
-        c.arms.iter().all(|a| a.digest == off)
-    });
-    assert!(
-        digests_match,
-        "a cache arm diverged from the cache-off fingerprint: the cache changed an answer"
-    );
-
-    // -- gate: ≥ 2× fewer remote dispatches at the reference cell.
     let ref_cell = cells
         .iter()
         .find(|c| c.hot_pct == ref_skew && c.capacity == REF_CAPACITY)
         .expect("reference cell swept");
     let (ref_off, ref_both) = (ref_cell.arms[0].remote, ref_cell.arms[2].remote);
     let remote_cut = ref_off as f64 / ref_both.max(1) as f64;
-    let remote_cut_ok = remote_cut >= 2.0;
-    assert!(
-        remote_cut_ok,
-        "remote dispatches only cut {remote_cut:.2}x at the reference cell \
-         ({ref_off} -> {ref_both}); the gate demands 2x"
-    );
-
-    // -- wire leg at the reference cell.
     let wire = wire_leg(&pg, ref_skew, seed, quick);
-    let wire_cut_ok = wire.digest == ref_cell.arms[0].digest
-        && wire.reduction > 0.0
-        && wire.reduction >= 0.5 * wire.neigh_hit_rate;
-    assert!(
-        wire_cut_ok,
-        "sampling-leg wire bytes fell {:.1}% against a {:.1}% neighbor hit rate \
-         (off {} B, cached {} B): hits must skip the wire accounting",
-        wire.reduction * 100.0,
-        wire.neigh_hit_rate * 100.0,
-        wire.off_bytes,
-        wire.cached_bytes
-    );
-
-    // -- observed leg: blame knows about the cache.
     let cache_hit_blamed = observed_leg(&pg, ref_skew, seed, quick);
-    assert!(
-        cache_hit_blamed,
-        "the tail-blame report never attributed time to cache_hit on a warm cache"
-    );
 
     outln!(
         "  reference cell hot{ref_skew}%/cap{REF_CAPACITY}: remote cut {remote_cut:.2}x, \
@@ -478,12 +430,7 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
         wire.reduction * 100.0,
         wire.neigh_hit_rate
     );
-    outln!(
-        "  gates: digests_match {digests_match}, remote_cut_ok {remote_cut_ok}, \
-         wire_cut_ok {wire_cut_ok}, cache_hit_blamed {cache_hit_blamed}"
-    );
 
-    // -- artifact.
     let cell_rows: Vec<Json> = cells
         .iter()
         .map(|c| {
@@ -497,47 +444,67 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
             ])
         })
         .collect();
-    let doc = Json::Obj(vec![
-        ("bench".to_string(), Json::Str("cache".to_string())),
-        ("quick".to_string(), Json::Bool(quick)),
-        ("seed".to_string(), Json::Num(seed as f64)),
-        ("graph_nodes".to_string(), Json::Num(GRAPH_NODES as f64)),
-        ("partitions".to_string(), Json::Num(PARTITIONS as f64)),
-        ("attr_len".to_string(), Json::Num(ATTR_LEN as f64)),
-        ("cells".to_string(), Json::Arr(cell_rows)),
-        (
-            "reference".to_string(),
-            Json::Obj(vec![
-                ("hot_pct".to_string(), Json::Num(ref_skew as f64)),
-                ("capacity".to_string(), Json::Num(REF_CAPACITY as f64)),
-                ("remote_cut".to_string(), Json::Num(remote_cut)),
-            ]),
+    let mut report = Report::new("cache", quick, seed);
+    report.num("graph_nodes", GRAPH_NODES as f64);
+    report.num("partitions", PARTITIONS as f64);
+    report.num("attr_len", ATTR_LEN as f64);
+    report.put("cells", Json::Arr(cell_rows));
+    report.put(
+        "reference",
+        Json::Obj(vec![
+            ("hot_pct".to_string(), Json::Num(ref_skew as f64)),
+            ("capacity".to_string(), Json::Num(REF_CAPACITY as f64)),
+            ("remote_cut".to_string(), Json::Num(remote_cut)),
+        ]),
+    );
+    report.put(
+        "wire",
+        Json::Obj(vec![
+            (
+                "off_sampling_raw_bytes".to_string(),
+                Json::Num(wire.off_bytes as f64),
+            ),
+            (
+                "cached_sampling_raw_bytes".to_string(),
+                Json::Num(wire.cached_bytes as f64),
+            ),
+            ("reduction".to_string(), Json::Num(wire.reduction)),
+            ("neigh_hit_rate".to_string(), Json::Num(wire.neigh_hit_rate)),
+        ]),
+    );
+
+    let matching = cells
+        .iter()
+        .filter(|c| c.arms.iter().all(|a| a.digest == c.arms[0].digest))
+        .count();
+    report.gate(
+        "digests_match",
+        matching == cells.len(),
+        Json::Num(matching as f64),
+        &format!("all {} cells: every cache arm == cache-off", cells.len()),
+    );
+    report.gate(
+        "remote_cut_ok",
+        remote_cut >= 2.0,
+        Json::Num(remote_cut),
+        ">= 2 (reference cell, off / attr+neigh)",
+    );
+    report.gate(
+        "wire_cut_ok",
+        wire.digest == ref_cell.arms[0].digest
+            && wire.reduction > 0.0
+            && wire.reduction >= 0.5 * wire.neigh_hit_rate,
+        Json::Num(wire.reduction),
+        &format!(
+            "> 0 and >= 0.5 x neigh hit rate {:.4}, wired digest == cache-off",
+            wire.neigh_hit_rate
         ),
-        (
-            "wire".to_string(),
-            Json::Obj(vec![
-                (
-                    "off_sampling_raw_bytes".to_string(),
-                    Json::Num(wire.off_bytes as f64),
-                ),
-                (
-                    "cached_sampling_raw_bytes".to_string(),
-                    Json::Num(wire.cached_bytes as f64),
-                ),
-                ("reduction".to_string(), Json::Num(wire.reduction)),
-                ("neigh_hit_rate".to_string(), Json::Num(wire.neigh_hit_rate)),
-            ]),
-        ),
-        (
-            "gates".to_string(),
-            Json::Obj(vec![
-                ("digests_match".to_string(), Json::Bool(digests_match)),
-                ("remote_cut_ok".to_string(), Json::Bool(remote_cut_ok)),
-                ("wire_cut_ok".to_string(), Json::Bool(wire_cut_ok)),
-                ("cache_hit_blamed".to_string(), Json::Bool(cache_hit_blamed)),
-            ]),
-        ),
-    ]);
-    std::fs::write(out, doc.render()).expect("write cache bench json");
-    outln!("wrote {out}");
+    );
+    report.gate(
+        "cache_hit_blamed",
+        cache_hit_blamed,
+        Json::Bool(cache_hit_blamed),
+        "blame (q=0) names cache_hit on a warm observed service",
+    );
+    report.finish(out);
 }

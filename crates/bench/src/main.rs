@@ -35,16 +35,16 @@ mod ablations;
 mod cache_exp;
 mod chaos_exp;
 mod characterization;
-mod dataplane;
 mod faas_exp;
 mod inference;
 mod microarch;
-mod obs_exp;
 mod poc;
+mod report;
 mod trace_report;
 mod traffic_exp;
 mod util;
 mod wire;
+mod workload;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use util::{capture, Telemetry, TelemetrySink};
@@ -113,8 +113,9 @@ const EXTRA: &[(&str, ExpFn)] = &[
     }),
 ];
 
-/// A serving bench: `(quick, seed, artifact path)`. It asserts its own
-/// gates and writes one JSON artifact, a pure function of `(seed, quick)`.
+/// A serving bench: `(quick, seed, artifact path)`. It serves a scenario
+/// of `workload.rs` and writes its exact gates and one JSON artifact, a
+/// pure function of `(seed, quick)`, through `report::Report`.
 type BenchFn = fn(bool, u64, &str);
 
 /// The serving benches, run outside the experiment scheduler, with the
@@ -123,7 +124,6 @@ const BENCHES: &[(&str, BenchFn, &str)] = &[
     ("chaos", chaos_exp::chaos, "BENCH_chaos.json"),
     ("wire", wire::wire, "BENCH_wire.json"),
     ("inference", inference::inference, "BENCH_inference.json"),
-    ("obs", obs_exp::obs, "BENCH_obs.json"),
     ("traffic", traffic_exp::traffic, "BENCH_traffic.json"),
     ("cache", cache_exp::cache, "BENCH_cache.json"),
 ];

@@ -26,12 +26,17 @@
 //! Nothing in the artifact reads a clock, so it is byte-identical across
 //! runs and `--jobs` counts (`tests/jobs_parity.rs`).
 //!
-//! In-binary gates (also in the artifact): `digests_match`,
+//! Gates (written by `report.rs`): `digests_match`, the open-loop leg's
+//! `open_loop_refusals_best_effort_only` and `open_loop_bounds_respected`,
 //! `slo_met_improved` (strictly better interactive SLO attainment with
 //! refusals confined to best-effort), `no_unbounded_queue`,
 //! `autoscaler_cost_ok`.
 
+use crate::report::{hex, Report};
 use crate::util::{outln, par_map, Table};
+use crate::workload::{
+    digest_replies, small_backend, small_request, SMALL_NODES, SMALL_PARTITIONS,
+};
 use lsdgnn_core::chaos::plan::fnv1a;
 use lsdgnn_core::chaos::ChaosRng;
 use lsdgnn_core::faas::autoscaler::{
@@ -39,18 +44,14 @@ use lsdgnn_core::faas::autoscaler::{
 };
 use lsdgnn_core::faas::CostModel;
 use lsdgnn_core::framework::{
-    AdmissionConfig, BatchPolicy, BrownoutConfig, BucketConfig, CpuBackend, Priority, SampleReply,
-    SampleRequest, SamplingBackend, SamplingService, ServiceConfig, ShapedRequest, ShapedService,
-    SubmitVerdict, TenantConfig, TenantSpec, TrafficConfig, TrafficTrace, CLASSES,
+    AdmissionConfig, BatchPolicy, BrownoutConfig, BucketConfig, Priority, SamplingService,
+    ServiceConfig, ShapedRequest, ShapedService, SubmitVerdict, TenantConfig, TenantSpec,
+    TrafficConfig, TrafficTrace, CLASSES,
 };
-use lsdgnn_core::graph::{generators, AttributeStore, DatasetConfig, NodeId};
+use lsdgnn_core::graph::DatasetConfig;
+use lsdgnn_core::telemetry::Json;
 use std::time::Duration;
 
-/// Graph size for the live leg — fixed (not `LSDGNN_SCALE`) so the
-/// committed artifact replays identically in any environment.
-const GRAPH_NODES: u64 = 600;
-/// Cluster partitions.
-const PARTITIONS: u32 = 4;
 /// Requests in the no-shaping digest gate.
 const FULL_REQUESTS: u64 = 300;
 const QUICK_REQUESTS: u64 = 80;
@@ -280,12 +281,6 @@ fn run_sim_cell(seed: u64, quick: bool, burstiness: f64, mix: &Mix) -> SimCell {
 
 // --------------------------------------------------------------- live leg
 
-fn backend() -> Box<dyn SamplingBackend> {
-    let g = generators::power_law(GRAPH_NODES, 8, 31);
-    let a = AttributeStore::synthetic(GRAPH_NODES, 8, 31);
-    Box::new(CpuBackend::new(&g, &a, PARTITIONS))
-}
-
 fn live_config(batch: BatchPolicy) -> ServiceConfig {
     ServiceConfig {
         workers: 2,
@@ -297,49 +292,20 @@ fn live_config(batch: BatchPolicy) -> ServiceConfig {
     }
 }
 
-fn request(seed: u64) -> SampleRequest {
-    SampleRequest {
-        roots: (0..8)
-            .map(|r| NodeId((seed * 13 + r) % GRAPH_NODES))
-            .collect(),
-        hops: 2,
-        fanout: 4,
-        seed,
-    }
-}
-
-/// FNV digest over reply content (roots, hop boundaries, node ids,
-/// degraded flag) — timing-free, the replayability fingerprint.
-fn digest_replies(replies: &[SampleReply]) -> u64 {
-    let mut bytes = Vec::new();
-    for r in replies {
-        bytes.push(u8::from(r.degraded));
-        bytes.extend_from_slice(&(r.block.roots.len() as u64).to_le_bytes());
-        for n in &r.block.roots {
-            bytes.extend_from_slice(&n.0.to_le_bytes());
-        }
-        bytes.extend_from_slice(&(r.block.hop_offsets.len() as u64).to_le_bytes());
-        for o in &r.block.hop_offsets {
-            bytes.extend_from_slice(&o.to_le_bytes());
-        }
-        for n in &r.block.nodes {
-            bytes.extend_from_slice(&n.0.to_le_bytes());
-        }
-    }
-    fnv1a(&bytes)
-}
-
-/// The no-shaping gate: a [`ShapedService`] with an unlimited admission
+/// The no-shaping leg: a [`ShapedService`] with an unlimited admission
 /// config must reproduce the plain service's replies byte-for-byte.
-fn no_shaping_gate(requests: u64) -> (u64, u64, bool) {
-    let plain = SamplingService::start(backend(), live_config(BatchPolicy::FixedDeadline));
-    let tickets: Vec<_> = (0..requests).map(|s| plain.submit(request(s))).collect();
+/// Returns `(plain, shaped)` reply digests.
+fn no_shaping_digests(requests: u64) -> (u64, u64) {
+    let plain = SamplingService::start(small_backend(), live_config(BatchPolicy::FixedDeadline));
+    let tickets: Vec<_> = (0..requests)
+        .map(|s| plain.submit(small_request(s)))
+        .collect();
     let plain_replies: Vec<_> = tickets.into_iter().map(|t| t.wait_reply()).collect();
     let plain_digest = digest_replies(&plain_replies);
     plain.shutdown();
 
     let shaped = ShapedService::start(
-        backend(),
+        small_backend(),
         live_config(BatchPolicy::FixedDeadline),
         AdmissionConfig::unlimited(1),
         None,
@@ -348,7 +314,7 @@ fn no_shaping_gate(requests: u64) -> (u64, u64, bool) {
         .map(|s| {
             match shaped.submit(
                 ShapedRequest {
-                    req: request(s),
+                    req: small_request(s),
                     tenant: 0,
                     class: Priority::Interactive,
                     deadline: Duration::from_millis(100),
@@ -363,7 +329,7 @@ fn no_shaping_gate(requests: u64) -> (u64, u64, bool) {
     let shaped_replies: Vec<_> = tickets.into_iter().map(|t| t.wait_reply()).collect();
     let shaped_digest = digest_replies(&shaped_replies);
     shaped.shutdown();
-    (plain_digest, shaped_digest, plain_digest == shaped_digest)
+    (plain_digest, shaped_digest)
 }
 
 fn live_mix() -> Vec<TenantSpec> {
@@ -408,6 +374,7 @@ struct OpenLoopResult {
     shed: [u64; CLASSES],
     replies_digest: u64,
     degraded: u64,
+    bounds_respected: bool,
 }
 
 /// Replays a seeded trace through a bucket-limited [`ShapedService`] at
@@ -448,7 +415,7 @@ fn open_loop_leg(seed: u64, quick: bool) -> OpenLoopResult {
         brownout: None,
     };
     let shaped = ShapedService::start(
-        backend(),
+        small_backend(),
         live_config(BatchPolicy::SlackDriven {
             est_service: Duration::from_micros(500),
         }),
@@ -463,7 +430,7 @@ fn open_loop_leg(seed: u64, quick: bool) -> OpenLoopResult {
     for a in &trace.arrivals {
         let verdict = shaped.submit(
             ShapedRequest {
-                req: a.request(&rng, GRAPH_NODES),
+                req: a.request(&rng, SMALL_NODES),
                 tenant: a.tenant as usize,
                 class: a.class,
                 deadline: Duration::from_micros(a.deadline_us),
@@ -480,12 +447,8 @@ fn open_loop_leg(seed: u64, quick: bool) -> OpenLoopResult {
         }
     }
     let replies: Vec<_> = tickets.into_iter().map(|t| t.wait_reply()).collect();
-    let stats = shaped.admission_stats();
+    let bounds_respected = shaped.admission_stats().bounds_respected();
     shaped.shutdown();
-    assert!(
-        stats.bounds_respected(),
-        "live lane occupancy exceeded its configured bounds"
-    );
     OpenLoopResult {
         arrivals: trace.len() as u64,
         accepted,
@@ -493,14 +456,11 @@ fn open_loop_leg(seed: u64, quick: bool) -> OpenLoopResult {
         shed,
         replies_digest: digest_replies(&replies),
         degraded: replies.iter().filter(|r| r.degraded).count() as u64,
+        bounds_respected,
     }
 }
 
 // --------------------------------------------------------------- reporting
-
-fn hex(d: u64) -> String {
-    format!("{d:#018x}")
-}
 
 fn class_json(counts: &[u64; CLASSES]) -> Json {
     Json::Obj(
@@ -510,8 +470,6 @@ fn class_json(counts: &[u64; CLASSES]) -> Json {
             .collect(),
     )
 }
-
-use lsdgnn_core::telemetry::Json;
 
 fn report_json(r: &PolicyReport) -> Json {
     let classes: Vec<Json> = Priority::ALL
@@ -560,19 +518,16 @@ pub fn traffic(quick: bool, seed: u64, out: &str) {
     let requests = if quick { QUICK_REQUESTS } else { FULL_REQUESTS };
     outln!(
         "traffic sweep: seed {seed}, burstiness x tenant-mix x policy over a \
-         {SIM_CARDS}-card modeled fleet, live legs on {GRAPH_NODES} nodes / {PARTITIONS} \
+         {SIM_CARDS}-card modeled fleet, live legs on {SMALL_NODES} nodes / {SMALL_PARTITIONS} \
          partitions"
     );
 
-    // -- live leg 1: the no-shaping digest gate.
-    let (plain_digest, shaped_digest, digests_match) = no_shaping_gate(requests);
-    assert!(
-        digests_match,
-        "unlimited ShapedService diverged from the plain service: overload control is not opt-in"
-    );
+    // -- live leg 1: no shaping must replay the plain service.
+    let (plain_digest, shaped_digest) = no_shaping_digests(requests);
     outln!(
-        "  no-shaping gate: unlimited admission replays the plain service bit-identically ({})",
-        hex(plain_digest)
+        "  no-shaping leg: plain service {}, unlimited admission {}",
+        hex(plain_digest),
+        hex(shaped_digest)
     );
 
     // -- live leg 2: bucket-limited open-loop replay.
@@ -582,14 +537,6 @@ pub fn traffic(quick: bool, seed: u64, out: &str) {
         .filter(|p| **p != Priority::BestEffort)
         .map(|p| live.rejected[p.index()] + live.shed[p.index()])
         .sum();
-    assert_eq!(
-        refused_outside_best_effort, 0,
-        "live leg refused interactive or batch traffic"
-    );
-    assert!(
-        live.rejected[Priority::BestEffort.index()] > 0,
-        "live leg's best-effort bucket never rejected — the shaping arm is unloaded"
-    );
     outln!(
         "  open-loop leg: {} arrivals, {} admitted / {} rejected (best-effort bucket), digest {}",
         live.arrivals,
@@ -643,40 +590,6 @@ pub fn traffic(quick: bool, seed: u64, out: &str) {
     }
     table.note("int-slo = interactive requests meeting their deadline / offered");
 
-    // -- gates.
-    let slo_met_improved = cells.iter().all(|c| {
-        c.shaped.slo_rate(Priority::Interactive) > c.baseline.slo_rate(Priority::Interactive)
-            && c.shaped.refusals_outside(Priority::BestEffort) == 0
-    }) && cells.iter().all(|c| {
-        let be = &c.shaped.classes[Priority::BestEffort.index()];
-        be.rejected + be.shed > 0
-    });
-    assert!(
-        slo_met_improved,
-        "shaping must strictly improve interactive SLO attainment with refusals confined to best-effort"
-    );
-    let no_unbounded_queue = cells.iter().all(|c| {
-        c.baseline.max_queue[0] > *c.shaped.max_queue.iter().max().unwrap()
-            && c.shaped.bounds_respected
-            && c.auto.bounds_respected
-    });
-    assert!(
-        no_unbounded_queue,
-        "shaped lanes must stay bounded and below the unshaped backlog"
-    );
-    let autoscaler_cost_ok = cells
-        .iter()
-        .all(|c| c.auto.cost_per_million_slo_met <= c.shaped.cost_per_million_slo_met);
-    assert!(
-        autoscaler_cost_ok,
-        "the autoscaler must not pay more per SLO-met request than the static fleet"
-    );
-    outln!(
-        "  gates: digests_match {digests_match}, slo_met_improved {slo_met_improved}, \
-         no_unbounded_queue {no_unbounded_queue}, autoscaler_cost_ok {autoscaler_cost_ok}"
-    );
-
-    // -- artifact.
     let cell_rows: Vec<Json> = cells
         .iter()
         .map(|c| {
@@ -698,53 +611,99 @@ pub fn traffic(quick: bool, seed: u64, out: &str) {
             ])
         })
         .collect();
-    let doc = Json::Obj(vec![
-        ("bench".to_string(), Json::Str("traffic".to_string())),
-        ("quick".to_string(), Json::Bool(quick)),
-        ("seed".to_string(), Json::Num(seed as f64)),
-        ("graph_nodes".to_string(), Json::Num(GRAPH_NODES as f64)),
-        ("partitions".to_string(), Json::Num(PARTITIONS as f64)),
-        ("sim_cards".to_string(), Json::Num(SIM_CARDS as f64)),
-        (
-            "no_shaping".to_string(),
-            Json::Obj(vec![
-                ("requests".to_string(), Json::Num(requests as f64)),
-                ("plain_digest".to_string(), Json::Str(hex(plain_digest))),
-                ("shaped_digest".to_string(), Json::Str(hex(shaped_digest))),
-                ("digests_match".to_string(), Json::Bool(digests_match)),
-            ]),
+    let mut report = Report::new("traffic", quick, seed);
+    report.num("graph_nodes", SMALL_NODES as f64);
+    report.num("partitions", SMALL_PARTITIONS as f64);
+    report.num("sim_cards", SIM_CARDS as f64);
+    report.put(
+        "no_shaping",
+        Json::Obj(vec![
+            ("requests".to_string(), Json::Num(requests as f64)),
+            ("plain_digest".to_string(), Json::Str(hex(plain_digest))),
+            ("shaped_digest".to_string(), Json::Str(hex(shaped_digest))),
+        ]),
+    );
+    report.put(
+        "open_loop",
+        Json::Obj(vec![
+            ("arrivals".to_string(), Json::Num(live.arrivals as f64)),
+            ("accepted".to_string(), class_json(&live.accepted)),
+            ("rejected".to_string(), class_json(&live.rejected)),
+            ("shed".to_string(), class_json(&live.shed)),
+            (
+                "replies_digest".to_string(),
+                Json::Str(hex(live.replies_digest)),
+            ),
+            ("degraded".to_string(), Json::Num(live.degraded as f64)),
+        ]),
+    );
+    report.put("cells", Json::Arr(cell_rows));
+
+    report.gate(
+        "digests_match",
+        shaped_digest == plain_digest,
+        Json::Str(hex(shaped_digest)),
+        "== no_shaping.plain_digest",
+    );
+    report.gate(
+        "open_loop_refusals_best_effort_only",
+        refused_outside_best_effort == 0 && live.rejected[Priority::BestEffort.index()] > 0,
+        Json::Num(refused_outside_best_effort as f64),
+        "0 interactive/batch refusals, >= 1 best-effort rejection",
+    );
+    report.gate(
+        "open_loop_bounds_respected",
+        live.bounds_respected,
+        Json::Bool(live.bounds_respected),
+        "every lane within its bound",
+    );
+    let improved = cells
+        .iter()
+        .filter(|c| {
+            let be = &c.shaped.classes[Priority::BestEffort.index()];
+            c.shaped.slo_rate(Priority::Interactive) > c.baseline.slo_rate(Priority::Interactive)
+                && c.shaped.refusals_outside(Priority::BestEffort) == 0
+                && be.rejected + be.shed > 0
+        })
+        .count();
+    report.gate(
+        "slo_met_improved",
+        improved == cells.len(),
+        Json::Num(improved as f64),
+        &format!(
+            "all {} cells: shaped interactive SLO > baseline, refusals only best-effort",
+            cells.len()
         ),
-        (
-            "open_loop".to_string(),
-            Json::Obj(vec![
-                ("arrivals".to_string(), Json::Num(live.arrivals as f64)),
-                ("accepted".to_string(), class_json(&live.accepted)),
-                ("rejected".to_string(), class_json(&live.rejected)),
-                ("shed".to_string(), class_json(&live.shed)),
-                (
-                    "replies_digest".to_string(),
-                    Json::Str(hex(live.replies_digest)),
-                ),
-                ("degraded".to_string(), Json::Num(live.degraded as f64)),
-            ]),
+    );
+    let bounded = cells
+        .iter()
+        .filter(|c| {
+            c.baseline.max_queue[0] > *c.shaped.max_queue.iter().max().unwrap()
+                && c.shaped.bounds_respected
+                && c.auto.bounds_respected
+        })
+        .count();
+    report.gate(
+        "no_unbounded_queue",
+        bounded == cells.len(),
+        Json::Num(bounded as f64),
+        &format!(
+            "all {} cells: lanes bounded, below the unshaped backlog",
+            cells.len()
         ),
-        ("cells".to_string(), Json::Arr(cell_rows)),
-        (
-            "gates".to_string(),
-            Json::Obj(vec![
-                ("digests_match".to_string(), Json::Bool(digests_match)),
-                ("slo_met_improved".to_string(), Json::Bool(slo_met_improved)),
-                (
-                    "no_unbounded_queue".to_string(),
-                    Json::Bool(no_unbounded_queue),
-                ),
-                (
-                    "autoscaler_cost_ok".to_string(),
-                    Json::Bool(autoscaler_cost_ok),
-                ),
-            ]),
+    );
+    let cheaper = cells
+        .iter()
+        .filter(|c| c.auto.cost_per_million_slo_met <= c.shaped.cost_per_million_slo_met)
+        .count();
+    report.gate(
+        "autoscaler_cost_ok",
+        cheaper == cells.len(),
+        Json::Num(cheaper as f64),
+        &format!(
+            "all {} cells: autoscaler $/M-SLO-met <= static fleet",
+            cells.len()
         ),
-    ]);
-    std::fs::write(out, doc.render()).expect("write traffic bench json");
-    outln!("wrote {out}");
+    );
+    report.finish(out);
 }

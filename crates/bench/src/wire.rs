@@ -21,8 +21,9 @@
 //! the wire plane costs in time is measured by the `benchmark` package
 //! (`wire.delta_sample_us`, `mof.*`).
 
-use crate::dataplane::{fold, graph, placement, request, ROOTS_PER_REQ};
+use crate::report::Report;
 use crate::util::outln;
+use crate::workload::{fold, graph, placement, request, ROOTS_PER_REQ};
 use lsdgnn_core::framework::{
     CpuBackend, RequestStats, SampleRequest, SamplingBackend, WireConfig, WireSnapshot,
 };
@@ -275,7 +276,8 @@ pub fn wire(quick: bool, seed: u64, out_path: &str) {
     // sample. Compression: BDI on real sampled remote traffic. Layout:
     // at least one traversal policy must strictly beat both the
     // scrambled-identity arm and the historical exact-id floors.
-    let digests_equivalent = arms.iter().all(|a| a.digest == arms[0].digest);
+    let equivalent = arms.iter().filter(|a| a.digest == arms[0].digest).count();
+    let digests_equivalent = equivalent == arms.len();
     // The headline BDI claim is about sampled remote traffic (node-id
     // payloads); the all-legs ratio is reported per arm but float rows
     // drag it toward 1 by design.
@@ -284,21 +286,26 @@ pub fn wire(quick: bool, seed: u64, out_path: &str) {
         .filter(|a| a.compression)
         .map(|a| a.snap.unwrap_or_default().sampling_compression_ratio())
         .fold(0.0f64, f64::max);
-    let compression_ratio_ok = compression_ratio > if quick { 1.0 } else { 1.3 };
+    let ratio_floor = if quick { 1.0 } else { 1.3 };
+    let compression_ratio_ok = compression_ratio > ratio_floor;
     let identity = arms
         .iter()
         .find(|a| a.wired && a.policy == "identity")
         .expect("identity arm present");
     let id_frontier = identity.stats.frontier_line_hit_rate();
     let id_attr = identity.stats.attr_page_hit_rate();
-    let coalesce_ok = arms.iter().any(|a| {
-        a.wired
-            && a.policy != "identity"
-            && a.stats.frontier_line_hit_rate() > 0.30
-            && a.stats.frontier_line_hit_rate() >= id_frontier
-            && a.stats.attr_page_hit_rate() > 0.62
-            && a.stats.attr_page_hit_rate() >= id_attr
-    });
+    let beating = arms
+        .iter()
+        .filter(|a| {
+            a.wired
+                && a.policy != "identity"
+                && a.stats.frontier_line_hit_rate() > 0.30
+                && a.stats.frontier_line_hit_rate() >= id_frontier
+                && a.stats.attr_page_hit_rate() > 0.62
+                && a.stats.attr_page_hit_rate() >= id_attr
+        })
+        .count();
+    let coalesce_ok = beating > 0;
 
     for a in &arms {
         let snap = a.snap.unwrap_or_default();
@@ -314,59 +321,31 @@ pub fn wire(quick: bool, seed: u64, out_path: &str) {
             snap.wire_bytes(),
         );
     }
-    outln!(
-        "  digests_equivalent {digests_equivalent}   compression_ratio {compression_ratio:.2}x \
-         (ok {compression_ratio_ok})   coalesce_ok {coalesce_ok}"
-    );
-    assert!(
+    let mut report = Report::new("wire", quick, seed);
+    report.num("nodes", nodes as f64);
+    report.num("measured_requests", verify as f64);
+    report.num("roots_per_request", ROOTS_PER_REQ as f64);
+    report.put("arms", Json::Arr(arms.iter().map(arm_json).collect()));
+    report.num("identity_frontier_line_hit_rate", id_frontier);
+    report.num("identity_attr_page_hit_rate", id_attr);
+    report.num("compression_ratio", compression_ratio);
+    report.gate(
+        "digests_equivalent",
         digests_equivalent,
-        "a reordered or wired arm sampled differently from the plain arm"
+        Json::Num(equivalent as f64),
+        &format!("all {} arms == the plain arm", arms.len()),
     );
-    assert!(
+    report.gate(
+        "compression_ratio_ok",
         compression_ratio_ok,
-        "BDI did not shrink the sampled remote traffic ({compression_ratio:.2}x)"
+        Json::Num(compression_ratio),
+        &format!("> {ratio_floor}"),
     );
-    assert!(
+    report.gate(
+        "coalesce_ok",
         coalesce_ok,
-        "no reorder policy beat the scrambled baseline's locality"
+        Json::Num(beating as f64),
+        ">= 1 reorder arm: line > 0.30 and >= identity, page > 0.62 and >= identity",
     );
-
-    let doc = Json::Obj(vec![
-        ("bench".to_string(), Json::Str("wire".to_string())),
-        ("quick".to_string(), Json::Bool(quick)),
-        ("seed".to_string(), Json::Num(seed as f64)),
-        ("nodes".to_string(), Json::Num(nodes as f64)),
-        ("measured_requests".to_string(), Json::Num(verify as f64)),
-        (
-            "roots_per_request".to_string(),
-            Json::Num(ROOTS_PER_REQ as f64),
-        ),
-        (
-            "arms".to_string(),
-            Json::Arr(arms.iter().map(arm_json).collect()),
-        ),
-        (
-            "identity_frontier_line_hit_rate".to_string(),
-            Json::Num(id_frontier),
-        ),
-        (
-            "identity_attr_page_hit_rate".to_string(),
-            Json::Num(id_attr),
-        ),
-        (
-            "compression_ratio".to_string(),
-            Json::Num(compression_ratio),
-        ),
-        (
-            "digests_equivalent".to_string(),
-            Json::Bool(digests_equivalent),
-        ),
-        (
-            "compression_ratio_ok".to_string(),
-            Json::Bool(compression_ratio_ok),
-        ),
-        ("coalesce_ok".to_string(), Json::Bool(coalesce_ok)),
-    ]);
-    std::fs::write(out_path, doc.render()).expect("write wire bench json");
-    outln!("wrote {out_path}");
+    report.finish(out_path);
 }

@@ -120,8 +120,8 @@ fn wire_artifact_is_byte_identical_across_jobs() {
     // Every reorder/compression arm back-maps to identical samples, and
     // BDI shrinks the sampled remote traffic.
     let gates = [
-        "\"digests_equivalent\":true",
-        "\"compression_ratio_ok\":true",
+        "\"name\":\"digests_equivalent\",\"ok\":true",
+        "\"name\":\"compression_ratio_ok\",\"ok\":true",
     ];
     assert_jobs_parity("wire", true, &gates);
 }
@@ -131,25 +131,26 @@ fn traffic_artifact_is_byte_identical_across_jobs() {
     // Unshaped replays the plain service; shaping improves interactive
     // SLO attainment; shaped lanes stay bounded.
     let gates = [
-        "\"digests_match\":true",
-        "\"slo_met_improved\":true",
-        "\"no_unbounded_queue\":true",
+        "\"name\":\"digests_match\",\"ok\":true",
+        "\"name\":\"slo_met_improved\",\"ok\":true",
+        "\"name\":\"no_unbounded_queue\",\"ok\":true",
     ];
     assert_jobs_parity("traffic", true, &gates);
 }
 
 #[test]
-fn obs_artifact_is_byte_identical_across_jobs() {
-    // Instrumented replies digest-match the baseline, the ledger merge
-    // is order-independent, and blame names each injected fault.
+fn inference_artifact_is_byte_identical_across_jobs() {
+    // Neither in-flight depth nor recording changes an answer, blame
+    // names each injected fault, and the chaos plans follow the seed.
     let gates = [
-        "\"digest_identical\":true",
-        "\"merge_jobs_parity\":true",
+        "\"name\":\"digests_match\",\"ok\":true",
+        "\"name\":\"chaos_digests_match\",\"ok\":true",
+        "\"name\":\"blame_names_fault\",\"ok\":true",
         "\"top_fault\":\"request_loss\"",
         "\"top_fault\":\"card_down\"",
         "\"top_fault\":\"queue_stall\"",
     ];
-    assert_jobs_parity("obs", false, &gates);
+    assert_jobs_parity("inference", true, &gates);
 }
 
 #[test]
@@ -158,10 +159,10 @@ fn cache_artifact_is_byte_identical_across_jobs() {
     // remote requests, hits skip WirePlane accounting, and blame
     // attributes time to cache_hit.
     let gates = [
-        "\"digests_match\":true",
-        "\"remote_cut_ok\":true",
-        "\"wire_cut_ok\":true",
-        "\"cache_hit_blamed\":true",
+        "\"name\":\"digests_match\",\"ok\":true",
+        "\"name\":\"remote_cut_ok\",\"ok\":true",
+        "\"name\":\"wire_cut_ok\",\"ok\":true",
+        "\"name\":\"cache_hit_blamed\",\"ok\":true",
     ];
     assert_jobs_parity("cache", true, &gates);
 }
