@@ -33,7 +33,7 @@ fn bench_cluster_sampling(c: &mut Criterion) {
     let g = generators::power_law(10_000, 9, 3);
     let attrs = AttributeStore::synthetic(10_000, 72, 3);
     let pg = PartitionedGraph::new(g, 4).with_attributes(attrs);
-    let cluster = Cluster::spawn(pg);
+    let cluster = Cluster::spawn(pg, None, None);
     let roots: Vec<NodeId> = (0..64).map(NodeId).collect();
     let mut group = c.benchmark_group("cluster");
     group.sample_size(20);

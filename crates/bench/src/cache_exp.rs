@@ -228,14 +228,6 @@ fn warm_backend(backend: &CpuBackend, hot_pct: u64, seed: u64, n: u64) {
     }
 }
 
-fn both_tiers(cap: usize) -> CacheConfig {
-    CacheConfig {
-        neigh_capacity: cap,
-        attr_capacity: cap,
-        ..CacheConfig::default()
-    }
-}
-
 struct Cell {
     hot_pct: u64,
     capacity: usize,
@@ -249,7 +241,8 @@ fn run_cell(pg: &PartitionedGraph, hot_pct: u64, capacity: usize, seed: u64, qui
         pg.clone(),
         CacheConfig::with_capacity(capacity).attr_only(),
     );
-    let both = CpuBackend::from_partitioned_cached(pg.clone(), both_tiers(capacity));
+    let both =
+        CpuBackend::from_partitioned_cached(pg.clone(), CacheConfig::with_capacity(capacity));
     Cell {
         hot_pct,
         capacity,
@@ -283,7 +276,7 @@ fn wire_leg(pg: &PartitionedGraph, hot_pct: u64, seed: u64, quick: bool) -> Wire
     let cached = CpuBackend::from_partitioned_wired_cached(
         pg.clone(),
         WireConfig::default(),
-        both_tiers(REF_CAPACITY),
+        CacheConfig::with_capacity(REF_CAPACITY),
     );
     let (cached_total, arm) = run(&cached);
     // Totals cover warm + measured phases — both arms replay the same
@@ -301,7 +294,8 @@ fn wire_leg(pg: &PartitionedGraph, hot_pct: u64, seed: u64, quick: bool) -> Wire
 /// Observed leg: a warm cached backend behind an instrumented service;
 /// returns whether tail blame attributes time to `cache_hit`.
 fn observed_leg(pg: &PartitionedGraph, hot_pct: u64, seed: u64, quick: bool) -> bool {
-    let backend = CpuBackend::from_partitioned_cached(pg.clone(), both_tiers(REF_CAPACITY));
+    let backend =
+        CpuBackend::from_partitioned_cached(pg.clone(), CacheConfig::with_capacity(REF_CAPACITY));
     let warm = if quick {
         QUICK_WARM_REQUESTS
     } else {

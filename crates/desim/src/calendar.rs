@@ -13,7 +13,7 @@
 //!
 //! # Ordering discipline
 //!
-//! Buckets are unsorted `Vec`s of compact [`EventKey`]s; total order is
+//! Buckets are unsorted `Vec`s of compact `EventKey`s; total order is
 //! only ever imposed on the *current* window, kept as a Vec sorted
 //! descending by `(at, seq)` — timestamp order with FIFO tie-breaking
 //! on the global sequence number, popped from the tail. Cascades only

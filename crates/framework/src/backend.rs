@@ -3,8 +3,8 @@
 //!
 //! The paper's near-transparent offload story only works if the framework
 //! talks to *an interface* rather than a device: the AliGraph CPU cluster
-//! ([`CpuBackend`]) and the Access Engine ([`AxeBackend`], see
-//! `crate::offload`) serve the same verbs — sample (one request, a
+//! ([`CpuBackend`]) and the Access Engine
+//! ([`AxeBackend`](crate::offload::AxeBackend)) serve the same verbs — sample (one request, a
 //! batch, fallibly, or with shards excluded), gather attributes, report
 //! stats and cache counters, flush. The system-level hot-node cache of
 //! the paper's Tech-4 has one home: the cluster's inline
@@ -265,14 +265,14 @@ impl CpuBackend {
     pub fn new(graph: &CsrGraph, attributes: &AttributeStore, partitions: u32) -> Self {
         let pg =
             PartitionedGraph::new(graph.clone(), partitions).with_attributes(attributes.clone());
-        Self::from_cluster(Cluster::spawn(pg))
+        Self::from_cluster(Cluster::spawn(pg, None, None))
     }
 
     /// Spawns a cluster over an already-partitioned graph — used when
     /// the caller controls placement (e.g. pinning the hot head of a
     /// skewed workload onto the worker-local shard).
     pub fn from_partitioned(pg: PartitionedGraph) -> Self {
-        Self::from_cluster(Cluster::spawn(pg))
+        Self::from_cluster(Cluster::spawn(pg, None, None))
     }
 
     /// Like [`CpuBackend::from_partitioned`], with the MoF wire plane
@@ -281,13 +281,13 @@ impl CpuBackend {
     /// byte-identical to the unwired path — the plane measures, it does
     /// not transform.
     pub fn from_partitioned_wired(pg: PartitionedGraph, config: WireConfig) -> Self {
-        Self::from_cluster(Cluster::spawn_wired(pg, config))
+        Self::from_cluster(Cluster::spawn(pg, Some(config), None))
     }
 
     /// Like [`CpuBackend::from_partitioned`], with the two-tier hot-set
     /// cache mounted inline on the cluster's remote data plane.
     pub fn from_partitioned_cached(pg: PartitionedGraph, cache: CacheConfig) -> Self {
-        Self::from_cluster(Cluster::spawn_cached(pg, cache))
+        Self::from_cluster(Cluster::spawn(pg, None, Some(cache)))
     }
 
     /// Wire plane *and* hot-set cache together — the arm that shows
@@ -297,7 +297,7 @@ impl CpuBackend {
         wire: WireConfig,
         cache: CacheConfig,
     ) -> Self {
-        Self::from_cluster(Cluster::spawn_wired_cached(pg, wire, cache))
+        Self::from_cluster(Cluster::spawn(pg, Some(wire), Some(cache)))
     }
 
     /// Wire-plane telemetry so far, when spawned wired.

@@ -253,7 +253,7 @@ pub const ATTR_PAGE_ROWS: u64 = 16;
 /// measured against, per the paper's ~33 % small-read utilization figure.
 pub const UNPACKED_REQUEST_BYTES: u64 = HEADER_BYTES + 8 + CRC_BYTES;
 
-/// Configuration of the MoF wire accounting plane (see [`WirePlane`]).
+/// Configuration of the MoF wire accounting plane (see `WirePlane`).
 #[derive(Debug, Clone)]
 pub struct WireConfig {
     /// Route remote read addresses through MoF multi-request packing
@@ -436,8 +436,8 @@ impl lsdgnn_telemetry::MetricSource for WireSnapshot {
     }
 }
 
-/// The MoF wire accounting plane: when a cluster is spawned with
-/// [`Cluster::spawn_wired`], every remote leg's read addresses run
+/// The MoF wire accounting plane: when a cluster is spawned with a
+/// [`WireConfig`], every remote leg's read addresses run
 /// through the real MoF packer's split walk ([`packed_request_size`])
 /// and every response payload through the real per-line BDI sizer
 /// ([`bdi_stream_bytes`]) — *measured on the actual serving
@@ -542,7 +542,7 @@ impl WirePlane {
     }
 }
 
-/// Where one node's neighbor list lives in a [`NeighborTable`].
+/// Where one node's neighbor list lives in a `NeighborTable`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Span {
     /// A range of the shared CSR target array — the zero-copy local path.
@@ -730,15 +730,15 @@ pub struct Cluster {
     /// empty neighbor lists / zeroed attributes and counted as
     /// [`RequestStats::unreachable_nodes`] instead of blocking forever.
     down: Vec<AtomicBool>,
-    /// The MoF wire accounting plane, present when spawned via
-    /// [`Cluster::spawn_wired`]. `None` keeps the remote legs entirely
+    /// The MoF wire accounting plane, present when spawned with a
+    /// [`WireConfig`]. `None` keeps the remote legs entirely
     /// free of wire bookkeeping.
     wire: Option<WirePlane>,
     /// The two-tier hot-set cache consulted inline on the remote data
-    /// plane, present when spawned via [`Cluster::spawn_cached`]. A tier
+    /// plane, present when spawned with a [`CacheConfig`]. A tier
     /// hit serves byte-identical data while skipping the remote leg *and*
     /// its wire accounting.
-    cache: Option<Arc<HotSetCache>>,
+    cache: Option<HotSetCache>,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -798,45 +798,22 @@ fn serve(
 impl Cluster {
     /// Spawns one server thread per partition of `graph`.
     ///
+    /// `wire` attaches the MoF wire accounting plane: remote sampling
+    /// and gather legs are routed through real request packing and
+    /// per-line BDI sizing, with its `link` charged the wire bytes.
+    /// Replies are untouched — sampled results stay byte-identical to an
+    /// unwired cluster.
+    ///
+    /// `cache` mounts the two-tier hot-set cache inline: remote
+    /// neighbor-list and attribute fetches consult the tiers before
+    /// dispatching, and replies warm them. When `warm_top_degree > 0`,
+    /// the degree prior is applied (and the top-degree remote hot set
+    /// preloaded) before the first request.
+    ///
     /// # Panics
     ///
     /// Panics if the graph has no attribute store attached.
-    pub fn spawn(graph: PartitionedGraph) -> Self {
-        Self::spawn_with_wire(graph, None)
-    }
-
-    /// [`Cluster::spawn`] with the MoF wire accounting plane attached:
-    /// remote sampling and gather legs are routed through real request
-    /// packing and per-line BDI sizing, with `config.link` charged the
-    /// wire bytes. Replies are untouched — sampled results stay
-    /// byte-identical to an unwired cluster.
-    pub fn spawn_wired(graph: PartitionedGraph, config: WireConfig) -> Self {
-        Self::spawn_inner(graph, Some(config), None)
-    }
-
-    /// [`Cluster::spawn`] with the two-tier hot-set cache mounted inline:
-    /// remote neighbor-list and attribute fetches consult the tiers
-    /// before dispatching, and replies warm them. When
-    /// `cache.warm_top_degree > 0`, the degree prior is applied (and the
-    /// top-degree remote hot set preloaded) before the first request.
-    pub fn spawn_cached(graph: PartitionedGraph, cache: CacheConfig) -> Self {
-        Self::spawn_inner(graph, None, Some(cache))
-    }
-
-    /// Wire plane and hot-set cache together.
-    pub fn spawn_wired_cached(
-        graph: PartitionedGraph,
-        wire: WireConfig,
-        cache: CacheConfig,
-    ) -> Self {
-        Self::spawn_inner(graph, Some(wire), Some(cache))
-    }
-
-    fn spawn_with_wire(graph: PartitionedGraph, wire: Option<WireConfig>) -> Self {
-        Self::spawn_inner(graph, wire, None)
-    }
-
-    fn spawn_inner(
+    pub fn spawn(
         graph: PartitionedGraph,
         wire: Option<WireConfig>,
         cache: Option<CacheConfig>,
@@ -863,7 +840,7 @@ impl Cluster {
             if cfg.warm_top_degree > 0 {
                 c.warm_degree_prior(&graph, worker_partition, cfg.warm_top_degree);
             }
-            Arc::new(c)
+            c
         });
         Cluster {
             graph,
@@ -875,11 +852,6 @@ impl Cluster {
             wire: wire.map(WirePlane::new),
             cache,
         }
-    }
-
-    /// The inline hot-set cache, when mounted.
-    pub fn cache(&self) -> Option<&Arc<HotSetCache>> {
-        self.cache.as_ref()
     }
 
     /// Per-tier cache counters, or `None` for an uncached cluster.
@@ -1051,7 +1023,7 @@ impl Cluster {
             return 0;
         }
         let local = self.worker_partition.0 as usize;
-        let attr_tier = self.cache.as_deref().and_then(HotSetCache::attr);
+        let attr_tier = self.cache.as_ref().and_then(HotSetCache::attr);
         let entries = blocks.iter().flat_map(|b| b.roots.iter().chain(&b.nodes));
         entries
             .filter(|&&v| {
@@ -1208,7 +1180,7 @@ impl Cluster {
         // cached span is the same truth the dead server would have sent,
         // so the reply legally avoids degrading.
         let obs_on = ledger::scope_active();
-        let neigh_tier = self.cache.as_deref().and_then(HotSetCache::neigh);
+        let neigh_tier = self.cache.as_ref().and_then(HotSetCache::neigh);
         let cache_t0 = (obs_on && neigh_tier.is_some()).then(Instant::now);
         let mut cache_hits: u64 = 0;
         // Cached spans land in one pooled arena; `reset` just emptied the
@@ -1414,7 +1386,7 @@ impl Cluster {
         // owner partition is down — the degraded marking (the cached row
         // is the truth; count the save).
         let obs_on = ledger::scope_active();
-        let attr_tier = self.cache.as_deref().and_then(HotSetCache::attr);
+        let attr_tier = self.cache.as_ref().and_then(HotSetCache::attr);
         let cache_t0 = (obs_on && attr_tier.is_some()).then(Instant::now);
         let mut cache_hits: u64 = 0;
         let mut remote = self.pool.take_groups(parts);
@@ -1604,7 +1576,11 @@ mod tests {
     fn cluster(partitions: u32) -> Cluster {
         let g = generators::power_law(800, 8, 60);
         let attrs = AttributeStore::synthetic(800, 8, 60);
-        Cluster::spawn(PartitionedGraph::new(g, partitions).with_attributes(attrs))
+        Cluster::spawn(
+            PartitionedGraph::new(g, partitions).with_attributes(attrs),
+            None,
+            None,
+        )
     }
 
     /// One hop at a fanout no list exceeds: every reachable list comes

@@ -63,14 +63,12 @@ proptest! {
         // sized to never evict: the expansion that runs first may admit
         // lists, and must not push out one a dead owner's lookup in the
         // full op depends on.
-        let cluster = match attr_cap {
-            0 => Cluster::spawn(pg(gseed, partitions)),
-            _ => Cluster::spawn_cached(pg(gseed, partitions), CacheConfig {
-                neigh_capacity: 4096,
-                attr_capacity: attr_cap,
-                ..CacheConfig::default()
-            }),
-        };
+        let cache = (attr_cap > 0).then_some(CacheConfig {
+            neigh_capacity: 4096,
+            attr_capacity: attr_cap,
+            ..CacheConfig::default()
+        });
+        let cluster = Cluster::spawn(pg(gseed, partitions), None, cache);
         // Warm while healthy, so a later dead owner's rows and lists are
         // partly cached (the partition-save case) and partly not.
         let warm = requests(gseed ^ 0xa5a5, 4, roots, fanout);

@@ -11,8 +11,10 @@
 //!
 //! The cache-correctness hazard of relabeling — a hot-set tier warmed
 //! under the old labeling serves node `k`'s row for whatever node now
-//! holds id `k` until it is rekeyed — is pinned on the tier itself by
-//! `cache_differential::stale_tier_keys_serve_wrong_rows_and_rekey_fixes_it`.
+//! holds id `k` — is pinned on the tier itself by
+//! `cache_differential::stale_tier_keys_serve_wrong_rows_after_a_reorder`;
+//! cached data is immutable, so a reordered graph gets a new cluster
+//! with a new, cold cache.
 
 use lsdgnn_framework::{CpuBackend, SampleRequest, SamplingBackend, WireConfig};
 use lsdgnn_graph::reorder::{Permutation, ReorderPolicy};

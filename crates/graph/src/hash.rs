@@ -4,7 +4,7 @@
 //! data plane never needs: node ids are internal `u64` newtypes, not
 //! attacker-controlled strings. [`FnvHasher`] is FNV-1a with a
 //! multiply-fold fast path for the integer writes the derived
-//! `Hash` impls of [`NodeId`](crate::NodeId) (and tuples of it) emit —
+//! `Hash` impls of [`NodeId`] (and tuples of it) emit —
 //! effectively an identity hasher with one mixing multiply, which is
 //! what a `u64` key space wants.
 //!

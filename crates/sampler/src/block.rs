@@ -1,6 +1,6 @@
 //! The flat-buffer mini-batch representation of the serving data plane.
 //!
-//! A [`SampleBlock`] stores what [`SampleBatch`](crate::SampleBatch)
+//! A [`SampleBlock`] stores what [`SampleBatch`]
 //! stores — per-hop sampled frontiers in parent-major order — but packed
 //! the way the AxE packs results for MoF: one flat `nodes` array plus a
 //! `hop_offsets` boundary table, mirroring CSR. No per-hop `Vec`, no
@@ -8,7 +8,7 @@
 //! allocations (all recyclable through a buffer pool), and hop access is
 //! a slice borrow.
 //!
-//! The nested-`Vec` [`SampleBatch`](crate::SampleBatch) is the nested
+//! The nested-`Vec` [`SampleBatch`] is the nested
 //! client form — what `MultiHopSampler`, the AxE command path and
 //! `SampleBatch` clients of the serving stack speak;
 //! [`SampleBlock::to_batch`] / [`SampleBlock::from_batch`] convert

@@ -409,7 +409,7 @@ impl Registry {
 /// interpolated percentiles.
 ///
 /// This is the unit-agnostic sibling of `lsdgnn_desim::Histogram` (which
-/// records simulated [`Time`]s); the serving layer records latencies in
+/// records simulated `Time`s); the serving layer records latencies in
 /// microseconds, queue depths in requests, batch sizes in requests.
 ///
 /// # Example

@@ -2,7 +2,7 @@
 //!
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the *subset* of the `rand 0.8` API it actually uses:
-//! [`SmallRng`](rngs::SmallRng) (xoshiro256++ seeded with SplitMix64),
+//! [`SmallRng`] (xoshiro256++ seeded with SplitMix64),
 //! the [`Rng`] extension trait (`gen`, `gen_range`, `gen_bool`), and
 //! [`SeedableRng::seed_from_u64`]. Semantics match `rand` (uniform
 //! ranges, 53-bit float precision); the exact output streams do not,
