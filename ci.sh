@@ -77,6 +77,11 @@ for bench in chaos wire inference traffic cache; do
     cargo run --release -q -p lsdgnn-bench -- "$bench" --quick --out "$SMOKE_DIR/BENCH_$bench.json"
 done
 
+# The committed BENCH_*.json are the record the docs quote: each must be
+# a full run (`quick: false`) whose every gate held.
+step "bench check: committed BENCH_*.json"
+cargo run --release -q -p lsdgnn-bench -- check BENCH_*.json
+
 step "trace-report smoke: per-stage summary of the fig14 trace"
 cargo run --release -q -p lsdgnn-bench -- trace-report "$SMOKE_DIR/trace.json" \
     | grep -q 'dispatch' \

@@ -8,6 +8,7 @@
 //! cargo run -p lsdgnn-bench --release -- fig14 \
 //!     --metrics-out results/metrics.json --trace-out results/trace.json
 //! cargo run -p lsdgnn-bench --release -- cache --quick --seed 7 --out /tmp/cache.json
+//! cargo run -p lsdgnn-bench --release -- check BENCH_*.json
 //! ```
 //!
 //! Flags:
@@ -146,6 +147,7 @@ fn usage_and_exit(unknown: &str) -> ! {
         benches.join("|")
     );
     eprintln!("  trace-report <trace.json>   per-stage summary of a --trace-out Chrome trace");
+    eprintln!("  check <BENCH_*.json ...>    every record a full run with every gate ok");
     eprintln!("(see DESIGN.md for the experiment index)");
     std::process::exit(2);
 }
@@ -215,6 +217,17 @@ fn main() {
                 eprintln!("trace-report needs a trace file: bench trace-report <trace.json>");
                 std::process::exit(2);
             }
+        }
+        return;
+    }
+
+    if args.first().is_some_and(|a| a == "check") {
+        if args.len() == 1 {
+            eprintln!("check needs bench records: bench check BENCH_*.json");
+            std::process::exit(2);
+        }
+        if !report::check(&args[1..]) {
+            std::process::exit(1);
         }
         return;
     }

@@ -6,6 +6,7 @@
 //! order, then `gates`: `[{name, ok, observed, bound}]` — and fails the
 //! run when a gate is false. The record is written first, so a failed
 //! run still leaves the evidence of which gate broke and by how much.
+//! [`check`] reads committed records back (`bench check BENCH_*.json`).
 
 use crate::util::outln;
 use lsdgnn_core::telemetry::Json;
@@ -72,7 +73,88 @@ impl Report {
     }
 }
 
+/// `bench check`: prints one line per record and returns whether every
+/// one is a full run (`quick: false`) whose gates all held.
+pub(crate) fn check(paths: &[String]) -> bool {
+    let mut all_ok = true;
+    for path in paths {
+        let verdict = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
+            .and_then(|record| check_record(&record));
+        match verdict {
+            Ok(gates) => outln!("ok      {path}: full run, {gates} gates ok"),
+            Err(why) => {
+                outln!("FAILED  {path}: {why}");
+                all_ok = false;
+            }
+        }
+    }
+    all_ok
+}
+
+/// The number of gates of a full-run record with every gate `ok`, or
+/// why the record fails.
+fn check_record(record: &Json) -> Result<usize, String> {
+    match record.get("quick") {
+        Some(Json::Bool(false)) => {}
+        other => {
+            let quick = other.map_or("absent".to_string(), Json::render);
+            return Err(format!("not a full run (quick: {quick})"));
+        }
+    }
+    let gates = record
+        .get("gates")
+        .and_then(Json::as_arr)
+        .filter(|g| !g.is_empty())
+        .ok_or("no gates recorded")?;
+    let failed: Vec<&str> = gates
+        .iter()
+        .filter(|g| g.get("ok") != Some(&Json::Bool(true)))
+        .map(|g| g.get("name").and_then(Json::as_str).unwrap_or("(unnamed)"))
+        .collect();
+    if failed.is_empty() {
+        Ok(gates.len())
+    } else {
+        Err(format!("gates not ok: {}", failed.join(", ")))
+    }
+}
+
 /// A 64-bit digest as the artifacts print it.
 pub(crate) fn hex(d: u64) -> String {
     format!("{d:#018x}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(quick: &str, gates: &str) -> Json {
+        Json::parse(&format!(
+            r#"{{"bench":"x","quick":{quick},"seed":42,"gates":{gates}}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn a_full_run_with_every_gate_ok_passes() {
+        let gates = r#"[{"name":"a","ok":true},{"name":"b","ok":true}]"#;
+        assert_eq!(check_record(&record("false", gates)), Ok(2));
+    }
+
+    #[test]
+    fn quick_runs_false_gates_and_missing_gates_fail() {
+        let ok = r#"[{"name":"a","ok":true}]"#;
+        assert!(check_record(&record("true", ok))
+            .unwrap_err()
+            .contains("quick: true"));
+        let bad = r#"[{"name":"a","ok":true},{"name":"b","ok":false},{"name":"c"}]"#;
+        assert_eq!(
+            check_record(&record("false", bad)),
+            Err("gates not ok: b, c".to_string())
+        );
+        assert!(check_record(&record("false", "[]")).is_err());
+        assert!(check_record(&Json::parse(r#"{"quick":false}"#).unwrap()).is_err());
+        assert!(check_record(&Json::parse(r#"{"gates":[]}"#).unwrap()).is_err());
+    }
 }

@@ -657,9 +657,11 @@ impl ShapedService {
     ///
     /// # Panics
     ///
-    /// Panics if `sr.req.fanout` is zero.
+    /// Panics if `sr.req.fanout` is zero or a root is outside the
+    /// backend's node range.
     pub fn submit(&self, sr: ShapedRequest, now_us: u64) -> SubmitVerdict {
-        sr.req.assert_well_formed();
+        sr.req
+            .assert_well_formed(self.service().backend().num_nodes());
         let burn = self.obs.as_ref().map_or(0.0, |o| o.sampling_burn_rate());
         let verdict = {
             let mut ctrl = self.ctrl.lock().expect("admission lock");

@@ -52,11 +52,19 @@ pub struct SampleRequest {
 }
 
 impl SampleRequest {
-    /// The front doors' entry check, run on the submitting thread: a
-    /// zero fanout divides by zero inside the sampler, and past the
-    /// queue that would take a shard worker down with it.
-    pub(crate) fn assert_well_formed(&self) {
+    /// The front doors' entry check, run on the submitting thread
+    /// against the serving backend's [`SamplingBackend::num_nodes`]: a
+    /// zero fanout divides by zero inside the sampler and a root past the
+    /// node range indexes out of bounds, and past the queue either would
+    /// take a shard worker down with it.
+    pub(crate) fn assert_well_formed(&self, num_nodes: u64) {
         assert!(self.fanout > 0, "fanout must be non-zero");
+        if let Some(r) = self.roots.iter().find(|r| r.0 >= num_nodes) {
+            panic!(
+                "root {} outside the backend's node range 0..{num_nodes}",
+                r.0
+            );
+        }
     }
 }
 
@@ -213,6 +221,13 @@ pub trait SamplingBackend: Send + Sync {
     /// Shards/cards behind this backend (1 for monolithic devices).
     fn shards(&self) -> u32 {
         1
+    }
+
+    /// The node range this backend serves is `0..num_nodes()`; the front
+    /// doors refuse a request rooted outside it before it is queued. The
+    /// default bounds nothing; decorators forward the backend they wrap.
+    fn num_nodes(&self) -> u64 {
+        u64::MAX
     }
 
     /// Hot-set cache counters, when a cache sits on this backend's data
@@ -439,6 +454,10 @@ impl SamplingBackend for CpuBackend {
 
     fn shards(&self) -> u32 {
         self.cluster.partitions()
+    }
+
+    fn num_nodes(&self) -> u64 {
+        self.cluster.graph().graph().num_nodes()
     }
 
     fn cache_snapshot(&self) -> Option<CacheSnapshot> {

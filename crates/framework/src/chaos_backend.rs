@@ -165,6 +165,10 @@ impl SamplingBackend for ChaosBackend {
         self.inner.shards()
     }
 
+    fn num_nodes(&self) -> u64 {
+        self.inner.num_nodes()
+    }
+
     fn cache_snapshot(&self) -> Option<crate::hot_cache::CacheSnapshot> {
         self.inner.cache_snapshot()
     }

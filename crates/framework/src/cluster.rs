@@ -36,7 +36,7 @@
 //! frozen digests.
 
 use crate::backend::SampleRequest;
-use crate::hot_cache::{CacheConfig, CacheSnapshot, HotSetCache};
+use crate::hot_cache::{CacheConfig, CacheSnapshot, HotSetCache, ShardedTier};
 use crate::pool::BufferPool;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use lsdgnn_graph::mem::prefetch_read;
@@ -973,9 +973,11 @@ impl Cluster {
     /// The stand-alone sampling op (the paper's `GetSample` answered
     /// together with its `GetAttribute`): [`Cluster::expand_blocks_excluding`]'s
     /// expansion, then one combined attribute fetch for the whole batch
-    /// in deduplicated row form — a hub any request resampled moves once
-    /// — through pooled buffers that go straight back to the pool. A
-    /// caller that gathers the rows itself asks for the expansion alone.
+    /// in deduplicated row form — a hub any request resampled moves once.
+    /// The op hands back no rows, so its fetch moves them for the
+    /// accounting only (tier, legs, wire, unreachable counts) and writes
+    /// none into a buffer. A caller that gathers the rows itself asks for
+    /// the expansion alone.
     pub fn sample_blocks_excluding(
         &self,
         reqs: &[&SampleRequest],
@@ -986,10 +988,8 @@ impl Cluster {
         for b in &blocks {
             b.attr_fetch_into(&mut fetch);
         }
-        let mut rows = self.pool.take_floats();
         let mut row_of = self.pool.take_offsets();
-        stats.merge(self.fetch_attr_rows_into(&fetch, excluded, &mut rows, &mut row_of));
-        self.pool.put_floats(rows);
+        stats.merge(self.fetch_attrs(&fetch, excluded, None, &mut row_of));
         self.pool.put_offsets(row_of);
         self.pool.put_nodes(fetch);
         (blocks, stats)
@@ -1154,6 +1154,53 @@ impl Cluster {
         (blocks, stats)
     }
 
+    /// Routes a pass's remote positions (into `unique`), listed in
+    /// `groups[parts]`, to the per-partition dispatch groups
+    /// `groups[..parts]` in position order — after one batched probe of
+    /// `tier`, when mounted, which serves its hits through `on_hit`
+    /// instead (`groups[parts + 1]` is the probe's scratch). A hit whose
+    /// owner is unreachable counts as a partition save: the cached bytes
+    /// are the truth the dead server would have sent, so the reply
+    /// legally avoids degrading. Returns the hits.
+    fn route_remote<T: Copy>(
+        &self,
+        tier: Option<&ShardedTier<T>>,
+        unique: &[NodeId],
+        excluded: &[u32],
+        groups: &mut [Vec<u32>],
+        mut on_hit: impl FnMut(usize, &[T]),
+    ) -> u64 {
+        let (remote, tail) = groups.split_at_mut(self.senders.len());
+        let [cand, scratch] = tail else {
+            unreachable!("a dispatch group per partition, then two")
+        };
+        let mut hits = 0;
+        if let Some(tier) = tier.filter(|_| !cand.is_empty()) {
+            let t0 = ledger::scope_active().then(Instant::now);
+            let mut saves = 0;
+            tier.probe(unique, cand, scratch, |i, data| {
+                on_hit(i as usize, data);
+                hits += 1;
+                let p = self.graph.owner(unique[i as usize]).0 as usize;
+                saves += u64::from(self.unreachable(p, excluded));
+            });
+            tier.note_partition_saves(saves);
+            if let (Some(t0), true) = (t0, hits > 0) {
+                ledger::scope_record(
+                    Stage::CacheHit,
+                    ledger::NO_SHARD,
+                    0.0,
+                    t0.elapsed().as_secs_f64() * 1e6,
+                    hits,
+                );
+            }
+        }
+        for &i in cand.iter() {
+            remote[self.graph.owner(unique[i as usize]).0 as usize].push(i);
+        }
+        hits
+    }
+
     /// Fills `table` with one span per node of `unique`: local nodes
     /// resolve to zero-copy CSR ranges without touching a channel,
     /// remote nodes are fetched per partition as one flat reply, and
@@ -1171,71 +1218,51 @@ impl Cluster {
         let local_up = !self.unreachable(local, excluded);
         let g = self.graph.graph();
         // One pass over the frontier: local nodes resolve to zero-copy
-        // CSR spans on the spot (no channel, no copy); remote positions
-        // are grouped for per-partition dispatch below — unless the
-        // hot-set neighbor tier already holds the span, in which case the
-        // cached bytes land in a pooled arena and the node never joins a
-        // remote leg (nor its wire accounting). A hit while the owner
-        // partition is unreachable is counted as a partition save: the
-        // cached span is the same truth the dead server would have sent,
-        // so the reply legally avoids degrading.
+        // CSR spans on the spot (no channel, no copy); remote nodes are
+        // routed to per-partition dispatch — unless the hot-set neighbor
+        // tier already holds the span, in which case the cached bytes
+        // land in a pooled arena and the node never joins a remote leg
+        // (nor its wire accounting).
         let obs_on = ledger::scope_active();
         let neigh_tier = self.cache.as_ref().and_then(HotSetCache::neigh);
-        let cache_t0 = (obs_on && neigh_tier.is_some()).then(Instant::now);
-        let mut cache_hits: u64 = 0;
-        // Cached spans land in one pooled arena; `reset` just emptied the
-        // table, so that arena's index is known before the first hit.
-        let mut cache_flat = self.pool.take_nodes();
-        let cache_arena = table.arenas.len();
-        let mut remote = self.pool.take_groups(parts);
+        let mut groups = self.pool.take_groups(parts + 2);
         let mut local_seen = false;
         for (i, &v) in unique.iter().enumerate() {
-            let p = self.graph.owner(v).0 as usize;
-            if p == local {
-                local_seen = true;
-                if local_up {
-                    let r = g.neighbor_range(v);
-                    table.spans[i] = Span::Csr {
-                        start: r.start,
-                        len: r.end - r.start,
-                    };
-                }
-            } else {
-                if let Some(tier) = neigh_tier {
-                    let start = cache_flat.len();
-                    if let Some(len) = tier.append_to(v, &mut cache_flat) {
-                        table.spans[i] = Span::Flat {
-                            arena: cache_arena,
-                            start,
-                            len,
-                        };
-                        cache_hits += 1;
-                        if self.unreachable(p, excluded) {
-                            tier.note_partition_save();
-                        }
-                        continue;
-                    }
-                }
-                remote[p].push(i as u32);
+            if self.graph.owner(v).0 as usize != local {
+                groups[parts].push(i as u32);
+                continue;
+            }
+            local_seen = true;
+            if local_up {
+                let r = g.neighbor_range(v);
+                table.spans[i] = Span::Csr {
+                    start: r.start,
+                    len: r.end - r.start,
+                };
             }
         }
         if local_seen && local_up {
             stats.local_requests += 1;
         }
+        // Cached spans land in one pooled arena; `reset` just emptied the
+        // table, so that arena's index is known before the first hit.
+        let mut cache_flat = self.pool.take_nodes();
+        let cache_arena = table.arenas.len();
+        let cache_hits = self.route_remote(neigh_tier, unique, excluded, &mut groups, |i, span| {
+            table.spans[i] = Span::Flat {
+                arena: cache_arena,
+                start: cache_flat.len(),
+                len: span.len(),
+            };
+            cache_flat.extend_from_slice(span);
+        });
         if cache_hits == 0 {
             self.pool.put_nodes(cache_flat);
         } else {
             table.arenas.push(cache_flat);
         }
-        if let (Some(t0), true) = (cache_t0, cache_hits > 0) {
-            ledger::scope_record(
-                Stage::CacheHit,
-                ledger::NO_SHARD,
-                0.0,
-                t0.elapsed().as_secs_f64() * 1e6,
-                cache_hits,
-            );
-        }
+        let (remote, tail) = groups.split_at_mut(parts);
+        let scratch = &mut tail[1];
         for (p, pos) in remote.iter().enumerate() {
             if pos.is_empty() {
                 continue;
@@ -1290,11 +1317,13 @@ impl Cluster {
                             start: w[0] as usize,
                             len: (w[1] - w[0]) as usize,
                         };
-                        // Offer the fetched span to the neighbor tier —
-                        // the next request for this hub skips the leg.
-                        if let Some(tier) = neigh_tier {
-                            tier.admit(unique[i as usize], &flat[w[0] as usize..w[1] as usize]);
-                        }
+                    }
+                    // Offer the fetched spans to the neighbor tier — the
+                    // next request for a hub skips the leg.
+                    if let Some(tier) = neigh_tier {
+                        tier.admit(unique, pos, scratch, |j| {
+                            &flat[offsets[j] as usize..offsets[j + 1] as usize]
+                        });
                     }
                     table.arenas.push(flat);
                     self.pool.put_offsets(offsets);
@@ -1307,16 +1336,16 @@ impl Cluster {
                 }
             }
         }
-        self.pool.put_groups(remote);
+        self.pool.put_groups(groups);
     }
 
     /// Gathers attributes on the flat data plane, in the deduplicated
     /// row format the plane delivers: the row list is coalesced first (a
     /// hub sampled 40 times in a mini-batch is one fetch), each distinct
     /// row is gathered once — local rows straight out of the shared
-    /// store, remote rows through pooled reply buffers. `rows` is
-    /// cleared and filled with one `attr_len` row per *distinct* node
-    /// (unreachable rows zeroed), and `slot_of` maps each of `nodes`
+    /// store, remote rows through pooled reply buffers. `rows` is resized
+    /// to one `attr_len` row per *distinct* node and every row written
+    /// once (unreachable rows zeroed), and `slot_of` maps each of `nodes`
     /// back to its row index — consumers keep the compact table and
     /// index into it, instead of receiving (and paying the memory
     /// traffic for) a buffer with every hub row duplicated per
@@ -1326,6 +1355,23 @@ impl Cluster {
         nodes: &[NodeId],
         excluded: &[u32],
         rows: &mut Vec<f32>,
+        slot_of: &mut Vec<u32>,
+    ) -> RequestStats {
+        self.fetch_attrs(nodes, excluded, Some(rows), slot_of)
+    }
+
+    /// The one attribute fetch body. With `rows` it is the gather verb
+    /// ([`Cluster::fetch_attr_rows_into`]); without, the stand-alone
+    /// op's fetch, which moves every row for its accounting — coalescing,
+    /// tier probes (hits counted, recency refreshed), every leg
+    /// dispatched and wire-sized, replies admitted, unreachable rows
+    /// counted — and writes none: no local, cached or fetched row is
+    /// copied into a buffer nobody reads.
+    fn fetch_attrs(
+        &self,
+        nodes: &[NodeId],
+        excluded: &[u32],
+        mut rows: Option<&mut Vec<f32>>,
         slot_of: &mut Vec<u32>,
     ) -> RequestStats {
         let store = self
@@ -1375,63 +1421,50 @@ impl Cluster {
         // Gather each distinct row once into `rows` (slot order): local
         // rows straight out of the shared store, remote positions
         // grouped for per-partition dispatch. `down` marks slots whose
-        // owner was unreachable.
-        rows.clear();
-        rows.resize(unique.len() * attr_len, 0.0);
+        // owner was unreachable. The buffer keeps what it held: every
+        // slot is either written below or, being down, zeroed at the end.
+        if let Some(rows) = rows.as_deref_mut() {
+            rows.resize(unique.len() * attr_len, 0.0);
+        }
         let mut down = self.pool.take_offsets();
         down.resize(unique.len(), 0);
         // Remote rows consult the hot-set attribute tier before joining
         // a dispatch group: a hit copies the row straight into place and
-        // skips the gather leg, its wire accounting, and — when the
-        // owner partition is down — the degraded marking (the cached row
-        // is the truth; count the save).
+        // skips the gather leg, its wire accounting, and — when the owner
+        // partition is down — the degraded marking.
         let obs_on = ledger::scope_active();
         let attr_tier = self.cache.as_ref().and_then(HotSetCache::attr);
-        let cache_t0 = (obs_on && attr_tier.is_some()).then(Instant::now);
-        let mut cache_hits: u64 = 0;
-        let mut remote = self.pool.take_groups(parts);
+        let mut groups = self.pool.take_groups(parts + 2);
         let mut local_seen = false;
         for (i, &v) in unique.iter().enumerate() {
             // Distinct rows are a random walk over a store larger than
             // cache; touch a few ahead so the copies overlap misses.
-            if let Some(&w) = unique.get(i + 8) {
+            if let (Some(&w), true) = (unique.get(i + 8), rows.is_some()) {
                 if self.graph.owner(w).0 as usize == local {
                     prefetch_read(store.get(w).as_ptr());
                 }
             }
-            let p = self.graph.owner(v).0 as usize;
-            if p == local {
-                local_seen = true;
-                if local_up {
-                    rows[i * attr_len..(i + 1) * attr_len].copy_from_slice(store.get(v));
-                } else {
-                    down[i] = 1; // row unreachable: zeroed, degraded
-                }
-            } else {
-                if let Some(tier) = attr_tier {
-                    if tier.copy_to(v, &mut rows[i * attr_len..(i + 1) * attr_len]) {
-                        cache_hits += 1;
-                        if self.unreachable(p, excluded) {
-                            tier.note_partition_save();
-                        }
-                        continue;
-                    }
-                }
-                remote[p].push(i as u32);
+            if self.graph.owner(v).0 as usize != local {
+                groups[parts].push(i as u32);
+                continue;
+            }
+            local_seen = true;
+            if !local_up {
+                down[i] = 1; // row unreachable: zeroed, degraded
+            } else if let Some(rows) = rows.as_deref_mut() {
+                rows[i * attr_len..(i + 1) * attr_len].copy_from_slice(store.get(v));
             }
         }
         if local_seen && local_up {
             stats.local_requests += 1;
         }
-        if let (Some(t0), true) = (cache_t0, cache_hits > 0) {
-            ledger::scope_record(
-                Stage::CacheHit,
-                ledger::NO_SHARD,
-                0.0,
-                t0.elapsed().as_secs_f64() * 1e6,
-                cache_hits,
-            );
-        }
+        self.route_remote(attr_tier, &unique, excluded, &mut groups, |i, row| {
+            if let Some(rows) = rows.as_deref_mut() {
+                rows[i * attr_len..(i + 1) * attr_len].copy_from_slice(row);
+            }
+        });
+        let (remote, tail) = groups.split_at_mut(parts);
+        let scratch = &mut tail[1];
         for (p, pos) in remote.iter().enumerate() {
             if pos.is_empty() {
                 continue;
@@ -1440,7 +1473,7 @@ impl Cluster {
                 for &i in pos.iter() {
                     down[i as usize] = 1;
                 }
-                continue; // rows stay zeroed: a degraded partial gather
+                continue; // rows zeroed below: a degraded partial gather
             }
             let leg_t0 = obs_on.then(Instant::now);
             let (reply_tx, reply_rx) = bounded(1);
@@ -1479,14 +1512,17 @@ impl Cluster {
                             0,
                         );
                     }
-                    for (j, &slot) in pos.iter().enumerate() {
-                        let slot = slot as usize;
-                        let fetched = &attrs[j * attr_len..(j + 1) * attr_len];
-                        rows[slot * attr_len..(slot + 1) * attr_len].copy_from_slice(fetched);
-                        // Offer the fetched row to the attribute tier.
-                        if let Some(tier) = attr_tier {
-                            tier.admit(unique[slot], fetched);
+                    let fetched = |j: usize| &attrs[j * attr_len..(j + 1) * attr_len];
+                    if let Some(rows) = rows.as_deref_mut() {
+                        for (j, &slot) in pos.iter().enumerate() {
+                            let slot = slot as usize;
+                            rows[slot * attr_len..(slot + 1) * attr_len]
+                                .copy_from_slice(fetched(j));
                         }
+                    }
+                    // Offer the fetched rows to the attribute tier.
+                    if let Some(tier) = attr_tier {
+                        tier.admit(&unique, pos, scratch, fetched);
                     }
                     self.pool.put_floats(attrs);
                     self.pool.put_nodes(request);
@@ -1499,11 +1535,16 @@ impl Cluster {
                 }
             }
         }
-        self.pool.put_groups(remote);
+        self.pool.put_groups(groups);
         // Unreachable rows count per *occurrence* (what an uncoalesced
         // gather would report) — a flag read per entry, not a row copy.
         for &slot in slot_of.iter() {
             stats.unreachable_nodes += u64::from(down[slot as usize]);
+        }
+        if let (Some(rows), true) = (rows, stats.unreachable_nodes > 0) {
+            for (i, _) in down.iter().enumerate().filter(|(_, &d)| d != 0) {
+                rows[i * attr_len..(i + 1) * attr_len].fill(0.0);
+            }
         }
         self.pool.put_stamps(table);
         self.pool.put_stamps(page_index);
@@ -1839,6 +1880,38 @@ mod tests {
         assert_eq!(stats.attrs_fetched, 60);
         assert!(masked > 0);
         assert_eq!(stats.unreachable_nodes, masked);
+        c.shutdown();
+    }
+
+    #[test]
+    fn row_gather_overwrites_a_used_buffer_byte_for_byte() {
+        // The gather writes each row once into whatever the buffer held:
+        // a longer buffer of stale bytes and an empty one come back
+        // identical, masked owners' rows (the local one's included)
+        // zeroed, under every mask.
+        let c = cluster(4);
+        let store = c.graph().attributes().unwrap();
+        let n = c.attr_len();
+        let nodes: Vec<NodeId> = (0..90).map(|i| NodeId(i * 29 % 800)).collect();
+        for mask in [&[][..], &[2], &[0, 3]] {
+            let (mut fresh, mut used) = (Vec::new(), vec![f32::NAN; 200 * n]);
+            let (mut slot_of, mut used_slot_of) = (Vec::new(), vec![7; 5]);
+            let a = c.fetch_attr_rows_into(&nodes, mask, &mut fresh, &mut slot_of);
+            let b = c.fetch_attr_rows_into(&nodes, mask, &mut used, &mut used_slot_of);
+            assert_eq!(a, b);
+            assert_eq!(slot_of, used_slot_of);
+            let bits = |rows: &[f32]| rows.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fresh), bits(&used), "mask {mask:?}");
+            for (i, &slot) in slot_of.iter().enumerate() {
+                let v = nodes[i];
+                let row = &used[slot as usize * n..][..n];
+                if mask.contains(&c.graph().owner(v).0) {
+                    assert!(row.iter().all(|&x| x.to_bits() == 0), "{v:?} zeroed");
+                } else {
+                    assert_eq!(row, store.get(v));
+                }
+            }
+        }
         c.shutdown();
     }
 

@@ -19,8 +19,13 @@
 //!
 //! Both tiers are a [`ShardedTier`]: segments selected by node hash, each
 //! behind its own small `Mutex`, so concurrent service workers contend
-//! only when they touch the same segment ("lock-light", not lock-free —
-//! the segment critical sections are a map probe and a row memcpy).
+//! only when they touch the same segment ("lock-light", not lock-free).
+//! The tier is used a **pass at a time**: [`ShardedTier::probe`] and
+//! [`ShardedTier::admit`] take a fetch's whole batch of keys, group it
+//! by segment, and lock each touched segment once and add to each
+//! counter once for the pass — not once per row, where every locked
+//! read-modify-write would wait for the store misses of the row copies
+//! issued before it.
 //!
 //! **Admission** is frequency-based in the TinyLFU mold: every segment
 //! keeps a 4-bit count-min sketch; a candidate only displaces the
@@ -301,6 +306,8 @@ thread_local! {
     /// Slots examined while choosing eviction victims on this thread —
     /// the complexity pin reads it instead of a clock.
     static VICTIM_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Segment locks taken on this thread — the batching pin reads it.
+    static SEGMENT_LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Counter block shared by a tier's segments (all relaxed atomics — the
@@ -313,6 +320,14 @@ struct TierCounters {
     evicts: AtomicU64,
     rejects: AtomicU64,
     partition_saves: AtomicU64,
+}
+
+/// Adds a pass's count to a tier counter once (and not at all for zero).
+#[inline]
+fn add(counter: &AtomicU64, n: u64) {
+    if n > 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 /// A point-in-time copy of one tier's counters.
@@ -416,10 +431,61 @@ impl<T: Copy> ShardedTier<T> {
     #[inline]
     fn enter(&self, v: NodeId) -> (MutexGuard<'_, Segment<T>>, u64) {
         let h = mix(v.0);
-        let seg = self.segments[(h as usize) & self.shard_mask]
-            .lock()
-            .expect("segment lock");
-        (seg, h)
+        (self.lock(h as usize & self.shard_mask), h)
+    }
+
+    /// Locks segment `s`.
+    #[inline]
+    fn lock(&self, s: usize) -> MutexGuard<'_, Segment<T>> {
+        #[cfg(test)]
+        SEGMENT_LOCKS.set(SEGMENT_LOCKS.get() + 1);
+        self.segments[s].lock().expect("segment lock")
+    }
+
+    /// Groups a batch by segment, in stable order: on return
+    /// `scratch[s]` is the end of segment `s`'s run (and the start of
+    /// segment `s + 1`'s) within `scratch[segments..]`, which lists the
+    /// batch indices `j` (into `batch`) of segment 0's keys, then segment
+    /// 1's, each run in batch order. A counting sort: two passes, no
+    /// allocation once `scratch` has grown.
+    fn group(&self, keys: &[NodeId], batch: &[u32], scratch: &mut Vec<u32>) {
+        let segs = self.segments.len();
+        let seg_of = |i: u32| mix(keys[i as usize].0) as usize & self.shard_mask;
+        scratch.clear();
+        scratch.resize(segs + batch.len(), 0);
+        let (cursor, order) = scratch.split_at_mut(segs);
+        for &i in batch {
+            cursor[seg_of(i)] += 1;
+        }
+        // Exclusive prefix sums: each segment's start…
+        let mut start = 0;
+        for c in cursor.iter_mut() {
+            (*c, start) = (start, start + *c);
+        }
+        // …which placement advances to its end.
+        for (j, &i) in batch.iter().enumerate() {
+            let c = &mut cursor[seg_of(i)];
+            order[*c as usize] = j as u32;
+            *c += 1;
+        }
+    }
+
+    /// Runs `each(segment, j)` over a batch grouped by [`Self::group`],
+    /// holding each touched segment's lock once, for all of its keys.
+    fn for_each_grouped(&self, scratch: &[u32], mut each: impl FnMut(&mut Segment<T>, usize)) {
+        let (ends, order) = scratch.split_at(self.segments.len());
+        let mut lo = 0;
+        for (s, &hi) in ends.iter().enumerate() {
+            let run = &order[lo as usize..hi as usize];
+            lo = hi;
+            if run.is_empty() {
+                continue;
+            }
+            let mut seg = self.lock(s);
+            for &j in run {
+                each(&mut seg, j as usize);
+            }
+        }
     }
 
     /// Maximum entries.
@@ -461,13 +527,11 @@ impl<T: Copy> ShardedTier<T> {
         }
     }
 
-    /// Counts one hit that served a node behind an unreachable
+    /// Counts `n` hits that served a node behind an unreachable
     /// partition — the "cache hit legally avoids a degraded reply"
     /// event the chaos plane wants quantified.
-    pub fn note_partition_save(&self) {
-        self.counters
-            .partition_saves
-            .fetch_add(1, Ordering::Relaxed);
+    pub fn note_partition_saves(&self, n: u64) {
+        add(&self.counters.partition_saves, n);
     }
 
     /// Whether a lookup of `v` would hit right now — a read-only probe:
@@ -478,48 +542,42 @@ impl<T: Copy> ShardedTier<T> {
         self.enter(v).0.map.contains_key(&v)
     }
 
-    /// Looks `v` up; on a hit the payload is *appended* to `out` and its
-    /// length returned. The spans-into-arena shape tier N needs: the
-    /// caller owns where cached bytes land.
-    pub fn append_to(&self, v: NodeId, out: &mut Vec<T>) -> Option<usize> {
-        let (mut seg, h) = self.enter(v);
-        let i = self.lookup(&mut seg, v, h)?;
-        let data = &seg.slots[i as usize].data;
-        out.extend_from_slice(data);
-        Some(data.len())
-    }
-
-    /// Looks `v` up; on a hit the payload is copied into `dst` (which
-    /// must be exactly the payload length) and `true` returned. The
-    /// fixed-width row shape tier A needs.
-    pub fn copy_to(&self, v: NodeId, dst: &mut [T]) -> bool {
-        let (mut seg, h) = self.enter(v);
-        match self.lookup(&mut seg, v, h) {
-            Some(i) => {
-                let data = &seg.slots[i as usize].data;
-                debug_assert_eq!(data.len(), dst.len(), "row width mismatch");
-                dst.copy_from_slice(data);
-                true
+    /// Looks up, as one pass, the keys `batch` lists (positions into
+    /// `keys`). A resident key's payload goes to `on_hit(position,
+    /// payload)` under its segment's lock and its position leaves
+    /// `batch`, which ends up holding the misses in their original
+    /// order. Every lookup counts in the admission sketch and the
+    /// hit/miss counters; a hit refreshes the entry's recency.
+    ///
+    /// The batch is grouped by segment in stable order (`scratch` is the
+    /// grouping's working space), so a call takes each touched segment's
+    /// lock once and adds to each counter once. Segments share no state,
+    /// so each one sees the same operations in the same order as a
+    /// key-at-a-time loop would give it.
+    pub fn probe(
+        &self,
+        keys: &[NodeId],
+        batch: &mut Vec<u32>,
+        scratch: &mut Vec<u32>,
+        mut on_hit: impl FnMut(u32, &[T]),
+    ) {
+        debug_assert!(keys.len() < NIL as usize, "positions must stay below NIL");
+        self.group(keys, batch, scratch);
+        let mut hits = 0;
+        self.for_each_grouped(scratch, |seg, j| {
+            let i = batch[j];
+            let v = keys[i as usize];
+            seg.sketch.increment(mix(v.0));
+            if let Some(&k) = seg.map.get(&v) {
+                seg.touch(k);
+                on_hit(i, &seg.slots[k as usize].data);
+                batch[j] = NIL;
+                hits += 1;
             }
-            None => false,
-        }
-    }
-
-    /// The locked lookup core: sketch count, then refresh + hit count on
-    /// a resident entry, miss count otherwise.
-    fn lookup(&self, seg: &mut Segment<T>, v: NodeId, h: u64) -> Option<u32> {
-        seg.sketch.increment(h);
-        match seg.map.get(&v).copied() {
-            Some(i) => {
-                seg.touch(i);
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(i)
-            }
-            None => {
-                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        });
+        add(&self.counters.hits, hits);
+        add(&self.counters.misses, batch.len() as u64 - hits);
+        batch.retain(|&i| i != NIL);
     }
 
     /// The LRU eviction victim of a full segment: the head of its
@@ -536,37 +594,55 @@ impl<T: Copy> ShardedTier<T> {
         (seg.head != NIL).then_some(seg.head)
     }
 
-    /// Offers `(v, data)` for caching after a remote fetch. Present
+    /// Offers, as one pass grouped like [`ShardedTier::probe`], the
+    /// keys `batch` lists (positions into `keys`) for caching after a
+    /// remote fetch; `payload(j)` is the data of the `j`-th. Present
     /// entries are refreshed; fresh entries fill free capacity; a full
     /// segment evicts its LRU victim only if the sketch rates the
     /// candidate strictly more popular (without admission, always).
-    pub fn admit(&self, v: NodeId, data: &[T]) {
-        let (mut seg, h) = self.enter(v);
-        seg.sketch.increment(h);
-        if let Some(&i) = seg.map.get(&v) {
-            seg.touch(i);
-            return; // cached graph data is immutable: touch, don't copy
-        }
-        if let Some(i) = seg.vacant_slot() {
-            seg.write(i, v, data);
-            self.counters.admits.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let Some(vi) = self.lru(&seg) else { return };
-        // The victim defends its slot with its own frequency estimate.
-        // Strictly greater wins: ties keep the incumbent, which is what
-        // makes a warm cache scan-resistant (a one-hit wonder's estimate
-        // can tie a decayed resident's, but never beat it).
-        if self.admission
-            && seg.sketch.estimate(h) <= seg.sketch.estimate(mix(seg.slots[vi as usize].node.0))
-        {
-            self.counters.rejects.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        seg.detach(vi);
-        self.counters.evicts.fetch_add(1, Ordering::Relaxed);
-        seg.write(vi, v, data);
-        self.counters.admits.fetch_add(1, Ordering::Relaxed);
+    pub fn admit<'a>(
+        &self,
+        keys: &[NodeId],
+        batch: &[u32],
+        scratch: &mut Vec<u32>,
+        payload: impl Fn(usize) -> &'a [T],
+    ) where
+        T: 'a,
+    {
+        self.group(keys, batch, scratch);
+        let (mut admits, mut evicts, mut rejects) = (0, 0, 0);
+        self.for_each_grouped(scratch, |seg, j| {
+            let v = keys[batch[j] as usize];
+            let h = mix(v.0);
+            seg.sketch.increment(h);
+            if let Some(&i) = seg.map.get(&v) {
+                seg.touch(i);
+                return; // cached graph data is immutable: touch, don't copy
+            }
+            if let Some(i) = seg.vacant_slot() {
+                seg.write(i, v, payload(j));
+                admits += 1;
+                return;
+            }
+            let Some(vi) = self.lru(seg) else { return };
+            // The victim defends its slot with its own frequency estimate.
+            // Strictly greater wins: ties keep the incumbent, which is what
+            // makes a warm cache scan-resistant (a one-hit wonder's estimate
+            // can tie a decayed resident's, but never beat it).
+            if self.admission
+                && seg.sketch.estimate(h) <= seg.sketch.estimate(mix(seg.slots[vi as usize].node.0))
+            {
+                rejects += 1;
+                return;
+            }
+            seg.detach(vi);
+            evicts += 1;
+            seg.write(vi, v, payload(j));
+            admits += 1;
+        });
+        add(&self.counters.admits, admits);
+        add(&self.counters.evicts, evicts);
+        add(&self.counters.rejects, rejects);
     }
 
     /// Warmup insert: caches `(v, data)` only while the segment has free
@@ -749,18 +825,27 @@ mod tests {
         ShardedTier::new(capacity, 1, false)
     }
 
-    fn get(c: &AttrTier, v: NodeId) -> Option<Vec<f32>> {
-        let mut out = Vec::new();
-        c.append_to(v, &mut out).map(|_| out)
+    /// A one-key probe: the payload on a hit.
+    fn get<T: Copy>(c: &ShardedTier<T>, v: NodeId) -> Option<Vec<T>> {
+        let mut out = None;
+        c.probe(&[v], &mut vec![0], &mut Vec::new(), |_, d| {
+            out = Some(d.to_vec())
+        });
+        out
+    }
+
+    /// A one-key admit.
+    fn put<T: Copy>(c: &ShardedTier<T>, v: NodeId, data: &[T]) {
+        c.admit(&[v], &[0], &mut Vec::new(), |_| data);
     }
 
     #[test]
     fn lru_evicts_oldest() {
         let c = lru(2);
-        c.admit(NodeId(1), &attrs(NodeId(1)));
-        c.admit(NodeId(2), &attrs(NodeId(2)));
+        put(&c, NodeId(1), &attrs(NodeId(1)));
+        put(&c, NodeId(2), &attrs(NodeId(2)));
         assert!(get(&c, NodeId(1)).is_some()); // refresh 1
-        c.admit(NodeId(3), &attrs(NodeId(3))); // evicts 2
+        put(&c, NodeId(3), &attrs(NodeId(3))); // evicts 2
         assert!(get(&c, NodeId(2)).is_none());
         assert!(get(&c, NodeId(1)).is_some());
         assert!(get(&c, NodeId(3)).is_some());
@@ -778,7 +863,7 @@ mod tests {
             for _ in 0..512 {
                 let v = NodeId(rng.gen_range(0..id_space));
                 if get(&c, v).is_none() {
-                    c.admit(v, &attrs(v));
+                    put(&c, v, &attrs(v));
                 }
             }
         }
@@ -802,7 +887,7 @@ mod tests {
                 NodeId(rng.gen_range(0..10_000_000))
             };
             if get(&c, v).is_none() {
-                c.admit(v, &attrs(v));
+                put(&c, v, &attrs(v));
             }
         }
         assert!(
@@ -820,7 +905,7 @@ mod tests {
         let hot: Vec<NodeId> = (0..8).map(NodeId).collect();
         let c: AttrTier = ShardedTier::new(8, 1, true);
         for &v in &hot {
-            c.admit(v, &attrs(v));
+            put(&c, v, &attrs(v));
         }
         for _ in 0..20 {
             for &v in &hot {
@@ -830,7 +915,7 @@ mod tests {
         for i in 1000..1200 {
             let v = NodeId(i);
             assert!(get(&c, v).is_none());
-            c.admit(v, &attrs(v));
+            put(&c, v, &attrs(v));
         }
         let survivors = hot.iter().filter(|&&v| get(&c, v).is_some()).count();
         assert!(
@@ -843,12 +928,8 @@ mod tests {
     #[test]
     fn cached_values_are_the_inserted_ones() {
         let c = lru(4);
-        c.admit(NodeId(7), &[1.0, 2.0]);
+        put(&c, NodeId(7), &[1.0, 2.0]);
         assert_eq!(get(&c, NodeId(7)).unwrap(), vec![1.0, 2.0]);
-        // The fixed-width copy path answers the same bytes.
-        let mut row = [0.0f32; 2];
-        assert!(c.copy_to(NodeId(7), &mut row));
-        assert_eq!(row, [1.0, 2.0]);
     }
 
     #[test]
@@ -856,8 +937,8 @@ mod tests {
         // Slot reuse must not leak stale tail values when an entry is
         // rewritten with a shorter payload.
         let c = lru(1);
-        c.admit(NodeId(1), &[1.0, 2.0, 3.0, 4.0]);
-        c.admit(NodeId(2), &[9.0]); // evicts 1, reuses its slot
+        put(&c, NodeId(1), &[1.0, 2.0, 3.0, 4.0]);
+        put(&c, NodeId(2), &[9.0]); // evicts 1, reuses its slot
         assert_eq!(get(&c, NodeId(2)).unwrap(), vec![9.0]);
         assert!(get(&c, NodeId(1)).is_none());
         assert_eq!(c.len(), 1);
@@ -877,7 +958,7 @@ mod tests {
         // evictions and rewrites with a different payload length.
         let c: AttrTier = ShardedTier::new(8, 2, false);
         for i in 0..8 {
-            c.admit(NodeId(i), &attrs(NodeId(i)));
+            put(&c, NodeId(i), &attrs(NodeId(i)));
         }
         let full = c.snapshot();
         assert_eq!(full.entries, c.len() as u64);
@@ -886,8 +967,8 @@ mod tests {
         assert_eq!(full.entries + full.evicts, full.admits);
         // Two more, one row and two floats wide, each landing in a full
         // or a free slot: the counts move by what was written and dropped.
-        c.admit(NodeId(100), &[6.0, 7.0]);
-        c.admit(NodeId(101), &[8.0]);
+        put(&c, NodeId(100), &[6.0, 7.0]);
+        put(&c, NodeId(101), &[8.0]);
         let after = c.snapshot();
         assert_eq!(after.entries + after.evicts, after.admits);
         assert_eq!(
@@ -903,13 +984,13 @@ mod tests {
         // Capacity 2 in one segment: if the probe refreshed recency, the
         // admit below would evict node 2 instead of node 1.
         let c: AttrTier = ShardedTier::new(2, 1, false);
-        c.admit(NodeId(1), &attrs(NodeId(1)));
-        c.admit(NodeId(2), &attrs(NodeId(2)));
+        put(&c, NodeId(1), &attrs(NodeId(1)));
+        put(&c, NodeId(2), &attrs(NodeId(2)));
         let before = c.snapshot();
         assert!(c.contains(NodeId(1)));
         assert!(!c.contains(NodeId(3)));
         assert_eq!(c.snapshot(), before, "a probe is not a lookup");
-        c.admit(NodeId(3), &attrs(NodeId(3)));
+        put(&c, NodeId(3), &attrs(NodeId(3)));
         assert!(!c.contains(NodeId(1)), "node 1 stayed the LRU victim");
         assert!(c.contains(NodeId(2)) && c.contains(NodeId(3)));
     }
@@ -917,17 +998,9 @@ mod tests {
     #[test]
     fn snapshot_registers_as_metric_source() {
         let cache = HotSetCache::new(CacheConfig::with_capacity(16));
-        cache
-            .neigh()
-            .unwrap()
-            .admit(NodeId(1), &[NodeId(2), NodeId(3)]);
-        let mut out = Vec::new();
-        assert!(cache
-            .neigh()
-            .unwrap()
-            .append_to(NodeId(1), &mut out)
-            .is_some());
-        cache.attr().unwrap().admit(NodeId(1), &[0.5]);
+        put(cache.neigh().unwrap(), NodeId(1), &[NodeId(2), NodeId(3)]);
+        assert!(get(cache.neigh().unwrap(), NodeId(1)).is_some());
+        put(cache.attr().unwrap(), NodeId(1), &[0.5]);
         let mut reg = lsdgnn_telemetry::Registry::new();
         reg.register("cache", &[], Box::new(cache.snapshot()));
         let snap = reg.snapshot();
@@ -965,16 +1038,18 @@ mod tests {
         let top = pg.graph().top_degree_nodes(32);
         let mut remote_seen = 0;
         for v in top {
-            let mut out = Vec::new();
-            let hit = cache.neigh().unwrap().append_to(v, &mut out).is_some();
+            let span = get(cache.neigh().unwrap(), v);
             if pg.owner(v) == PartitionId(0) {
-                assert!(!hit, "local node {v:?} must not be preloaded");
-            } else if hit {
+                assert!(span.is_none(), "local node {v:?} must not be preloaded");
+            } else if let Some(span) = span {
                 remote_seen += 1;
-                assert_eq!(out, pg.graph().neighbors(v), "span bytes are the truth");
-                let mut row = vec![0.0; 4];
-                assert!(cache.attr().unwrap().copy_to(v, &mut row));
-                assert_eq!(row, store.get(v), "row bytes are the truth");
+                assert_eq!(span, pg.graph().neighbors(v), "span bytes are the truth");
+                let row = get(cache.attr().unwrap(), v);
+                assert_eq!(
+                    row.as_deref(),
+                    Some(store.get(v)),
+                    "row bytes are the truth"
+                );
             }
         }
         assert!(remote_seen > 0, "some top-degree nodes are remote");
@@ -983,10 +1058,11 @@ mod tests {
     #[test]
     fn partition_saves_are_counted() {
         let c = lru(4);
-        c.admit(NodeId(1), &[1.0]);
+        put(&c, NodeId(1), &[1.0]);
         assert!(get(&c, NodeId(1)).is_some());
-        c.note_partition_save();
-        assert_eq!(c.snapshot().partition_saves, 1);
+        c.note_partition_saves(0);
+        c.note_partition_saves(2);
+        assert_eq!(c.snapshot().partition_saves, 2);
     }
 
     #[test]
@@ -1054,6 +1130,25 @@ mod tests {
         Ok(())
     }
 
+    /// Every segment's entries in recency order (least recent first),
+    /// with their payloads.
+    fn resident(t: &AttrTier) -> Vec<Vec<(NodeId, Vec<f32>)>> {
+        t.segments
+            .iter()
+            .map(|seg| {
+                let seg = seg.lock().unwrap();
+                let mut out = Vec::new();
+                let mut i = seg.head;
+                while i != NIL {
+                    let slot = &seg.slots[i as usize];
+                    out.push((slot.node, slot.data.clone()));
+                    i = slot.next;
+                }
+                out
+            })
+            .collect()
+    }
+
     proptest::proptest! {
         /// The recency list evicts exactly what the min-tick scan evicted:
         /// a list tier and a reference tier that still scans run the same
@@ -1071,13 +1166,9 @@ mod tests {
             for (step, &(op, k)) in program.iter().enumerate() {
                 let v = NodeId(k);
                 let answers = [&list, &scan].map(|t| match op {
-                    0..=7 => {
-                        let mut row = [0.0f32; 2];
-                        t.copy_to(v, &mut row).then_some(row.to_vec())
-                    }
-                    8..=11 => get(t, v),
+                    0..=11 => get(t, v),
                     12..=27 | 31 => {
-                        t.admit(v, &[k as f32, step as f32]);
+                        put(t, v, &[k as f32, step as f32]);
                         None
                     }
                     28 => t.insert_warm(v, &[k as f32, -1.0]).then(Vec::new),
@@ -1096,15 +1187,69 @@ mod tests {
                 }
             }
         }
+
+        /// A batch is exactly its keys applied one at a time, in order: a
+        /// batched tier and a key-at-a-time twin (several segments, the
+        /// sketch on) run the same random probe and admit batches and
+        /// agree on which keys hit and with what payload, on the misses
+        /// left behind, on every counter, and on every segment's entries
+        /// in recency order.
+        #[test]
+        fn batches_match_one_key_at_a_time(
+            shards in 2usize..=8,
+            capacity in 8usize..=48,
+            program in proptest::collection::vec(
+                (0u8..3, proptest::collection::vec(0u64..96, 0..24)),
+                1..40,
+            ),
+        ) {
+            let batched: AttrTier = ShardedTier::new(capacity, shards, true);
+            let single: AttrTier = ShardedTier::new(capacity, shards, true);
+            proptest::prop_assert!(batched.segments.len() > 1);
+            let mut scratch = Vec::new();
+            for (step, (op, ks)) in program.iter().enumerate() {
+                let keys: Vec<NodeId> = ks.iter().map(|&k| NodeId(k)).collect();
+                let rows: Vec<[f32; 2]> = ks.iter().map(|&k| [k as f32, step as f32]).collect();
+                let mut batch: Vec<u32> = (0..keys.len() as u32).collect();
+                if *op == 0 {
+                    batched.admit(&keys, &batch, &mut scratch, |j| &rows[j]);
+                    for (j, key) in keys.iter().enumerate() {
+                        single.admit(std::slice::from_ref(key), &[0], &mut scratch, |_| &rows[j]);
+                    }
+                } else {
+                    let mut hits = Vec::new();
+                    batched.probe(&keys, &mut batch, &mut scratch, |i, d| hits.push((i, d.to_vec())));
+                    hits.sort_by_key(|&(i, _)| i);
+                    let (mut one_hits, mut one_misses) = (Vec::new(), Vec::new());
+                    for (j, key) in keys.iter().enumerate() {
+                        let mut one = vec![0];
+                        single.probe(std::slice::from_ref(key), &mut one, &mut scratch, |_, d| {
+                            one_hits.push((j as u32, d.to_vec()))
+                        });
+                        one_misses.extend(one.iter().map(|_| j as u32));
+                    }
+                    proptest::prop_assert_eq!(&hits, &one_hits, "step {}: hit set", step);
+                    proptest::prop_assert_eq!(&batch, &one_misses, "step {}: misses", step);
+                }
+                proptest::prop_assert_eq!(batched.snapshot(), single.snapshot(), "step {}", step);
+                proptest::prop_assert_eq!(resident(&batched), resident(&single), "step {}", step);
+                for t in [&batched, &single] {
+                    if let Err(why) = check_recency_lists(t) {
+                        proptest::prop_assert!(false, "step {}: {}", step, why);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn concurrent_probes_and_admits_keep_every_segment_consistent() {
-        // Four threads interleave both probe shapes and admits over one
-        // overlapping key range on a small tier (8 segments of 4, the
-        // sketch on), so evictions, rejections and refreshes race across
-        // segments. Afterwards every list is intact, every probe was
-        // counted once, and the resident count is what the maps hold.
+        // Four threads interleave one-key and batched probes and batched
+        // admits over one overlapping key range on a small tier (8
+        // segments of 4, the sketch on), so evictions, rejections and
+        // refreshes race across segments. Afterwards every list is intact,
+        // every probed key was counted once, and the resident count is
+        // what the maps hold.
         const THREADS: u64 = 4;
         const OPS: u64 = 20_000;
         let tier: AttrTier = ShardedTier::new(32, 8, true);
@@ -1119,32 +1264,31 @@ mod tests {
                         start.wait();
                         let mut rng = SmallRng::seed_from_u64(t);
                         let mut probes = 0;
-                        let mut out = Vec::new();
+                        let (mut keys, mut batch, mut scratch) = (vec![], vec![], vec![]);
                         for _ in 0..OPS {
-                            // Skewed keys: half land on a 24-node head.
-                            let k = if rng.gen_bool(0.5) {
-                                rng.gen_range(0..24)
-                            } else {
-                                rng.gen_range(0..256)
-                            };
-                            let v = NodeId(k);
-                            match rng.gen_range(0..3) {
-                                0 => {
-                                    let mut dst = [0.0f32; 2];
-                                    probes += 1;
-                                    if tier.copy_to(v, &mut dst) {
-                                        assert_eq!(dst, row(k), "torn or foreign row");
-                                    }
-                                }
-                                1 => {
-                                    out.clear();
-                                    probes += 1;
-                                    if tier.append_to(v, &mut out).is_some() {
-                                        assert_eq!(out, row(k), "torn or foreign row");
-                                    }
-                                }
-                                _ => tier.admit(v, &row(k)),
+                            // One key or a batch of up to four; skewed
+                            // keys: half land on a 24-node head.
+                            let op = rng.gen_range(0..3);
+                            let width = if op == 0 { 1 } else { rng.gen_range(1..=4) };
+                            keys.clear();
+                            for _ in 0..width {
+                                keys.push(NodeId(if rng.gen_bool(0.5) {
+                                    rng.gen_range(0..24)
+                                } else {
+                                    rng.gen_range(0..256)
+                                }));
                             }
+                            batch.clear();
+                            batch.extend(0..width as u32);
+                            let rows: Vec<[f32; 2]> = keys.iter().map(|v| row(v.0)).collect();
+                            if op == 2 {
+                                tier.admit(&keys, &batch, &mut scratch, |j| &rows[j]);
+                                continue;
+                            }
+                            probes += width;
+                            tier.probe(&keys, &mut batch, &mut scratch, |i, got| {
+                                assert_eq!(got, rows[i as usize], "torn or foreign row");
+                            });
                         }
                         probes
                     })
@@ -1174,11 +1318,11 @@ mod tests {
             let mut c: AttrTier = ShardedTier::new(cap, 1, admission);
             c.evict_by_scan = by_scan;
             for i in 0..cap as u64 {
-                c.admit(NodeId(i), &[0.0]);
+                put(&c, NodeId(i), &[0.0]);
             }
             let before = VICTIM_VISITS.get();
             for i in 0..offers {
-                c.admit(NodeId(1_000_000 + i), &[0.0]);
+                put(&c, NodeId(1_000_000 + i), &[0.0]);
             }
             VICTIM_VISITS.get() - before
         }
@@ -1189,5 +1333,51 @@ mod tests {
         // The counter does tell a scan apart: it pays the segment each time.
         assert_eq!(visits(16, true, true, 100), 100 * 16);
         assert_eq!(visits(4096, true, true, 100), 100 * 4096);
+    }
+
+    #[test]
+    fn a_batch_takes_each_touched_segment_lock_once() {
+        // Locks, not wall clock: a probe or an admit of a batch locks
+        // each segment its keys touch once, however many keys land there.
+        let tier: AttrTier = ShardedTier::new(64, 8, true);
+        let seg = |v: NodeId| mix(v.0) as usize & tier.shard_mask;
+        let keys: Vec<NodeId> = (0..200).map(NodeId).collect();
+        let all: Vec<u32> = (0..200).collect();
+        let rows: Vec<[f32; 2]> = keys.iter().map(|v| [v.0 as f32, 0.0]).collect();
+        let mut scratch = Vec::new();
+        let locks = |f: &mut dyn FnMut()| {
+            let before = SEGMENT_LOCKS.get();
+            f();
+            SEGMENT_LOCKS.get() - before
+        };
+        assert_eq!(
+            locks(&mut || tier.admit(&keys, &all, &mut scratch, |j| &rows[j])),
+            8
+        );
+        assert_eq!(
+            locks(&mut || tier.probe(&keys, &mut all.clone(), &mut scratch, |_, _| {})),
+            8
+        );
+        // Keys of three segments only, several each: three locks.
+        let three: Vec<u32> = all
+            .iter()
+            .copied()
+            .filter(|&i| seg(keys[i as usize]) < 3)
+            .collect();
+        assert!(three.len() > 3 * 4);
+        assert_eq!(
+            locks(&mut || tier.probe(&keys, &mut three.clone(), &mut scratch, |_, _| {})),
+            3
+        );
+        assert_eq!(
+            locks(&mut || tier.admit(&keys, &three, &mut scratch, |j| &rows[j])),
+            3
+        );
+        assert_eq!(
+            locks(&mut || tier.probe(&keys, &mut Vec::new(), &mut scratch, |_, _| {})),
+            0
+        );
+        let snap = tier.snapshot();
+        assert_eq!(snap.hits + snap.misses, 200 + three.len() as u64);
     }
 }

@@ -274,9 +274,10 @@ impl InferenceService {
     /// # Panics
     ///
     /// Panics if `req.hops` disagrees with the model's layer count,
-    /// `req.roots` is empty or `req.fanout` is zero.
+    /// `req.roots` is empty, `req.fanout` is zero or a root is outside
+    /// the backend's node range.
     pub fn submit(&self, req: SampleRequest) -> InferenceTicket {
-        req.assert_well_formed();
+        req.assert_well_formed(self.svc.backend().num_nodes());
         assert_eq!(
             req.hops as usize,
             self.model.num_layers(),

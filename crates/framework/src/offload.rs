@@ -115,6 +115,10 @@ impl SamplingBackend for AxeBackend {
     fn stats(&self) -> RequestStats {
         *self.stats.lock().expect("stats lock")
     }
+
+    fn num_nodes(&self) -> u64 {
+        self.graph.num_nodes()
+    }
 }
 
 /// Builds the boxed backend a [`SamplerBackend`] selector names — the

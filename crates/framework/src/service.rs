@@ -899,9 +899,10 @@ impl SamplingService {
     ///
     /// # Panics
     ///
-    /// Panics if `req.fanout` is zero.
+    /// Panics if `req.fanout` is zero or a root is outside the backend's
+    /// node range.
     pub fn submit(&self, req: SampleRequest) -> SampleTicket {
-        req.assert_well_formed();
+        req.assert_well_formed(self.backend.num_nodes());
         let trace = self.register_submit(&req);
         let (reply, rx) = bounded(1);
         self.submit_routed(
@@ -921,9 +922,10 @@ impl SamplingService {
     ///
     /// # Panics
     ///
-    /// Panics if `req.fanout` is zero.
+    /// Panics if `req.fanout` is zero or a root is outside the backend's
+    /// node range.
     pub fn submit_with_deadline(&self, req: SampleRequest, deadline: Duration) -> SampleTicket {
-        req.assert_well_formed();
+        req.assert_well_formed(self.backend.num_nodes());
         let trace = self.register_submit(&req);
         let (reply, rx) = bounded(1);
         let now = Instant::now();
@@ -1107,6 +1109,33 @@ pub(crate) mod tests {
         assert!(refused.is_err(), "and so must submit_with_deadline");
         let block = svc.submit(req(2)).wait_block();
         assert_eq!(block.num_hops(), 2);
+        assert_eq!(svc.stats().requests, 1);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn out_of_range_root_is_refused_at_submit_and_the_worker_survives() {
+        // One worker over a 500-node graph: had root 500 reached it, the
+        // out-of-bounds index in the expansion would leave nobody to
+        // serve the next request.
+        let svc = service(1);
+        assert_eq!(svc.backend().num_nodes(), 500);
+        let bad = SampleRequest {
+            roots: vec![NodeId(3), NodeId(500)],
+            ..req(1)
+        };
+        let refused =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.submit(bad.clone())));
+        assert!(refused.is_err(), "submit must refuse a root past the range");
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.submit_with_deadline(bad, Duration::from_millis(5))
+        }));
+        assert!(refused.is_err(), "and so must submit_with_deadline");
+        let edge = SampleRequest {
+            roots: vec![NodeId(499)],
+            ..req(2)
+        };
+        assert_eq!(svc.submit(edge).wait_block().roots, [NodeId(499)]);
         assert_eq!(svc.stats().requests, 1);
         svc.shutdown();
     }

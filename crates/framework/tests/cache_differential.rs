@@ -200,21 +200,22 @@ fn stale_tier_keys_serve_wrong_rows_after_a_reorder() {
     let cache = HotSetCache::new(CacheConfig::with_capacity(512));
     let tier = cache.attr().expect("attr tier");
     let store0 = pg0.attributes().expect("attrs");
-    for &v in &warm_nodes {
-        tier.admit(v, store0.get(v));
-    }
+    let all: Vec<u32> = (0..warm_nodes.len() as u32).collect();
+    let mut scratch = Vec::new();
+    tier.admit(&warm_nodes, &all, &mut scratch, |j| {
+        store0.get(warm_nodes[j])
+    });
 
     // A key colliding with a different node's new id serves that
     // node's stale row. At least one of the 120 must differ
     // under a random scramble.
+    let new_ids: Vec<NodeId> = warm_nodes.iter().map(|&v| perm.to_new(v)).collect();
     let mut stale_wrong = 0;
-    let mut row = vec![0.0f32; ATTR_LEN];
-    for &v in &warm_nodes {
-        let new_v = perm.to_new(v);
-        if tier.copy_to(new_v, &mut row) && row != store1.get(new_v) {
-            stale_wrong += 1;
-        }
-    }
+    tier.probe(&new_ids, &mut all.clone(), &mut scratch, |i, row| {
+        let new_v = new_ids[i as usize];
+        assert_eq!(row.len(), ATTR_LEN);
+        stale_wrong += usize::from(row != store1.get(new_v));
+    });
     assert!(
         stale_wrong > 0,
         "a stale-keyed tier must be observably wrong under a scramble"

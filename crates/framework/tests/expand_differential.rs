@@ -11,7 +11,9 @@
 //!   cluster so both verbs see the same tiers.
 //! * **Counters** — expand-only requests leave the attribute legs of
 //!   the wire plane and the attribute tier's lookups where they were,
-//!   and a pipelined inference run looks each row up once, not twice.
+//!   a pipelined inference run looks each row up once, not twice, and
+//!   the stand-alone op — which writes no row — counts exactly what
+//!   expand-only plus the gather verb count.
 
 use lsdgnn_framework::{
     CacheConfig, Cluster, CpuBackend, InferenceConfig, InferenceService, SampleRequest,
@@ -104,6 +106,61 @@ proptest! {
         }
         cluster.shutdown();
     }
+}
+
+/// Twin wired + cached clusters over one graph, one serving the
+/// stand-alone op and one expand-only followed by the gather verb over
+/// roots + nodes: the same `RequestStats` (the rows the gather finds
+/// unreachable counted once — expand-only's availability pass already
+/// counts them), the same tier counters and the same wire bytes, round
+/// after round, healthy, masked and with a partition down.
+#[test]
+fn the_stand_alone_op_counts_what_expand_and_gather_count() {
+    let spawn = || {
+        let cache = CacheConfig {
+            neigh_capacity: 96,
+            attr_capacity: 64,
+            warm_top_degree: 16,
+        };
+        Cluster::spawn(pg(13, 4), Some(WireConfig::default()), Some(cache))
+    };
+    let (op, split) = (spawn(), spawn());
+    let reqs = requests(13, 12, 5, 3);
+    let refs: Vec<&SampleRequest> = reqs.iter().collect();
+    let (mut fetch, mut rows, mut slot_of) = (Vec::new(), Vec::new(), Vec::new());
+    let mut degraded = 0;
+    for (round, mask) in [&[][..], &[][..], &[2], &[0, 3], &[]].iter().enumerate() {
+        if round == 4 {
+            op.fail_partition(PartitionId(1));
+            split.fail_partition(PartitionId(1));
+        }
+        for chunk in refs.chunks(4) {
+            let (blocks, stats) = op.sample_blocks_excluding(chunk, mask);
+            let (expanded, mut want) = split.expand_blocks_excluding(chunk, mask);
+            assert_eq!(blocks, expanded, "round {round}");
+            fetch.clear();
+            for b in &expanded {
+                b.attr_fetch_into(&mut fetch);
+            }
+            let gathered = split.fetch_attr_rows_into(&fetch, mask, &mut rows, &mut slot_of);
+            want.merge(gathered);
+            want.unreachable_nodes -= gathered.unreachable_nodes;
+            assert_eq!(stats, want, "round {round}: RequestStats");
+            assert_eq!(op.cache_snapshot(), split.cache_snapshot(), "round {round}");
+            assert_eq!(op.wire_snapshot(), split.wire_snapshot(), "round {round}");
+            degraded += stats.unreachable_nodes;
+        }
+    }
+    let snap = op.cache_snapshot().expect("cached");
+    let (neigh, attr) = (snap.neigh.unwrap(), snap.attr.unwrap());
+    assert!(
+        attr.hits > 0 && attr.evicts > 0 && attr.rejects > 0,
+        "{attr:?}"
+    );
+    assert!(neigh.partition_saves + attr.partition_saves > 0, "{snap:?}");
+    assert!(degraded > 0, "the masks and the crash must degrade");
+    op.shutdown();
+    split.shutdown();
 }
 
 /// Twin backends, one told its caller gathers: every sampling verb of
