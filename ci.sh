@@ -54,6 +54,33 @@ else
     echo "    gcc not found: skipped"
 fi
 
+# End to end: sample a release binary that runs for more than a
+# CPU-second (fig14 at 100 000 nodes: about two), symbolise the dump,
+# and require a non-empty "by outermost function" table. The binary is
+# run directly, not through `cargo run`, so the preloaded sampler
+# profiles it rather than cargo.
+step "tools/sigprof: profile fig14 and symbolise it"
+missing=""
+for tool in python3 addr2line readelf; do
+    command -v "$tool" >/dev/null 2>&1 || missing="$missing $tool"
+done
+if [ ! -f target/sigprof/libsigprof.so ]; then
+    echo "    libsigprof.so not built: skipped"
+elif [ -n "$missing" ]; then
+    echo "    not found:$missing: skipped"
+else
+    cargo build --release -q -p lsdgnn-bench
+    rm -f target/sigprof/fig14.out
+    LSDGNN_SCALE=100000 PROF=1 PROF_OUT=target/sigprof/fig14.out \
+        LD_PRELOAD=target/sigprof/libsigprof.so target/release/lsdgnn-bench fig14 >/dev/null
+    python3 tools/sigprof/sym.py target/sigprof/fig14.out --top 5 >target/sigprof/fig14.txt
+    # Rows of the table: from its heading to the first blank line.
+    rows=$(awk '/^by outermost function/ { on = 1; next } on && NF == 0 { exit } on { n++ }
+        END { print n + 0 }' target/sigprof/fig14.txt)
+    cat target/sigprof/fig14.txt
+    [ "$rows" -gt 0 ] || { echo "FAIL: sigprof found no function in the fig14 profile"; exit 1; }
+fi
+
 step "telemetry smoke: fig14 with --metrics-out/--trace-out"
 SMOKE_DIR=results/ci_smoke
 rm -rf "$SMOKE_DIR"

@@ -39,11 +39,11 @@ use crate::backend::SampleRequest;
 use crate::hot_cache::{CacheConfig, CacheSnapshot, HotSetCache, ShardedTier};
 use crate::pool::BufferPool;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use lsdgnn_graph::mem::prefetch_read;
+use lsdgnn_graph::mem::{prefetch_read, prefetch_row};
 use lsdgnn_graph::{NodeId, PartitionId, PartitionedGraph};
 use lsdgnn_memfabric::LinkModel;
 use lsdgnn_mof::{
-    bdi_stream_bytes, packed_request_size, BDI_LINE_WORDS, CRC_BYTES, HEADER_BYTES,
+    bdi_stream_bytes, packed_request_size, PackedSize, BDI_LINE_WORDS, CRC_BYTES, HEADER_BYTES,
     MAX_REQUESTS_PER_PACKAGE,
 };
 use lsdgnn_sampler::{SampleBlock, StreamingSampler};
@@ -458,45 +458,63 @@ impl WirePlane {
         }
     }
 
-    /// Accounts one remote leg: `addrs` are the leg's read addresses in
-    /// dispatch order (only sized, never materialised), `payload` the
-    /// response payload as 64-byte lines of lazily built 64-bit words,
-    /// and `incompressible` extra response bytes BDI does not touch (the
-    /// CSR boundary array of a neighbor reply).
-    fn account_leg<L: ExactSizeIterator<Item = u64>>(
+    /// Sizes one remote leg's request side: `addrs` are the leg's read
+    /// addresses in dispatch order (only sized, never materialised),
+    /// packed when packing is on, one unpacked package each otherwise.
+    fn size_request(&self, addrs: impl ExactSizeIterator<Item = u64>) -> PackedSize {
+        if self.config.packing {
+            packed_request_size(addrs)
+        } else {
+            let requests = addrs.len() as u64;
+            PackedSize {
+                packages: requests,
+                requests,
+                overflow_splits: 0,
+                wire_bytes: UNPACKED_REQUEST_BYTES * requests,
+            }
+        }
+    }
+
+    /// Sizes a stretch of response payload handed over as 64-byte lines
+    /// of lazily built 64-bit words: `(raw, wire)` bytes, compressed per
+    /// line when enabled. A leg's payload may be sized stretch by
+    /// stretch, as long as each stretch starts on a line boundary.
+    fn size_payload<L: ExactSizeIterator<Item = u64>>(
+        &self,
+        lines: impl Iterator<Item = L>,
+    ) -> (u64, u64) {
+        if self.config.compression {
+            bdi_stream_bytes(lines)
+        } else {
+            let n = 8 * lines.map(|line| line.len() as u64).sum::<u64>();
+            (n, n)
+        }
+    }
+
+    /// Accounts one remote leg: `request` is its sized request side,
+    /// `payload` its response payload's `(raw, wire)` bytes, and
+    /// `incompressible` extra response bytes BDI does not touch (the CSR
+    /// boundary array of a neighbor reply).
+    fn account_leg(
         &self,
         leg: WireLeg,
-        addrs: impl ExactSizeIterator<Item = u64>,
-        payload: impl Iterator<Item = L>,
+        request: PackedSize,
+        (raw_payload, wire_payload): (u64, u64),
         incompressible: u64,
     ) {
         let c = &self.counters;
-        let requests = addrs.len() as u64;
+        let requests = request.requests;
         let raw_req = UNPACKED_REQUEST_BYTES * requests;
-        let wire_req = if self.config.packing {
-            let packed = packed_request_size(addrs);
-            c.request_packages
-                .fetch_add(packed.packages, Ordering::Relaxed);
-            c.packed_requests
-                .fetch_add(packed.requests, Ordering::Relaxed);
-            c.overflow_splits
-                .fetch_add(packed.overflow_splits, Ordering::Relaxed);
-            packed.wire_bytes
-        } else {
-            c.request_packages.fetch_add(requests, Ordering::Relaxed);
-            c.packed_requests.fetch_add(requests, Ordering::Relaxed);
-            raw_req
-        };
+        let wire_req = request.wire_bytes;
+        c.request_packages
+            .fetch_add(request.packages, Ordering::Relaxed);
+        c.packed_requests.fetch_add(requests, Ordering::Relaxed);
+        c.overflow_splits
+            .fetch_add(request.overflow_splits, Ordering::Relaxed);
         // Response: framing (header + CRC per 64-response package) plus
-        // the payload, compressed per 64-byte line when enabled.
+        // the payload.
         let framing =
             requests.div_ceil(MAX_REQUESTS_PER_PACKAGE as u64) * (HEADER_BYTES + CRC_BYTES);
-        let (raw_payload, wire_payload) = if self.config.compression {
-            bdi_stream_bytes(payload)
-        } else {
-            let n = 8 * payload.map(|line| line.len() as u64).sum::<u64>();
-            (n, n)
-        };
         let raw_resp = framing + incompressible + raw_payload;
         let wire_resp = framing + incompressible + wire_payload;
         c.raw_request_bytes.fetch_add(raw_req, Ordering::Relaxed);
@@ -629,6 +647,23 @@ impl NeighborTable {
 /// the one it is consuming.
 const PICK_LOOKAHEAD: usize = 8;
 
+/// How many lookups a coalescing walk hints ahead in its stamp tables
+/// (the dedup index and its line or page index). Each lookup is a
+/// random load into a table sized to the whole graph; a walk's body is
+/// a handful of instructions, so the hints run further ahead than the
+/// row walks'.
+const STAMP_LOOKAHEAD: usize = 16;
+
+/// How many nodes a CSR walk hints ahead in the offsets array, and how
+/// many (fewer) it hints ahead in the target array: a list's address is
+/// only known once its offsets have arrived.
+const OFFSETS_LOOKAHEAD: usize = 12;
+const LIST_LOOKAHEAD: usize = 4;
+
+/// How many rows a row-copy walk hints ahead (every line of the row,
+/// source or destination).
+const ROW_LOOKAHEAD: usize = 8;
+
 /// Pass one of a hop: draw every frontier entry's pick positions from
 /// the request RNG, using only each list's *length* (known from its
 /// span without reading the list). RNG consumption is identical to
@@ -706,6 +741,28 @@ fn resolve_picks(
     }
 }
 
+/// An attribute payload as BDI lines: 64-bit words of two packed f32
+/// each, [`BDI_LINE_WORDS`] words per line (the tail line and word may
+/// be short; a missing high half packs as zero).
+fn float_lines(floats: &[f32]) -> impl Iterator<Item = impl ExactSizeIterator<Item = u64> + '_> {
+    floats.chunks(2 * BDI_LINE_WORDS).map(|line| {
+        line.chunks(2).map(|c| {
+            let lo = c[0].to_bits() as u64;
+            let hi = c.get(1).map_or(0, |v| v.to_bits()) as u64;
+            lo | (hi << 32)
+        })
+    })
+}
+
+/// Greatest common divisor (Euclid).
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
 /// Hop `h`'s frontier of a block under expansion. The frontier lives
 /// inside the block: hop h's samples land at the tail of `block.nodes`
 /// and become hop h+1's frontier — no scratch buffers to fill, swap, or
@@ -761,16 +818,22 @@ fn serve(
             Request::Neighbors { nodes, reply } => {
                 let mut offsets = pool.take_offsets();
                 let mut flat = pool.take_nodes();
+                let g = graph.graph();
                 offsets.push(0);
                 for (i, &v) in nodes.iter().enumerate() {
                     debug_assert!(graph.is_local(v, p), "misrouted request");
                     // The per-node lists are random ranges of a CSR far
-                    // larger than cache; touch a few nodes ahead so the
-                    // copies below overlap their miss latency.
-                    if let Some(&w) = nodes.get(i + 4) {
-                        prefetch_read(graph.graph().neighbors(w).as_ptr());
+                    // larger than cache, found through random offsets:
+                    // hint the offsets far ahead and the lists nearer,
+                    // so neither the hint's address nor the copies
+                    // below wait on a miss.
+                    if let Some(&w) = nodes.get(i + OFFSETS_LOOKAHEAD) {
+                        g.prefetch_offsets(w);
                     }
-                    flat.extend_from_slice(graph.graph().neighbors(v));
+                    if let Some(&w) = nodes.get(i + LIST_LOOKAHEAD) {
+                        prefetch_read(g.neighbors(w).as_ptr());
+                    }
+                    flat.extend_from_slice(g.neighbors(v));
                     offsets.push(flat.len() as u32);
                 }
                 let _ = reply.send(NeighborsReply {
@@ -1086,7 +1149,12 @@ impl Cluster {
                 if r.hops <= h {
                     continue;
                 }
-                for &v in frontier(b, h) {
+                let f = frontier(b, h);
+                for (k, &v) in f.iter().enumerate() {
+                    if let Some(&w) = f.get(k + STAMP_LOOKAHEAD) {
+                        index.prefetch(w.index());
+                        line_index.prefetch(w.index() / FRONTIER_LINE_NODES as usize);
+                    }
                     let slot = match index.get(v.index()) {
                         Some(s) => s,
                         None => {
@@ -1228,6 +1296,13 @@ impl Cluster {
         let mut groups = self.pool.take_groups(parts + 2);
         let mut local_seen = false;
         for (i, &v) in unique.iter().enumerate() {
+            // A local span reads the node's CSR offsets: a random load
+            // per distinct node, hinted a few nodes ahead.
+            if let (Some(&w), true) = (unique.get(i + OFFSETS_LOOKAHEAD), local_up) {
+                if self.graph.owner(w).0 as usize == local {
+                    g.prefetch_offsets(w);
+                }
+            }
             if self.graph.owner(v).0 as usize != local {
                 groups[parts].push(i as u32);
                 continue;
@@ -1301,10 +1376,15 @@ impl Cluster {
                         // per-node offsets header (incompressible here).
                         wire.account_leg(
                             WireLeg::Sampling,
-                            pos.iter()
-                                .map(|&i| g.neighbor_range(unique[i as usize]).start as u64 * 8),
-                            flat.chunks(BDI_LINE_WORDS)
-                                .map(|line| line.iter().map(|v| v.0)),
+                            wire.size_request(
+                                pos.iter().map(|&i| {
+                                    g.neighbor_range(unique[i as usize]).start as u64 * 8
+                                }),
+                            ),
+                            wire.size_payload(
+                                flat.chunks(BDI_LINE_WORDS)
+                                    .map(|line| line.iter().map(|v| v.0)),
+                            ),
                             4 * offsets.len() as u64,
                         );
                     }
@@ -1397,7 +1477,11 @@ impl Cluster {
         let mut unique = self.pool.take_nodes();
         slot_of.clear();
         slot_of.reserve(nodes.len());
-        for &v in nodes {
+        for (k, &v) in nodes.iter().enumerate() {
+            if let Some(&w) = nodes.get(k + STAMP_LOOKAHEAD) {
+                table.prefetch(w.index());
+                page_index.prefetch(w.index() / ATTR_PAGE_ROWS as usize);
+            }
             let slot = match table.get(v.index()) {
                 Some(s) => s,
                 None => {
@@ -1438,10 +1522,11 @@ impl Cluster {
         let mut local_seen = false;
         for (i, &v) in unique.iter().enumerate() {
             // Distinct rows are a random walk over a store larger than
-            // cache; touch a few ahead so the copies overlap misses.
-            if let (Some(&w), true) = (unique.get(i + 8), rows.is_some()) {
+            // cache; touch every line of a few rows ahead so the copies
+            // overlap misses.
+            if let (Some(&w), true) = (unique.get(i + ROW_LOOKAHEAD), rows.is_some()) {
                 if self.graph.owner(w).0 as usize == local {
-                    prefetch_read(store.get(w).as_ptr());
+                    store.prefetch(w);
                 }
             }
             if self.graph.owner(v).0 as usize != local {
@@ -1463,6 +1548,9 @@ impl Cluster {
                 rows[i * attr_len..(i + 1) * attr_len].copy_from_slice(row);
             }
         });
+        // The fewest rows whose floats fill whole BDI lines.
+        let line_floats = 2 * BDI_LINE_WORDS;
+        let group_rows = line_floats / gcd(attr_len, line_floats);
         let (remote, tail) = groups.split_at_mut(parts);
         let scratch = &mut tail[1];
         for (p, pos) in remote.iter().enumerate() {
@@ -1495,30 +1583,43 @@ impl Cluster {
             }
             match got {
                 Some(AttrsReply { attrs, request }) => {
+                    let fetched = |j: usize| &attrs[j * attr_len..(j + 1) * attr_len];
+                    // One pass per fetched row: place it (the gather
+                    // verb) and size its BDI lines while it is in L1.
+                    // Rows go in groups that end on a line boundary, so
+                    // each group's lines are exactly the whole reply's.
+                    let mut payload = (0, 0);
+                    for (g, group) in pos.chunks(group_rows).enumerate() {
+                        let j0 = g * group_rows;
+                        if let Some(rows) = rows.as_deref_mut() {
+                            for (j, &slot) in (j0..).zip(group) {
+                                if let Some(&ahead) = pos.get(j + ROW_LOOKAHEAD) {
+                                    prefetch_row(rows, ahead as usize, attr_len);
+                                }
+                                let slot = slot as usize;
+                                rows[slot * attr_len..(slot + 1) * attr_len]
+                                    .copy_from_slice(fetched(j));
+                            }
+                        }
+                        if let Some(wire) = &self.wire {
+                            let (raw, on_wire) = wire.size_payload(float_lines(
+                                &attrs[j0 * attr_len..(j0 + group.len()) * attr_len],
+                            ));
+                            payload = (payload.0 + raw, payload.1 + on_wire);
+                        }
+                    }
                     if let Some(wire) = &self.wire {
-                        // One request per distinct row; the payload is
-                        // the row data itself, packed two f32 per word.
+                        // One request per distinct row.
                         wire.account_leg(
                             WireLeg::Attrs,
-                            pos.iter()
-                                .map(|&i| unique[i as usize].index() as u64 * attr_len as u64 * 4),
-                            attrs.chunks(2 * BDI_LINE_WORDS).map(|line| {
-                                line.chunks(2).map(|c| {
-                                    let lo = c[0].to_bits() as u64;
-                                    let hi = c.get(1).map_or(0, |v| v.to_bits()) as u64;
-                                    lo | (hi << 32)
-                                })
-                            }),
+                            wire.size_request(
+                                pos.iter().map(|&i| {
+                                    unique[i as usize].index() as u64 * attr_len as u64 * 4
+                                }),
+                            ),
+                            payload,
                             0,
                         );
-                    }
-                    let fetched = |j: usize| &attrs[j * attr_len..(j + 1) * attr_len];
-                    if let Some(rows) = rows.as_deref_mut() {
-                        for (j, &slot) in pos.iter().enumerate() {
-                            let slot = slot as usize;
-                            rows[slot * attr_len..(slot + 1) * attr_len]
-                                .copy_from_slice(fetched(j));
-                        }
                     }
                     // Offer the fetched rows to the attribute tier.
                     if let Some(tier) = attr_tier {

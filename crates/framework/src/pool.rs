@@ -18,6 +18,7 @@
 //! benchmark reports the recycle rate as `pool.reuse_rate`.
 
 use crate::cluster::Span;
+use lsdgnn_graph::mem::prefetch_read;
 use lsdgnn_graph::NodeId;
 use lsdgnn_sampler::SampleBlock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,6 +86,16 @@ impl StampTable {
     pub fn get(&self, v: usize) -> Option<u32> {
         let s = self.stamps[v];
         ((s >> 32) as u32 == self.epoch).then_some(s as u32)
+    }
+
+    /// Hints the entry of id `v` toward L1 — the lookahead of a
+    /// coalescing walk, whose lookups are random loads into a table
+    /// sized to the whole graph. A no-op for an id past the table.
+    #[inline]
+    pub fn prefetch(&self, v: usize) {
+        if let Some(s) = self.stamps.get(v) {
+            prefetch_read(s);
+        }
     }
 
     /// Assigns `slot` to id `v` in the current scope.
@@ -343,6 +354,19 @@ mod tests {
         assert_eq!(t.get(3), None);
         assert_eq!(t.get(19), None, "begin() grows the id range");
         assert_eq!(pool.stats().reuses, 1);
+    }
+
+    #[test]
+    fn stamp_hint_is_a_no_op_at_and_past_the_end() {
+        let mut t = StampTable::default();
+        t.prefetch(0); // before any scope: an empty table
+        t.begin(10);
+        for v in 0..10 {
+            t.prefetch(v);
+        }
+        t.prefetch(10);
+        t.prefetch(usize::MAX);
+        assert_eq!(t.get(9), None, "a hint reads nothing into the scope");
     }
 
     #[test]

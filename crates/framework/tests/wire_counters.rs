@@ -1,10 +1,12 @@
 //! The wire plane only *accounts* — so its counters are the whole of its
 //! behaviour, and a cheaper way to size a leg must leave every one of
 //! them where it was. A fixed request list through a wired + cached
-//! backend, odd attribute width (float pairs pack across row
-//! boundaries, every leg ends in a partial line), with compression on
-//! and off: the snapshot is frozen at the values the eager
-//! word-by-word sizer produced.
+//! backend at two attribute widths — 7 (float pairs pack across row
+//! boundaries, every leg ends in a partial line) and 64 (each row is
+//! exactly four BDI lines) — with compression on and off: the snapshots
+//! are frozen at the values the eager word-by-word sizer produced
+//! (width 7) and the separate whole-reply sizing pass produced (width
+//! 64).
 
 use lsdgnn_framework::{
     CacheConfig, CpuBackend, SampleRequest, SamplingBackend, WireConfig, WireSnapshot,
@@ -13,9 +15,9 @@ use lsdgnn_graph::{generators, AttributeStore, NodeId, PartitionedGraph};
 
 const NODES: u64 = 400;
 
-fn wire_after_fixed_requests(wire: WireConfig) -> WireSnapshot {
+fn wire_after_fixed_requests(attr_len: usize, wire: WireConfig) -> WireSnapshot {
     let g = generators::power_law(NODES, 8, 9);
-    let a = AttributeStore::synthetic(NODES, 7, 9);
+    let a = AttributeStore::synthetic(NODES, attr_len, 9);
     let backend = CpuBackend::from_partitioned_wired_cached(
         PartitionedGraph::new(g, 4).with_attributes(a),
         wire,
@@ -40,37 +42,76 @@ fn wire_after_fixed_requests(wire: WireConfig) -> WireSnapshot {
     backend.wire_snapshot().expect("wired")
 }
 
-#[test]
-fn wire_counters_of_a_fixed_request_list_are_frozen() {
-    let compressed = WireSnapshot {
-        remote_legs: 125,
-        request_packages: 125,
-        packed_requests: 1750,
-        overflow_splits: 0,
-        raw_request_bytes: 35000,
-        wire_request_bytes: 9500,
-        raw_response_bytes: 79636,
-        wire_response_bytes: 56392,
-        sampling_raw_response_bytes: 36872,
-        sampling_wire_response_bytes: 12934,
-        attr_raw_response_bytes: 42764,
-        attr_wire_response_bytes: 43458,
-        simulated_wire_ns: 95444,
-    };
-    assert_eq!(wire_after_fixed_requests(WireConfig::default()), compressed);
-    // Compression off charges the raw payload, sized from the same lines.
+/// The wire counters of [`wire_after_fixed_requests`] at `attr_len`,
+/// compression on; with it off, every response counter reads its raw
+/// twin and the link charges `uncompressed_wire_ns`.
+fn assert_frozen(attr_len: usize, compressed: WireSnapshot, uncompressed_wire_ns: u64) {
+    assert_eq!(
+        wire_after_fixed_requests(attr_len, WireConfig::default()),
+        compressed,
+        "attr_len {attr_len}, compression on"
+    );
     let uncompressed = WireSnapshot {
         wire_response_bytes: compressed.raw_response_bytes,
         sampling_wire_response_bytes: compressed.sampling_raw_response_bytes,
         attr_wire_response_bytes: compressed.attr_raw_response_bytes,
-        simulated_wire_ns: 96068,
+        simulated_wire_ns: uncompressed_wire_ns,
         ..compressed
     };
     assert_eq!(
-        wire_after_fixed_requests(WireConfig {
-            compression: false,
-            ..WireConfig::default()
-        }),
-        uncompressed
+        wire_after_fixed_requests(
+            attr_len,
+            WireConfig {
+                compression: false,
+                ..WireConfig::default()
+            }
+        ),
+        uncompressed,
+        "attr_len {attr_len}, compression off"
+    );
+}
+
+#[test]
+fn wire_counters_of_a_fixed_request_list_are_frozen() {
+    // Width 7: float pairs pack across row boundaries and lines straddle
+    // rows.
+    assert_frozen(
+        7,
+        WireSnapshot {
+            remote_legs: 125,
+            request_packages: 125,
+            packed_requests: 1750,
+            overflow_splits: 0,
+            raw_request_bytes: 35000,
+            wire_request_bytes: 9500,
+            raw_response_bytes: 79636,
+            wire_response_bytes: 56392,
+            sampling_raw_response_bytes: 36872,
+            sampling_wire_response_bytes: 12934,
+            attr_raw_response_bytes: 42764,
+            attr_wire_response_bytes: 43458,
+            simulated_wire_ns: 95444,
+        },
+        96068,
+    );
+    // Width 64 (the benchmark's): every row is exactly four lines.
+    assert_frozen(
+        64,
+        WireSnapshot {
+            remote_legs: 125,
+            request_packages: 125,
+            packed_requests: 1750,
+            overflow_splits: 0,
+            raw_request_bytes: 35000,
+            wire_request_bytes: 9500,
+            raw_response_bytes: 417332,
+            wire_response_bytes: 399322,
+            sampling_raw_response_bytes: 36872,
+            sampling_wire_response_bytes: 12934,
+            attr_raw_response_bytes: 380460,
+            attr_wire_response_bytes: 386388,
+            simulated_wire_ns: 104593,
+        },
+        105069,
     );
 }

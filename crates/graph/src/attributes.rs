@@ -119,6 +119,14 @@ impl AttributeStore {
         &self.data[i..i + self.attr_len]
     }
 
+    /// Hints every 64-byte line of `v`'s attribute row toward L1 — the
+    /// lookahead of a gather's random walk over the store. A no-op for
+    /// an id at or past the end of the store.
+    #[inline]
+    pub fn prefetch(&self, v: NodeId) {
+        crate::mem::prefetch_row(&self.data, v.index(), self.attr_len);
+    }
+
     /// Overwrites the attribute vector of `v`.
     ///
     /// # Panics
@@ -156,7 +164,7 @@ impl AttributeStore {
             // larger than cache; touch a few rows ahead so the copies
             // overlap their miss latency.
             if let Some(&w) = nodes.get(i + 8) {
-                crate::mem::prefetch_read(self.get(w).as_ptr());
+                self.prefetch(w);
             }
             out.extend_from_slice(self.get(v));
         }
@@ -196,6 +204,16 @@ mod tests {
         a.set(NodeId(2), &[3.0, 3.0]);
         let g = a.gather(&[NodeId(2), NodeId(0)]);
         assert_eq!(g, vec![3.0, 3.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn row_hint_is_a_no_op_at_and_past_the_end() {
+        let a = AttributeStore::synthetic(3, 7, 1);
+        for v in 0..3 {
+            a.prefetch(NodeId(v));
+        }
+        a.prefetch(NodeId(3));
+        a.prefetch(NodeId(u64::MAX));
     }
 
     #[test]

@@ -2,16 +2,80 @@
 //! codec fuzzing, reliability under arbitrary loss patterns, and packing
 //! accounting invariants.
 
-use lsdgnn_mof::{PackingScheme, ReadRequestPackage, ReadResponsePackage, ReliableChannel};
+use lsdgnn_mof::frame::crc32;
+use lsdgnn_mof::{
+    MofError, PackingScheme, ReadRequestPackage, ReadResponsePackage, ReliableChannel,
+    WriteRequestPackage,
+};
 use proptest::prelude::*;
 
+/// `frame` through each of the three decoders, every accepted package
+/// encoded again: read request, read response, write request.
+fn decode_all(frame: &[u8]) -> [Result<Vec<u8>, MofError>; 3] {
+    [
+        ReadRequestPackage::decode(frame).map(|p| p.encode()),
+        ReadResponsePackage::decode(frame).map(|p| p.encode()),
+        WriteRequestPackage::decode(frame).map(|p| p.encode()),
+    ]
+}
+
 proptest! {
-    /// Arbitrary byte soup never panics the decoders; valid-CRC inputs
-    /// are the only accepted ones.
+    /// Arbitrary byte soup never panics the decoders, and whatever one
+    /// accepts re-encodes to exactly the bytes it was given.
     #[test]
     fn decoders_never_panic_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = ReadRequestPackage::decode(&bytes);
-        let _ = ReadResponsePackage::decode(&bytes);
+        for reencoded in decode_all(&bytes).into_iter().flatten() {
+            prop_assert_eq!(reencoded, bytes.clone());
+        }
+    }
+
+    /// Past the CRC check: an arbitrary body under a valid CRC — the
+    /// common 8-byte header (kind, count - 1, request size, sequence)
+    /// followed either by exactly the tail that kind, count and size
+    /// call for, or by an arbitrary one. Every decoder returns `Err` or
+    /// a package that re-encodes to the same bytes, and a well-formed
+    /// body of a known kind is accepted by its own decoder alone.
+    #[test]
+    fn decoders_round_trip_every_body_they_accept(
+        kind_pick in 0u8..4,
+        any_kind in any::<u8>(),
+        count_m1 in any::<u8>(),
+        request_bytes in 0u16..16,
+        seq in any::<u32>(),
+        exact in any::<bool>(),
+        seed in any::<u8>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        // Three picks in four are a known kind, the fourth any byte.
+        let kind = if kind_pick < 3 { kind_pick + 1 } else { any_kind };
+        let (count, size) = (usize::from(count_m1) + 1, usize::from(request_bytes));
+        let mut frame = vec![kind, count_m1];
+        frame.extend_from_slice(&request_bytes.to_le_bytes());
+        frame.extend_from_slice(&seq.to_le_bytes());
+        let well_formed = exact && (1..=3).contains(&kind);
+        if well_formed {
+            let len = match kind {
+                1 => 8 + 4 * count,
+                2 => count * size,
+                _ => 8 + 4 * count + count * size,
+            };
+            frame.extend((0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed));
+        } else {
+            frame.extend_from_slice(&tail);
+        }
+        let crc = crc32(&frame);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        let decoded = decode_all(&frame);
+        for reencoded in decoded.iter().flatten() {
+            prop_assert_eq!(reencoded, &frame);
+        }
+        // A zero request size carries no data, which a response (and a
+        // single-write package) is too short to frame.
+        if well_formed && (kind == 1 || size > 0) {
+            let accepted: Vec<bool> = decoded.iter().map(Result::is_ok).collect();
+            let want: Vec<bool> = (1..=3).map(|k| k == kind).collect();
+            prop_assert_eq!(accepted, want);
+        }
     }
 
     /// Request packages round-trip for arbitrary valid contents.
