@@ -137,4 +137,14 @@ for dir in crates/framework/src crates/bench/src; do
         END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')
     echo "  $lines  $dir"
 done
+# The knob tally beside it: the `pub` fields of every `pub struct
+# *Config` in crates/framework/src (a unit struct counts 0). Printed for
+# the record; it gates nothing.
+knobs=$(find crates/framework/src -name '*.rs' -exec awk '
+    /^pub struct [A-Za-z0-9_]*Config[ <{]/ && /\{$/ { on = 1; next }
+    on && /^}/ { on = 0 }
+    on && /^    pub [a-z_0-9]+:/ { n++ }
+    END { print n + 0 }' {} + | awk '{ s += $1 } END { print s + 0 }')
+echo "config knobs:"
+echo "  $knobs  crates/framework/src"
 echo "CI OK"

@@ -3,6 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsdgnn_core::framework::cluster::Cluster;
+use lsdgnn_core::framework::SampleRequest;
 use lsdgnn_core::graph::{generators, AttributeStore, NodeId, PartitionedGraph};
 
 fn bench_generators(c: &mut Criterion) {
@@ -34,14 +35,18 @@ fn bench_cluster_sampling(c: &mut Criterion) {
     let attrs = AttributeStore::synthetic(10_000, 72, 3);
     let pg = PartitionedGraph::new(g, 4).with_attributes(attrs);
     let cluster = Cluster::spawn(pg, None, None);
-    let roots: Vec<NodeId> = (0..64).map(NodeId).collect();
+    let mut req = SampleRequest {
+        roots: (0..64).map(NodeId).collect(),
+        hops: 2,
+        fanout: 10,
+        seed: 0,
+    };
     let mut group = c.benchmark_group("cluster");
     group.sample_size(20);
     group.bench_function("sample_block_2x10_batch64_4servers", |b| {
-        let mut seed = 0u64;
         b.iter(|| {
-            seed += 1;
-            black_box(cluster.sample_block(&roots, 2, 10, seed))
+            req.seed += 1;
+            black_box(cluster.sample_blocks_excluding(&[&req], &[]))
         });
     });
     group.finish();

@@ -38,8 +38,8 @@ use crate::util::{outln, par_map, Table};
 use crate::workload::{fold, splitmix};
 use lsdgnn_core::chaos::plan::fnv1a;
 use lsdgnn_core::framework::{
-    CacheConfig, CpuBackend, ObsConfig, Observability, RequestStats, SampleRequest,
-    SamplingBackend, SamplingService, ServiceConfig, TierSnapshot, WireConfig,
+    CacheConfig, CpuBackend, Observability, RequestStats, SampleRequest, SamplingBackend,
+    SamplingService, ServiceConfig, TierSnapshot, WireConfig,
 };
 use lsdgnn_core::graph::{generators, AttributeStore, NodeId, PartitionedGraph};
 use lsdgnn_core::telemetry::ledger::Stage;
@@ -302,7 +302,7 @@ fn observed_leg(pg: &PartitionedGraph, hot_pct: u64, seed: u64, quick: bool) -> 
         WARM_REQUESTS
     };
     warm_backend(&backend, hot_pct, seed, warm);
-    let ob = Observability::new(ObsConfig::default());
+    let ob = Observability::default();
     let svc = SamplingService::start_observed(
         Box::new(backend),
         ServiceConfig {

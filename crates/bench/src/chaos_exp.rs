@@ -39,9 +39,7 @@ use crate::workload::{
     digest_replies, small_backend, small_request, SMALL_NODES, SMALL_PARTITIONS,
 };
 use lsdgnn_core::chaos::{FaultInjector, FaultPlan, ScenarioSpec};
-use lsdgnn_core::framework::{
-    ChaosBackend, DegradeConfig, SampleReply, SamplingService, ServiceConfig,
-};
+use lsdgnn_core::framework::{ChaosBackend, SampleReply, SamplingService, ServiceConfig};
 use lsdgnn_core::mof::ReliableChannel;
 use lsdgnn_core::sampler::quality;
 use lsdgnn_core::telemetry::Json;
@@ -130,10 +128,7 @@ fn cell_config() -> ServiceConfig {
         queue_capacity: 64,
         max_batch: 8,
         batch_deadline: Duration::from_micros(100),
-        degrade: DegradeConfig {
-            backoff_base: Duration::from_micros(10),
-            ..DegradeConfig::default()
-        },
+        backoff_base: Duration::from_micros(10),
         ..ServiceConfig::default()
     }
 }

@@ -44,7 +44,7 @@ use crate::workload::{fold, graph, placement, request, ATTR_LEN, FANOUT, HOPS, P
 use lsdgnn_core::chaos::{FaultInjector, FaultPlan, ScenarioSpec};
 use lsdgnn_core::framework::{
     run_sequential, ChaosBackend, CpuBackend, InferenceConfig, InferenceReply, InferenceService,
-    ObsConfig, Observability, SamplingBackend, SamplingService, ServiceConfig,
+    Observability, SamplingBackend, SamplingService, ServiceConfig,
 };
 use lsdgnn_core::graph::{AttributeStore, CsrGraph};
 use lsdgnn_core::nn::SageModel;
@@ -160,7 +160,7 @@ fn chaos_arm(
 
     let seq = run_sequential(&faulted(None), &model(), stream());
 
-    let ob = Observability::new(ObsConfig::default());
+    let ob = Observability::default();
     let pipe = InferenceService::start(
         faulted(Some(ob.clone())),
         model(),
@@ -231,7 +231,7 @@ pub fn inference(quick: bool, seed: u64, out: &str) {
     .fold(FNV_OFFSET, |d, r| fold(d, r.digest()));
     ref_svc.shutdown();
 
-    let ob = Observability::new(ObsConfig::default());
+    let ob = Observability::default();
     let arms = [
         (
             "plain",

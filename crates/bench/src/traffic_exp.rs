@@ -191,7 +191,7 @@ fn sim_admission(tenants: &[TenantSpec], mean_rps: f64) -> AdmissionConfig {
             })
             .collect(),
         queue_bounds: [4096, 4096, 64],
-        brownout: Some(BrownoutConfig::default()),
+        brownout: Some(BrownoutConfig),
     }
 }
 

@@ -91,18 +91,18 @@ fn run_arm(
     // gathered per block exactly as the inference service would.
     let mapped: Vec<SampleRequest> = reqs.iter().map(|r| map_request(r, to_arm)).collect();
     let refs: Vec<&SampleRequest> = mapped.iter().collect();
-    let blocks = backend.sample_many(&refs);
+    let outcomes = backend.sample_many(&refs);
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut fetch = Vec::new();
     let mut rows = Vec::new();
     let mut slots = Vec::new();
-    for block in &blocks {
-        digest = fold(digest, logical_digest(block, to_logical));
-        block.attr_fetch_into(&mut fetch);
+    for o in &outcomes {
+        digest = fold(digest, logical_digest(&o.block, to_logical));
+        o.block.attr_fetch_into(&mut fetch);
         backend.gather_attr_rows(&fetch, &mut rows, &mut slots);
     }
-    for block in blocks {
-        backend.recycle(block);
+    for o in outcomes {
+        backend.recycle(o.block);
     }
     let stats = backend.stats();
     let snap = backend.wire_snapshot();
@@ -261,10 +261,7 @@ pub fn wire(quick: bool, seed: u64, out_path: &str) {
                 &label,
                 &format!("{policy}"),
                 pg_q.clone(),
-                Some(WireConfig {
-                    compression,
-                    ..WireConfig::default()
-                }),
+                Some(WireConfig { compression }),
                 &to_arm,
                 &to_logical,
                 &reqs,

@@ -23,7 +23,8 @@ use crate::cost::CostModel;
 use crate::instance::InstanceSize;
 use crate::perf;
 use lsdgnn_framework::{
-    AdmissionConfig, AdmissionController, Arrival, Priority, TrafficTrace, Verdict, CLASSES,
+    AdmissionConfig, AdmissionController, Arrival, BrownoutConfig, Priority, TrafficTrace, Verdict,
+    CLASSES,
 };
 use lsdgnn_graph::DatasetConfig;
 use std::collections::VecDeque;
@@ -376,12 +377,7 @@ pub fn simulate(
                 Verdict::Admit { degrade_fanout } => {
                     out.admitted += 1;
                     let fanout = if degrade_fanout {
-                        let div = policy
-                            .admission
-                            .as_ref()
-                            .and_then(|c| c.brownout.as_ref())
-                            .map_or(1, |b| b.degrade_fanout_div);
-                        (a.fanout / div.max(1)).max(1)
+                        (a.fanout / BrownoutConfig::FANOUT_DIV).max(1)
                     } else {
                         a.fanout
                     };
@@ -592,7 +588,7 @@ mod tests {
                 })
                 .collect(),
             queue_bounds: bounds,
-            brownout: Some(BrownoutConfig::default()),
+            brownout: Some(BrownoutConfig),
         }
     }
 

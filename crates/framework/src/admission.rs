@@ -24,7 +24,7 @@
 //!    traffic is shed outright; burn harder and admitted requests are
 //!    degraded to a reduced fanout (an approximate sample now beats an
 //!    exact sample after the deadline — the same trade the
-//!    `DegradeConfig` fallback makes under faults).
+//!    service's degraded fallback makes under faults).
 //! 3. **Bounded per-class queues with priority lanes** — admitted
 //!    requests wait in one of three lanes (interactive / batch /
 //!    best-effort) drained strictly in priority order; a full lane is an
@@ -161,28 +161,21 @@ pub struct TenantConfig {
     pub bucket: BucketConfig,
 }
 
-/// Burn-rate-driven brownout policy: how aggressively to shed as the
-/// SLO error budget burns.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BrownoutConfig {
+/// Burn-rate-driven brownout: `Some(BrownoutConfig)` in
+/// [`AdmissionConfig::brownout`] turns it on. How aggressively it sheds
+/// as the SLO error budget burns is fixed by its three constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BrownoutConfig;
+
+impl BrownoutConfig {
     /// Burn rate at which best-effort traffic is shed (1.0 = burning
     /// exactly at budget).
-    pub shed_burn: f64,
+    pub const SHED_BURN: f64 = 1.0;
     /// Burn rate at which admitted requests are additionally degraded
     /// to a reduced fanout.
-    pub degrade_burn: f64,
+    pub const DEGRADE_BURN: f64 = 2.0;
     /// Fanout divisor applied to brownout-degraded requests.
-    pub degrade_fanout_div: usize,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        BrownoutConfig {
-            shed_burn: 1.0,
-            degrade_burn: 2.0,
-            degrade_fanout_div: 2,
-        }
-    }
+    pub const FANOUT_DIV: usize = 2;
 }
 
 /// Full admission policy: tenant contracts, lane bounds, brownout.
@@ -413,17 +406,14 @@ impl AdmissionController {
     /// Current brownout level: 0 = none, 1 = shed best-effort,
     /// 2 = also degrade admitted fanout.
     pub fn brownout_level(&self) -> u8 {
-        match self.cfg.brownout {
-            None => 0,
-            Some(b) => {
-                if self.burn >= b.degrade_burn {
-                    2
-                } else if self.burn >= b.shed_burn {
-                    1
-                } else {
-                    0
-                }
-            }
+        if self.cfg.brownout.is_none() {
+            0
+        } else if self.burn >= BrownoutConfig::DEGRADE_BURN {
+            2
+        } else if self.burn >= BrownoutConfig::SHED_BURN {
+            1
+        } else {
+            0
         }
     }
 
@@ -686,14 +676,7 @@ impl ShapedService {
             Verdict::Admit { degrade_fanout } => {
                 let mut req = sr.req;
                 if degrade_fanout {
-                    let div = self
-                        .ctrl
-                        .lock()
-                        .expect("admission lock")
-                        .config()
-                        .brownout
-                        .map_or(2, |b| b.degrade_fanout_div.max(1));
-                    req.fanout = (req.fanout / div).max(1);
+                    req.fanout = (req.fanout / BrownoutConfig::FANOUT_DIV).max(1);
                 }
                 let trace = self.service().register_submit(&req);
                 if degrade_fanout && trace != 0 {
@@ -876,7 +859,7 @@ mod tests {
     #[test]
     fn brownout_sheds_best_effort_then_degrades_fanout() {
         let mut ctrl = AdmissionController::new(AdmissionConfig {
-            brownout: Some(BrownoutConfig::default()),
+            brownout: Some(BrownoutConfig),
             ..AdmissionConfig::unlimited(1)
         });
         // Budget intact: everything admitted exactly.

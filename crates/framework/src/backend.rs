@@ -6,7 +6,7 @@
 //! ([`CpuBackend`]) and the Access Engine
 //! ([`AxeBackend`](crate::offload::AxeBackend)) serve the same verbs — sample (one request, a
 //! batch, fallibly, or with shards excluded), gather attributes, report
-//! stats and cache counters, flush. The system-level hot-node cache of
+//! stats and cache counters. The system-level hot-node cache of
 //! the paper's Tech-4 has one home: the cluster's inline
 //! [`crate::hot_cache::HotSetCache`], mounted with
 //! [`CpuBackend::from_partitioned_cached`]. The fault injector
@@ -174,15 +174,15 @@ pub trait SamplingBackend: Send + Sync {
     /// Cumulative request accounting since the backend was created.
     fn stats(&self) -> RequestStats;
 
-    /// Releases transient state (caches, in-flight buffers). Called by
-    /// the service on shutdown; a no-op for stateless backends.
-    fn flush(&self) {}
-
     /// Dispatches a coalesced batch of requests, borrowed from the
-    /// service's queue — no per-batch request clone. The default executes
-    /// them in order; hardware backends may overlap them.
-    fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleBlock> {
-        reqs.iter().map(|r| self.sample_block(r)).collect()
+    /// service's queue — no per-batch request clone — and answers each
+    /// with its own verdict: the `degraded`/`unreachable` that
+    /// [`SamplingBackend::try_sample`] reports for that request alone.
+    /// The default serves them in order through the never-failing
+    /// [`SamplingBackend::sample_excluding`] with no mask; hardware
+    /// backends may overlap them.
+    fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleOutcome> {
+        reqs.iter().map(|r| self.sample_excluding(r, &[])).collect()
     }
 
     /// Hands a finished block back for arena recycling. Callers that are
@@ -345,7 +345,7 @@ impl CpuBackend {
         &self,
         reqs: &[&SampleRequest],
         excluded: &[u32],
-    ) -> (Vec<SampleBlock>, RequestStats) {
+    ) -> (Vec<SampleOutcome>, RequestStats) {
         if self.expand_only.load(Ordering::Relaxed) {
             self.cluster.expand_blocks_excluding(reqs, excluded)
         } else {
@@ -353,29 +353,30 @@ impl CpuBackend {
         }
     }
 
-    fn run(&self, req: &SampleRequest, excluded: &[u32]) -> (SampleBlock, RequestStats) {
-        let (mut blocks, s) = self.run_many(&[req], excluded);
-        (blocks.pop().expect("one block per request"), s)
+    /// One request through [`CpuBackend::run_many`], its accounting
+    /// recorded.
+    fn run(&self, req: &SampleRequest, excluded: &[u32]) -> SampleOutcome {
+        let (mut outcomes, s) = self.run_many(&[req], excluded);
+        self.record(s);
+        outcomes.pop().expect("one outcome per request")
     }
 }
 
 impl SamplingBackend for CpuBackend {
     fn sample_block(&self, req: &SampleRequest) -> SampleBlock {
-        let (block, s) = self.run(req, &[]);
-        self.record(s);
-        block
+        self.run(req, &[]).block
     }
 
-    fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleBlock> {
+    fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleOutcome> {
         // Coalesce in chunks: a wider union frontier dedups more (the
         // skewed head repeats across requests), but its lookup table and
         // reply arenas eventually outgrow the cache, so the fused fetch
         // is capped rather than unbounded.
         let obs_on = ledger::scope_active();
-        let mut blocks = Vec::with_capacity(reqs.len());
+        let mut outcomes = Vec::with_capacity(reqs.len());
         for chunk in reqs.chunks(COALESCE_WIDTH) {
             let t0 = obs_on.then(Instant::now);
-            let (mut b, s) = self.run_many(chunk, &[]);
+            let (mut o, s) = self.run_many(chunk, &[]);
             self.record(s);
             if let Some(t0) = t0 {
                 ledger::scope_record(
@@ -386,9 +387,9 @@ impl SamplingBackend for CpuBackend {
                     chunk.len() as u64,
                 );
             }
-            blocks.append(&mut b);
+            outcomes.append(&mut o);
         }
-        blocks
+        outcomes
     }
 
     fn gather_attributes(&self, nodes: &[NodeId]) -> Vec<f32> {
@@ -419,8 +420,7 @@ impl SamplingBackend for CpuBackend {
 
     fn try_sample(&self, req: &SampleRequest, attempt: u32) -> Result<SampleOutcome, BackendError> {
         let t0 = ledger::scope_active().then(Instant::now);
-        let (block, s) = self.run(req, &[]);
-        self.record(s);
+        let outcome = self.run(req, &[]);
         if let Some(t0) = t0 {
             ledger::scope_record(
                 Stage::Sampling,
@@ -430,21 +430,11 @@ impl SamplingBackend for CpuBackend {
                 u64::from(attempt),
             );
         }
-        Ok(SampleOutcome {
-            block,
-            degraded: s.any_unreachable(),
-            unreachable: s.unreachable_nodes,
-        })
+        Ok(outcome)
     }
 
     fn sample_excluding(&self, req: &SampleRequest, excluded: &[u32]) -> SampleOutcome {
-        let (block, s) = self.run(req, excluded);
-        self.record(s);
-        SampleOutcome {
-            block,
-            degraded: s.any_unreachable(),
-            unreachable: s.unreachable_nodes,
-        }
+        self.run(req, excluded)
     }
 
     fn fail_shard(&self, shard: u32) -> bool {
@@ -587,9 +577,16 @@ mod tests {
         let b = CpuBackend::new(&g, &a, 2);
         let reqs = [req(1), req(2), req(3)];
         let refs: Vec<&SampleRequest> = reqs.iter().collect();
-        let many = b.sample_many(&refs);
-        for (r, block) in reqs.iter().zip(&many) {
-            assert_eq!(&b.sample_block(r), block);
+        for crashed in [false, true] {
+            if crashed {
+                b.fail_shard(1);
+            }
+            let many = b.sample_many(&refs);
+            for (r, outcome) in reqs.iter().zip(&many) {
+                // Block and verdict: what the request alone gets.
+                assert_eq!(&b.try_sample(r, 0).unwrap(), outcome);
+                assert_eq!(outcome.degraded, crashed);
+            }
         }
     }
 

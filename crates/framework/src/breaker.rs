@@ -5,8 +5,8 @@
 //! failures are counted and `threshold` of them trip the breaker.
 //! **Open**: the fault path is skipped entirely — requests go straight to
 //! the degraded fallback — for `cooldown` dispatch decisions. **Half
-//! open**: a *bounded quota* of probe requests is let through; success
-//! closes the breaker, failure re-opens it.
+//! open**: a single probe request is let through; success closes the
+//! breaker, failure re-opens it.
 //!
 //! Cooldown is measured in *dispatch decisions*, not wall-clock time: the
 //! breaker's trajectory is then a pure function of the success/failure
@@ -15,20 +15,14 @@
 //! # Priority lanes
 //!
 //! With multi-tenant shaping ([`crate::admission`]) in front, the probe
-//! quota is a scarce recovery resource and must not be burned by traffic
-//! nobody is waiting on. [`CircuitBreaker::allow_for`] therefore accounts
-//! probes by [`Priority`]:
-//!
-//! * **Interactive** traffic may consume every probe, including the last.
-//! * **Batch** traffic may probe only while *more than one* probe
-//!   remains — the final probe is reserved for interactive traffic.
-//! * **Best-effort** traffic never probes: while the breaker is open or
-//!   half-open it goes straight to the degraded fallback.
+//! is a scarce recovery resource and must not be burned by traffic
+//! nobody is waiting on. [`CircuitBreaker::allow_for`] therefore reserves
+//! it for [`Priority::Interactive`] traffic: batch and best-effort
+//! requests never probe — while the breaker is open or half-open they go
+//! straight to the degraded fallback.
 //!
 //! The class-less [`CircuitBreaker::allow`] is interactive by definition
-//! (the pre-lanes serving path), and with the default quota of one probe
-//! per half-open episode its trajectory is identical to the historical
-//! breaker.
+//! (the pre-lanes serving path).
 
 use crate::admission::Priority;
 
@@ -39,8 +33,7 @@ pub enum BreakerState {
     Closed,
     /// Tripped: the fault path is skipped until the cooldown elapses.
     Open,
-    /// Probing: a bounded quota of requests is allowed through to test
-    /// recovery.
+    /// Probing: one request is allowed through to test recovery.
     HalfOpen,
 }
 
@@ -50,10 +43,8 @@ pub struct CircuitBreaker {
     state: BreakerState,
     threshold: u32,
     cooldown: u32,
-    /// Probes admitted per half-open episode.
-    probe_quota: u32,
-    /// Probes left in the current half-open episode.
-    probes_left: u32,
+    /// Whether the current half-open episode's probe is still unspent.
+    probe_left: bool,
     failures: u32,
     waited: u32,
     opens: u64,
@@ -62,30 +53,18 @@ pub struct CircuitBreaker {
 impl CircuitBreaker {
     /// Creates a closed breaker tripping after `threshold` consecutive
     /// failures and staying open for `cooldown` dispatch decisions, with
-    /// a single probe per half-open episode (the historical behavior).
+    /// a single probe per half-open episode.
     ///
     /// # Panics
     ///
     /// Panics if `threshold` is zero (a breaker that trips on nothing).
     pub fn new(threshold: u32, cooldown: u32) -> Self {
-        Self::with_probes(threshold, cooldown, 1)
-    }
-
-    /// Like [`CircuitBreaker::new`] with an explicit half-open probe
-    /// quota.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` or `probe_quota` is zero.
-    pub fn with_probes(threshold: u32, cooldown: u32, probe_quota: u32) -> Self {
         assert!(threshold > 0, "threshold must be non-zero");
-        assert!(probe_quota > 0, "probe quota must be non-zero");
         CircuitBreaker {
             state: BreakerState::Closed,
             threshold,
             cooldown,
-            probe_quota,
-            probes_left: 0,
+            probe_left: false,
             failures: 0,
             waited: 0,
             opens: 0,
@@ -102,9 +81,8 @@ impl CircuitBreaker {
     /// One dispatch decision for a request of the given priority class.
     /// While open, each call counts toward the cooldown regardless of
     /// class (the trajectory stays a pure function of the decision
-    /// sequence); once it elapses the breaker half-opens with
-    /// `probe_quota` probes, consumed interactive-first: best-effort
-    /// never probes, batch leaves the last probe for interactive.
+    /// sequence); once it elapses the breaker half-opens with one probe,
+    /// which only interactive traffic may take.
     pub fn allow_for(&mut self, class: Priority) -> bool {
         match self.state {
             BreakerState::Closed => true,
@@ -113,7 +91,7 @@ impl CircuitBreaker {
                 self.waited += 1;
                 if self.waited >= self.cooldown {
                     self.state = BreakerState::HalfOpen;
-                    self.probes_left = self.probe_quota;
+                    self.probe_left = true;
                     self.take_probe(class)
                 } else {
                     false
@@ -122,16 +100,12 @@ impl CircuitBreaker {
         }
     }
 
-    /// Consumes one half-open probe if this class is entitled to it.
+    /// Consumes the half-open probe if it is unspent and this class is
+    /// entitled to it: only interactive traffic probes.
     fn take_probe(&mut self, class: Priority) -> bool {
-        let entitled = match class {
-            Priority::Interactive => self.probes_left > 0,
-            // The last probe is reserved for interactive traffic.
-            Priority::Batch => self.probes_left > 1,
-            Priority::BestEffort => false,
-        };
+        let entitled = self.probe_left && class == Priority::Interactive;
         if entitled {
-            self.probes_left -= 1;
+            self.probe_left = false;
         }
         entitled
     }
@@ -162,18 +136,13 @@ impl CircuitBreaker {
         self.state = BreakerState::Open;
         self.failures = 0;
         self.waited = 0;
-        self.probes_left = 0;
+        self.probe_left = false;
         self.opens += 1;
     }
 
     /// Current state.
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    /// Probes left in the current half-open episode (0 unless half-open).
-    pub fn probes_left(&self) -> u32 {
-        self.probes_left
     }
 
     /// Times the breaker has tripped open (including re-opens from a
@@ -266,8 +235,8 @@ mod tests {
 
     /// Opens a breaker and burns the cooldown with best-effort decisions
     /// (which count toward it but never probe).
-    fn half_open(probes: u32) -> CircuitBreaker {
-        let mut b = CircuitBreaker::with_probes(1, 1, probes);
+    fn half_open() -> CircuitBreaker {
+        let mut b = CircuitBreaker::new(1, 1);
         b.record_failure();
         assert!(
             !b.allow_for(Priority::BestEffort),
@@ -279,72 +248,64 @@ mod tests {
 
     #[test]
     fn best_effort_never_consumes_the_probe_quota() {
-        let mut b = half_open(2);
-        assert_eq!(b.probes_left(), 2);
+        let mut b = half_open();
         for _ in 0..4 {
             assert!(!b.allow_for(Priority::BestEffort));
         }
-        assert_eq!(
-            b.probes_left(),
-            2,
-            "best-effort probes are rejected, not counted"
-        );
         assert!(
             b.allow_for(Priority::Interactive),
-            "quota intact for interactive"
+            "the probe is intact for interactive"
         );
     }
 
     #[test]
     fn batch_leaves_the_last_probe_for_interactive() {
-        // Quota 2: batch may take the first probe, not the last.
-        let mut b = half_open(2);
-        assert!(b.allow_for(Priority::Batch), "batch takes probe 1 of 2");
-        assert_eq!(b.probes_left(), 1);
-        assert!(
-            !b.allow_for(Priority::Batch),
-            "the final probe is reserved for interactive"
-        );
-        assert_eq!(
-            b.probes_left(),
-            1,
-            "the denied batch probe was not consumed"
-        );
+        // The one probe of an episode is the last: batch never takes it.
+        let mut b = half_open();
+        for _ in 0..4 {
+            assert!(!b.allow_for(Priority::Batch), "batch never probes");
+        }
+        assert_eq!(b.state(), BreakerState::HalfOpen);
         assert!(
             b.allow_for(Priority::Interactive),
-            "interactive takes the last probe"
+            "interactive takes the probe"
         );
-        assert_eq!(b.probes_left(), 0);
         assert!(
             !b.allow_for(Priority::Interactive),
-            "quota exhausted until the probe outcome is recorded"
+            "one probe per episode until its outcome is recorded"
         );
+        // Batch never probes, not even as the first decision after a
+        // cooldown: an open breaker it half-opens keeps the probe.
+        let mut b = CircuitBreaker::new(1, 1);
+        b.record_failure();
+        assert!(!b.allow_for(Priority::Batch), "batch half-opens, no probe");
+        assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert!(b.allow_for(Priority::Interactive));
     }
 
     #[test]
     fn probe_quota_resets_per_half_open_episode() {
-        let mut b = half_open(3);
+        let mut b = half_open();
         assert!(b.allow_for(Priority::Interactive));
-        b.record_failure(); // probe failed: re-open, quota cleared
+        b.record_failure(); // probe failed: re-open, probe spent
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.probes_left(), 0);
         assert_eq!(b.opens(), 2);
         assert!(
             b.allow_for(Priority::Interactive),
-            "cooldown 1: next decision probes"
+            "cooldown 1: next decision probes, a fresh episode"
         );
-        assert_eq!(b.probes_left(), 2, "fresh episode starts with a full quota");
+        assert!(!b.allow_for(Priority::Interactive), "and only once");
     }
 
     #[test]
     fn default_quota_matches_the_legacy_single_probe_breaker() {
-        // The class-less path is interactive with quota 1: one probe per
-        // episode, exactly the historical trajectory.
+        // The class-less path is interactive: one probe per episode.
         let mut b = CircuitBreaker::new(1, 2);
         b.record_failure();
         assert!(!b.allow());
         assert!(b.allow());
         assert_eq!(b.state(), BreakerState::HalfOpen);
+        assert!(!b.allow(), "the episode's one probe is spent");
         b.record_success();
         assert_eq!(b.state(), BreakerState::Closed);
     }

@@ -83,7 +83,7 @@ impl SamplingBackend for ChaosBackend {
 
     /// The batched dispatch a zero-fault service takes: forwarded whole,
     /// so the inner backend coalesces across the batch as it would bare.
-    fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleBlock> {
+    fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleOutcome> {
         self.inner.sample_many(reqs)
     }
 
@@ -106,10 +106,6 @@ impl SamplingBackend for ChaosBackend {
 
     fn stats(&self) -> RequestStats {
         self.inner.stats()
-    }
-
-    fn flush(&self) {
-        self.inner.flush();
     }
 
     fn try_sample(&self, req: &SampleRequest, attempt: u32) -> Result<SampleOutcome, BackendError> {

@@ -35,7 +35,7 @@
 //! `MultiHopSampler` over the unpartitioned graph, plus a table of
 //! frozen digests.
 
-use crate::backend::SampleRequest;
+use crate::backend::{SampleOutcome, SampleRequest};
 use crate::hot_cache::{CacheConfig, CacheSnapshot, HotSetCache, ShardedTier};
 use crate::pool::BufferPool;
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -43,7 +43,7 @@ use lsdgnn_graph::mem::{prefetch_read, prefetch_row};
 use lsdgnn_graph::{NodeId, PartitionId, PartitionedGraph};
 use lsdgnn_memfabric::LinkModel;
 use lsdgnn_mof::{
-    bdi_stream_bytes, packed_request_size, PackedSize, BDI_LINE_WORDS, CRC_BYTES, HEADER_BYTES,
+    bdi_stream_bytes, packed_request_size, BDI_LINE_WORDS, CRC_BYTES, HEADER_BYTES,
     MAX_REQUESTS_PER_PACKAGE,
 };
 use lsdgnn_sampler::{SampleBlock, StreamingSampler};
@@ -209,11 +209,6 @@ impl RequestStats {
         self.attr_page_lookups += other.attr_page_lookups;
         self.attr_page_hits += other.attr_page_hits;
     }
-
-    /// True when any node's owner was unreachable during the operation.
-    pub fn any_unreachable(&self) -> bool {
-        self.unreachable_nodes > 0
-    }
 }
 
 impl lsdgnn_telemetry::MetricSource for RequestStats {
@@ -254,26 +249,20 @@ pub const ATTR_PAGE_ROWS: u64 = 16;
 pub const UNPACKED_REQUEST_BYTES: u64 = HEADER_BYTES + 8 + CRC_BYTES;
 
 /// Configuration of the MoF wire accounting plane (see `WirePlane`).
+/// Remote read addresses always go through MoF multi-request packing
+/// (§4.3 Tech-1: up to 64 requests share one base address; spans beyond
+/// the 4-byte offset range split into extra packages), and every leg is
+/// charged to the paper's MoF link ([`LinkModel::mof`] at 3 hops).
 #[derive(Debug, Clone)]
 pub struct WireConfig {
-    /// Route remote read addresses through MoF multi-request packing
-    /// (§4.3 Tech-1: up to 64 requests share one base address; spans
-    /// beyond the 4-byte offset range split into extra packages).
-    pub packing: bool,
     /// BDI-compress response payloads per 64-byte line (§4.3 Tech-2)
     /// and charge the link with compressed bytes.
     pub compression: bool,
-    /// The link model charged with every leg's wire bytes.
-    pub link: LinkModel,
 }
 
 impl Default for WireConfig {
     fn default() -> Self {
-        WireConfig {
-            packing: true,
-            compression: true,
-            link: LinkModel::mof(3),
-        }
+        WireConfig { compression: true }
     }
 }
 
@@ -312,8 +301,7 @@ struct WireCounters {
 pub struct WireSnapshot {
     /// Remote legs accounted (one per per-partition dispatch).
     pub remote_legs: u64,
-    /// Request packages emitted (equals `packed_requests` with packing
-    /// off).
+    /// Request packages emitted.
     pub request_packages: u64,
     /// Read requests carried by those packages.
     pub packed_requests: u64,
@@ -447,6 +435,8 @@ impl lsdgnn_telemetry::MetricSource for WireSnapshot {
 /// simulated latency differ.
 struct WirePlane {
     config: WireConfig,
+    /// The link charged with every leg's wire bytes.
+    link: LinkModel,
     counters: WireCounters,
 }
 
@@ -454,24 +444,8 @@ impl WirePlane {
     fn new(config: WireConfig) -> Self {
         WirePlane {
             config,
+            link: LinkModel::mof(3),
             counters: WireCounters::default(),
-        }
-    }
-
-    /// Sizes one remote leg's request side: `addrs` are the leg's read
-    /// addresses in dispatch order (only sized, never materialised),
-    /// packed when packing is on, one unpacked package each otherwise.
-    fn size_request(&self, addrs: impl ExactSizeIterator<Item = u64>) -> PackedSize {
-        if self.config.packing {
-            packed_request_size(addrs)
-        } else {
-            let requests = addrs.len() as u64;
-            PackedSize {
-                packages: requests,
-                requests,
-                overflow_splits: 0,
-                wire_bytes: UNPACKED_REQUEST_BYTES * requests,
-            }
         }
     }
 
@@ -491,17 +465,19 @@ impl WirePlane {
         }
     }
 
-    /// Accounts one remote leg: `request` is its sized request side,
-    /// `payload` its response payload's `(raw, wire)` bytes, and
-    /// `incompressible` extra response bytes BDI does not touch (the CSR
-    /// boundary array of a neighbor reply).
+    /// Accounts one remote leg: `addrs` are its read addresses in
+    /// dispatch order (only sized by the packer's split walk, never
+    /// materialised), `payload` its response payload's `(raw, wire)`
+    /// bytes, and `incompressible` extra response bytes BDI does not
+    /// touch (the CSR boundary array of a neighbor reply).
     fn account_leg(
         &self,
         leg: WireLeg,
-        request: PackedSize,
+        addrs: impl Iterator<Item = u64>,
         (raw_payload, wire_payload): (u64, u64),
         incompressible: u64,
     ) {
+        let request = packed_request_size(addrs);
         let c = &self.counters;
         let requests = request.requests;
         let raw_req = UNPACKED_REQUEST_BYTES * requests;
@@ -531,11 +507,7 @@ impl WirePlane {
         };
         raw_by_leg.fetch_add(raw_resp, Ordering::Relaxed);
         wire_by_leg.fetch_add(wire_resp, Ordering::Relaxed);
-        let ns = self
-            .config
-            .link
-            .round_trip(wire_req + wire_resp)
-            .as_nanos_f64() as u64;
+        let ns = self.link.round_trip(wire_req + wire_resp).as_nanos_f64() as u64;
         c.simulated_wire_ns.fetch_add(ns, Ordering::Relaxed);
         c.remote_legs.fetch_add(1, Ordering::Relaxed);
     }
@@ -707,7 +679,7 @@ fn resolve_picks(
     fanout: usize,
     out: &mut Vec<NodeId>,
     adj: &mut Vec<u32>,
-    stats: &mut RequestStats,
+    unreachable: &mut u64,
 ) {
     // `cur` walks the picks consumed by resolved entries; `ahead` walks
     // the picks of prefetched entries, `PICK_LOOKAHEAD` entries further
@@ -735,7 +707,7 @@ fn resolve_picks(
                 cur += fanout;
             }
             Some(list) => out.extend_from_slice(list),
-            None => stats.unreachable_nodes += 1,
+            None => *unreachable += 1,
         }
         adj.push(out.len() as u32);
     }
@@ -863,15 +835,13 @@ impl Cluster {
     ///
     /// `wire` attaches the MoF wire accounting plane: remote sampling
     /// and gather legs are routed through real request packing and
-    /// per-line BDI sizing, with its `link` charged the wire bytes.
+    /// per-line BDI sizing, with the MoF link charged the wire bytes.
     /// Replies are untouched — sampled results stay byte-identical to an
     /// unwired cluster.
     ///
-    /// `cache` mounts the two-tier hot-set cache inline: remote
+    /// `cache` mounts the two-tier hot-set cache inline, cold: remote
     /// neighbor-list and attribute fetches consult the tiers before
-    /// dispatching, and replies warm them. When `warm_top_degree > 0`,
-    /// the degree prior is applied (and the top-degree remote hot set
-    /// preloaded) before the first request.
+    /// dispatching, and replies warm them.
     ///
     /// # Panics
     ///
@@ -897,23 +867,15 @@ impl Cluster {
             senders.push(tx);
         }
         let down = (0..senders.len()).map(|_| AtomicBool::new(false)).collect();
-        let worker_partition = PartitionId(0);
-        let cache = cache.map(|cfg| {
-            let c = HotSetCache::new(cfg);
-            if cfg.warm_top_degree > 0 {
-                c.warm_degree_prior(&graph, worker_partition, cfg.warm_top_degree);
-            }
-            c
-        });
         Cluster {
             graph,
             pool,
             senders,
             handles,
-            worker_partition,
+            worker_partition: PartitionId(0),
             down,
             wire: wire.map(WirePlane::new),
-            cache,
+            cache: cache.map(HotSetCache::new),
         }
     }
 
@@ -995,44 +957,6 @@ impl Cluster {
         &self.graph
     }
 
-    /// The stand-alone sampling op for one request — the batch of one
-    /// of [`Cluster::sample_blocks_excluding`], so expansion, attribute
-    /// fetch and degradation accounting exist in one place.
-    pub fn sample_block(
-        &self,
-        roots: &[NodeId],
-        hops: u32,
-        fanout: usize,
-        seed: u64,
-    ) -> (SampleBlock, RequestStats) {
-        self.sample_block_excluding(roots, hops, fanout, seed, &[])
-    }
-
-    /// [`Cluster::sample_block`], additionally treating the `excluded`
-    /// partitions as unreachable *for this operation only* — the
-    /// per-request shard mask the chaos layer uses to model a card crash
-    /// deterministically. Frontier nodes owned by an excluded (or
-    /// genuinely down) partition expand to nothing; the result is a
-    /// structurally valid partial sample with
-    /// [`RequestStats::unreachable_nodes`] quantifying what was missed.
-    pub fn sample_block_excluding(
-        &self,
-        roots: &[NodeId],
-        hops: u32,
-        fanout: usize,
-        seed: u64,
-        excluded: &[u32],
-    ) -> (SampleBlock, RequestStats) {
-        let req = SampleRequest {
-            roots: roots.to_vec(),
-            hops,
-            fanout,
-            seed,
-        };
-        let (mut blocks, stats) = self.sample_blocks_excluding(&[&req], excluded);
-        (blocks.pop().expect("one block per request"), stats)
-    }
-
     /// The stand-alone sampling op (the paper's `GetSample` answered
     /// together with its `GetAttribute`): [`Cluster::expand_blocks_excluding`]'s
     /// expansion, then one combined attribute fetch for the whole batch
@@ -1041,53 +965,80 @@ impl Cluster {
     /// accounting only (tier, legs, wire, unreachable counts) and writes
     /// none into a buffer. A caller that gathers the rows itself asks for
     /// the expansion alone.
+    ///
+    /// Each outcome carries its own request's verdict: the nodes *it*
+    /// found unreachable while expanding, plus the rows of *its* stretch
+    /// of the combined fetch that were — what the request sampled alone
+    /// would report. `stats` is the whole batch's accounting.
     pub fn sample_blocks_excluding(
         &self,
         reqs: &[&SampleRequest],
         excluded: &[u32],
-    ) -> (Vec<SampleBlock>, RequestStats) {
-        let (blocks, mut stats) = self.expand(reqs, excluded);
+    ) -> (Vec<SampleOutcome>, RequestStats) {
+        let (mut outcomes, mut stats) = self.expand(reqs, excluded);
         let mut fetch = self.pool.take_nodes();
-        for b in &blocks {
-            b.attr_fetch_into(&mut fetch);
+        for o in &outcomes {
+            o.block.attr_fetch_into(&mut fetch);
         }
         let mut row_of = self.pool.take_offsets();
-        stats.merge(self.fetch_attrs(&fetch, excluded, None, &mut row_of));
+        let mut down = self.pool.take_offsets();
+        let fetched = self.fetch_attrs(&fetch, excluded, None, &mut row_of, &mut down);
+        if fetched.unreachable_nodes > 0 {
+            // Request i's stretch of the fetch list is its roots, then
+            // its nodes (`SampleBlock::attr_fetch_into`).
+            let mut rows = row_of.iter();
+            for o in &mut outcomes {
+                let n = o.block.roots.len() + o.block.nodes.len();
+                let lost: u64 = rows
+                    .by_ref()
+                    .take(n)
+                    .map(|&r| u64::from(down[r as usize]))
+                    .sum();
+                o.unreachable += lost;
+                o.degraded = o.unreachable > 0;
+            }
+        }
+        stats.merge(fetched);
+        self.pool.put_offsets(down);
         self.pool.put_offsets(row_of);
         self.pool.put_nodes(fetch);
-        (blocks, stats)
+        (outcomes, stats)
     }
 
     /// The *expand* verb on its own — hops, picks, adjacency — for a
     /// caller that runs its own gather stage: no attribute row moves, no
     /// gather leg is dispatched, the attribute tier and the wire plane
-    /// are not touched. Blocks and [`RequestStats::unreachable_nodes`]
+    /// are not touched. Outcomes and [`RequestStats::unreachable_nodes`]
     /// equal [`Cluster::sample_blocks_excluding`]'s: the rows the fetch
     /// would have found unreachable are counted by an availability pass
-    /// instead.
+    /// instead, which reads nothing at all while every partition is up
+    /// and the mask is empty.
     pub fn expand_blocks_excluding(
         &self,
         reqs: &[&SampleRequest],
         excluded: &[u32],
-    ) -> (Vec<SampleBlock>, RequestStats) {
-        let (blocks, mut stats) = self.expand(reqs, excluded);
-        stats.unreachable_nodes += self.unreachable_attr_rows(&blocks, excluded);
-        (blocks, stats)
+    ) -> (Vec<SampleOutcome>, RequestStats) {
+        let (mut outcomes, mut stats) = self.expand(reqs, excluded);
+        if !excluded.is_empty() || self.alive_partitions() < self.partitions() {
+            for o in &mut outcomes {
+                let lost = self.unreachable_attr_rows(&o.block, excluded);
+                o.unreachable += lost;
+                o.degraded = o.unreachable > 0;
+                stats.unreachable_nodes += lost;
+            }
+        }
+        (outcomes, stats)
     }
 
-    /// What [`Cluster::fetch_attr_rows_into`] over `blocks`' roots and
+    /// What [`Cluster::fetch_attr_rows_into`] over `block`'s roots and
     /// nodes would add to `unreachable_nodes`, per occurrence, without
     /// moving a row: entries whose attribute owner is down or excluded,
     /// less those the attribute tier holds for a dead *remote* owner
-    /// (the fetch serves them from the tier — a partition save). Reads
-    /// nothing at all while every partition is up and the mask is empty.
-    fn unreachable_attr_rows(&self, blocks: &[SampleBlock], excluded: &[u32]) -> u64 {
-        if excluded.is_empty() && self.alive_partitions() == self.partitions() {
-            return 0;
-        }
+    /// (the fetch serves them from the tier — a partition save).
+    fn unreachable_attr_rows(&self, block: &SampleBlock, excluded: &[u32]) -> u64 {
         let local = self.worker_partition.0 as usize;
         let attr_tier = self.cache.as_ref().and_then(HotSetCache::attr);
-        let entries = blocks.iter().flat_map(|b| b.roots.iter().chain(&b.nodes));
+        let entries = block.roots.iter().chain(&block.nodes);
         entries
             .filter(|&&v| {
                 let p = self.graph.owner(v).0 as usize;
@@ -1110,18 +1061,18 @@ impl Cluster {
         &self,
         reqs: &[&SampleRequest],
         excluded: &[u32],
-    ) -> (Vec<SampleBlock>, RequestStats) {
+    ) -> (Vec<SampleOutcome>, RequestStats) {
         let mut stats = RequestStats::default();
         let mut rngs: Vec<SmallRng> = reqs
             .iter()
             .map(|r| SmallRng::seed_from_u64(r.seed))
             .collect();
-        let mut blocks: Vec<SampleBlock> = reqs
+        let mut outcomes: Vec<SampleOutcome> = reqs
             .iter()
             .map(|r| {
                 let mut b = self.pool.take_block();
                 b.roots.extend_from_slice(&r.roots);
-                b
+                SampleOutcome::exact(b)
             })
             .collect();
         let mut unique = self.pool.take_nodes();
@@ -1145,11 +1096,11 @@ impl Cluster {
             slot_of.clear();
             index.begin(num_nodes);
             line_index.begin(num_nodes / FRONTIER_LINE_NODES as usize + 1);
-            for (r, b) in reqs.iter().zip(&blocks) {
+            for (r, o) in reqs.iter().zip(&outcomes) {
                 if r.hops <= h {
                     continue;
                 }
-                let f = frontier(b, h);
+                let f = frontier(&o.block, h);
                 for (k, &v) in f.iter().enumerate() {
                     if let Some(&w) = f.get(k + STAMP_LOOKAHEAD) {
                         index.prefetch(w.index());
@@ -1182,10 +1133,11 @@ impl Cluster {
             // Sample per request, per frontier entry, in order — the
             // exact RNG consumption of the request sampled alone.
             let mut cursor = 0usize;
-            for ((r, b), rng) in reqs.iter().zip(&mut blocks).zip(&mut rngs) {
+            for ((r, o), rng) in reqs.iter().zip(&mut outcomes).zip(&mut rngs) {
                 if r.hops <= h {
                     continue;
                 }
+                let b = &mut o.block;
                 let flen = frontier(b, h).len();
                 let slots = &slot_of[cursor..cursor + flen];
                 cursor += flen;
@@ -1199,7 +1151,7 @@ impl Cluster {
                     r.fanout,
                     &mut b.nodes,
                     &mut b.adj_offsets,
-                    &mut stats,
+                    &mut o.unreachable,
                 );
                 b.hop_offsets.push(b.nodes.len() as u32);
             }
@@ -1219,7 +1171,11 @@ impl Cluster {
         self.pool.put_offsets(picks);
         self.pool.put_stamps(index);
         self.pool.put_stamps(line_index);
-        (blocks, stats)
+        for o in &mut outcomes {
+            o.degraded = o.unreachable > 0;
+            stats.unreachable_nodes += o.unreachable;
+        }
+        (outcomes, stats)
     }
 
     /// Routes a pass's remote positions (into `unique`), listed in
@@ -1376,11 +1332,8 @@ impl Cluster {
                         // per-node offsets header (incompressible here).
                         wire.account_leg(
                             WireLeg::Sampling,
-                            wire.size_request(
-                                pos.iter().map(|&i| {
-                                    g.neighbor_range(unique[i as usize]).start as u64 * 8
-                                }),
-                            ),
+                            pos.iter()
+                                .map(|&i| g.neighbor_range(unique[i as usize]).start as u64 * 8),
                             wire.size_payload(
                                 flat.chunks(BDI_LINE_WORDS)
                                     .map(|line| line.iter().map(|v| v.0)),
@@ -1437,7 +1390,10 @@ impl Cluster {
         rows: &mut Vec<f32>,
         slot_of: &mut Vec<u32>,
     ) -> RequestStats {
-        self.fetch_attrs(nodes, excluded, Some(rows), slot_of)
+        let mut down = self.pool.take_offsets();
+        let stats = self.fetch_attrs(nodes, excluded, Some(rows), slot_of, &mut down);
+        self.pool.put_offsets(down);
+        stats
     }
 
     /// The one attribute fetch body. With `rows` it is the gather verb
@@ -1446,13 +1402,15 @@ impl Cluster {
     /// tier probes (hits counted, recency refreshed), every leg
     /// dispatched and wire-sized, replies admitted, unreachable rows
     /// counted — and writes none: no local, cached or fetched row is
-    /// copied into a buffer nobody reads.
+    /// copied into a buffer nobody reads. `down` is left flagging each
+    /// distinct row (by slot) whose owner was unreachable.
     fn fetch_attrs(
         &self,
         nodes: &[NodeId],
         excluded: &[u32],
         mut rows: Option<&mut Vec<f32>>,
         slot_of: &mut Vec<u32>,
+        down: &mut Vec<u32>,
     ) -> RequestStats {
         let store = self
             .graph
@@ -1510,7 +1468,7 @@ impl Cluster {
         if let Some(rows) = rows.as_deref_mut() {
             rows.resize(unique.len() * attr_len, 0.0);
         }
-        let mut down = self.pool.take_offsets();
+        down.clear();
         down.resize(unique.len(), 0);
         // Remote rows consult the hot-set attribute tier before joining
         // a dispatch group: a hit copies the row straight into place and
@@ -1612,11 +1570,8 @@ impl Cluster {
                         // One request per distinct row.
                         wire.account_leg(
                             WireLeg::Attrs,
-                            wire.size_request(
-                                pos.iter().map(|&i| {
-                                    unique[i as usize].index() as u64 * attr_len as u64 * 4
-                                }),
-                            ),
+                            pos.iter()
+                                .map(|&i| unique[i as usize].index() as u64 * attr_len as u64 * 4),
                             payload,
                             0,
                         );
@@ -1650,7 +1605,6 @@ impl Cluster {
         self.pool.put_stamps(table);
         self.pool.put_stamps(page_index);
         self.pool.put_nodes(unique);
-        self.pool.put_offsets(down);
         stats
     }
 
@@ -1725,11 +1679,33 @@ mod tests {
         )
     }
 
+    /// One request through the batch op, as a batch of one.
+    fn sample(
+        c: &Cluster,
+        roots: &[NodeId],
+        hops: u32,
+        fanout: usize,
+        seed: u64,
+        excluded: &[u32],
+    ) -> (SampleBlock, RequestStats) {
+        let req = SampleRequest {
+            roots: roots.to_vec(),
+            hops,
+            fanout,
+            seed,
+        };
+        let (mut outcomes, stats) = c.sample_blocks_excluding(&[&req], excluded);
+        (
+            outcomes.pop().expect("one outcome per request").block,
+            stats,
+        )
+    }
+
     /// One hop at a fanout no list exceeds: every reachable list comes
     /// back whole, as `block.children(i)` of `nodes[i]`.
     fn whole_lists(c: &Cluster, nodes: &[NodeId]) -> (SampleBlock, RequestStats) {
         let fanout = c.graph().graph().max_degree() as usize;
-        c.sample_block(nodes, 1, fanout, 0)
+        sample(c, nodes, 1, fanout, 0, &[])
     }
 
     #[test]
@@ -1761,7 +1737,7 @@ mod tests {
     fn sample_batch_produces_real_edges() {
         let c = cluster(4);
         let roots: Vec<NodeId> = (0..8).map(NodeId).collect();
-        let (block, stats) = c.sample_block(&roots, 2, 5, 9);
+        let (block, stats) = sample(&c, &roots, 2, 5, 9, &[]);
         assert_eq!(block.num_hops(), 2);
         assert!(block.total_sampled() > 0);
         for v in block.hop(0) {
@@ -1795,7 +1771,7 @@ mod tests {
     fn single_partition_cluster_is_all_local() {
         let c = cluster(1);
         let roots: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let (_, stats) = c.sample_block(&roots, 2, 5, 10);
+        let (_, stats) = sample(&c, &roots, 2, 5, 10, &[]);
         assert_eq!(stats.remote_requests, 0);
         assert_eq!(stats.remote_fraction(), 0.0);
         c.shutdown();
@@ -1806,8 +1782,8 @@ mod tests {
         let c2 = cluster(2);
         let c8 = cluster(8);
         let roots: Vec<NodeId> = (0..16).map(NodeId).collect();
-        let (_, s2) = c2.sample_block(&roots, 2, 5, 11);
-        let (_, s8) = c8.sample_block(&roots, 2, 5, 11);
+        let (_, s2) = sample(&c2, &roots, 2, 5, 11, &[]);
+        let (_, s8) = sample(&c8, &roots, 2, 5, 11, &[]);
         assert!(s8.remote_fraction() > s2.remote_fraction());
         c2.shutdown();
         c8.shutdown();
@@ -1833,8 +1809,8 @@ mod tests {
     fn deterministic_given_seed() {
         let c = cluster(4);
         let roots: Vec<NodeId> = (0..8).map(NodeId).collect();
-        let (b1, _) = c.sample_block(&roots, 2, 5, 42);
-        let (b2, _) = c.sample_block(&roots, 2, 5, 42);
+        let (b1, _) = sample(&c, &roots, 2, 5, 42, &[]);
+        let (b2, _) = sample(&c, &roots, 2, 5, 42, &[]);
         assert_eq!(b1, b2);
         assert_eq!(b1.adj_offsets, b2.adj_offsets);
         c.shutdown();
@@ -1857,17 +1833,18 @@ mod tests {
         let refs: Vec<&SampleRequest> = reqs.iter().collect();
         for excluded in [&[][..], &[2u32][..]] {
             let (batched, stats) = c.sample_blocks_excluding(&refs, excluded);
-            for (r, block) in reqs.iter().zip(&batched) {
-                let (solo, _) =
-                    c.sample_block_excluding(&r.roots, r.hops, r.fanout, r.seed, excluded);
-                assert_eq!(block, &solo, "seed {} excluded {excluded:?}", r.seed);
+            for (r, outcome) in reqs.iter().zip(&batched) {
+                // Block and verdict alike: the request sampled alone.
+                let (solo, _) = c.sample_blocks_excluding(&[r], excluded);
+                assert_eq!(outcome, &solo[0], "seed {} excluded {excluded:?}", r.seed);
             }
             assert_eq!(
                 stats.coalesce_lookups,
                 reqs.iter()
                     .zip(&batched)
-                    .map(|(r, b)| r.roots.len() as u64
-                        + b.hops()
+                    .map(|(r, o)| r.roots.len() as u64
+                        + o.block
+                            .hops()
                             .take(r.hops as usize - 1)
                             .map(|h| h.len() as u64)
                             .sum::<u64>())
@@ -1889,7 +1866,7 @@ mod tests {
             &StreamingSampler,
             &roots,
         );
-        let (block, stats) = c.sample_block(&roots, 2, 4, 3);
+        let (block, stats) = sample(&c, &roots, 2, 4, 3, &[]);
         assert_eq!(block, SampleBlock::from_batch(&want));
         assert!(stats.coalesce_hits >= 2, "dup roots must hit the table");
         assert!(stats.coalesce_lookups >= stats.coalesce_hits);
@@ -1908,7 +1885,7 @@ mod tests {
         let c = cluster(4);
         let roots: Vec<NodeId> = (0..16).map(NodeId).collect();
         for excluded in [&[][..], &[2u32][..]] {
-            let (block, _) = c.sample_block_excluding(&roots, 2, 5, 17, excluded);
+            let (block, _) = sample(&c, &roots, 2, 5, 17, excluded);
             assert!(block.has_adjacency());
             assert_eq!(block.num_parents(), roots.len() + block.hop(0).len());
             // Spans are monotone and end exactly at each hop boundary.
@@ -1943,8 +1920,8 @@ mod tests {
             seed: 17,
         };
         let (batched, _) = c.sample_blocks_excluding(&[&req], &[]);
-        let (solo, _) = c.sample_block(&roots, 2, 5, 17);
-        assert_eq!(batched[0].adj_offsets, solo.adj_offsets);
+        let (solo, _) = sample(&c, &roots, 2, 5, 17, &[]);
+        assert_eq!(batched[0].block.adj_offsets, solo.adj_offsets);
         c.shutdown();
     }
 
@@ -1953,7 +1930,7 @@ mod tests {
         let c = cluster(2);
         let roots: Vec<NodeId> = (0..8).map(NodeId).collect();
         for seed in 0..6 {
-            let (block, _) = c.sample_block(&roots, 2, 5, seed);
+            let (block, _) = sample(&c, &roots, 2, 5, seed, &[]);
             c.pool().put_block(block);
         }
         let s = c.pool().stats();
@@ -2026,7 +2003,6 @@ mod tests {
         let nodes: Vec<NodeId> = (0..100).map(NodeId).collect();
         let (block, stats) = whole_lists(&c, &nodes);
         assert!(stats.unreachable_nodes > 0, "partition 1 owns some nodes");
-        assert!(stats.any_unreachable());
         for (i, &v) in nodes.iter().enumerate() {
             if c.graph().owner(v) == PartitionId(1) {
                 assert!(block.children(i).is_empty(), "down shard answers empty");
@@ -2041,13 +2017,13 @@ mod tests {
     fn excluded_shards_mask_only_the_one_operation() {
         let c = cluster(4);
         let roots: Vec<NodeId> = (0..16).map(NodeId).collect();
-        let (full, s_full) = c.sample_block(&roots, 2, 5, 7);
-        let (partial, s_part) = c.sample_block_excluding(&roots, 2, 5, 7, &[2]);
+        let (full, s_full) = sample(&c, &roots, 2, 5, 7, &[]);
+        let (partial, s_part) = sample(&c, &roots, 2, 5, 7, &[2]);
         assert_eq!(s_full.unreachable_nodes, 0);
         assert!(s_part.unreachable_nodes > 0);
         assert!(partial.total_sampled() <= full.total_sampled());
         // The mask is per-operation: the next unmasked call is exact again.
-        let (again, s_again) = c.sample_block(&roots, 2, 5, 7);
+        let (again, s_again) = sample(&c, &roots, 2, 5, 7, &[]);
         assert_eq!(again, full);
         assert_eq!(s_again.unreachable_nodes, 0);
         c.shutdown();
@@ -2057,8 +2033,8 @@ mod tests {
     fn masked_sampling_is_deterministic() {
         let c = cluster(4);
         let roots: Vec<NodeId> = (0..8).map(NodeId).collect();
-        let (b1, s1) = c.sample_block_excluding(&roots, 2, 5, 42, &[1, 3]);
-        let (b2, s2) = c.sample_block_excluding(&roots, 2, 5, 42, &[1, 3]);
+        let (b1, s1) = sample(&c, &roots, 2, 5, 42, &[1, 3]);
+        let (b2, s2) = sample(&c, &roots, 2, 5, 42, &[1, 3]);
         assert_eq!(b1, b2);
         assert_eq!(s1.unreachable_nodes, s2.unreachable_nodes);
         c.shutdown();
@@ -2071,7 +2047,7 @@ mod tests {
         c.fail_partition(PartitionId(1));
         assert_eq!(c.alive_partitions(), 0);
         let roots: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let (block, stats) = c.sample_block(&roots, 2, 5, 1);
+        let (block, stats) = sample(&c, &roots, 2, 5, 1, &[]);
         assert_eq!(block.total_sampled(), 0, "nothing reachable");
         // Four roots nobody expands, four root rows nobody serves.
         assert_eq!(stats.unreachable_nodes, 8);

@@ -31,9 +31,7 @@
 //! keeps a 4-bit count-min sketch; a candidate only displaces the
 //! segment's LRU victim when its estimated frequency exceeds the
 //! victim's. One-hit wonders bounce off a warm cache instead of flushing
-//! it. [`HotSetCache::warm_degree_prior`] seeds the sketch (and the
-//! tiers) from vertex degree — the paper's degree-aware hot-node
-//! identification — so hubs are admitted from the first request.
+//! it.
 //!
 //! **Eviction** is exact LRU per segment in O(1): the slots of a segment
 //! are threaded on an intrusive recency list in last-use order, so the
@@ -45,7 +43,7 @@
 //! invalidates, clears or relabels a tier: a reordered graph gets a new
 //! cluster, and with it a new, cold cache.
 
-use lsdgnn_graph::{FnvHashMap, NodeId, PartitionId, PartitionedGraph};
+use lsdgnn_graph::{FnvHashMap, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -128,19 +126,6 @@ impl FreqSketch {
     /// Estimated access count (min over the four probes).
     fn estimate(&self, h: u64) -> u64 {
         (0..4).map(|i| self.get(self.pos(h, i))).min().unwrap_or(0)
-    }
-
-    /// Raises the estimate to at least `val` — the degree-prior hook:
-    /// hub nodes start warm instead of earning admission one miss at a
-    /// time.
-    fn raise(&mut self, h: u64, val: u64) {
-        let val = val.min(15);
-        for i in 0..4 {
-            let p = self.pos(h, i);
-            if self.get(p) < val {
-                self.put(p, val);
-            }
-        }
     }
 
     /// Halves every counter — the TinyLFU reset that forgets old epochs
@@ -644,29 +629,6 @@ impl<T: Copy> ShardedTier<T> {
         add(&self.counters.evicts, evicts);
         add(&self.counters.rejects, rejects);
     }
-
-    /// Warmup insert: caches `(v, data)` only while the segment has free
-    /// capacity — no eviction, so earlier (higher-priority) warm entries
-    /// are never displaced by later ones. Returns whether it stuck.
-    pub fn insert_warm(&self, v: NodeId, data: &[T]) -> bool {
-        let (mut seg, _) = self.enter(v);
-        if seg.map.contains_key(&v) {
-            return true;
-        }
-        let Some(i) = seg.vacant_slot() else {
-            return false;
-        };
-        seg.write(i, v, data);
-        self.counters.admits.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Raises `v`'s sketch estimate to at least `level` without caching
-    /// anything — the degree-prior half of warmup.
-    pub fn raise_prior(&self, v: NodeId, level: u64) {
-        let (mut seg, h) = self.enter(v);
-        seg.sketch.raise(h, level);
-    }
 }
 
 /// Tier N: remote neighbor-list spans, keyed by node.
@@ -685,9 +647,6 @@ pub struct CacheConfig {
     pub neigh_capacity: usize,
     /// Tier-A capacity in attribute rows; `0` disables the tier.
     pub attr_capacity: usize,
-    /// Degree-prior warmup: boost (and preload) the top-K-degree nodes
-    /// at spawn. `0` starts cold.
-    pub warm_top_degree: usize,
 }
 
 impl Default for CacheConfig {
@@ -695,7 +654,6 @@ impl Default for CacheConfig {
         CacheConfig {
             neigh_capacity: 4096,
             attr_capacity: 4096,
-            warm_top_degree: 0,
         }
     }
 }
@@ -706,7 +664,6 @@ impl CacheConfig {
         CacheConfig {
             neigh_capacity: capacity,
             attr_capacity: capacity,
-            ..Default::default()
         }
     }
 
@@ -773,45 +730,11 @@ impl HotSetCache {
             attr: self.attr.as_ref().map(|t| t.snapshot()),
         }
     }
-
-    /// Degree-prior warmup (the paper's degree-aware hot-node
-    /// identification): raises the admission-sketch estimate of the
-    /// top-`k`-degree nodes proportionally to `log2(degree)`, and
-    /// preloads the *remote-owned* ones (owner ≠ `local`) into both
-    /// tiers — highest degree first, stopping at tier capacity. Preload
-    /// reads the shared graph directly: warmup costs zero channel
-    /// round trips and the preloaded bytes are the same truth a server
-    /// reply would carry.
-    pub fn warm_degree_prior(&self, pg: &PartitionedGraph, local: PartitionId, k: usize) {
-        let g = pg.graph();
-        let store = pg.attributes();
-        let mut neigh_full = false;
-        let mut attr_full = false;
-        for v in g.top_degree_nodes(k) {
-            let level = u64::from(64 - g.degree(v).leading_zeros());
-            if let Some(t) = &self.neigh {
-                t.raise_prior(v, level);
-            }
-            if let Some(t) = &self.attr {
-                t.raise_prior(v, level);
-            }
-            if pg.owner(v) == local {
-                continue; // local reads never touch the cache
-            }
-            if let (Some(t), false) = (&self.neigh, neigh_full) {
-                neigh_full = !t.insert_warm(v, g.neighbors(v));
-            }
-            if let (Some(t), Some(s), false) = (&self.attr, store, attr_full) {
-                attr_full = !t.insert_warm(v, s.get(v));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsdgnn_graph::{generators, AttributeStore};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -1019,40 +942,12 @@ mod tests {
         let cache = HotSetCache::new(CacheConfig {
             neigh_capacity: 0,
             attr_capacity: 8,
-            ..Default::default()
         });
         assert!(cache.neigh().is_none());
         assert!(cache.attr().is_some());
         let snap = cache.snapshot();
         assert!(snap.neigh.is_none());
         assert!(snap.attr.is_some());
-    }
-
-    #[test]
-    fn degree_prior_warmup_preloads_remote_hubs_only() {
-        let g = generators::power_law(500, 8, 7);
-        let store = AttributeStore::synthetic(500, 4, 7);
-        let pg = lsdgnn_graph::PartitionedGraph::new(g, 2).with_attributes(store.clone());
-        let cache = HotSetCache::new(CacheConfig::with_capacity(64));
-        cache.warm_degree_prior(&pg, PartitionId(0), 32);
-        let top = pg.graph().top_degree_nodes(32);
-        let mut remote_seen = 0;
-        for v in top {
-            let span = get(cache.neigh().unwrap(), v);
-            if pg.owner(v) == PartitionId(0) {
-                assert!(span.is_none(), "local node {v:?} must not be preloaded");
-            } else if let Some(span) = span {
-                remote_seen += 1;
-                assert_eq!(span, pg.graph().neighbors(v), "span bytes are the truth");
-                let row = get(cache.attr().unwrap(), v);
-                assert_eq!(
-                    row.as_deref(),
-                    Some(store.get(v)),
-                    "row bytes are the truth"
-                );
-            }
-        }
-        assert!(remote_seen > 0, "some top-degree nodes are remote");
     }
 
     #[test]
@@ -1076,8 +971,6 @@ mod tests {
         s.age();
         let e = s.estimate(h);
         assert!((2..=7).contains(&e), "aging halves, got {e}");
-        s.raise(h, 15);
-        assert_eq!(s.estimate(h), 15);
     }
 
     /// Checks every segment's recency list against its map: every slot
@@ -1158,7 +1051,7 @@ mod tests {
             shards in 1usize..=4,
             capacity in 1usize..=32,
             admission in 0u8..2,
-            program in proptest::collection::vec((0u8..32, 0u64..48), 1..300),
+            program in proptest::collection::vec((0u8..30, 0u64..48), 1..300),
         ) {
             let list: AttrTier = ShardedTier::new(capacity, shards, admission == 1);
             let mut scan: AttrTier = ShardedTier::new(capacity, shards, admission == 1);
@@ -1167,16 +1060,11 @@ mod tests {
                 let v = NodeId(k);
                 let answers = [&list, &scan].map(|t| match op {
                     0..=11 => get(t, v),
-                    12..=27 | 31 => {
+                    12..=28 => {
                         put(t, v, &[k as f32, step as f32]);
                         None
                     }
-                    28 => t.insert_warm(v, &[k as f32, -1.0]).then(Vec::new),
-                    29 => t.contains(v).then(Vec::new),
-                    _ => {
-                        t.raise_prior(v, k % 16);
-                        None
-                    }
+                    _ => t.contains(v).then(Vec::new),
                 });
                 proptest::prop_assert_eq!(&answers[0], &answers[1], "step {} op {}", step, op);
                 proptest::prop_assert_eq!(list.snapshot(), scan.snapshot(), "step {} op {}", step, op);

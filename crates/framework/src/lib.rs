@@ -83,12 +83,11 @@ pub use inference::{
     InferenceTicket,
 };
 pub use lsdgnn_sampler::SampleBlock;
-pub use obs::{ObsConfig, Observability};
+pub use obs::Observability;
 pub use offload::{AxeBackend, GraphLearnSession, SamplerBackend};
 pub use pool::{BufferPool, PoolStats};
 pub use service::{
-    BatchPolicy, DegradeConfig, SampleReply, SampleTicket, SamplingService, ServiceConfig,
-    ServiceStats,
+    BatchPolicy, SampleReply, SampleTicket, SamplingService, ServiceConfig, ServiceStats,
 };
-pub use traffic::{replay_open_loop, Arrival, TenantSpec, TrafficConfig, TrafficTrace};
+pub use traffic::{Arrival, TenantSpec, TrafficConfig, TrafficTrace};
 pub use trainer::{EpochReport, TrainerConfig, TrainingJob};

@@ -25,29 +25,12 @@ use lsdgnn_telemetry::{RequestLedger, SloMonitor};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Policy knobs of an [`Observability`] handle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObsConfig {
-    /// Ledger sizing and flight-recorder trigger policy.
-    pub ledger: LedgerConfig,
-    /// Sampling-stage SLO: target p99 of submit→sample-reply, µs.
-    pub sampling_target_p99_us: f64,
-    /// End-to-end SLO: target p99 of submit→embedding, µs.
-    pub e2e_target_p99_us: f64,
-    /// Allowed violation fraction (0.01 = a p99 objective).
-    pub slo_budget: f64,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            ledger: LedgerConfig::default(),
-            sampling_target_p99_us: 50_000.0,
-            e2e_target_p99_us: 100_000.0,
-            slo_budget: 0.01,
-        }
-    }
-}
+/// Sampling-stage SLO: target p99 of submit→sample-reply, µs.
+const SAMPLING_TARGET_P99_US: f64 = 50_000.0;
+/// End-to-end SLO: target p99 of submit→embedding, µs.
+const E2E_TARGET_P99_US: f64 = 100_000.0;
+/// Allowed violation fraction of both SLOs (0.01 = a p99 objective).
+const SLO_BUDGET: f64 = 0.01;
 
 /// The cloneable observability bundle threaded through the serving
 /// stack: ledger + SLO monitors + the finish-authority switch.
@@ -62,28 +45,20 @@ pub struct Observability {
 }
 
 impl Default for Observability {
+    /// A default-sized ledger, a 50 ms sampling and a 100 ms end-to-end
+    /// p99 objective, each with a 1 % violation budget.
     fn default() -> Self {
-        Observability::new(ObsConfig::default())
+        let slo = |target_us| Arc::new(Mutex::new(SloMonitor::new(target_us, SLO_BUDGET)));
+        Observability {
+            ledger: RequestLedger::new(LedgerConfig::default()),
+            sampling_slo: slo(SAMPLING_TARGET_P99_US),
+            e2e_slo: slo(E2E_TARGET_P99_US),
+            sample_finish: Arc::new(AtomicBool::new(true)),
+        }
     }
 }
 
 impl Observability {
-    /// Builds the bundle from policy knobs.
-    pub fn new(cfg: ObsConfig) -> Self {
-        Observability {
-            ledger: RequestLedger::new(cfg.ledger),
-            sampling_slo: Arc::new(Mutex::new(SloMonitor::new(
-                cfg.sampling_target_p99_us,
-                cfg.slo_budget,
-            ))),
-            e2e_slo: Arc::new(Mutex::new(SloMonitor::new(
-                cfg.e2e_target_p99_us,
-                cfg.slo_budget,
-            ))),
-            sample_finish: Arc::new(AtomicBool::new(true)),
-        }
-    }
-
     /// The shared request ledger.
     pub fn ledger(&self) -> &RequestLedger {
         &self.ledger
@@ -156,7 +131,7 @@ mod tests {
         let a = AttributeStore::synthetic(300, 4, 9);
         let pg = PartitionedGraph::new(g, 3).with_attributes(a);
         let backend = CpuBackend::from_partitioned_cached(pg, CacheConfig::with_capacity(2048));
-        let obs = Observability::new(ObsConfig::default());
+        let obs = Observability::default();
         let svc = SamplingService::start_observed(
             Box::new(backend),
             ServiceConfig::default(),

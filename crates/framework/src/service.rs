@@ -28,7 +28,10 @@
 //! [`SampleReply::unreachable`].
 //!
 //! Pay for what you use: with no injector — or a zero-fault plan — the
-//! service takes the exact batched dispatch path it always had.
+//! service takes the batched dispatch path it always had. That path
+//! still reports each request's own verdict
+//! ([`SamplingBackend::sample_many`]): a partition that is down degrades
+//! the replies it cut short.
 //!
 //! [`ServiceStats`] extends the backend's [`RequestStats`] with the
 //! queue-depth, batch-size and latency histograms an operator of the
@@ -136,49 +139,6 @@ impl MetricSource for ServiceStats {
     }
 }
 
-/// Degradation policy of a [`SamplingService`]: how hard to fight for an
-/// exact answer before settling for a partial one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradeConfig {
-    /// Per-request time budget: once exceeded, no further retries — the
-    /// request falls back to a degraded answer rather than blowing its
-    /// deadline.
-    pub deadline: Duration,
-    /// Retries after the first attempt before falling back.
-    pub max_retries: u32,
-    /// Backoff before retry `n` sleeps `backoff_base * 2^(n-1)`, scaled
-    /// by a deterministic jitter in [0.5, 1.5).
-    pub backoff_base: Duration,
-    /// Failed attempts before a hedged re-dispatch is fired alongside
-    /// the retry ladder.
-    pub hedge_threshold: u32,
-    /// Consecutive backend failures that trip a shard's breaker open.
-    pub breaker_threshold: u32,
-    /// Dispatch decisions an open breaker waits before half-opening.
-    pub breaker_cooldown: u32,
-    /// Probes a half-open breaker admits, consumed interactive-first
-    /// (see [`CircuitBreaker::allow_for`]); 1 = the classic single-probe
-    /// breaker.
-    pub breaker_probes: u32,
-    /// Seed of the deterministic backoff-jitter stream.
-    pub jitter_seed: u64,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> Self {
-        DegradeConfig {
-            deadline: Duration::from_millis(100),
-            max_retries: 4,
-            backoff_base: Duration::from_micros(50),
-            hedge_threshold: 2,
-            breaker_threshold: 8,
-            breaker_cooldown: 16,
-            breaker_probes: 1,
-            jitter_seed: 0x5eed_cafe,
-        }
-    }
-}
-
 /// How long a shard holding a batch may additionally *idle* for company.
 ///
 /// Requests already queued always join the batch at once (up to
@@ -217,8 +177,10 @@ pub struct ServiceConfig {
     pub batch_deadline: Duration,
     /// What may cut that idle wait short (see [`BatchPolicy`]).
     pub batch: BatchPolicy,
-    /// The degradation policy (only exercised under faults).
-    pub degrade: DegradeConfig,
+    /// Backoff before retry `n` of the degradation ladder sleeps
+    /// `backoff_base * 2^(n-1)`, scaled by a deterministic jitter in
+    /// [0.5, 1.5) (only exercised under faults).
+    pub backoff_base: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -229,7 +191,7 @@ impl Default for ServiceConfig {
             max_batch: 16,
             batch_deadline: Duration::ZERO,
             batch: BatchPolicy::FixedDeadline,
-            degrade: DegradeConfig::default(),
+            backoff_base: Duration::from_micros(50),
         }
     }
 }
@@ -252,16 +214,6 @@ pub struct SampleReply {
 }
 
 impl SampleReply {
-    fn exact(block: SampleBlock) -> Self {
-        SampleReply {
-            block,
-            degraded: false,
-            unreachable: 0,
-            attempts: 1,
-            hedged: false,
-        }
-    }
-
     fn from_outcome(outcome: SampleOutcome, attempts: u32, hedged: bool) -> Self {
         SampleReply {
             block: outcome.block,
@@ -348,17 +300,33 @@ struct ServeAcct {
     fastpaths: u64,
 }
 
+/// Per-request time budget of the degradation ladder: once exceeded, no
+/// further retries — the request falls back to a degraded answer rather
+/// than blowing its deadline.
+const DEADLINE: Duration = Duration::from_millis(100);
+/// Retries after the first attempt before falling back.
+const MAX_RETRIES: u32 = 4;
+/// Failed attempts before a hedged re-dispatch is fired alongside the
+/// retry ladder.
+const HEDGE_THRESHOLD: u32 = 2;
+/// Consecutive backend failures that trip a shard's breaker open.
+const BREAKER_THRESHOLD: u32 = 8;
+/// Dispatch decisions an open breaker waits before half-opening.
+const BREAKER_COOLDOWN: u32 = 16;
+/// Seed of the deterministic backoff-jitter stream.
+const JITTER_SEED: u64 = 0x5eed_cafe;
+
 /// Serves one request through the full degradation ladder:
 /// breaker gate → retry loop (backoff + hedge) → degraded fallback.
-/// The request's priority class governs breaker probe accounting:
-/// best-effort traffic never consumes a half-open probe.
+/// The request's priority class governs the breaker's half-open probe:
+/// only interactive traffic takes it.
 #[allow(clippy::too_many_arguments)]
 fn serve_one(
     backend: &Arc<dyn SamplingBackend>,
     req: &SampleRequest,
     submitted: Instant,
     class: Priority,
-    degrade: &DegradeConfig,
+    backoff_base: Duration,
     breaker: &mut CircuitBreaker,
     jitter: &ChaosRng,
     acct: &mut ServeAcct,
@@ -406,15 +374,15 @@ fn serve_one(
             }
         }
         let failed_us = us_since(t0);
-        let exhausted = attempts > degrade.max_retries;
-        let over_deadline = submitted.elapsed() >= degrade.deadline;
+        let exhausted = attempts > MAX_RETRIES;
+        let over_deadline = submitted.elapsed() >= DEADLINE;
         if exhausted || over_deadline || !breaker.allow_for(class) {
             if obs_on {
                 ledger::scope_record(Stage::Retry, NO_SHARD, 0.0, failed_us, attempts as u64);
             }
             break;
         }
-        if attempts >= degrade.hedge_threshold && !hedged {
+        if attempts >= HEDGE_THRESHOLD && !hedged {
             hedged = true;
             acct.hedges += 1;
             let h0 = obs_on.then(Instant::now);
@@ -457,7 +425,7 @@ fn serve_one(
         // Exponential backoff with deterministic jitter in [0.5, 1.5).
         let factor = 1u32 << (attempts - 1).min(10);
         let scale = 0.5 + jitter.uniform(stream::BACKOFF_JITTER, req.seed, attempts as u64);
-        let sleep = degrade.backoff_base.mul_f64(factor as f64 * scale);
+        let sleep = backoff_base.mul_f64(factor as f64 * scale);
         if obs_on {
             // The failed attempt and the backoff it bought: service time
             // is the attempt, queue time the deliberate wait after it.
@@ -527,12 +495,8 @@ fn shard_loop(
         .as_ref()
         .filter(|inj| !inj.plan().is_zero_fault())
         .cloned();
-    let mut breaker = CircuitBreaker::with_probes(
-        cfg.degrade.breaker_threshold,
-        cfg.degrade.breaker_cooldown.max(1),
-        cfg.degrade.breaker_probes.max(1),
-    );
-    let jitter = ChaosRng::new(cfg.degrade.jitter_seed);
+    let mut breaker = CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN);
+    let jitter = ChaosRng::new(JITTER_SEED);
     let panic_after = chaos
         .as_ref()
         .and_then(|inj| inj.plan().worker_panic_after(shard));
@@ -627,11 +591,13 @@ fn shard_loop(
                 });
                 // Borrowed dispatch: the batch hands the backend
                 // references into the queued jobs, not request clones.
+                // Each outcome carries its own request's verdict, so a
+                // partial block is never labelled exact.
                 let reqs: Vec<&SampleRequest> = jobs.iter().map(|j| &j.req).collect();
                 backend
                     .sample_many(&reqs)
                     .into_iter()
-                    .map(SampleReply::exact)
+                    .map(|outcome| SampleReply::from_outcome(outcome, 1, false))
                     .collect()
             }
             Some(inj) => jobs
@@ -647,7 +613,7 @@ fn shard_loop(
                         &job.req,
                         job.submitted,
                         job.class,
-                        &cfg.degrade,
+                        cfg.backoff_base,
                         &mut breaker,
                         &jitter,
                         &mut acct,
@@ -1029,7 +995,6 @@ impl SamplingService {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        self.backend.flush();
     }
 }
 
@@ -1210,7 +1175,7 @@ pub(crate) mod tests {
         fn stats(&self) -> RequestStats {
             self.inner.stats()
         }
-        fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleBlock> {
+        fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleOutcome> {
             self.entered.send(reqs.len()).expect("test listens");
             self.release.recv().expect("test releases");
             self.inner.sample_many(reqs)
@@ -1487,6 +1452,78 @@ pub(crate) mod tests {
         svc.shutdown();
     }
 
+    /// Without a fault injector the service answers through the batched
+    /// dispatch. A partition that is down must still degrade the replies
+    /// it cut short: each reply carries the verdict `try_sample` reports
+    /// for its request alone, however the batches formed — and an
+    /// inference pipeline on top reports the loss in its recall.
+    #[test]
+    fn batched_replies_carry_each_requests_own_verdict() {
+        let g = generators::power_law(400, 8, 21);
+        let a = AttributeStore::synthetic(400, 8, 21);
+        let crashed = || {
+            let b = CpuBackend::new(&g, &a, 4);
+            assert!(b.fail_shard(2));
+            b
+        };
+        let direct = crashed();
+        let probe = SampleRequest {
+            roots: (0..8).map(NodeId).collect(),
+            hops: 2,
+            fanout: 5,
+            seed: 3,
+        };
+        let want = direct.try_sample(&probe, 0).unwrap();
+        assert!(want.degraded && want.unreachable > 0);
+
+        let svc = SamplingService::start(Box::new(crashed()), ServiceConfig::default());
+        let reply = svc.sample_reply(probe.clone());
+        assert_eq!(reply.block, want.block);
+        assert_eq!(
+            (reply.degraded, reply.unreachable),
+            (true, want.unreachable)
+        );
+        // One-hop requests from single roots: some touch partition 2,
+        // some do not, and they share batches.
+        let reqs: Vec<SampleRequest> = (0..24)
+            .map(|v| SampleRequest {
+                roots: vec![NodeId(v * 11)],
+                hops: 1,
+                fanout: 2,
+                seed: v,
+            })
+            .collect();
+        let tickets: Vec<SampleTicket> = reqs.iter().map(|r| svc.submit(r.clone())).collect();
+        let mut degraded = 1;
+        for (r, t) in reqs.iter().zip(tickets) {
+            let reply = t.wait_reply();
+            let alone = direct.try_sample(r, 0).unwrap();
+            assert_eq!(reply.block, alone.block, "seed {}", r.seed);
+            assert_eq!(
+                (reply.degraded, reply.unreachable),
+                (alone.degraded, alone.unreachable),
+                "seed {}",
+                r.seed
+            );
+            degraded += u64::from(reply.degraded);
+        }
+        assert!(1 < degraded && degraded < 25, "a mix of verdicts");
+        assert_eq!(svc.stats().degraded, degraded);
+        svc.shutdown();
+
+        // The pipeline samples expand-only; the verdict is the same.
+        let model = lsdgnn_nn::SageModel::new(&[8, 8, 4], 77);
+        let pipe = crate::inference::InferenceService::start(
+            SamplingService::start(Box::new(crashed()), ServiceConfig::default()),
+            model,
+            crate::inference::InferenceConfig::default(),
+        );
+        let reply = pipe.infer(probe);
+        assert!(reply.degraded);
+        assert_eq!(reply.unreachable, want.unreachable);
+        assert!(reply.recall < 1.0, "the loss shows in the recall");
+    }
+
     #[test]
     fn card_failure_yields_degraded_replies_not_errors() {
         let svc = chaos_service(
@@ -1519,11 +1556,7 @@ pub(crate) mod tests {
             ScenarioSpec::none().with_request_loss(1.0),
             ServiceConfig {
                 workers: 1,
-                degrade: DegradeConfig {
-                    max_retries: 2,
-                    backoff_base: Duration::from_micros(1),
-                    ..DegradeConfig::default()
-                },
+                backoff_base: Duration::from_micros(1),
                 ..ServiceConfig::default()
             },
         );

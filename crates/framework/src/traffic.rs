@@ -315,26 +315,6 @@ impl TrafficTrace {
     }
 }
 
-/// Replays the trace open-loop against wall time, compressed by
-/// `time_scale` (50.0 = the trace plays 50× faster than its virtual
-/// timestamps). `submit` must not block on the *reply* — an open-loop
-/// client fires and moves on; blocking admission (a full inner queue)
-/// is precisely the backpressure under measurement and is allowed.
-pub fn replay_open_loop<F: FnMut(&Arrival)>(trace: &TrafficTrace, time_scale: f64, mut submit: F) {
-    assert!(time_scale > 0.0, "time scale must be positive");
-    let start = std::time::Instant::now();
-    for a in &trace.arrivals {
-        let target_us = a.at_us as f64 / time_scale;
-        let elapsed_us = start.elapsed().as_secs_f64() * 1e6;
-        if target_us > elapsed_us {
-            std::thread::sleep(std::time::Duration::from_micros(
-                (target_us - elapsed_us) as u64,
-            ));
-        }
-        submit(a);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,18 +434,5 @@ mod tests {
         assert_eq!(r1.roots.len(), a.roots);
         assert!(r1.roots.iter().all(|n| n.0 < 600));
         assert!(a.work_samples() > 0.0);
-    }
-
-    #[test]
-    fn open_loop_replay_preserves_order_and_count() {
-        let mut cfg = config(7, 0.7);
-        cfg.duration_us = 100_000;
-        cfg.mean_rps = 300.0;
-        let t = TrafficTrace::generate(&cfg);
-        let mut seen = Vec::new();
-        // 100ms of virtual time at 100x ≈ 1ms of wall time.
-        replay_open_loop(&t, 100.0, |a| seen.push(a.at_us));
-        assert_eq!(seen.len(), t.len());
-        assert!(seen.windows(2).all(|w| w[0] <= w[1]));
     }
 }

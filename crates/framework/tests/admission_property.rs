@@ -175,7 +175,7 @@ proptest! {
                 })
                 .collect(),
             queue_bounds: [bounds[0], bounds[1], bounds[2]],
-            brownout: with_brownout.then(BrownoutConfig::default),
+            brownout: with_brownout.then_some(BrownoutConfig),
         };
         let mut ctrl = AdmissionController::new(cfg);
         let mut verdicts = 0u64;

@@ -72,7 +72,6 @@ proptest! {
         hot in 8u64..80,
         neigh_cap in 1usize..300,
         attr_cap in 1usize..300,
-        warm_top in 0usize..60,
     ) {
         let uncached = CpuBackend::from_partitioned(pg(gseed, partitions));
         let arms = [
@@ -80,7 +79,6 @@ proptest! {
             CacheConfig {
                 neigh_capacity: neigh_cap,
                 attr_capacity: attr_cap,
-                warm_top_degree: warm_top,
             },
         ];
         for (a, cfg) in arms.into_iter().enumerate() {

@@ -7,8 +7,7 @@
 
 use lsdgnn_chaos::{FaultInjector, FaultPlan, ScenarioSpec};
 use lsdgnn_framework::{
-    ChaosBackend, CpuBackend, DegradeConfig, SampleRequest, SamplingBackend, SamplingService,
-    ServiceConfig,
+    ChaosBackend, CpuBackend, SampleRequest, SamplingBackend, SamplingService, ServiceConfig,
 };
 use lsdgnn_graph::{generators, AttributeStore, NodeId};
 use proptest::prelude::*;
@@ -63,11 +62,7 @@ proptest! {
                 queue_capacity: 32,
                 max_batch: 4,
                 batch_deadline: Duration::from_micros(50),
-                degrade: DegradeConfig {
-                    max_retries: 3,
-                    backoff_base: Duration::from_micros(5),
-                    ..DegradeConfig::default()
-                },
+                backoff_base: Duration::from_micros(5),
                 ..ServiceConfig::default()
             },
             None,

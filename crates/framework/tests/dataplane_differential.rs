@@ -126,8 +126,8 @@ proptest! {
         let refs: Vec<&SampleRequest> = reqs.iter().collect();
         let batched = plane.sample_many(&refs);
         for (req, got) in reqs.iter().zip(&batched) {
-            let want = oracle(&pg, req, &[]).block;
-            prop_assert_eq!(got, &want, "batched block diverges");
+            let want = oracle(&pg, req, &[]);
+            prop_assert_eq!(got, &want, "batched outcome diverges");
         }
 
         // Faulted: with shards masked out, samples *and* the

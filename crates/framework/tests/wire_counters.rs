@@ -34,9 +34,9 @@ fn wire_after_fixed_requests(attr_len: usize, wire: WireConfig) -> WireSnapshot 
     let refs: Vec<&SampleRequest> = reqs.iter().collect();
     let (mut rows, mut slot_of) = (Vec::new(), Vec::new());
     for chunk in refs.chunks(4) {
-        for block in backend.sample_many(chunk) {
-            backend.gather_attr_rows(&block.nodes, &mut rows, &mut slot_of);
-            backend.recycle(block);
+        for o in backend.sample_many(chunk) {
+            backend.gather_attr_rows(&o.block.nodes, &mut rows, &mut slot_of);
+            backend.recycle(o.block);
         }
     }
     backend.wire_snapshot().expect("wired")
@@ -59,13 +59,7 @@ fn assert_frozen(attr_len: usize, compressed: WireSnapshot, uncompressed_wire_ns
         ..compressed
     };
     assert_eq!(
-        wire_after_fixed_requests(
-            attr_len,
-            WireConfig {
-                compression: false,
-                ..WireConfig::default()
-            }
-        ),
+        wire_after_fixed_requests(attr_len, WireConfig { compression: false }),
         uncompressed,
         "attr_len {attr_len}, compression off"
     );

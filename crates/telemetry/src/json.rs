@@ -50,6 +50,12 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so the bound is what keeps a hostile
+/// `[[[[…` from overflowing the stack; the workspace's own artifacts
+/// nest fewer than ten levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
     /// Object field lookup (first match); `None` on non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -144,11 +150,12 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] with the failing byte offset on malformed
-    /// input or trailing garbage.
+    /// input, trailing garbage, or arrays and objects nested deeper than
+    /// [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -211,7 +218,9 @@ fn expect(
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, itself nested inside `depth` arrays and
+/// objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
     let Some(&c) = b.get(*pos) else {
         return Err(JsonError {
@@ -219,6 +228,12 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             message: "unexpected end of input",
         });
     };
+    if matches!(c, b'[' | b'{') && depth == MAX_DEPTH {
+        return Err(JsonError {
+            offset: *pos,
+            message: "arrays and objects nested too deep",
+        });
+    }
     match c {
         b'n' => expect(b, pos, "null", "expected null").map(|()| Json::Null),
         b't' => expect(b, pos, "true", "expected true").map(|()| Json::Bool(true)),
@@ -233,7 +248,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -269,7 +284,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     });
                 }
                 *pos += 1;
-                fields.push((key, parse_value(b, pos)?));
+                fields.push((key, parse_value(b, pos, depth + 1)?));
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -453,5 +468,96 @@ mod tests {
         assert_eq!(Json::Num(3.0).as_u64(), Some(3));
         assert_eq!(Json::Num(3.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(Json::parse(&nest(open, close, MAX_DEPTH)).is_ok(), "{open}");
+            let err = Json::parse(&nest(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.message, "arrays and objects nested too deep");
+        }
+        for n in [1_000, 10_000, 1_000_000] {
+            assert!(Json::parse(&"[".repeat(n)).is_err(), "depth {n}");
+        }
+    }
+
+    /// JSON punctuation and the fragments that reach the parser's other
+    /// branches (literals, numbers, strings, escapes), `|`-separated.
+    const FRAGMENTS: &str =
+        "[|]|{|}|,|:| |\"|\\|0|-1.5e3|2.|e+|true|fals|null|\"k\"|\"\\n\\u00e9\\ud800\"|\u{7f}|π";
+
+    /// Text from `codes`, and whether it has strays: one top-level array
+    /// of nested arrays, objects (keys and commas where they belong) and
+    /// scalars. Cases whose first code is odd also get a stray fragment
+    /// wherever a code asks for one; the rest are well-formed, so deep
+    /// values are reached and parsed, not just rejected early.
+    fn punctuation_text(codes: &[u8]) -> (String, bool) {
+        let fragments: Vec<&str> = FRAGMENTS.split('|').collect();
+        let strays = codes.first().is_some_and(|c| c % 2 == 1);
+        let mut out = String::from("[");
+        let mut open = vec![']'];
+        let mut first = true;
+        for &c in codes {
+            let op = c % 16;
+            if op == 15 {
+                if strays {
+                    out.push_str(fragments[usize::from(c / 16) % fragments.len()]);
+                }
+                continue;
+            }
+            if (6..10).contains(&op) && open.len() > 1 {
+                out.push(open.pop().expect("an open container"));
+                first = false;
+                continue;
+            }
+            if !first {
+                out.push(',');
+            }
+            if open.last() == Some(&'}') {
+                out.push_str("\"k\":");
+            }
+            first = op < 6;
+            if op < 6 {
+                let (o, close) = if op < 3 { ('[', ']') } else { ('{', '}') };
+                out.push(o);
+                open.push(close);
+            } else {
+                out.push_str(["0", "-1.5e3", "true", "null", "\"s\""][usize::from(c) % 5]);
+            }
+        }
+        out.extend(open.into_iter().rev());
+        (out, strays)
+    }
+
+    /// The parser's contract on any input: no panic, and an accepted
+    /// value renders to text that parses back to the same rendering.
+    fn check(text: &str) -> Result<bool, proptest::TestCaseError> {
+        let Ok(v) = Json::parse(text) else {
+            return Ok(false);
+        };
+        let once = v.render();
+        let again = Json::parse(&once).map(|w| w.render());
+        proptest::prop_assert_eq!(again, Ok(once), "input {:?}", text);
+        Ok(true)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256)) {
+            check(&String::from_utf8_lossy(&bytes))?;
+        }
+
+        #[test]
+        fn punctuation_strings_round_trip(codes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96)) {
+            let (text, strays) = punctuation_text(&codes);
+            let accepted = check(&text)?;
+            proptest::prop_assert!(accepted || strays, "well-formed input refused: {:?}", text);
+            // Every prefix too: the truncations a reader meets.
+            for (end, _) in text.char_indices() {
+                check(&text[..end])?;
+            }
+        }
     }
 }
