@@ -96,12 +96,18 @@ grep -q '"ph"' "$SMOKE_DIR/trace.json" \
     || { echo "FAIL: no trace events in chrome trace"; exit 1; }
 
 # Each serving bench asserts its own exact gates (digests, counts, byte
-# totals) and exits non-zero when one fails; its artifact goes under
-# $SMOKE_DIR so a CI run leaves the committed full-run BENCH_*.json alone.
-# Timing is measured only by benchmark/.
+# totals) and exits non-zero when one fails. Its artifact is a pure
+# function of (seed, --quick), so a full run must reproduce the committed
+# BENCH_<name>.json byte for byte: a record that no longer matches the
+# code fails here, not only a false gate. The run goes under $SMOKE_DIR
+# so a CI run leaves the committed records alone; --quick is covered by
+# crates/bench/tests/jobs_parity.rs. Timing is measured only by
+# benchmark/.
 for bench in chaos wire inference traffic cache; do
-    step "$bench smoke: bench $bench --quick"
-    cargo run --release -q -p lsdgnn-bench -- "$bench" --quick --out "$SMOKE_DIR/BENCH_$bench.json"
+    step "$bench: full run reproduces BENCH_$bench.json"
+    cargo run --release -q -p lsdgnn-bench -- "$bench" --out "$SMOKE_DIR/BENCH_$bench.json"
+    cmp "$SMOKE_DIR/BENCH_$bench.json" "BENCH_$bench.json" \
+        || { echo "FAIL: BENCH_$bench.json is not what bench $bench writes"; exit 1; }
 done
 
 # The committed BENCH_*.json are the record the docs quote: each must be

@@ -5,7 +5,7 @@
 //! Each cell builds a deterministic plan from `--seed` and the cell's
 //! scenario, serves the small cluster's request stream (`workload.rs`;
 //! request seeds double as virtual ticks, so "card 1 dies at tick N/2"
-//! is a mid-run crash) through a chaos-wrapped backend, and reports:
+//! is a mid-run crash) through a fault-injected service, and reports:
 //!
 //! * **availability** — completed / submitted (degraded replies count:
 //!   an approximate sample from the reachable partitions is a valid
@@ -39,7 +39,7 @@ use crate::workload::{
     digest_replies, small_backend, small_request, SMALL_NODES, SMALL_PARTITIONS,
 };
 use lsdgnn_core::chaos::{FaultInjector, FaultPlan, ScenarioSpec};
-use lsdgnn_core::framework::{ChaosBackend, SampleReply, SamplingService, ServiceConfig};
+use lsdgnn_core::framework::{SampleReply, SamplingService, ServiceConfig};
 use lsdgnn_core::mof::ReliableChannel;
 use lsdgnn_core::sampler::quality;
 use lsdgnn_core::telemetry::Json;
@@ -174,7 +174,7 @@ impl CellResult {
     }
 }
 
-/// Runs one cell: the service leg over a chaos-wrapped cluster plus the
+/// Runs one cell: the service leg over a fault-injected cluster plus the
 /// MoF recovery leg over the same plan's frame-loss stream.
 fn run_cell(cell: &Cell, seed: u64, requests: u64, frames: u32) -> CellResult {
     let spec = spec_of(cell, requests);
@@ -183,13 +183,8 @@ fn run_cell(cell: &Cell, seed: u64, requests: u64, frames: u32) -> CellResult {
     let plan = FaultPlan::build(seed, spec).expect("grid specs are valid");
     let plan_digest = plan.digest();
     let injector = FaultInjector::new(plan.clone());
-    let svc = SamplingService::start_observed(
-        Box::new(ChaosBackend::new(small_backend(), injector.clone())),
-        cell_config(),
-        None,
-        Some(injector),
-        None,
-    );
+    let svc =
+        SamplingService::start_observed(small_backend(), cell_config(), None, Some(injector), None);
 
     let replies = serve_stream(&svc, requests);
     svc.shutdown();
@@ -249,13 +244,8 @@ fn zero_fault_digests(seed: u64, requests: u64) -> (u64, u64) {
     plain.shutdown();
 
     let injector = FaultInjector::new(FaultPlan::zero(seed));
-    let chaotic = SamplingService::start_observed(
-        Box::new(ChaosBackend::new(small_backend(), injector.clone())),
-        cell_config(),
-        None,
-        Some(injector),
-        None,
-    );
+    let chaotic =
+        SamplingService::start_observed(small_backend(), cell_config(), None, Some(injector), None);
     let zeroed = digest_replies(&serve_stream(&chaotic, requests));
     chaotic.shutdown();
     (baseline, zeroed)

@@ -43,8 +43,8 @@ use crate::util::outln;
 use crate::workload::{fold, graph, placement, request, ATTR_LEN, FANOUT, HOPS, PARTITIONS};
 use lsdgnn_core::chaos::{FaultInjector, FaultPlan, ScenarioSpec};
 use lsdgnn_core::framework::{
-    run_sequential, ChaosBackend, CpuBackend, InferenceConfig, InferenceReply, InferenceService,
-    Observability, SamplingBackend, SamplingService, ServiceConfig,
+    run_sequential, CpuBackend, InferenceConfig, InferenceReply, InferenceService, Observability,
+    SamplingBackend, SamplingService, ServiceConfig,
 };
 use lsdgnn_core::graph::{AttributeStore, CsrGraph};
 use lsdgnn_core::nn::SageModel;
@@ -152,9 +152,8 @@ fn chaos_arm(
 ) -> ChaosArm {
     let plan = FaultPlan::build(seed, spec).expect("chaos plan");
     let faulted = |obs: Option<Observability>| {
-        let injector = FaultInjector::new(plan.clone());
-        let chaos = ChaosBackend::new(backend(g, a), injector.clone());
-        SamplingService::start_observed(Box::new(chaos), service_cfg(), None, Some(injector), obs)
+        let injector = Some(FaultInjector::new(plan.clone()));
+        SamplingService::start_observed(backend(g, a), service_cfg(), None, injector, obs)
     };
     let stream = || (0..CHAOS_REQUESTS).map(|s| request(s, nodes, ROOTS_PER_REQ));
 

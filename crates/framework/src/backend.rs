@@ -5,14 +5,14 @@
 //! talks to *an interface* rather than a device: the AliGraph CPU cluster
 //! ([`CpuBackend`]) and the Access Engine
 //! ([`AxeBackend`](crate::offload::AxeBackend)) serve the same verbs — sample (one request, a
-//! batch, fallibly, or with shards excluded), gather attributes, report
-//! stats and cache counters. The system-level hot-node cache of
-//! the paper's Tech-4 has one home: the cluster's inline
+//! batch, or with shards excluded), gather attributes, report stats and
+//! cache counters. The system-level hot-node cache of the paper's
+//! Tech-4 has one home: the cluster's inline
 //! [`crate::hot_cache::HotSetCache`], mounted with
-//! [`CpuBackend::from_partitioned_cached`]. The fault injector
-//! (`crate::chaos_backend`) is the one decorator.
-//! [`crate::service::SamplingService`] then batches and schedules over
-//! any of them, so a CPU-vs-AxE comparison is a one-line backend swap.
+//! [`CpuBackend::from_partitioned_cached`]. Fault injection has one
+//! home too: [`crate::service::SamplingService`], which batches and
+//! schedules over any backend, so a CPU-vs-AxE comparison is a
+//! one-line backend swap.
 //!
 //! The primary sampling verb is [`SamplingBackend::sample_block`],
 //! returning the flat [`SampleBlock`] the zero-copy data plane produces;
@@ -93,31 +93,6 @@ impl SampleOutcome {
     }
 }
 
-/// Why a [`SamplingBackend::try_sample`] attempt failed. Transient by
-/// contract: the serving layer is entitled to retry, hedge, or fall back
-/// to [`SamplingBackend::sample_excluding`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendError {
-    /// A shard/card the request needed is down.
-    ShardDown(u32),
-    /// The attempt exceeded its time budget.
-    Timeout,
-    /// A fault-injection layer swallowed the attempt (chaos testing).
-    Injected,
-}
-
-impl std::fmt::Display for BackendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BackendError::ShardDown(s) => write!(f, "shard {s} down"),
-            BackendError::Timeout => write!(f, "attempt timed out"),
-            BackendError::Injected => write!(f, "attempt lost to fault injection"),
-        }
-    }
-}
-
-impl std::error::Error for BackendError {}
-
 /// A sampling substrate the serving layer can dispatch to.
 ///
 /// Implementations are shared across the service's worker shards, so all
@@ -177,10 +152,9 @@ pub trait SamplingBackend: Send + Sync {
     /// Dispatches a coalesced batch of requests, borrowed from the
     /// service's queue — no per-batch request clone — and answers each
     /// with its own verdict: the `degraded`/`unreachable` that
-    /// [`SamplingBackend::try_sample`] reports for that request alone.
-    /// The default serves them in order through the never-failing
-    /// [`SamplingBackend::sample_excluding`] with no mask; hardware
-    /// backends may overlap them.
+    /// [`SamplingBackend::sample_excluding`] with no mask reports for
+    /// that request alone. The default serves them in order through
+    /// that call; hardware backends may overlap them.
     fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleOutcome> {
         reqs.iter().map(|r| self.sample_excluding(r, &[])).collect()
     }
@@ -191,20 +165,12 @@ pub trait SamplingBackend: Send + Sync {
         let _ = block;
     }
 
-    /// The fallible sampling verb behind the service's retry/hedge
-    /// machinery. `attempt` numbers retries of the same request from 0 so
-    /// fault injectors can make a retry succeed where the first try
-    /// failed. The default cannot fail and returns an exact outcome —
-    /// fault-free backends pay nothing for the degradation machinery.
-    fn try_sample(&self, req: &SampleRequest, attempt: u32) -> Result<SampleOutcome, BackendError> {
-        let _ = attempt;
-        Ok(SampleOutcome::exact(self.sample_block(req)))
-    }
-
-    /// The degraded fallback: sample while treating `excluded` shards as
-    /// unreachable, never failing — an incomplete neighbor set from the
-    /// reachable shards is still a valid approximate sample. Backends
-    /// without shard structure ignore the mask.
+    /// Samples while treating `excluded` shards as unreachable, never
+    /// failing — an incomplete neighbor set from the reachable shards is
+    /// still a valid approximate sample. The service's degradation
+    /// ladder runs every attempt through this verb, masking the cards
+    /// its fault plan has down. Backends without shard structure ignore
+    /// the mask.
     fn sample_excluding(&self, req: &SampleRequest, excluded: &[u32]) -> SampleOutcome {
         let _ = excluded;
         SampleOutcome::exact(self.sample_block(req))
@@ -225,14 +191,13 @@ pub trait SamplingBackend: Send + Sync {
 
     /// The node range this backend serves is `0..num_nodes()`; the front
     /// doors refuse a request rooted outside it before it is queued. The
-    /// default bounds nothing; decorators forward the backend they wrap.
+    /// default bounds nothing.
     fn num_nodes(&self) -> u64 {
         u64::MAX
     }
 
     /// Hot-set cache counters, when a cache sits on this backend's data
-    /// plane (`None` for uncached backends). The chaos decorator forwards
-    /// its inner backend's.
+    /// plane (`None` for uncached backends).
     fn cache_snapshot(&self) -> Option<CacheSnapshot> {
         None
     }
@@ -245,7 +210,7 @@ pub trait SamplingBackend: Send + Sync {
     /// change — same block, same `degraded`, same `unreachable` — only
     /// which call moves the rows. The default keeps the full op (always
     /// correct, and all there is for a backend whose sampling op moves
-    /// no rows); decorators forward to the backend they wrap.
+    /// no rows).
     fn defer_attr_fetch(&self) {}
 }
 
@@ -418,21 +383,6 @@ impl SamplingBackend for CpuBackend {
         self.cluster.pool().put_block(block);
     }
 
-    fn try_sample(&self, req: &SampleRequest, attempt: u32) -> Result<SampleOutcome, BackendError> {
-        let t0 = ledger::scope_active().then(Instant::now);
-        let outcome = self.run(req, &[]);
-        if let Some(t0) = t0 {
-            ledger::scope_record(
-                Stage::Sampling,
-                NO_SHARD,
-                0.0,
-                t0.elapsed().as_secs_f64() * 1e6,
-                u64::from(attempt),
-            );
-        }
-        Ok(outcome)
-    }
-
     fn sample_excluding(&self, req: &SampleRequest, excluded: &[u32]) -> SampleOutcome {
         self.run(req, excluded)
     }
@@ -533,10 +483,10 @@ mod tests {
     }
 
     #[test]
-    fn try_sample_is_exact_on_a_healthy_backend() {
+    fn unmasked_sample_is_exact_on_a_healthy_backend() {
         let (g, a) = setup();
         let b = CpuBackend::new(&g, &a, 4);
-        let outcome = b.try_sample(&req(5), 0).expect("healthy");
+        let outcome = b.sample_excluding(&req(5), &[]);
         assert!(!outcome.degraded);
         assert_eq!(outcome.unreachable, 0);
         assert_eq!(outcome.block, b.sample_block(&req(5)));
@@ -544,13 +494,13 @@ mod tests {
     }
 
     #[test]
-    fn failed_shard_turns_try_sample_degraded() {
+    fn failed_shard_turns_unmasked_samples_degraded() {
         let (g, a) = setup();
         let b = CpuBackend::new(&g, &a, 4);
         let exact = b.sample_neighbors(&req(5));
         assert!(b.fail_shard(1));
         assert!(!b.fail_shard(1), "already down");
-        let outcome = b.try_sample(&req(5), 0).expect("degrades, not errors");
+        let outcome = b.sample_excluding(&req(5), &[]);
         assert!(outcome.degraded);
         assert!(outcome.unreachable > 0);
         assert!(outcome.block.total_sampled() <= exact.total_sampled());
@@ -560,13 +510,14 @@ mod tests {
     #[test]
     fn sample_excluding_matches_persistent_failure() {
         // The per-request mask and a real crash of the same shard must
-        // produce the same degraded batch — the chaos layer relies on it.
+        // produce the same degraded batch — the service's card-down
+        // faults rely on it.
         let (g, a) = setup();
         let masked = CpuBackend::new(&g, &a, 4);
         let crashed = CpuBackend::new(&g, &a, 4);
         crashed.fail_shard(2);
         let via_mask = masked.sample_excluding(&req(11), &[2]);
-        let via_crash = crashed.try_sample(&req(11), 0).unwrap();
+        let via_crash = crashed.sample_excluding(&req(11), &[]);
         assert_eq!(via_mask, via_crash);
         assert!(via_mask.degraded);
     }
@@ -584,7 +535,7 @@ mod tests {
             let many = b.sample_many(&refs);
             for (r, outcome) in reqs.iter().zip(&many) {
                 // Block and verdict: what the request alone gets.
-                assert_eq!(&b.try_sample(r, 0).unwrap(), outcome);
+                assert_eq!(&b.sample_excluding(r, &[]), outcome);
                 assert_eq!(outcome.degraded, crashed);
             }
         }

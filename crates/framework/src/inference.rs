@@ -45,7 +45,6 @@ use crate::backend::SampleRequest;
 use crate::pool::BufferPool;
 use crate::service::{SampleReply, SampleTicket, SamplingService};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use lsdgnn_desim::{Histogram, Time};
 use lsdgnn_graph::NodeId;
 use lsdgnn_nn::{Matrix, SageModel, SageScratch};
 use lsdgnn_telemetry::ledger::{self, Stage, NO_SHARD};
@@ -137,7 +136,7 @@ pub struct InferenceStats {
     pub degraded: u64,
     /// Submit-to-embedding latency per request, in wall-clock
     /// microseconds.
-    pub latency: Histogram,
+    pub latency: Log2Histogram,
     /// Vestige of the deleted cross-request gather fusion: one sample of
     /// 1 per request. `benchmark/src/layers.rs` still reads it for its
     /// `inference.gather_batch_mean` row; the `benchmark` follow-up that
@@ -148,12 +147,12 @@ pub struct InferenceStats {
 impl InferenceStats {
     /// Interpolated median end-to-end latency, microseconds.
     pub fn latency_p50_us(&self) -> f64 {
-        self.latency.percentile(0.50).as_micros_f64()
+        self.latency.percentile(0.50)
     }
 
     /// Interpolated p99 end-to-end latency, microseconds.
     pub fn latency_p99_us(&self) -> f64 {
-        self.latency.percentile(0.99).as_micros_f64()
+        self.latency.percentile(0.99)
     }
 
     /// Fraction of replies that were degraded.
@@ -170,7 +169,7 @@ impl MetricSource for InferenceStats {
     fn collect(&self, out: &mut Scope<'_>) {
         out.counter("requests", self.requests);
         out.counter("degraded", self.degraded);
-        out.histogram("latency_us", self.latency.snapshot_micros());
+        out.histogram("latency_us", self.latency.snapshot());
         out.histogram("gather_batch", self.gather_batch.snapshot());
         out.gauge("degraded_ratio", self.degraded_ratio());
     }
@@ -394,7 +393,7 @@ fn worker_loop(
             if reply.degraded {
                 s.degraded += 1;
             }
-            s.latency.record(Time::from_micros(total_us));
+            s.latency.record(total_us);
             s.gather_batch.record(1);
         }
         if let Some((o, h)) = observed.as_mut() {
@@ -548,7 +547,6 @@ pub fn run_sequential(
 mod tests {
     use super::*;
     use crate::backend::{CpuBackend, SamplingBackend};
-    use crate::chaos_backend::ChaosBackend;
     use crate::hot_cache::CacheConfig;
     use crate::obs::Observability;
     use crate::service::tests::gated;
@@ -629,15 +627,13 @@ mod tests {
         // Card 1 dies at tick 8: later requests lose its contribution.
         let plan = FaultPlan::build(7, ScenarioSpec::none().with_card_failure(1, 8)).unwrap();
         let make = || {
-            let injector = FaultInjector::new(plan.clone());
-            let chaos = ChaosBackend::new(backend(2), injector.clone());
             // workers: 1 keeps breaker state in request order, so the
             // sequential arm sees identical degradation decisions.
             SamplingService::start_observed(
-                Box::new(chaos),
+                backend(2),
                 service_cfg(1),
                 None,
-                Some(injector),
+                Some(FaultInjector::new(plan.clone())),
                 None,
             )
         };
@@ -738,7 +734,7 @@ mod tests {
             ..ServiceConfig::default()
         };
 
-        let (svc, _entered, release) = gated(one_per_dispatch);
+        let (svc, _entered, release) = gated(one_per_dispatch, None);
         let mut pipe = InferenceService::start(
             svc,
             model(),
@@ -777,7 +773,7 @@ mod tests {
         // Joins the workers: the test ends only if none is left blocked.
         pipe.shutdown();
 
-        let (ref_svc, _entered, release) = gated(one_per_dispatch);
+        let (ref_svc, _entered, release) = gated(one_per_dispatch, None);
         (0..TOTAL).for_each(|_| release.send(()).unwrap());
         let seq = run_sequential(&ref_svc, &model(), (0..TOTAL).map(small));
         let want: Vec<u64> = seq.iter().map(InferenceReply::digest).collect();
@@ -871,14 +867,12 @@ mod tests {
         // Card 1 dead from tick 0: every reply is degraded, so every
         // finish trips the flight recorder, correlated with the plan.
         let plan = FaultPlan::build(42, ScenarioSpec::none().with_card_failure(1, 0)).unwrap();
-        let injector = FaultInjector::new(plan.clone());
-        let chaos = ChaosBackend::new(backend(2), injector.clone());
         let obs = Observability::default();
         let svc = SamplingService::start_observed(
-            Box::new(chaos),
+            backend(2),
             service_cfg(1),
             None,
-            Some(injector),
+            Some(FaultInjector::new(plan.clone())),
             Some(obs.clone()),
         );
         let pipe = InferenceService::start(svc, model(), InferenceConfig::default());

@@ -50,7 +50,6 @@
 pub mod admission;
 pub mod backend;
 pub mod breaker;
-pub mod chaos_backend;
 pub mod cluster;
 pub mod cpu_model;
 pub mod hot_cache;
@@ -67,9 +66,8 @@ pub use admission::{
     ClassCounters, Priority, RejectReason, ShapedRequest, ShapedService, SubmitVerdict,
     TenantConfig, TokenBucket, Verdict, CLASSES,
 };
-pub use backend::{BackendError, CpuBackend, SampleOutcome, SampleRequest, SamplingBackend};
+pub use backend::{CpuBackend, SampleOutcome, SampleRequest, SamplingBackend};
 pub use breaker::{BreakerState, CircuitBreaker};
-pub use chaos_backend::ChaosBackend;
 pub use cluster::{
     Cluster, RequestStats, Span, WireConfig, WireSnapshot, ATTR_PAGE_ROWS, FRONTIER_LINE_NODES,
     UNPACKED_REQUEST_BYTES,
@@ -91,3 +89,11 @@ pub use service::{
 };
 pub use traffic::{Arrival, TenantSpec, TrafficConfig, TrafficTrace};
 pub use trainer::{EpochReport, TrainerConfig, TrainingJob};
+
+/// Unit tests of one fallible attempt under a fault plan (request loss
+/// and card-down masks) and of the fallback, as the service's ladder runs
+/// them (`service::{try_attempt, sample_masked}`); the module keeps the
+/// name of the decorator that applied those faults before the service
+/// took them over.
+#[cfg(test)]
+mod chaos_backend;

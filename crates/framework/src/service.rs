@@ -15,17 +15,19 @@
 //! # Graceful degradation
 //!
 //! Started with a [`FaultInjector`] ([`SamplingService::start_observed`]),
-//! the service serves each request through the fallible
-//! [`SamplingBackend::try_sample`] path behind a ladder of defenses:
-//! bounded retries with exponential backoff and deterministic jitter, a
-//! hedged re-dispatch after repeated failures, a per-shard
-//! [`CircuitBreaker`] that stops hammering a failing backend, and — when
-//! everything above ran out — the never-failing
-//! [`SamplingBackend::sample_excluding`] fallback whose partial answer is
-//! returned flagged [`SampleReply::degraded`] instead of erroring. An
-//! incomplete neighbor sample from the reachable shards is still a valid
-//! approximate sample; the reply quantifies the loss via
-//! [`SampleReply::unreachable`].
+//! the service is the one place its plan touches sampling. The shard
+//! loop injects worker panics and queue stalls; each request then runs
+//! a ladder of defenses whose attempts carry the plan's request loss,
+//! stragglers and down cards: bounded retries with exponential backoff
+//! and deterministic jitter, a hedged re-dispatch after repeated
+//! failures, a per-shard [`CircuitBreaker`] that stops hammering a
+//! failing backend, and — when everything above ran out — a fallback
+//! that no loss reaches, whose partial answer is returned flagged
+//! [`SampleReply::degraded`] instead of erroring. Every attempt is a
+//! [`SamplingBackend::sample_excluding`] call masking the cards down at
+//! the request's virtual tick (its `seed`). An incomplete neighbor
+//! sample from the reachable shards is still a valid approximate sample;
+//! the reply quantifies the loss via [`SampleReply::unreachable`].
 //!
 //! Pay for what you use: with no injector — or a zero-fault plan — the
 //! service takes the batched dispatch path it always had. That path
@@ -47,7 +49,6 @@ use crate::hot_cache::CacheSnapshot;
 use crate::obs::Observability;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use lsdgnn_chaos::{rng::stream, ChaosRng, FaultInjector};
-use lsdgnn_desim::{Histogram, Time};
 use lsdgnn_graph::NodeId;
 use lsdgnn_sampler::{SampleBatch, SampleBlock};
 use lsdgnn_telemetry::ledger::{self, faults, Stage, NO_SHARD};
@@ -74,14 +75,13 @@ pub struct ServiceStats {
     pub queue_depth: Log2Histogram,
     /// Coalesced batch size per dispatch.
     pub batch_size: Log2Histogram,
-    /// Submit-to-reply latency per request (recorded as wall-clock
-    /// microseconds via [`Time::from_micros`]).
-    pub latency: Histogram,
+    /// Submit-to-reply latency per request, in wall-clock microseconds.
+    pub latency: Log2Histogram,
     /// Replies flagged degraded (partial results from reachable shards).
     pub degraded: u64,
     /// Backend attempts that failed (retried or degraded around).
     pub faults: u64,
-    /// `try_sample` attempts per request (1 = first try succeeded).
+    /// Ladder attempts per request (1 = first try succeeded).
     pub retries: Log2Histogram,
     /// Hedged re-dispatches fired.
     pub hedges: u64,
@@ -103,7 +103,7 @@ impl ServiceStats {
     /// Interpolated p99 of the submit-to-reply latency, in microseconds
     /// (the operator alarm threshold of the §2.4 heavy-traffic scenario).
     pub fn latency_p99_us(&self) -> f64 {
-        self.latency.percentile(0.99).as_micros_f64()
+        self.latency.percentile(0.99)
     }
 
     /// Fraction of completed requests whose reply was degraded.
@@ -122,7 +122,7 @@ impl MetricSource for ServiceStats {
         out.counter("dispatches", self.dispatches);
         out.histogram("queue_depth", self.queue_depth.snapshot());
         out.histogram("batch_size", self.batch_size.snapshot());
-        out.histogram("latency_us", self.latency.snapshot_micros());
+        out.histogram("latency_us", self.latency.snapshot());
         out.counter("degraded", self.degraded);
         out.counter("faults", self.faults);
         out.histogram("retries", self.retries.snapshot());
@@ -206,8 +206,8 @@ pub struct SampleReply {
     pub degraded: bool,
     /// Nodes whose owner was unreachable (the size of the quality loss).
     pub unreachable: u64,
-    /// `try_sample` attempts spent (0 when an open breaker short-
-    /// circuited straight to the fallback).
+    /// Ladder attempts spent (0 when an open breaker short-circuited
+    /// straight to the fallback).
     pub attempts: u32,
     /// A hedged re-dispatch was fired for this request.
     pub hedged: bool,
@@ -316,6 +316,71 @@ const BREAKER_COOLDOWN: u32 = 16;
 /// Seed of the deterministic backoff-jitter stream.
 const JITTER_SEED: u64 = 0x5eed_cafe;
 
+/// Samples `req` with the cards the plan has down at its virtual tick
+/// (its seed) masked out, noting them with the injector and on the
+/// ledger; also answers whether every card was up. Alone, this is the
+/// ladder's fallback: no request loss reaches it (it models local
+/// recomputation, not another trip over the faulty transport), but the
+/// down cards stay masked out.
+pub(crate) fn sample_masked(
+    backend: &Arc<dyn SamplingBackend>,
+    inj: &FaultInjector,
+    req: &SampleRequest,
+) -> (SampleOutcome, bool) {
+    let downs: Vec<u32> = (0..backend.shards())
+        .filter(|&c| inj.plan().card_down(c, req.seed))
+        .collect();
+    if !downs.is_empty() {
+        inj.note_cards_down(&downs);
+        if ledger::scope_active() {
+            for &card in &downs {
+                ledger::scope_record(Stage::Fault, card, 0.0, 0.0, faults::CARD_DOWN);
+            }
+        }
+    }
+    (backend.sample_excluding(req, &downs), downs.is_empty())
+}
+
+/// One fallible attempt of the ladder, numbered `attempt` so a retry
+/// draws its own loss decision: the serving card's straggler delay is
+/// slept out, a lost attempt answers `None`, and the rest run
+/// [`sample_masked`].
+pub(crate) fn try_attempt(
+    backend: &Arc<dyn SamplingBackend>,
+    inj: &FaultInjector,
+    req: &SampleRequest,
+    attempt: u32,
+) -> Option<SampleOutcome> {
+    let obs_on = ledger::scope_active();
+    let card = (req.seed % backend.shards().max(1) as u64) as u32;
+    let delay_us = inj.straggler_delay_us(card, req.seed);
+    if delay_us > 0 {
+        if obs_on {
+            ledger::scope_record(Stage::Fault, card, delay_us as f64, 0.0, faults::STRAGGLER);
+        }
+        std::thread::sleep(Duration::from_micros(delay_us));
+    }
+    if inj.drop_request(req.seed, attempt) {
+        if obs_on {
+            ledger::scope_record(Stage::Fault, NO_SHARD, 0.0, 0.0, faults::REQUEST_LOSS);
+        }
+        return None;
+    }
+    let t0 = obs_on.then(Instant::now);
+    let (outcome, all_up) = sample_masked(backend, inj, req);
+    // Only an attempt with every card up records a sampling event.
+    if let (Some(t0), true) = (t0, all_up) {
+        ledger::scope_record(
+            Stage::Sampling,
+            NO_SHARD,
+            0.0,
+            t0.elapsed().as_secs_f64() * 1e6,
+            u64::from(attempt),
+        );
+    }
+    Some(outcome)
+}
+
 /// Serves one request through the full degradation ladder:
 /// breaker gate → retry loop (backoff + hedge) → degraded fallback.
 /// The request's priority class governs the breaker's half-open probe:
@@ -323,6 +388,7 @@ const JITTER_SEED: u64 = 0x5eed_cafe;
 #[allow(clippy::too_many_arguments)]
 fn serve_one(
     backend: &Arc<dyn SamplingBackend>,
+    inj: &FaultInjector,
     req: &SampleRequest,
     submitted: Instant,
     class: Priority,
@@ -351,7 +417,7 @@ fn serve_one(
             ledger::scope_record(Stage::BreakerTrip, NO_SHARD, 0.0, 0.0, 0);
         }
         let t0 = obs_on.then(Instant::now);
-        let outcome = backend.sample_excluding(req, &[]);
+        let (outcome, _) = sample_masked(backend, inj, req);
         if obs_on {
             ledger::scope_record(Stage::Fallback, NO_SHARD, 0.0, us_since(t0), 0);
         }
@@ -363,16 +429,12 @@ fn serve_one(
     loop {
         attempts += 1;
         let t0 = obs_on.then(Instant::now);
-        match backend.try_sample(req, attempts - 1) {
-            Ok(outcome) => {
-                breaker.record_success();
-                return SampleReply::from_outcome(outcome, attempts, hedged);
-            }
-            Err(_) => {
-                acct.faults += 1;
-                breaker.record_failure();
-            }
+        if let Some(outcome) = try_attempt(backend, inj, req, attempts - 1) {
+            breaker.record_success();
+            return SampleReply::from_outcome(outcome, attempts, hedged);
         }
+        acct.faults += 1;
+        breaker.record_failure();
         let failed_us = us_since(t0);
         let exhausted = attempts > MAX_RETRIES;
         let over_deadline = submitted.elapsed() >= DEADLINE;
@@ -386,41 +448,19 @@ fn serve_one(
             hedged = true;
             acct.hedges += 1;
             let h0 = obs_on.then(Instant::now);
-            match backend.try_sample(req, HEDGE_SALT + attempts) {
-                Ok(outcome) => {
-                    breaker.record_success();
-                    if obs_on {
-                        ledger::scope_record(
-                            Stage::Hedge,
-                            NO_SHARD,
-                            0.0,
-                            us_since(h0),
-                            attempts as u64,
-                        );
-                        ledger::scope_record(
-                            Stage::Retry,
-                            NO_SHARD,
-                            0.0,
-                            failed_us,
-                            attempts as u64,
-                        );
-                    }
-                    return SampleReply::from_outcome(outcome, attempts, true);
-                }
-                Err(_) => {
-                    acct.faults += 1;
-                    breaker.record_failure();
-                    if obs_on {
-                        ledger::scope_record(
-                            Stage::Hedge,
-                            NO_SHARD,
-                            0.0,
-                            us_since(h0),
-                            attempts as u64,
-                        );
-                    }
-                }
+            let outcome = try_attempt(backend, inj, req, HEDGE_SALT + attempts);
+            if obs_on {
+                ledger::scope_record(Stage::Hedge, NO_SHARD, 0.0, us_since(h0), attempts as u64);
             }
+            if let Some(outcome) = outcome {
+                breaker.record_success();
+                if obs_on {
+                    ledger::scope_record(Stage::Retry, NO_SHARD, 0.0, failed_us, attempts as u64);
+                }
+                return SampleReply::from_outcome(outcome, attempts, true);
+            }
+            acct.faults += 1;
+            breaker.record_failure();
         }
         // Exponential backoff with deterministic jitter in [0.5, 1.5).
         let factor = 1u32 << (attempts - 1).min(10);
@@ -441,10 +481,10 @@ fn serve_one(
             std::thread::sleep(sleep);
         }
     }
-    // The ladder ran out: answer from the never-failing degraded path.
+    // The ladder ran out: answer from the fallback no loss reaches.
     acct.fallbacks += 1;
     let t0 = obs_on.then(Instant::now);
-    let outcome = backend.sample_excluding(req, &[]);
+    let (outcome, _) = sample_masked(backend, inj, req);
     if obs_on {
         ledger::scope_record(
             Stage::Fallback,
@@ -610,6 +650,7 @@ fn shard_loop(
                         .map(|o| ledger::enter_scope(o.ledger(), vec![job.trace]));
                     let reply = serve_one(
                         &backend,
+                        inj,
                         &job.req,
                         job.submitted,
                         job.class,
@@ -660,7 +701,7 @@ fn shard_loop(
             }
             for (job, reply) in jobs.iter().zip(&replies) {
                 let elapsed_us = job.submitted.elapsed().as_micros() as u64;
-                s.latency.record(Time::from_micros(elapsed_us));
+                s.latency.record(elapsed_us);
                 if let Some(tracer) = &tracer {
                     // Submit→reply lifecycle, anchored at submit time.
                     tracer.span(
@@ -1008,9 +1049,8 @@ impl Drop for SamplingService {
 pub(crate) mod tests {
     use super::*;
     use crate::backend::CpuBackend;
-    use crate::chaos_backend::ChaosBackend;
     use crossbeam::channel::unbounded;
-    use lsdgnn_chaos::{FaultPlan, ScenarioSpec};
+    use lsdgnn_chaos::{FaultPlan, FaultStats, ScenarioSpec};
     use lsdgnn_graph::{generators, AttributeStore};
 
     fn service(workers: usize) -> SamplingService {
@@ -1034,14 +1074,23 @@ pub(crate) mod tests {
         }
     }
 
-    /// A chaos-wrapped service over a 4-partition CPU cluster.
+    /// A fault-injected service over a 4-partition CPU cluster.
     fn chaos_service(spec: ScenarioSpec, config: ServiceConfig) -> SamplingService {
+        observed_chaos_service(spec, config, None)
+    }
+
+    /// [`chaos_service`] with an observability bundle.
+    fn observed_chaos_service(
+        spec: ScenarioSpec,
+        config: ServiceConfig,
+        obs: Option<Observability>,
+    ) -> SamplingService {
         let g = generators::power_law(500, 8, 31);
         let a = AttributeStore::synthetic(500, 8, 31);
         let plan = FaultPlan::build(7, spec).unwrap();
         let injector = FaultInjector::new(plan);
-        let backend = ChaosBackend::new(Box::new(CpuBackend::new(&g, &a, 4)), injector.clone());
-        SamplingService::start_observed(Box::new(backend), config, None, Some(injector), None)
+        let backend = Box::new(CpuBackend::new(&g, &a, 4));
+        SamplingService::start_observed(backend, config, None, Some(injector), obs)
     }
 
     #[test]
@@ -1117,7 +1166,7 @@ pub(crate) mod tests {
         assert_eq!(s.requests, 41);
         assert!(s.dispatches >= 1 && s.dispatches <= 41);
         assert_eq!(s.latency.count(), 41);
-        assert!(s.latency_p99_us() >= s.latency.percentile(0.5).as_micros_f64());
+        assert!(s.latency_p99_us() >= s.latency.percentile(0.5));
         assert!(s.backend.nodes_expanded > 0);
         assert_eq!(s.degraded, 0, "no faults: nothing degrades");
         assert_eq!(s.degraded_ratio(), 0.0);
@@ -1184,7 +1233,10 @@ pub(crate) mod tests {
 
     /// A one-worker service over a [`GateBackend`], with the channel
     /// reporting each dispatch's batch size and the one releasing it.
-    pub(crate) fn gated(config: ServiceConfig) -> (SamplingService, Receiver<usize>, Sender<()>) {
+    pub(crate) fn gated(
+        config: ServiceConfig,
+        injector: Option<FaultInjector>,
+    ) -> (SamplingService, Receiver<usize>, Sender<()>) {
         let g = generators::power_law(300, 8, 32);
         let a = AttributeStore::synthetic(300, 8, 32);
         let (entered, entered_rx) = unbounded();
@@ -1198,7 +1250,7 @@ pub(crate) mod tests {
             workers: 1,
             ..config
         };
-        let svc = SamplingService::start(Box::new(backend), config);
+        let svc = SamplingService::start_observed(Box::new(backend), config, None, injector, None);
         (svc, entered_rx, release_tx)
     }
 
@@ -1209,7 +1261,7 @@ pub(crate) mod tests {
         config: ServiceConfig,
         n: usize,
     ) -> (Vec<usize>, Vec<SampleReply>) {
-        let (svc, entered, release) = gated(config);
+        let (svc, entered, release) = gated(config, None);
         let first = svc.submit(req(0));
         assert_eq!(entered.recv().unwrap(), 1, "dispatch 1 is held");
         let queued: Vec<_> = (1..=n as u64).map(|s| svc.submit(req(s))).collect();
@@ -1265,14 +1317,17 @@ pub(crate) mod tests {
         // Returns whether dispatch 2 entered the backend inside half the
         // timer, and the burst's wall time.
         let run = |policy| {
-            let (svc, entered, release) = gated(ServiceConfig {
-                // Larger than the burst so the fixed arm cannot close
-                // early on batch size and must sit out the timer.
-                max_batch: 16,
-                batch_deadline: TIMER,
-                batch: policy,
-                ..ServiceConfig::default()
-            });
+            let (svc, entered, release) = gated(
+                ServiceConfig {
+                    // Larger than the burst so the fixed arm cannot close
+                    // early on batch size and must sit out the timer.
+                    max_batch: 16,
+                    batch_deadline: TIMER,
+                    batch: policy,
+                    ..ServiceConfig::default()
+                },
+                None,
+            );
             let t0 = Instant::now();
             let tight = |s| svc.submit_with_deadline(req(s), Duration::from_millis(1));
             let first = tight(0);
@@ -1418,8 +1473,33 @@ pub(crate) mod tests {
         let st = svc.stats();
         assert_eq!(st.faults, 0);
         assert_eq!(st.fallbacks, 0);
+        assert_eq!(svc.injector().unwrap().stats(), FaultStats::default());
         svc.shutdown();
         plain.shutdown();
+    }
+
+    /// A zero-fault plan keeps the batched dispatch: requests queued
+    /// behind a held dispatch reach the backend's `sample_many` together,
+    /// where its coalescing runs, as on a service without an injector.
+    #[test]
+    fn zero_fault_plan_keeps_the_batched_dispatch() {
+        let injector = FaultInjector::new(FaultPlan::zero(99));
+        let (svc, entered, release) = gated(ServiceConfig::default(), Some(injector.clone()));
+        let held = Duration::from_secs(30);
+        let first = svc.submit(req(0));
+        assert_eq!(entered.recv_timeout(held), Ok(1), "dispatch 1 is held");
+        let queued: Vec<_> = (1..=4).map(|s| svc.submit(req(s))).collect();
+        (0..2).for_each(|_| release.send(()).unwrap());
+        assert_eq!(
+            entered.recv_timeout(held),
+            Ok(4),
+            "the queued four dispatch together"
+        );
+        for ticket in std::iter::once(first).chain(queued) {
+            assert_eq!(ticket.wait_reply().attempts, 1);
+        }
+        svc.shutdown();
+        assert_eq!(injector.stats(), FaultStats::default());
     }
 
     #[test]
@@ -1435,6 +1515,9 @@ pub(crate) mod tests {
         let st = svc.stats();
         assert_eq!(st.requests, 32, "every request answered");
         assert!(st.faults > 0, "40% loss must fail some attempts");
+        // Each lost attempt is counted once by the plan and once by the
+        // ladder.
+        assert_eq!(svc.injector().unwrap().stats().requests_dropped, st.faults);
         assert!(
             replies.iter().any(|r| r.attempts > 1),
             "some request needed a retry"
@@ -1454,8 +1537,8 @@ pub(crate) mod tests {
 
     /// Without a fault injector the service answers through the batched
     /// dispatch. A partition that is down must still degrade the replies
-    /// it cut short: each reply carries the verdict `try_sample` reports
-    /// for its request alone, however the batches formed — and an
+    /// it cut short: each reply carries the verdict an unmasked sample
+    /// of its request alone reports, however the batches formed — and an
     /// inference pipeline on top reports the loss in its recall.
     #[test]
     fn batched_replies_carry_each_requests_own_verdict() {
@@ -1473,7 +1556,7 @@ pub(crate) mod tests {
             fanout: 5,
             seed: 3,
         };
-        let want = direct.try_sample(&probe, 0).unwrap();
+        let want = direct.sample_excluding(&probe, &[]);
         assert!(want.degraded && want.unreachable > 0);
 
         let svc = SamplingService::start(Box::new(crashed()), ServiceConfig::default());
@@ -1497,7 +1580,7 @@ pub(crate) mod tests {
         let mut degraded = 1;
         for (r, t) in reqs.iter().zip(tickets) {
             let reply = t.wait_reply();
-            let alone = direct.try_sample(r, 0).unwrap();
+            let alone = direct.sample_excluding(r, &[]);
             assert_eq!(reply.block, alone.block, "seed {}", r.seed);
             assert_eq!(
                 (reply.degraded, reply.unreachable),
@@ -1530,21 +1613,20 @@ pub(crate) mod tests {
             ScenarioSpec::none().with_card_failure(1, 8),
             ServiceConfig::default(),
         );
-        let mut degraded = 0;
-        for s in 0..24 {
-            let reply = svc.sample_reply(req(s));
-            if reply.degraded {
-                degraded += 1;
-                assert!(reply.unreachable > 0, "degraded replies quantify loss");
-            }
+        let replies: Vec<SampleReply> = (0..24).map(|s| svc.sample_reply(req(s))).collect();
+        for (s, reply) in replies.iter().enumerate() {
+            // Card 1 is up before tick 8 and down from it on.
+            assert_eq!(reply.degraded, s >= 8, "seed {s}");
+            assert_eq!(reply.unreachable > 0, reply.degraded, "seed {s}");
         }
-        assert!(degraded > 0, "requests past tick 8 lose card 1");
+        // Deterministic: the same request degrades identically again.
+        assert_eq!(svc.sample_reply(req(12)), replies[12]);
         let st = svc.stats();
-        assert_eq!(st.degraded, degraded);
+        assert_eq!(st.degraded, 17);
         assert!(st.degraded_ratio() > 0.0);
         let inj_stats = svc.injector().unwrap().stats();
-        assert_eq!(inj_stats.degraded_replies, degraded);
-        assert!(inj_stats.cards_downed >= 1);
+        assert_eq!(inj_stats.degraded_replies, 17);
+        assert_eq!(inj_stats.cards_downed, 1, "a card is counted down once");
         svc.shutdown();
     }
 
@@ -1578,6 +1660,33 @@ pub(crate) mod tests {
         svc.shutdown();
     }
 
+    /// Every attempt lost and card 2 down from tick 0: the fallback
+    /// escapes the loss but not the down card, so every reply arrives,
+    /// degraded.
+    #[test]
+    fn total_loss_with_a_down_card_falls_back_degraded() {
+        let svc = chaos_service(
+            ScenarioSpec::none()
+                .with_request_loss(1.0)
+                .with_card_failure(2, 0),
+            ServiceConfig {
+                workers: 1,
+                backoff_base: Duration::from_micros(1),
+                ..ServiceConfig::default()
+            },
+        );
+        for s in 0..16 {
+            let reply = svc.sample_reply(req(s));
+            assert!(reply.degraded && reply.unreachable > 0, "seed {s}");
+        }
+        let st = svc.stats();
+        assert_eq!((st.degraded, st.fallbacks), (16, 16));
+        let inj = svc.injector().unwrap().stats();
+        assert_eq!(inj.requests_dropped, st.faults);
+        assert_eq!((inj.cards_downed, inj.degraded_replies), (1, 16));
+        svc.shutdown();
+    }
+
     #[test]
     fn injected_worker_panic_does_not_lose_requests() {
         // Shard 0 dies after 2 dispatches; shard 1 keeps serving.
@@ -1597,6 +1706,113 @@ pub(crate) mod tests {
         assert_eq!(st.requests, 24, "the surviving shard answered them all");
         assert_eq!(svc.injector().unwrap().stats().worker_panics, 1);
         svc.shutdown();
+    }
+
+    /// The whole fault path, frozen: request loss, a card going down
+    /// mid-run and a straggling card on one sequential worker. Every
+    /// reply's `(digest, degraded, unreachable, attempts, hedged)`, the
+    /// injector's tallies and the ledger's fault-path events are pinned
+    /// to the values the service produced when request loss, stragglers
+    /// and card masks still lived in a backend decorator.
+    #[test]
+    fn fault_path_replies_and_tallies_are_frozen() {
+        let obs = Observability::default();
+        let svc = observed_chaos_service(
+            ScenarioSpec::none()
+                .with_request_loss(0.3)
+                .with_card_failure(1, 8)
+                .with_straggler(3, 2.0, 20),
+            ServiceConfig {
+                workers: 1,
+                backoff_base: Duration::from_micros(1),
+                ..ServiceConfig::default()
+            },
+            Some(obs.clone()),
+        );
+        let replies: Vec<(u64, bool, u64, u32, bool)> = (0..24)
+            .map(|s| {
+                let r = svc.sample_reply(req(s));
+                (
+                    r.block.digest(),
+                    r.degraded,
+                    r.unreachable,
+                    r.attempts,
+                    r.hedged,
+                )
+            })
+            .collect();
+        let stats = svc.injector().unwrap().stats();
+        svc.shutdown();
+        // Fault-path ledger events by kind (sampling attempts by attempt
+        // number, faults by code), clocks left out.
+        let snap = obs.ledger().snapshot();
+        assert_eq!(snap.evicted, 0);
+        let mut events = std::collections::BTreeMap::<String, u64>::new();
+        for e in &snap.events {
+            let key = match e.stage {
+                Stage::Sampling => format!("sampling/{}", e.detail),
+                Stage::Fault => format!("fault/{}/{}", faults::name(e.detail), e.shard),
+                Stage::Retry | Stage::Hedge | Stage::Fallback | Stage::BreakerTrip => {
+                    format!("{}/{}", e.stage.name(), e.detail)
+                }
+                _ => continue,
+            };
+            *events.entry(key).or_default() += 1;
+        }
+        const REPLIES: [(u64, bool, u64, u32, bool); 24] = [
+            (0xb8dd6c8cb5686be3, false, 0, 1, false),
+            (0x13d5811d30a81884, false, 0, 1, false),
+            (0xb2448fbde27a8af8, false, 0, 2, false),
+            (0x713d3797a09eba96, false, 0, 2, true),
+            (0x7f370666f29e4f66, false, 0, 1, false),
+            (0x5ddcb978327f93fa, false, 0, 1, false),
+            (0x7619b997bb91c8ae, false, 0, 1, false),
+            (0x2c5fcc27a0410e9f, false, 0, 2, false),
+            (0x515d7df60d2c79c5, true, 32, 1, false),
+            (0x525d1423d79c7918, true, 36, 1, false),
+            (0x98b3a36db2128000, true, 27, 2, false),
+            (0x4ceef1a59caa7a78, true, 28, 1, false),
+            (0x4903b0cb7d4856aa, true, 29, 1, false),
+            (0x5563b0a5f75f5522, true, 40, 1, false),
+            (0x5484bfa9754f18b7, true, 30, 1, false),
+            (0x98fd9d7ee3ce7697, true, 29, 1, false),
+            (0x303d74099aca1b21, true, 38, 1, false),
+            (0xadbfc1c581e3ffbc, true, 37, 1, false),
+            (0x1830cade30021d0d, true, 33, 1, false),
+            (0x0fe1522b7df414ee, true, 21, 2, false),
+            (0xa48e1d77ae8fa0b3, true, 39, 1, false),
+            (0xa77a10f1ebd848b9, true, 27, 1, false),
+            (0x7da31595ab8f20b7, true, 36, 2, false),
+            (0x5784949863c2fde2, true, 34, 2, false),
+        ];
+        assert_eq!(replies, REPLIES);
+        assert_eq!(
+            stats,
+            FaultStats {
+                requests_dropped: 8,
+                straggler_delays: 11,
+                straggler_delay_us: 425,
+                cards_downed: 1,
+                degraded_replies: 16,
+                exact_replies: 8,
+                ..Default::default()
+            }
+        );
+        let want: Vec<(String, u64)> = [
+            ("fault/card_down/1", 16),
+            ("fault/request_loss/4294967295", 8),
+            ("fault/straggler/3", 11),
+            ("hedge/2", 1),
+            ("retry/1", 7),
+            ("retry/2", 1),
+            ("sampling/0", 5),
+            ("sampling/1", 2),
+            ("sampling/2147483650", 1),
+        ]
+        .into_iter()
+        .map(|(k, n)| (k.to_string(), n))
+        .collect();
+        assert_eq!(events.into_iter().collect::<Vec<_>>(), want);
     }
 
     #[test]

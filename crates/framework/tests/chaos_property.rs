@@ -7,7 +7,7 @@
 
 use lsdgnn_chaos::{FaultInjector, FaultPlan, ScenarioSpec};
 use lsdgnn_framework::{
-    ChaosBackend, CpuBackend, SampleRequest, SamplingBackend, SamplingService, ServiceConfig,
+    CpuBackend, SampleRequest, SamplingBackend, SamplingService, ServiceConfig,
 };
 use lsdgnn_graph::{generators, AttributeStore, NodeId};
 use proptest::prelude::*;
@@ -56,7 +56,7 @@ proptest! {
         let plan = FaultPlan::build(seed, spec).expect("generated specs are valid");
         let injector = FaultInjector::new(plan);
         let svc = SamplingService::start_observed(
-            Box::new(ChaosBackend::new(backend(), injector.clone())),
+            backend(),
             ServiceConfig {
                 workers: 2,
                 queue_capacity: 32,

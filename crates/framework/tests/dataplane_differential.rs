@@ -9,8 +9,8 @@
 //! graphs, partition counts, request shapes and shard-fault masks the
 //! plane (coalesced frontiers, pooled arenas, zero-copy local reads)
 //! must answer with byte-identical samples — solo, batch-coalesced,
-//! through the inline hot-set cache (cold and warm), and under
-//! chaos-injected card failures, where the degradation verdict
+//! through the inline hot-set cache (cold and warm), and served under a
+//! fault plan's card failures, where the degradation verdict
 //! (`degraded`, `unreachable`) must agree as well —
 //! and its gather must equal the attribute store's rows with the masked
 //! owners' rows zeroed.
@@ -21,7 +21,8 @@
 
 use lsdgnn_chaos::{FaultInjector, FaultPlan, ScenarioSpec};
 use lsdgnn_framework::{
-    CacheConfig, ChaosBackend, CpuBackend, SampleOutcome, SampleRequest, SamplingBackend,
+    CacheConfig, CpuBackend, SampleOutcome, SampleRequest, SamplingBackend, SamplingService,
+    ServiceConfig,
 };
 use lsdgnn_graph::{generators, AttributeStore, CsrGraph, GraphBuilder, NodeId, PartitionedGraph};
 use lsdgnn_sampler::{MultiHopSampler, SampleBlock, StreamingSampler};
@@ -173,18 +174,33 @@ proptest! {
             prop_assert_eq!(&cached.gather_attributes(&nodes), &a.gather(&nodes));
         }
 
-        // Decorated: the chaos layer sits above the data plane.
-
+        // Served under a fault plan: the service masks the cards the
+        // plan has down at the request's tick out of its sample, on top
+        // of the shards crashed on the backend itself.
         let spec = ScenarioSpec::none().with_card_failure(chaos_card % partitions, chaos_at);
         let plan = FaultPlan::build(gseed, spec).expect("valid spec");
         let mut downs = excluded.clone();
         downs.extend((0..partitions).filter(|&c| plan.card_down(c, req.seed)));
         let want = oracle(&pg, &req, &downs);
-        let chaos = ChaosBackend::new(
-            Box::new(CpuBackend::new(&g, &a, partitions)),
-            FaultInjector::new(plan),
+        let crashed = CpuBackend::new(&g, &a, partitions);
+        for &shard in &excluded {
+            crashed.fail_shard(shard);
+        }
+        let svc = SamplingService::start_observed(
+            Box::new(crashed),
+            ServiceConfig { workers: 1, ..ServiceConfig::default() },
+            None,
+            Some(FaultInjector::new(plan)),
+            None,
         );
-        prop_assert_eq!(&chaos.sample_excluding(&req, &excluded), &want, "chaos-faulted outcome");
+        let reply = svc.sample_reply(req.clone());
+        svc.shutdown();
+        let got = SampleOutcome {
+            block: reply.block,
+            degraded: reply.degraded,
+            unreachable: reply.unreachable,
+        };
+        prop_assert_eq!(&got, &want, "chaos-faulted outcome");
     }
 }
 

@@ -186,7 +186,6 @@ fn deferred_backend_returns_the_same_outcomes() {
             }
         }
         for r in &reqs {
-            assert_eq!(deferred.try_sample(r, 0), full.try_sample(r, 0));
             assert_eq!(deferred.sample_block(r), full.sample_block(r));
         }
         assert_eq!(deferred.sample_many(&refs), full.sample_many(&refs));

@@ -10,9 +10,8 @@
 
 use lsdgnn_chaos::{FaultInjector, FaultPlan, ScenarioSpec};
 use lsdgnn_framework::{
-    run_sequential, CacheConfig, ChaosBackend, CpuBackend, InferenceConfig, InferenceReply,
-    InferenceService, InferenceTicket, SampleRequest, SamplingBackend, SamplingService,
-    ServiceConfig,
+    run_sequential, CacheConfig, CpuBackend, InferenceConfig, InferenceReply, InferenceService,
+    InferenceTicket, SampleRequest, SamplingBackend, SamplingService, ServiceConfig,
 };
 use lsdgnn_graph::{generators, AttributeStore, NodeId, PartitionedGraph};
 use lsdgnn_nn::SageModel;
@@ -163,13 +162,11 @@ proptest! {
             .with_card_failure(card, at);
         let plan = FaultPlan::build(gseed, spec).expect("valid spec");
         let faulted = || {
-            let injector = FaultInjector::new(plan.clone());
-            let chaos = ChaosBackend::new(backend(6, gseed, 2), injector.clone());
             SamplingService::start_observed(
-                Box::new(chaos),
+                backend(6, gseed, 2),
                 service_cfg(),
                 None,
-                Some(injector),
+                Some(FaultInjector::new(plan.clone())),
                 None,
             )
         };

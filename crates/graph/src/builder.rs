@@ -22,7 +22,6 @@ use crate::types::NodeId;
 pub struct GraphBuilder {
     num_nodes: u64,
     edges: Vec<(NodeId, NodeId, f32)>,
-    weighted: bool,
 }
 
 impl GraphBuilder {
@@ -31,7 +30,6 @@ impl GraphBuilder {
         GraphBuilder {
             num_nodes,
             edges: Vec::new(),
-            weighted: false,
         }
     }
 
@@ -50,8 +48,8 @@ impl GraphBuilder {
         self.add_weighted_edge(u, v, 1.0)
     }
 
-    /// Adds a directed edge with an explicit weight; marks the graph
-    /// weighted.
+    /// Adds a directed edge with an explicit weight. The built graph is
+    /// weighted when an edge it keeps has a weight other than 1.
     ///
     /// # Panics
     ///
@@ -62,9 +60,6 @@ impl GraphBuilder {
             "edge ({u}, {v}) out of range for {} nodes",
             self.num_nodes
         );
-        if w != 1.0 {
-            self.weighted = true;
-        }
         self.edges.push((u, v, w));
         self
     }
@@ -106,7 +101,7 @@ impl GraphBuilder {
             offsets[i + 1] += offsets[i];
         }
         let targets: Vec<NodeId> = self.edges.iter().map(|&(_, v, _)| v).collect();
-        let weights = if self.weighted {
+        let weights = if self.edges.iter().any(|&(_, _, w)| w != 1.0) {
             Some(self.edges.iter().map(|&(_, _, w)| w).collect())
         } else {
             None
@@ -160,6 +155,14 @@ mod tests {
         b.add_weighted_edge(NodeId(0), NodeId(1), 9.0);
         let g = b.build();
         assert_eq!(g.edge_weights(NodeId(0)).unwrap(), &[3.0]);
+    }
+
+    #[test]
+    fn a_dropped_duplicate_weight_leaves_the_graph_unweighted() {
+        let mut b = GraphBuilder::new(2);
+        b.add_weighted_edge(NodeId(0), NodeId(1), 1.0);
+        b.add_weighted_edge(NodeId(0), NodeId(1), 9.0);
+        assert!(!b.build().is_weighted());
     }
 
     #[test]

@@ -43,11 +43,14 @@ impl From<std::io::Error> for IoError {
 }
 
 /// Reads an edge list. Node ids are dense non-negative integers; the
-/// graph size is `max id + 1` unless `num_nodes` forces a larger space.
+/// graph size is `num_nodes` when given, else `max id + 1`.
 ///
 /// # Errors
 ///
-/// Returns [`IoError::Parse`] on malformed lines.
+/// Returns [`IoError::Parse`] on malformed lines: a missing or
+/// unparsable id, a weight that is not a finite number, trailing
+/// tokens, or an id outside `0..num_nodes` (without `num_nodes`, the id
+/// `u64::MAX`, which leaves no room to count the nodes).
 ///
 /// # Example
 ///
@@ -82,11 +85,22 @@ pub fn read_edge_list<R: Read>(reader: R, num_nodes: Option<u64>) -> Result<CsrG
         };
         let src = parse_id(parts.next(), "source id")?;
         let dst = parse_id(parts.next(), "target id")?;
-        let weight = match parts.next() {
-            Some(w) => w.parse().map_err(|_| IoError::Parse {
+        let space = num_nodes.unwrap_or(u64::MAX);
+        if let Some(id) = [src, dst].into_iter().find(|&id| id >= space) {
+            return Err(IoError::Parse {
                 line: lineno,
-                message: "bad weight".into(),
-            })?,
+                message: format!("node id {id} outside the node space 0..{space}"),
+            });
+        }
+        let weight = match parts.next() {
+            Some(w) => w
+                .parse::<f32>()
+                .ok()
+                .filter(|w| w.is_finite())
+                .ok_or_else(|| IoError::Parse {
+                    line: lineno,
+                    message: "bad weight".into(),
+                })?,
             None => 1.0,
         };
         if parts.next().is_some() {
@@ -161,11 +175,14 @@ pub fn write_attributes<W: Write>(store: &AttributeStore, writer: W) -> Result<(
     Ok(())
 }
 
-/// Reads an attribute store written by [`write_attributes`].
+/// Reads an attribute store written by [`write_attributes`]. Bytes past
+/// the payload the header sizes are not read.
 ///
 /// # Errors
 ///
-/// Returns [`IoError::Parse`] on a bad magic or truncated data.
+/// Returns [`IoError::Parse`] on a bad magic, a zero attribute length,
+/// a header whose payload size overflows, or data shorter than the
+/// header claims; [`IoError::Io`] on a truncated header.
 pub fn read_attributes<R: Read>(reader: R) -> Result<AttributeStore, IoError> {
     let mut r = BufReader::new(reader);
     let mut magic = [0u8; 8];
@@ -180,22 +197,38 @@ pub fn read_attributes<R: Read>(reader: R) -> Result<AttributeStore, IoError> {
     r.read_exact(&mut u64buf)?;
     let nodes = u64::from_le_bytes(u64buf);
     r.read_exact(&mut u64buf)?;
-    let attr_len = u64::from_le_bytes(u64buf) as usize;
+    let attr_len = u64::from_le_bytes(u64buf);
+    let parse_err = |message: String| IoError::Parse { line: 0, message };
     if attr_len == 0 {
-        return Err(IoError::Parse {
-            line: 0,
-            message: "zero attribute length".into(),
-        });
+        return Err(parse_err("zero attribute length".into()));
     }
+    // The header is only a claim: size the payload with checked
+    // arithmetic and read it before allocating the store, so a short
+    // file cannot ask for more memory than it holds.
+    let row_bytes = attr_len
+        .checked_mul(4)
+        .filter(|&b| usize::try_from(b).is_ok())
+        .ok_or_else(|| parse_err(format!("attribute length {attr_len} overflows")))?;
+    let bytes = nodes
+        .checked_mul(row_bytes)
+        .filter(|&b| usize::try_from(b).is_ok())
+        .ok_or_else(|| parse_err(format!("{nodes} nodes x {attr_len} floats overflows")))?;
+    let mut payload = Vec::new();
+    r.take(bytes).read_to_end(&mut payload)?;
+    if payload.len() as u64 != bytes {
+        return Err(parse_err(format!(
+            "truncated attribute data: {} of {bytes} bytes",
+            payload.len()
+        )));
+    }
+    let floats: Vec<f32> = payload
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+        .collect();
+    let attr_len = attr_len as usize;
     let mut store = AttributeStore::zeros(nodes, attr_len);
-    let mut row = vec![0.0f32; attr_len];
-    let mut f32buf = [0u8; 4];
-    for v in 0..nodes {
-        for x in row.iter_mut() {
-            r.read_exact(&mut f32buf)?;
-            *x = f32::from_le_bytes(f32buf);
-        }
-        store.set(NodeId(v), &row);
+    for (v, row) in floats.chunks_exact(attr_len).enumerate() {
+        store.set(NodeId(v as u64), row);
     }
     Ok(store)
 }
@@ -248,6 +281,16 @@ mod tests {
     }
 
     #[test]
+    fn ids_outside_the_node_space_are_parse_errors() {
+        let e = read_edge_list("5 6\n".as_bytes(), Some(3)).unwrap_err();
+        assert!(matches!(e, IoError::Parse { line: 1, .. }), "{e}");
+        let e = read_edge_list("0 1\n0 18446744073709551615\n".as_bytes(), None).unwrap_err();
+        assert!(matches!(e, IoError::Parse { line: 2, .. }), "{e}");
+        let e = read_edge_list("0 1 NaN\n".as_bytes(), None).unwrap_err();
+        assert!(matches!(e, IoError::Parse { line: 1, .. }), "{e}");
+    }
+
+    #[test]
     fn attributes_round_trip() {
         let a = AttributeStore::synthetic(50, 7, 3);
         let mut buf = Vec::new();
@@ -269,5 +312,19 @@ mod tests {
         write_attributes(&a, &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_attributes(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn oversized_attribute_headers_are_parse_errors() {
+        for (nodes, attr_len) in [(u64::MAX, 2u64), (1, u64::MAX), (1 << 40, 1 << 20)] {
+            let mut buf = ATTR_MAGIC.to_vec();
+            buf.extend_from_slice(&nodes.to_le_bytes());
+            buf.extend_from_slice(&attr_len.to_le_bytes());
+            let e = read_attributes(&buf[..]).unwrap_err();
+            assert!(
+                matches!(e, IoError::Parse { .. }),
+                "{nodes} x {attr_len}: {e}"
+            );
+        }
     }
 }

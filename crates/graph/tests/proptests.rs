@@ -1,6 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use lsdgnn_graph::dynamic::DynamicGraph;
+use lsdgnn_graph::io::{read_attributes, read_edge_list, write_attributes, write_edge_list};
 use lsdgnn_graph::{GraphBuilder, NodeId, PartitionedGraph};
 use proptest::prelude::*;
 
@@ -8,7 +9,107 @@ fn arb_edges(nodes: u64, max_edges: usize) -> impl Strategy<Value = Vec<(u64, u6
     proptest::collection::vec((0..nodes, 0..nodes), 0..max_edges)
 }
 
+/// Edge-list-shaped text from raw draws: each line is two or three
+/// tokens, `(kind, id)` picking a small id (mostly), `u64::MAX`, or a
+/// weight, comment or junk token, so that a fair share of lists parses.
+/// Ids stay small or are `u64::MAX`: an id in between is a valid request
+/// for a node space of that size.
+fn edge_text(lines: &[Vec<(u8, u64)>]) -> String {
+    const OTHER: [&str; 10] = ["0.5", "1", "-2.25", "1e3", "NaN", "inf", "#", "x", "", "\t"];
+    let token = |&(kind, id): &(u8, u64)| match kind {
+        0..=61 => id.to_string(),
+        62 => u64::MAX.to_string(),
+        _ => OTHER[id as usize % OTHER.len()].to_string(),
+    };
+    let line = |tokens: &Vec<(u8, u64)>| tokens.iter().map(token).collect::<Vec<_>>().join(" ");
+    lines.iter().map(line).collect::<Vec<_>>().join("\n")
+}
+
+/// The `read_edge_list` node-count argument from a raw draw.
+fn space((given, n): (bool, u64)) -> Option<u64> {
+    given.then_some(n)
+}
+
+/// Attribute-file-shaped bytes from raw draws: the magic (one time in
+/// five a wrong one), a header that may claim anything — small counts,
+/// `u64::MAX` or any `u64` — and a payload of any short length.
+fn attr_file(magic_ok: bool, nodes: (u8, u64), attr_len: (u8, u64), payload: &[u8]) -> Vec<u8> {
+    let count = |(kind, raw): (u8, u64)| match kind {
+        0..=2 => raw % 5,
+        3 => u64::MAX,
+        _ => raw,
+    };
+    let mut bytes = if magic_ok { b"LSDATTR1" } else { b"LSDATTR2" }.to_vec();
+    bytes.extend_from_slice(&count(nodes).to_le_bytes());
+    bytes.extend_from_slice(&count(attr_len).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// An accepted edge list writes and reads back to the same graph.
+fn edge_list_round_trips(bytes: &[u8], space: Option<u64>) -> Result<(), TestCaseError> {
+    if let Ok(g) = read_edge_list(bytes, space) {
+        let mut text = Vec::new();
+        write_edge_list(&g, &mut text).expect("write to a Vec");
+        prop_assert_eq!(read_edge_list(&text[..], space).expect("re-read"), g);
+    }
+    Ok(())
+}
+
+/// An accepted attribute file re-encodes to exactly the bytes it was
+/// read from (compared as bytes, so NaN payloads count as equal to
+/// themselves), and reads back to the same store.
+fn attributes_round_trip(bytes: &[u8]) -> Result<(), TestCaseError> {
+    if let Ok(store) = read_attributes(bytes) {
+        let mut encoded = Vec::new();
+        write_attributes(&store, &mut encoded).expect("write to a Vec");
+        prop_assert_eq!(&encoded[..], &bytes[..encoded.len()]);
+        let back = read_attributes(&encoded[..]).expect("re-read");
+        let mut again = Vec::new();
+        write_attributes(&back, &mut again).expect("write to a Vec");
+        prop_assert_eq!(again, encoded);
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Arbitrary bytes never panic either reader; what they accept
+    /// round-trips.
+    #[test]
+    fn readers_never_panic_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        given in (any::<bool>(), 0u64..32),
+    ) {
+        edge_list_round_trips(&bytes, space(given))?;
+        attributes_round_trip(&bytes)?;
+    }
+
+    /// Edge-list-shaped text: never a panic, and every accepted list
+    /// round-trips through `write_edge_list` and `read_edge_list`.
+    #[test]
+    fn accepted_edge_lists_round_trip(
+        lines in proptest::collection::vec(
+            proptest::collection::vec((0u8..64, 0u64..16), 2..4),
+            0..12,
+        ),
+        given in (any::<bool>(), 0u64..32),
+    ) {
+        edge_list_round_trips(edge_text(&lines).as_bytes(), space(given))?;
+    }
+
+    /// Attribute files with any header claim: never a panic, and every
+    /// accepted file round-trips through `write_attributes` and
+    /// `read_attributes`.
+    #[test]
+    fn accepted_attribute_files_round_trip(
+        magic in 0u8..5,
+        nodes in (0u8..5, any::<u64>()),
+        attr_len in (0u8..5, any::<u64>()),
+        payload in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        attributes_round_trip(&attr_file(magic > 0, nodes, attr_len, &payload))?;
+    }
+
     /// Any edge list builds a CSR satisfying all structural invariants.
     #[test]
     fn builder_always_produces_valid_csr(edges in arb_edges(50, 300)) {

@@ -56,7 +56,7 @@ fn main() {
             stats.dispatches,
             stats.backend.remote_fraction() * 100.0,
             cut * 100.0,
-            stats.latency.mean().as_micros_f64(),
+            stats.latency.mean(),
         );
         service.shutdown();
     }

@@ -62,7 +62,7 @@ fn main() {
         "service: {} requests in {} dispatches, mean latency {:.0}us, backend expanded {} nodes",
         stats.requests,
         stats.dispatches,
-        stats.latency.mean().as_micros_f64(),
+        stats.latency.mean(),
         stats.backend.nodes_expanded
     );
     service.shutdown();
