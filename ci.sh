@@ -42,8 +42,10 @@ cargo test -q
 
 # benchmark/ is a package of its own (the workspace does not know it), so
 # a rename under crates/ can break it without any step above noticing.
+# --locked: a workspace dependency change that would rewrite
+# benchmark/Cargo.lock fails here instead of rewriting it silently.
 step "benchmark package: unit tests + smoke run"
-cargo test --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 # tools/sigprof: the LD_PRELOAD sampler this host uses in place of perf.
 step "tools/sigprof: compile prof.c"
@@ -101,7 +103,7 @@ grep -q '"ph"' "$SMOKE_DIR/trace.json" \
 # BENCH_<name>.json byte for byte: a record that no longer matches the
 # code fails here, not only a false gate. The run goes under $SMOKE_DIR
 # so a CI run leaves the committed records alone; --quick is covered by
-# crates/bench/tests/jobs_parity.rs. Timing is measured only by
+# crates/bench/tests/quick_runs.rs. Timing is measured only by
 # benchmark/.
 for bench in chaos wire inference traffic cache; do
     step "$bench: full run reproduces BENCH_$bench.json"
@@ -119,9 +121,6 @@ step "trace-report smoke: per-stage summary of the fig14 trace"
 cargo run --release -q -p lsdgnn-bench -- trace-report "$SMOKE_DIR/trace.json" \
     | grep -q 'dispatch' \
     || { echo "FAIL: trace-report did not summarize service spans"; exit 1; }
-
-step "parallel harness smoke: fig14 through --jobs 2"
-LSDGNN_SCALE=800 LSDGNN_BATCHES=1 cargo run --release -q -p lsdgnn-bench -- fig14 --jobs 2
 
 step_end
 echo "step times, slowest first:"

@@ -2,7 +2,7 @@
 //! coalescing-cache size (Tech-4), AxE core count vs Equation 3, MoF
 //! packing factor (Tech-1), and the outstanding-request budget (Tech-3).
 
-use crate::util::{banner, eng, outln, par_map, pct, Table, Telemetry};
+use crate::util::{banner, eng, pct, Table, Telemetry};
 use lsdgnn_core::axe::{AccessEngine, AxeConfig};
 use lsdgnn_core::graph::DatasetConfig;
 use lsdgnn_core::memfabric::{outstanding_for_mix, AccessPattern, MemoryTier, TierConfig};
@@ -22,8 +22,7 @@ pub fn cache_sweep(scale_nodes: u64, batches: u32, tel: &mut Telemetry) {
         &["cache", "hit rate", "samples/s", "mem bytes"],
         &[10, 12, 16, 14],
     );
-    let sizes = vec![1usize, 2, 4, 8, 16, 32, 64];
-    let measured = par_map(sizes, |kb| {
+    let measured = [1usize, 2, 4, 8, 16, 32, 64].into_iter().map(|kb| {
         let mut cfg = AxeConfig::poc().with_batch_size(48);
         cfg.cache_bytes = kb * 1024;
         (
@@ -66,13 +65,13 @@ pub fn core_sweep(scale_nodes: u64, batches: u32) {
         AccessPattern::new(d.attr_len as u64 * 4, 0.52),
     ];
     let demand = outstanding_for_mix(&tier.remote.link_model(), &mix);
-    outln!(
+    println!(
         "Eq.3 outstanding demand on the remote path: {:.0} requests (= {:.1} cores at 64 tags)",
         demand,
         demand / 64.0
     );
     let t = Table::new(&["cores", "samples/s", "avg outstanding"], &[8, 16, 16]);
-    let measured = par_map(vec![1usize, 2, 4, 8, 16], |cores| {
+    let measured = [1usize, 2, 4, 8, 16].into_iter().map(|cores| {
         let cfg = AxeConfig::poc()
             .with_cores(cores)
             .with_tier(tier)
@@ -84,8 +83,6 @@ pub fn core_sweep(scale_nodes: u64, batches: u32) {
             AccessEngine::new(cfg).run(&g, d.attr_len as usize, batches),
         )
     });
-    // Saturation detection compares neighbours, so it stays a serial
-    // pass over the ordered results.
     let mut prev = 0.0;
     for (cores, m) in measured {
         let note = if prev > 0.0 && m.samples_per_sec < prev * 1.15 {
@@ -142,7 +139,7 @@ pub fn outstanding_sweep(scale_nodes: u64, batches: u32) {
     let d = DatasetConfig::by_name("ll").unwrap();
     let (g, _) = d.instantiate_scaled(scale_nodes, 33);
     let t = Table::new(&["tags", "samples/s", "speedup"], &[8, 16, 16]);
-    let measured = par_map(vec![1usize, 4, 16, 64, 128], |tags| {
+    let measured = [1usize, 4, 16, 64, 128].into_iter().map(|tags| {
         let cfg = AxeConfig::poc()
             .with_batch_size(32)
             .with_max_outstanding(tags)
@@ -193,8 +190,8 @@ pub fn serving_sweep(scale_nodes: u64, batches: u32) {
         remote: MemoryTier::Mof { links: 3 },
         output: MemoryTier::PciePeerToPeer,
     };
-    let configs = vec![("issue-only (PoC)", false), ("issue + serve peers", true)];
-    let measured = par_map(configs, |(name, serving)| {
+    let configs = [("issue-only (PoC)", false), ("issue + serve peers", true)];
+    let measured = configs.into_iter().map(|(name, serving)| {
         let cfg = AxeConfig::poc()
             .with_batch_size(32)
             .with_tier(tier)

@@ -34,7 +34,7 @@
 //! and `infer_uniform` end to end).
 
 use crate::report::{hex, Report};
-use crate::util::{outln, par_map, Table};
+use crate::util::Table;
 use crate::workload::{fold, splitmix};
 use lsdgnn_core::chaos::plan::fnv1a;
 use lsdgnn_core::framework::{
@@ -370,7 +370,7 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
         &[256, 1_024, REF_CAPACITY]
     };
     let ref_skew = *skews.last().unwrap();
-    outln!(
+    println!(
         "cache sweep: seed {seed}, skew {skews:?} x capacity {caps:?} x \
          {{off, attr, attr+neigh}} on {GRAPH_NODES} nodes / {PARTITIONS} partitions \
          (hash-spread placement)"
@@ -383,7 +383,10 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
             inputs.push((s, c));
         }
     }
-    let cells = par_map(inputs, |(s, c)| run_cell(&pg, s, c, seed, quick));
+    let cells: Vec<_> = inputs
+        .into_iter()
+        .map(|(s, c)| run_cell(&pg, s, c, seed, quick))
+        .collect();
 
     let table = Table::new(
         &[
@@ -418,7 +421,7 @@ pub fn cache(quick: bool, seed: u64, out: &str) {
     let wire = wire_leg(&pg, ref_skew, seed, quick);
     let cache_hit_blamed = observed_leg(&pg, ref_skew, seed, quick);
 
-    outln!(
+    println!(
         "  reference cell hot{ref_skew}%/cap{REF_CAPACITY}: remote cut {remote_cut:.2}x, \
          wire bytes -{:.1}% (neigh hit {:.2})",
         wire.reduction * 100.0,

@@ -15,13 +15,13 @@
 //!   delta vs fault severity;
 //! * **replayability** — the plan digest and an FNV digest over every
 //!   reply's content + degraded flag. Both are pure functions of
-//!   `(seed, scenario)`: byte-identical across runs and `--jobs` counts.
+//!   `(seed, scenario)`: byte-identical across runs.
 //! * **MoF recovery** — the same plan's frame-loss stream pushed through
 //!   the real [`ReliableChannel`] retransmit path (transmissions,
 //!   retransmissions, delivery).
 //!
 //! Nothing here reads a clock, so the artifact is byte-identical across
-//! runs and `--jobs` counts (`tests/jobs_parity.rs`). Retry, hedge,
+//! runs (`ci.sh` `cmp`s a full run with `BENCH_chaos.json`). Retry, hedge,
 //! breaker and injector counters are not reported: how many attempts a
 //! request gets is cut short by the ladder's wall-clock deadline, so
 //! they depend on scheduling (the service's metrics export still carries
@@ -34,7 +34,7 @@
 //! replies).
 
 use crate::report::{hex, Report};
-use crate::util::{outln, par_map, Table};
+use crate::util::Table;
 use crate::workload::{
     digest_replies, small_backend, small_request, SMALL_NODES, SMALL_PARTITIONS,
 };
@@ -255,20 +255,22 @@ fn zero_fault_digests(seed: u64, requests: u64) -> (u64, u64) {
 pub fn chaos(quick: bool, seed: u64, out: &str) {
     let requests = if quick { QUICK_REQUESTS } else { FULL_REQUESTS };
     let frames = if quick { QUICK_FRAMES } else { FULL_FRAMES };
-    outln!(
+    println!(
         "chaos sweep: seed {seed}, {requests} requests/cell over {SMALL_PARTITIONS} cards, \
          loss x card-failure grid"
     );
 
     let (baseline_digest, zeroed_digest) = zero_fault_digests(seed, requests);
-    outln!(
+    println!(
         "  zero-fault leg: plan {} vs the injector-free service ({})",
         hex(FaultPlan::zero(seed).digest()),
         hex(baseline_digest)
     );
 
-    let cells = grid(quick);
-    let results = par_map(cells, |cell| run_cell(&cell, seed, requests, frames));
+    let results: Vec<_> = grid(quick)
+        .iter()
+        .map(|cell| run_cell(cell, seed, requests, frames))
+        .collect();
 
     let table = Table::new(
         &[

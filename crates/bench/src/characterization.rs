@@ -1,6 +1,6 @@
 //! Section 3 characterization experiments: Figure 2(a)–(e) and Figure 3.
 
-use crate::util::{banner, eng, outln, pct, Table, Telemetry};
+use crate::util::{banner, eng, pct, Table, Telemetry};
 use lsdgnn_core::framework::{
     CpuBackend, CpuClusterModel, SampleRequest, SamplingService, ServiceConfig,
 };
@@ -141,7 +141,7 @@ pub fn fig2c(scale_nodes: u64) {
         ]);
     }
     let avg = fractions.iter().sum::<f64>() / fractions.len() as f64;
-    outln!(
+    println!(
         "average structure-request share: {} (paper: ~48%)",
         pct(avg)
     );
@@ -172,7 +172,7 @@ pub fn fig2d() {
         }
     }
     let rdma = LinkModel::rdma_remote();
-    outln!(
+    println!(
         "RDMA bandwidth collapse 1024B vs 8B: {:.0}x (paper: ~100x)",
         rdma.effective_bandwidth_gbps(1024) / rdma.effective_bandwidth_gbps(8)
     );
@@ -235,7 +235,7 @@ pub fn fig3() {
     let fm = FootprintModel::default();
     let ls = lsdgnn_core::graph::DatasetConfig::by_name("ls").unwrap();
     let ratio = m.storage_to_model_ratio(fm.footprint_bytes(&ls));
-    outln!(
+    println!(
         "graph storage vs NN model: {:.1e}x ({} params vs {} GiB) — paper: ~5 orders",
         ratio,
         m.model_params(),

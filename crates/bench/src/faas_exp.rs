@@ -1,6 +1,6 @@
 //! FaaS DSE experiments: Figures 16–21.
 
-use crate::util::{banner, eng, outln, par_map, Table};
+use crate::util::{banner, eng, Table};
 use lsdgnn_core::faas::dse::{min_cost_table, run_dse, DseResult};
 use lsdgnn_core::faas::{Architecture, CostModel, InstanceSize, QuoteSet};
 use lsdgnn_core::framework::CpuClusterModel;
@@ -8,8 +8,8 @@ use lsdgnn_core::graph::PAPER_DATASETS;
 use std::sync::OnceLock;
 
 /// The DSE grid feeding Figures 17/18/19/21 and the CSV export —
-/// computed once and shared (also across `--jobs` workers, which would
-/// otherwise each redo the full grid).
+/// computed once per process and shared, so `all` and any selection of
+/// those names runs the full grid once.
 fn dse() -> &'static DseResult {
     static DSE: OnceLock<DseResult> = OnceLock::new();
     DSE.get_or_init(|| run_dse(&CpuClusterModel::default(), &CostModel::default_fitted()))
@@ -33,7 +33,7 @@ pub fn fig16() {
             format!("{:.1}%", 100.0 * (pred - price).abs() / price),
         ]);
     }
-    outln!(
+    println!(
         "fit: $/h = {:.3} + {:.4}*vCPU + {:.5}*GB + {:.3}*FPGA + {:.3}*GPU",
         model.coefficients[0],
         model.coefficients[1],
@@ -122,7 +122,7 @@ pub fn fig19() {
         ]);
     }
     let m = |s: &str| r.arch_performance(s, InstanceSize::Medium);
-    outln!(
+    println!(
         "medium-size scaling vs small: {:.1}x, large vs small: {:.1}x (base.decp; paper: 2.4x / 14x)",
         m("base.decp") / r.arch_performance("base.decp", InstanceSize::Small),
         r.arch_performance("base.decp", InstanceSize::Large)
@@ -168,7 +168,7 @@ pub fn fig21() {
         ]);
     }
     t.note("paper headline: base.decp 2.47x, base.tc 4.11x, comm-opt 7.78x, mem-opt.tc 12.58x");
-    outln!(
+    println!(
         "tc-over-decp gap: cost-opt {:.1}x, comm-opt {:.1}x, mem-opt {:.1}x (paper: 1.9x / 3.5x / 16.6x)",
         r.speedup("cost-opt.tc", "cost-opt.decp"),
         r.speedup("comm-opt.tc", "comm-opt.decp"),
@@ -187,9 +187,9 @@ pub fn limit2() {
     let cpu = CpuClusterModel::default();
     let cost = CostModel::default_fitted();
     let t = Table::new(&["GPU factor", "base.decp", "mem-opt.tc"], &[12, 14, 14]);
-    let results = par_map(vec![1.0f64, 2.0, 5.0, 10.0], |factor| {
-        (factor, run_dse_with_gpu_factor(&cpu, &cost, factor))
-    });
+    let results = [1.0f64, 2.0, 5.0, 10.0]
+        .into_iter()
+        .map(|factor| (factor, run_dse_with_gpu_factor(&cpu, &cost, factor)));
     for (factor, r) in results {
         t.row(&[
             format!("{factor}x"),
@@ -229,7 +229,7 @@ pub fn discussion() {
         format!("{}/s", eng(fpga_device)),
     ]);
     let (mof, cxl) = cxl_variant_rates(&d);
-    outln!(
+    println!(
         "CXL outlook (comm-opt.tc on ll/medium): custom MoF {}/s vs standard CXL {}/s",
         eng(mof),
         eng(cxl)
@@ -281,7 +281,7 @@ pub fn export_csv() {
     let r = dse();
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/dse.csv", r.to_csv()).expect("write csv");
-    outln!(
+    println!(
         "wrote results/dse.csv ({} rows)",
         r.faas.len() + r.cpu.len()
     );

@@ -39,7 +39,6 @@
 //! `inference.compute_us`, the `budget.*` rows and `obs.overhead_frac`.
 
 use crate::report::{hex, Report};
-use crate::util::outln;
 use crate::workload::{fold, graph, placement, request, ATTR_LEN, FANOUT, HOPS, PARTITIONS};
 use lsdgnn_core::chaos::{FaultInjector, FaultPlan, ScenarioSpec};
 use lsdgnn_core::framework::{
@@ -211,7 +210,7 @@ pub fn inference(quick: bool, seed: u64, out: &str) {
     let (g, a) = graph(quick);
     let nodes = g.num_nodes();
     let widths: Vec<String> = WIDTHS.iter().map(|w| w.to_string()).collect();
-    outln!(
+    println!(
         "inference bench: {nodes} nodes, {PARTITIONS} partitions, {requests} requests \
          ({HOPS} hops, fanout {FANOUT}), sage [{}], seed {seed}",
         widths.join("x")
@@ -261,7 +260,7 @@ pub fn inference(quick: bool, seed: u64, out: &str) {
         let one = one_in_flight(&pipe, requests, nodes);
         let win = windowed(&pipe, requests, nodes);
         pipe.shutdown();
-        outln!(
+        println!(
             "  {name:<8} one in flight {}  {WINDOW} in flight {}",
             hex(one),
             hex(win)
@@ -273,7 +272,7 @@ pub fn inference(quick: bool, seed: u64, out: &str) {
     let mut blame = snap.blame(0.0);
     blame.stages.sort_by_key(|s| s.stage.rank());
     let stages: Vec<&str> = blame.stages.iter().map(|s| s.stage.name()).collect();
-    outln!(
+    println!(
         "  observed ledger: {} finished, blame (q=0) stages {}",
         snap.finished,
         stages.join(" ")
@@ -307,7 +306,7 @@ pub fn inference(quick: bool, seed: u64, out: &str) {
         ),
     ];
     for arm in &chaos {
-        outln!(
+        println!(
             "  chaos {:<13} top_fault {:<13} degraded {}/{CHAOS_REQUESTS}  min recall {:.3}  \
              dumps {}",
             arm.scenario,

@@ -4,7 +4,6 @@
 //! ```text
 //! cargo run -p lsdgnn-bench --release -- all
 //! cargo run -p lsdgnn-bench --release -- fig14 fig21
-//! cargo run -p lsdgnn-bench --release -- all --jobs 4
 //! cargo run -p lsdgnn-bench --release -- fig14 \
 //!     --metrics-out results/metrics.json --trace-out results/trace.json
 //! cargo run -p lsdgnn-bench --release -- cache --quick --seed 7 --out /tmp/cache.json
@@ -12,11 +11,6 @@
 //! ```
 //!
 //! Flags:
-//! * `--jobs N` — run the selected experiments (and the sweep points
-//!   inside them) on up to N worker threads. Output order, table values
-//!   and the `--metrics-out` snapshot are identical to the serial run:
-//!   workers capture their output and the scheduler prints/merges in
-//!   selection order.
 //! * `--metrics-out <path.json>` — write the telemetry registry snapshot
 //!   (every metric the selected experiments registered) as JSON
 //! * `--trace-out <path.json>`   — record spans during the simulated runs
@@ -28,7 +22,6 @@
 //! Environment:
 //! * `LSDGNN_SCALE`   — max nodes for scaled-down graphs (default 4000)
 //! * `LSDGNN_BATCHES` — mini-batches per DES measurement (default 3)
-//! * `LSDGNN_JOBS`    — default worker count when `--jobs` is absent
 
 #![forbid(unsafe_code)]
 
@@ -47,8 +40,7 @@ mod util;
 mod wire;
 mod workload;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use util::{capture, Telemetry, TelemetrySink};
+use util::Telemetry;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -119,8 +111,8 @@ const EXTRA: &[(&str, ExpFn)] = &[
 /// pure function of `(seed, quick)`, through `report::Report`.
 type BenchFn = fn(bool, u64, &str);
 
-/// The serving benches, run outside the experiment scheduler, with the
-/// artifact each writes when `--out` is absent.
+/// The serving benches, run on their own (never with an experiment or
+/// another bench), with the artifact each writes when `--out` is absent.
 const BENCHES: &[(&str, BenchFn, &str)] = &[
     ("chaos", chaos_exp::chaos, "BENCH_chaos.json"),
     ("wire", wire::wire, "BENCH_wire.json"),
@@ -138,7 +130,7 @@ fn lookup(name: &str) -> Option<ExpFn> {
 }
 
 fn usage_and_exit(unknown: &str) -> ! {
-    eprintln!("unknown experiment `{unknown}`; available:");
+    eprintln!("unknown argument `{unknown}`; available:");
     let names: Vec<&str> = EXPERIMENTS.iter().chain(EXTRA).map(|(n, _)| *n).collect();
     eprintln!("  all {}", names.join(" "));
     let benches: Vec<&str> = BENCHES.iter().map(|(n, _, _)| *n).collect();
@@ -158,7 +150,6 @@ fn main() {
 
     let mut metrics_out = None;
     let mut trace_out = None;
-    let mut jobs = env_u64("LSDGNN_JOBS", 1).max(1) as usize;
     let mut quick = false;
     let mut seed = 42u64;
     let mut out = None;
@@ -173,15 +164,6 @@ fn main() {
             trace_out = Some(v.to_string());
         } else if a == "--trace-out" {
             trace_out = Some(raw.next().expect("--trace-out needs a path"));
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs = v.parse::<usize>().expect("--jobs needs a number").max(1);
-        } else if a == "--jobs" {
-            jobs = raw
-                .next()
-                .expect("--jobs needs a number")
-                .parse::<usize>()
-                .expect("--jobs needs a number")
-                .max(1);
         } else if a == "--quick" {
             quick = true;
         } else if let Some(v) = a.strip_prefix("--seed=") {
@@ -200,12 +182,14 @@ fn main() {
             args.push(a);
         }
     }
-    util::set_jobs(jobs);
 
-    if let Some((_, bench, path)) = BENCHES
+    if let Some((name, bench, path)) = BENCHES
         .iter()
         .find(|(name, _, _)| args.iter().any(|a| a == name))
     {
+        if let Some(extra) = args.iter().find(|a| a != name) {
+            usage_and_exit(extra);
+        }
         bench(quick, seed, out.as_deref().unwrap_or(path));
         return;
     }
@@ -232,77 +216,25 @@ fn main() {
         return;
     }
 
+    for (i, name) in args.iter().enumerate() {
+        if name != "all" && lookup(name).is_none() {
+            usage_and_exit(name);
+        }
+        if args[..i].contains(name) {
+            eprintln!("duplicate experiment `{name}`: each experiment registers its metrics once; pass each name once");
+            std::process::exit(2);
+        }
+    }
     let selected: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         EXPERIMENTS.iter().map(|(n, _)| *n).collect()
     } else {
         args.iter().map(String::as_str).collect()
     };
-    for (i, name) in selected.iter().enumerate() {
-        if lookup(name).is_none() {
-            usage_and_exit(name);
-        }
-        if selected[..i].contains(name) {
-            eprintln!("duplicate experiment `{name}`: each experiment registers its metrics once; pass each name once");
-            std::process::exit(2);
-        }
-    }
 
     let ctx = Ctx { scale, batches };
-    let mut sink = TelemetrySink::new(metrics_out, trace_out);
-    run_selected(&selected, &ctx, &mut sink, jobs);
-    sink.finish();
-}
-
-/// Runs the selected experiments on up to `jobs` worker threads. Every
-/// experiment executes with a private [`Telemetry`] and a captured
-/// output buffer; the main thread streams buffers to stdout in selection
-/// order as soon as each contiguous prefix completes, and merges the
-/// telemetry in that same order — so results are byte-identical for any
-/// job count.
-fn run_selected(selected: &[&str], ctx: &Ctx, sink: &mut TelemetrySink, jobs: usize) {
-    let tracing = sink.tracing();
-    let workers = jobs.min(selected.len()).max(1);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel();
-    let mut parts = Vec::new();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let ctx = &ctx;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= selected.len() {
-                    break;
-                }
-                let f = lookup(selected[i]).expect("selection validated");
-                let mut tel = Telemetry::worker(tracing);
-                let ((), out) = capture(|| f(ctx, &mut tel));
-                let (snap, events) = tel.into_parts();
-                if tx.send((i, out, snap, events)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        // Stream outputs in selection order as they complete.
-        let mut done: Vec<Option<(String, _, _)>> = (0..selected.len()).map(|_| None).collect();
-        let mut cursor = 0;
-        for (i, out, snap, events) in rx {
-            done[i] = Some((out, snap, events));
-            while cursor < selected.len() {
-                match done[cursor].take() {
-                    Some((out, snap, events)) => {
-                        print!("{out}");
-                        parts.push((snap, events));
-                        cursor += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
-    });
-    for (snap, events) in parts {
-        sink.absorb(snap, events);
+    let mut tel = Telemetry::new(metrics_out, trace_out);
+    for name in selected {
+        lookup(name).expect("selection validated")(&ctx, &mut tel);
     }
+    tel.finish();
 }

@@ -1,7 +1,7 @@
 //! Micro-architecture experiments: Figure 7, Tables 5–7, Table 11, and
 //! the Tech-2/Tech-3 claims.
 
-use crate::util::{banner, outln, pct, Table};
+use crate::util::{banner, pct, Table};
 use lsdgnn_core::axe::load_unit;
 use lsdgnn_core::axe::{pipeline_batch_latency, LoadUnitConfig, PipelineSpec};
 use lsdgnn_core::fpga::{sampler_savings, PocDesign, Vu13p};
@@ -150,7 +150,7 @@ pub fn tech2() {
         "0".into(),
     ]);
     let (lut, reg) = sampler_savings();
-    outln!(
+    println!(
         "sampler resource saving: {} LUTs, {} registers (paper: 91.9% / 23%)",
         pct(lut),
         pct(reg)
@@ -158,10 +158,9 @@ pub fn tech2() {
     let (g, labels) = generators::two_community(600, 0.08, 0.02, 3);
     let mut rng = SmallRng::seed_from_u64(4);
     let cmp = quality::compare_streaming_vs_standard(&mut rng, &g, &labels, 10);
-    outln!(
+    println!(
         "proxy-task accuracy: standard {:.3}, streaming {:.3} (paper PPI: 0.549 vs 0.548)",
-        cmp.standard_accuracy,
-        cmp.streaming_accuracy
+        cmp.standard_accuracy, cmp.streaming_accuracy
     );
 }
 
@@ -204,5 +203,5 @@ pub fn table11() {
     ]);
     t.note("paper: 60.53% / 35.07% / 22.48% / 39.29% / 40.00% / 12.50%");
     let max = PocDesign::table10().max_cores_fitting(&Vu13p::default());
-    outln!("scale-up headroom: up to {max} AxE cores fit the device");
+    println!("scale-up headroom: up to {max} AxE cores fit the device");
 }

@@ -1,7 +1,7 @@
 //! PoC measurement experiments: Figure 14 (FPGA vs per-vCPU sampling
 //! rate) and Figure 15 (analytical model validation against the DES).
 
-use crate::util::{banner, eng, metric_cell, outln, par_map, Table, Telemetry};
+use crate::util::{banner, eng, metric_cell, Table, Telemetry};
 use lsdgnn_core::axe::{AccessEngine, AxeConfig};
 use lsdgnn_core::faas::perf::{bottleneck_rates, PerfInputs};
 use lsdgnn_core::framework::CpuClusterModel;
@@ -49,7 +49,7 @@ pub fn fig14(scale_nodes: u64, batches: u32, tel: &mut Telemetry) {
         ]);
     }
     let geomean = (log_sum / PAPER_DATASETS.len() as f64).exp();
-    outln!("geomean vCPU equivalence: {geomean:.0} (paper: one FPGA ~ 894 vCPUs)");
+    println!("geomean vCPU equivalence: {geomean:.0} (paper: one FPGA ~ 894 vCPUs)");
 
     // The same workload served functionally through the serving stack:
     // the backend constructor is the single line that changes between
@@ -174,7 +174,7 @@ pub fn fig15(scale_nodes: u64, batches: u32) {
             }
         }
     }
-    let results = par_map(grid, |(nodes, mem_name, chans, cores)| {
+    let results = grid.into_iter().map(|(nodes, mem_name, chans, cores)| {
         let tier = poc_tier(chans);
         let cfg = AxeConfig::poc()
             .with_cores(cores)
@@ -218,7 +218,7 @@ pub fn fig15(scale_nodes: u64, batches: u32) {
         ]);
     }
     let mean_err = errs.iter().sum::<f64>() / errs.len() as f64;
-    outln!(
+    println!(
         "mean |model - DES| error: {:.1}% over {} configurations (paper reports ~1% against its PoC)",
         mean_err * 100.0,
         errs.len()

@@ -8,7 +8,6 @@
 //! run still leaves the evidence of which gate broke and by how much.
 //! [`check`] reads committed records back (`bench check BENCH_*.json`).
 
-use crate::util::outln;
 use lsdgnn_core::telemetry::Json;
 
 pub(crate) struct Report {
@@ -43,7 +42,7 @@ impl Report {
     /// Records an exact gate: whether it held, what was observed and the
     /// bound it was held to.
     pub(crate) fn gate(&mut self, name: &str, ok: bool, observed: Json, bound: &str) {
-        outln!(
+        println!(
             "  gate {name}: {} (observed {}, bound {bound})",
             if ok { "ok" } else { "FAILED" },
             observed.render()
@@ -64,7 +63,7 @@ impl Report {
         self.fields
             .push(("gates".to_string(), Json::Arr(self.gates)));
         std::fs::write(out, Json::Obj(self.fields).render()).expect("write bench artifact");
-        outln!("wrote {out}");
+        println!("wrote {out}");
         assert!(
             self.failed.is_empty(),
             "gates failed: {} (see {out})",
@@ -83,9 +82,9 @@ pub(crate) fn check(paths: &[String]) -> bool {
             .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
             .and_then(|record| check_record(&record));
         match verdict {
-            Ok(gates) => outln!("ok      {path}: full run, {gates} gates ok"),
+            Ok(gates) => println!("ok      {path}: full run, {gates} gates ok"),
             Err(why) => {
-                outln!("FAILED  {path}: {why}");
+                println!("FAILED  {path}: {why}");
                 all_ok = false;
             }
         }

@@ -9,7 +9,7 @@
 //! Complete (`ph == "X"`) events aggregate by `(cat, name)`; instants
 //! and counters are tallied but carry no duration.
 
-use crate::util::{outln, Table};
+use crate::util::Table;
 use lsdgnn_core::telemetry::Json;
 
 /// One span name's aggregate across the trace.
@@ -92,9 +92,9 @@ pub fn trace_report(path: &str) {
         std::process::exit(2);
     });
     let (rows, instants, counters) = summarize(&doc);
-    outln!("trace report: {path}");
+    println!("trace report: {path}");
     if rows.is_empty() {
-        outln!("  no complete (ph=X) span events");
+        println!("  no complete (ph=X) span events");
     } else {
         let table = Table::new(
             &["cat", "span", "count", "total_ms", "mean_us", "max_us"],
@@ -111,7 +111,7 @@ pub fn trace_report(path: &str) {
             ]);
         }
     }
-    outln!("  ({instants} instants, {counters} counter samples)");
+    println!("  ({instants} instants, {counters} counter samples)");
 }
 
 #[cfg(test)]

@@ -21,10 +21,10 @@
 //! service's byte-for-byte (overload control is pay-for-what-you-use);
 //! (b) an open-loop trace replay through bucket-limited admission, whose
 //! verdict counts are a pure function of the trace's virtual arrival
-//! times and therefore replay identically at any `--jobs` count.
+//! times and therefore replay identically.
 //!
 //! Nothing in the artifact reads a clock, so it is byte-identical across
-//! runs and `--jobs` counts (`tests/jobs_parity.rs`).
+//! runs (`ci.sh` `cmp`s a full run with `BENCH_traffic.json`).
 //!
 //! Gates (written by `report.rs`): `digests_match`, the open-loop leg's
 //! `open_loop_refusals_best_effort_only` and `open_loop_bounds_respected`,
@@ -33,7 +33,7 @@
 //! `autoscaler_cost_ok`.
 
 use crate::report::{hex, Report};
-use crate::util::{outln, par_map, Table};
+use crate::util::Table;
 use crate::workload::{
     digest_replies, small_backend, small_request, SMALL_NODES, SMALL_PARTITIONS,
 };
@@ -516,7 +516,7 @@ fn report_json(r: &PolicyReport) -> Json {
 /// Runs the sweep and writes the artifact to `out`.
 pub fn traffic(quick: bool, seed: u64, out: &str) {
     let requests = if quick { QUICK_REQUESTS } else { FULL_REQUESTS };
-    outln!(
+    println!(
         "traffic sweep: seed {seed}, burstiness x tenant-mix x policy over a \
          {SIM_CARDS}-card modeled fleet, live legs on {SMALL_NODES} nodes / {SMALL_PARTITIONS} \
          partitions"
@@ -524,7 +524,7 @@ pub fn traffic(quick: bool, seed: u64, out: &str) {
 
     // -- live leg 1: no shaping must replay the plain service.
     let (plain_digest, shaped_digest) = no_shaping_digests(requests);
-    outln!(
+    println!(
         "  no-shaping leg: plain service {}, unlimited admission {}",
         hex(plain_digest),
         hex(shaped_digest)
@@ -537,7 +537,7 @@ pub fn traffic(quick: bool, seed: u64, out: &str) {
         .filter(|p| **p != Priority::BestEffort)
         .map(|p| live.rejected[p.index()] + live.shed[p.index()])
         .sum();
-    outln!(
+    println!(
         "  open-loop leg: {} arrivals, {} admitted / {} rejected (best-effort bucket), digest {}",
         live.arrivals,
         live.accepted.iter().sum::<u64>(),
@@ -558,7 +558,10 @@ pub fn traffic(quick: bool, seed: u64, out: &str) {
             cell_inputs.push((b, m));
         }
     }
-    let cells = par_map(cell_inputs, |(b, m)| run_sim_cell(seed, quick, b, m));
+    let cells: Vec<_> = cell_inputs
+        .into_iter()
+        .map(|(b, m)| run_sim_cell(seed, quick, b, m))
+        .collect();
 
     let table = Table::new(
         &[

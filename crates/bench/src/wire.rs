@@ -22,7 +22,6 @@
 //! (`wire.delta_sample_us`, `mof.*`).
 
 use crate::report::Report;
-use crate::util::outln;
 use crate::workload::{fold, graph, placement, request, ROOTS_PER_REQ};
 use lsdgnn_core::framework::{
     CpuBackend, RequestStats, SampleRequest, SamplingBackend, WireConfig, WireSnapshot,
@@ -214,7 +213,7 @@ pub fn wire(quick: bool, seed: u64, out_path: &str) {
     // placement with its ids scrambled. Ownership rides through the
     // permutation, so the local/remote split is identical in every arm.
     let (pg_b, s_perm) = pg0.reorder(ReorderPolicy::Random { seed });
-    outln!(
+    println!(
         "wire bench: {nodes} nodes, seed {seed}, {verify} requests x {ROOTS_PER_REQ} roots, \
          scrambled baseline -> reorder x compression sweep"
     );
@@ -306,7 +305,7 @@ pub fn wire(quick: bool, seed: u64, out_path: &str) {
 
     for a in &arms {
         let snap = a.snap.unwrap_or_default();
-        outln!(
+        println!(
             "  {:<18} digest {:016x}  line {:.3}  page {:.3}  ratio {:.2}x  occ {:.2}  \
              wire {:>9} B",
             a.label,

@@ -16,7 +16,7 @@
 //!   explicit sorted schedule, and every stochastic decision is a pure
 //!   function of `(seed, stream, entity, index)` ([`ChaosRng`]) — no
 //!   hidden RNG state, so decisions are identical in any thread
-//!   interleaving and at any `--jobs` count.
+//!   interleaving.
 //! * [`FaultInjector`] is the handle components hold: same queries,
 //!   plus lock-free [`FaultStats`] counters that register into the
 //!   telemetry [`Registry`](lsdgnn_telemetry::Registry).

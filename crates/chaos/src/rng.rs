@@ -2,7 +2,7 @@
 //!
 //! Fault injection must be *replayable byte-for-byte*: the decision "does
 //! transmission #17 on link 3 get dropped?" has to come out the same on
-//! every run, in any thread interleaving, at any `--jobs` count. A
+//! every run, in any thread interleaving. A
 //! stateful RNG cannot give that — the answer would depend on how many
 //! draws happened before. Instead every decision is a pure function of
 //! `(plan seed, stream, index)`: a splitmix64-style finalizer hashes the

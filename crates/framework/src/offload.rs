@@ -31,34 +31,29 @@ pub enum SamplerBackend {
 pub struct AxeBackend {
     graph: Arc<CsrGraph>,
     attributes: Arc<AttributeStore>,
-    method: SampleMethod,
     stats: Mutex<RequestStats>,
 }
 
 impl std::fmt::Debug for AxeBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AxeBackend")
-            .field("method", &self.method)
+            .field("method", &Self::METHOD)
             .finish()
     }
 }
 
 impl AxeBackend {
-    /// Creates a backend over shared graph data, sampling with the
-    /// paper's default streaming method (Tech-2).
+    /// The sampling method every request runs: the paper's streaming
+    /// method (Tech-2).
+    const METHOD: SampleMethod = SampleMethod::Streaming;
+
+    /// Creates a backend over shared graph data.
     pub fn new(graph: Arc<CsrGraph>, attributes: Arc<AttributeStore>) -> Self {
         AxeBackend {
             graph,
             attributes,
-            method: SampleMethod::Streaming,
             stats: Mutex::new(RequestStats::default()),
         }
-    }
-
-    /// Selects the sampling method (streaming vs conventional).
-    pub fn with_method(mut self, method: SampleMethod) -> Self {
-        self.method = method;
-        self
     }
 
     /// Executes an arbitrary Table 4 command against this backend's
@@ -75,7 +70,7 @@ impl SamplingBackend for AxeBackend {
                 roots: req.roots.clone(),
                 hops: req.hops,
                 fanout: req.fanout,
-                method: self.method,
+                method: Self::METHOD,
                 with_attributes: false,
             },
             req.seed,

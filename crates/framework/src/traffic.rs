@@ -294,11 +294,6 @@ impl TrafficTrace {
         peak as f64 / (window_us as f64 / 1e6)
     }
 
-    /// Total work (node expansions) the trace asks for.
-    pub fn total_work(&self) -> f64 {
-        self.arrivals.iter().map(Arrival::work_samples).sum()
-    }
-
     /// FNV-1a fingerprint of the full schedule — the replay identity
     /// `bench traffic` gates on.
     pub fn digest(&self) -> u64 {

@@ -167,8 +167,10 @@ fn delta_encoding(mut words: impl Iterator<Item = u64>) -> Option<(u8, bool)> {
 ///
 /// # Errors
 ///
-/// Returns [`MofError::Malformed`] if the block's internal lengths are
-/// inconsistent.
+/// Returns [`MofError::Malformed`] if the block is inconsistent: its
+/// delta count differs from its word count, its delta width is not one
+/// [`bdi_compress`] emits, a delta does not fit that width, or a delta
+/// carries its word outside `u64`.
 pub fn bdi_decompress(block: &CompressedBlock) -> Result<Vec<u64>, MofError> {
     match block {
         CompressedBlock::Raw(words) => Ok(words.clone()),
@@ -178,27 +180,55 @@ pub fn bdi_decompress(block: &CompressedBlock) -> Result<Vec<u64>, MofError> {
             deltas,
             count,
         } => {
+            if !matches!(delta_width, 0 | 1 | 2 | 4) {
+                return Err(MofError::Malformed("bad delta width"));
+            }
             if *delta_width == 0 {
-                return Ok(vec![*base; *count]);
+                return if deltas.is_empty() {
+                    Ok(vec![*base; *count])
+                } else {
+                    Err(MofError::Malformed("delta count mismatch"))
+                };
             }
             if deltas.len() != *count {
                 return Err(MofError::Malformed("delta count mismatch"));
             }
-            Ok(deltas.iter().map(|&d| base + d as u64).collect())
+            let bits = 8 * u32::from(*delta_width);
+            deltas
+                .iter()
+                .map(|&d| {
+                    if bits < 32 && d >> bits != 0 {
+                        return Err(MofError::Malformed("delta wider than its width"));
+                    }
+                    base.checked_add(u64::from(d))
+                        .ok_or(MofError::Malformed("delta overflows base"))
+                })
+                .collect()
         }
         CompressedBlock::SignedBaseDelta {
             base,
+            delta_width,
             deltas,
             count,
-            ..
         } => {
+            if !matches!(delta_width, 1 | 2 | 4) {
+                return Err(MofError::Malformed("bad delta width"));
+            }
             if deltas.len() != *count {
                 return Err(MofError::Malformed("delta count mismatch"));
             }
-            Ok(deltas
+            let bits = 8 * u32::from(*delta_width);
+            deltas
                 .iter()
-                .map(|&d| base.wrapping_add(d as i64 as u64))
-                .collect())
+                .map(|&d| {
+                    let half = 1i64 << (bits - 1);
+                    if !(-half..half).contains(&i64::from(d)) {
+                        return Err(MofError::Malformed("delta wider than its width"));
+                    }
+                    base.checked_add_signed(i64::from(d))
+                        .ok_or(MofError::Malformed("delta overflows base"))
+                })
+                .collect()
         }
     }
 }
@@ -420,6 +450,92 @@ mod tests {
         let block = bdi_compress(&[42; 64]);
         assert_eq!(block.compressed_bytes(), 9);
         assert_eq!(bdi_decompress(&block).unwrap(), vec![42; 64]);
+    }
+
+    #[test]
+    fn delta_overflowing_base_is_malformed() {
+        let block = CompressedBlock::BaseDelta {
+            base: u64::MAX,
+            delta_width: 1,
+            deltas: vec![1],
+            count: 1,
+        };
+        assert!(matches!(
+            bdi_decompress(&block),
+            Err(MofError::Malformed(_))
+        ));
+        let block = CompressedBlock::SignedBaseDelta {
+            base: 0,
+            delta_width: 1,
+            deltas: vec![-1],
+            count: 1,
+        };
+        assert!(matches!(
+            bdi_decompress(&block),
+            Err(MofError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn width_bdi_compress_never_emits_is_malformed() {
+        for delta_width in [3u8, 5, 8] {
+            let block = CompressedBlock::BaseDelta {
+                base: 7,
+                delta_width,
+                deltas: vec![1],
+                count: 1,
+            };
+            assert!(matches!(
+                bdi_decompress(&block),
+                Err(MofError::Malformed(_))
+            ));
+        }
+        for delta_width in [0u8, 3] {
+            let block = CompressedBlock::SignedBaseDelta {
+                base: 7,
+                delta_width,
+                deltas: vec![1],
+                count: 1,
+            };
+            assert!(matches!(
+                bdi_decompress(&block),
+                Err(MofError::Malformed(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn delta_wider_than_its_width_is_malformed() {
+        let block = CompressedBlock::BaseDelta {
+            base: 7,
+            delta_width: 1,
+            deltas: vec![1, 256],
+            count: 2,
+        };
+        assert!(matches!(
+            bdi_decompress(&block),
+            Err(MofError::Malformed(_))
+        ));
+        let block = CompressedBlock::SignedBaseDelta {
+            base: 1 << 40,
+            delta_width: 2,
+            deltas: vec![-1, -32_769],
+            count: 2,
+        };
+        assert!(matches!(
+            bdi_decompress(&block),
+            Err(MofError::Malformed(_))
+        ));
+        let block = CompressedBlock::BaseDelta {
+            base: 7,
+            delta_width: 0,
+            deltas: vec![1],
+            count: 1,
+        };
+        assert!(matches!(
+            bdi_decompress(&block),
+            Err(MofError::Malformed(_))
+        ));
     }
 
     #[test]

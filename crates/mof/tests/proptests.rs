@@ -4,8 +4,8 @@
 
 use lsdgnn_mof::frame::crc32;
 use lsdgnn_mof::{
-    MofError, PackingScheme, ReadRequestPackage, ReadResponsePackage, ReliableChannel,
-    WriteRequestPackage,
+    bdi_compress, bdi_decompress, CompressedBlock, MofError, PackingScheme, ReadRequestPackage,
+    ReadResponsePackage, ReliableChannel, WriteRequestPackage,
 };
 use proptest::prelude::*;
 
@@ -19,7 +19,90 @@ fn decode_all(frame: &[u8]) -> [Result<Vec<u8>, MofError>; 3] {
     ]
 }
 
+/// A block of any variant from raw picks: `shape` chooses the variant
+/// (Raw, BaseDelta, SignedBaseDelta), where the base sits (anywhere,
+/// near 0, near `u64::MAX`), the delta width (mostly one `bdi_compress`
+/// emits, one time in four 3, 5, 8 or 255), whether each delta is masked
+/// to that width (so most blocks get past the width check) and whether
+/// the delta count is `count` or one more.
+fn arbitrary_block(shape: u64, count: usize, raw: &[u64]) -> CompressedBlock {
+    let base = match (shape >> 2) % 3 {
+        0 => raw[0],
+        1 => raw[0] % 300,
+        _ => u64::MAX - raw[0] % 300,
+    };
+    let width = [0u8, 1, 2, 4, 0, 1, 2, 4, 0, 1, 2, 4, 3, 5, 8, 255][(shape >> 4) as usize % 16];
+    let masked = !(shape >> 8).is_multiple_of(4);
+    let len = if (shape >> 10).is_multiple_of(4) {
+        count + 1
+    } else {
+        count
+    }
+    .min(raw.len());
+    let bits = 8 * u32::from(width);
+    let fit = |w: u64| -> u64 {
+        if masked && bits < 64 {
+            w & ((1u64 << bits) - 1)
+        } else {
+            w
+        }
+    };
+    match shape % 3 {
+        0 => CompressedBlock::Raw(raw[..count.min(raw.len())].to_vec()),
+        1 => CompressedBlock::BaseDelta {
+            base,
+            delta_width: width,
+            deltas: if width == 0 && masked {
+                Vec::new()
+            } else {
+                raw[..len].iter().map(|&w| fit(w) as u32).collect()
+            },
+            count,
+        },
+        _ => CompressedBlock::SignedBaseDelta {
+            base,
+            delta_width: width,
+            // Masked to the width, then sign-extended from its top bit.
+            deltas: raw[..len]
+                .iter()
+                .map(|&w| {
+                    let d = fit(w) as u32;
+                    if masked && (1..32).contains(&bits) {
+                        ((d << (32 - bits)) as i32) >> (32 - bits)
+                    } else {
+                        d as i32
+                    }
+                })
+                .collect(),
+            count,
+        },
+    }
+}
+
 proptest! {
+    /// Any block, consistent or not, never panics `bdi_decompress`:
+    /// it is refused as `Malformed` or decompresses to `count` words
+    /// that survive a compress/decompress round trip unchanged.
+    #[test]
+    fn bdi_decompress_never_panics_on_any_block(
+        shapes in proptest::collection::vec(any::<u64>(), 8),
+        count in 0usize..257,
+        raw in proptest::collection::vec(any::<u64>(), 257),
+    ) {
+        for shape in shapes {
+            match bdi_decompress(&arbitrary_block(shape, count, &raw)) {
+                Err(MofError::Malformed(_)) => {}
+                Err(other) => prop_assert!(false, "unexpected error {:?}", other),
+                Ok(words) => {
+                    prop_assert_eq!(words.len(), count);
+                    if !words.is_empty() {
+                        prop_assert_eq!(bdi_decompress(&bdi_compress(&words)).unwrap(), words);
+                    }
+                }
+            }
+        }
+    }
+
     /// Arbitrary byte soup never panics the decoders, and whatever one
     /// accepts re-encodes to exactly the bytes it was given.
     #[test]

@@ -1,11 +1,21 @@
 //! Property-based tests for the RISC-V interpreter: the ALU matches
-//! Rust's arithmetic, and encode/decode round-trips.
+//! Rust's arithmetic, encode/decode round-trips, and the decoder takes
+//! any word without panicking.
 
 use lsdgnn_riscv::isa::{decode, encode, Instruction};
 use lsdgnn_riscv::{assemble, Cpu};
 use proptest::prelude::*;
 
 proptest! {
+    /// Any 32-bit word, garbage included, decodes to an instruction or
+    /// an error and never panics.
+    #[test]
+    fn decode_never_panics_on_any_word(words in proptest::collection::vec(any::<u32>(), 1024)) {
+        for w in words {
+            let _ = decode(w);
+        }
+    }
+
     /// R-type encodings round-trip through the decoder.
     #[test]
     fn r_type_round_trips(rd in 0u8..32, rs1 in 0u8..32, rs2 in 0u8..32, f3 in 0u8..8) {

@@ -11,8 +11,7 @@
 //!
 //! Recording is off the hot path by construction: threads buffer events
 //! in a private [`LedgerHandle`] (one `Vec` push per event, no locks)
-//! and merge into the shared store at explicit flush points — the same
-//! idiom as the bench harness's `--jobs` telemetry merge. The shared
+//! and merge into the shared store at explicit flush points. The shared
 //! store is a bounded ring: when full, the *oldest* events evict first,
 //! so the ledger is an always-on flight recorder rather than a
 //! grows-forever log.
@@ -33,7 +32,7 @@
 //!
 //! Determinism: [`LedgerSnapshot`] orders events canonically (trace,
 //! timestamp, stage rank), so two runs that record the same event set —
-//! regardless of thread interleaving or `--jobs` fan-out — produce
+//! regardless of thread interleaving — produce
 //! byte-identical snapshots and equal [`LedgerSnapshot::digest`]s.
 
 use crate::json::Json;
@@ -491,7 +490,7 @@ impl RequestLedger {
     /// A canonically-ordered, self-contained copy of everything recorded
     /// so far. Ordering is (trace, timestamp, stage rank, shard, detail)
     /// — independent of which thread flushed first, so equal event sets
-    /// snapshot byte-identically at any `--jobs` count.
+    /// snapshot byte-identically.
     pub fn snapshot(&self) -> LedgerSnapshot {
         let chaos = self.chaos();
         let s = self.store();

@@ -127,13 +127,6 @@ impl Snapshot {
         self.metrics.push(metric);
     }
 
-    /// Appends every metric of `other`, preserving its internal order —
-    /// the merge primitive for combining per-worker snapshots into one
-    /// deterministic export.
-    pub fn extend(&mut self, other: Snapshot) {
-        self.metrics.extend(other.metrics);
-    }
-
     /// Serializes the snapshot to JSON.
     pub fn to_json(&self) -> String {
         let metrics = self
@@ -656,25 +649,6 @@ mod tests {
         let snap = reg.snapshot();
         let parsed = Snapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(parsed, snap);
-    }
-
-    #[test]
-    fn snapshot_extend_preserves_order() {
-        let mut a = Snapshot::new();
-        a.push(Metric {
-            name: "first".into(),
-            labels: vec![],
-            value: MetricValue::Counter(1),
-        });
-        let mut b = Snapshot::new();
-        b.push(Metric {
-            name: "second".into(),
-            labels: vec![],
-            value: MetricValue::Counter(2),
-        });
-        a.extend(b);
-        let names: Vec<&str> = a.metrics().iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, ["first", "second"]);
     }
 
     #[test]

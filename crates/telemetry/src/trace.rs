@@ -234,21 +234,6 @@ impl Tracer {
         });
     }
 
-    /// Appends already-built events (e.g. drained from a worker thread's
-    /// private tracer) into this buffer, respecting its capacity — the
-    /// ring evicts its oldest events on overflow, counted as dropped
-    /// exactly like locally recorded events.
-    pub fn absorb(&self, events: Vec<TraceEvent>) {
-        let mut buf = self.buf.lock().expect("trace buffer lock");
-        for ev in events {
-            if buf.events.len() >= buf.capacity {
-                buf.events.pop_front();
-                buf.dropped += 1;
-            }
-            buf.events.push_back(ev);
-        }
-    }
-
     /// Events currently buffered.
     pub fn len(&self) -> usize {
         self.buf.lock().expect("trace buffer lock").events.len()
@@ -398,35 +383,6 @@ mod tests {
         let ts: Vec<f64> = t.events().iter().map(|e| e.ts_us).collect();
         assert_eq!(ts, vec![4.0, 5.0, 6.0]);
         assert_eq!(t.dropped(), 4);
-    }
-
-    #[test]
-    fn absorb_overflow_also_evicts_oldest_first() {
-        let main = Tracer::with_capacity(2);
-        main.instant("x", "old", 1, 0, 0.0);
-        let worker = Tracer::new();
-        worker.instant("x", "new-a", 1, 0, 1.0);
-        worker.instant("x", "new-b", 1, 0, 2.0);
-        main.absorb(worker.events());
-        assert_eq!(main.len(), 2);
-        assert_eq!(main.dropped(), 1);
-        let names: Vec<String> = main.events().into_iter().map(|e| e.name).collect();
-        // "old" was evicted; the absorbed events survive in order.
-        assert_eq!(names, vec!["new-a", "new-b"]);
-    }
-
-    #[test]
-    fn absorb_merges_and_respects_capacity() {
-        let main = Tracer::with_capacity(3);
-        main.instant("x", "local", 1, 0, 0.0);
-        let worker = Tracer::new();
-        for i in 0..4 {
-            worker.instant("x", "remote", 1, 0, i as f64);
-        }
-        main.absorb(worker.events());
-        assert_eq!(main.len(), 3);
-        assert_eq!(main.dropped(), 2);
-        assert_eq!(main.events()[1].name, "remote");
     }
 
     #[test]
