@@ -58,9 +58,9 @@ fi
 
 # End to end: sample a release binary that runs for more than a
 # CPU-second (fig14 at 100 000 nodes: about two), symbolise the dump,
-# and require a non-empty "by outermost function" table. The binary is
-# run directly, not through `cargo run`, so the preloaded sampler
-# profiles it rather than cargo.
+# and require its rate line and a non-empty "by outermost function"
+# table. The binary is run directly, not through `cargo run`, so the
+# preloaded sampler profiles it rather than cargo.
 step "tools/sigprof: profile fig14 and symbolise it"
 missing=""
 for tool in python3 addr2line readelf; do
@@ -81,6 +81,10 @@ else
         END { print n + 0 }' target/sigprof/fig14.txt)
     cat target/sigprof/fig14.txt
     [ "$rows" -gt 0 ] || { echo "FAIL: sigprof found no function in the fig14 profile"; exit 1; }
+    # The first line states the rate reached against the one asked for.
+    head -1 target/sigprof/fig14.txt \
+        | grep -Eq '^[0-9]+ samples over [0-9.]+ CPU-s \([0-9]+ Hz effective, [0-9]+ requested\)$' \
+        || { echo "FAIL: sigprof did not report its effective rate"; exit 1; }
 fi
 
 step "telemetry smoke: fig14 with --metrics-out/--trace-out"

@@ -50,7 +50,6 @@ fn bench_cluster_sampling(c: &mut Criterion) {
         });
     });
     group.finish();
-    cluster.shutdown();
 }
 
 criterion_group!(

@@ -194,7 +194,11 @@ fn main() {
         return;
     }
     if args.iter().any(|a| a == "trace-report") {
-        let path = args.iter().find(|a| *a != "trace-report").cloned().or(out);
+        let mut files = args.iter().filter(|a| *a != "trace-report");
+        let path = files.next().cloned().or(out);
+        if let Some(extra) = files.next() {
+            usage_and_exit(extra);
+        }
         match path {
             Some(p) => trace_report::trace_report(&p),
             None => {

@@ -1,5 +1,6 @@
 //! Smoke runs of the bench binary: each serving bench at `--quick`
-//! under two seeds, and the DES-only ablations with `--metrics-out`.
+//! under two seeds, the DES-only ablations with `--metrics-out`, and
+//! `trace-report`'s refusal of a second file.
 //! Run-to-run identity at a fixed seed is checked by `ci.sh`, which
 //! `cmp`s a full run of each serving bench with its committed
 //! `BENCH_<name>.json`.
@@ -39,6 +40,23 @@ fn ablations_export_their_metrics() {
         "stdout lacks the `wrote N metrics` line:\n{stdout}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `trace-report` summarises one trace file: a second one is refused
+/// with the usage text and exit code 2, before any file is read.
+#[test]
+fn trace_report_refuses_a_second_file() {
+    let out = Command::new(env!("CARGO_BIN_EXE_lsdgnn-bench"))
+        .args(["trace-report", "a.json", "b.json"])
+        .output()
+        .expect("spawn bench binary");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown argument `b.json`")
+            && stderr.contains("trace-report <trace.json>"),
+        "{stderr}"
+    );
 }
 
 /// Runs `<bench> --quick --seed <seed>`, returning the artifact.

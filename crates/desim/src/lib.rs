@@ -48,5 +48,5 @@ pub use fifo::{Fifo, FifoStats};
 pub use resource::{BandwidthResource, BandwidthStats, LatencyPipe, Server, ServerStats};
 pub use rng::DetRng;
 pub use sim::Simulation;
-pub use stats::{Counter, Histogram, ThroughputMeter, TimeWeighted};
+pub use stats::{Counter, ThroughputMeter, TimeWeighted};
 pub use time::{Clock, Time};

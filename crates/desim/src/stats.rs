@@ -1,5 +1,6 @@
-//! Measurement primitives: counters, log-scale histograms, time-weighted
-//! averages and throughput meters.
+//! Measurement primitives: counters, time-weighted averages and
+//! throughput meters. Latency-like samples go into
+//! `lsdgnn_telemetry::Log2Histogram`.
 
 use crate::time::Time;
 
@@ -36,169 +37,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0
-    }
-}
-
-/// A power-of-two bucketed histogram for latency-like samples.
-///
-/// Bucket `i` covers `[2^i, 2^(i+1))` ticks (bucket 0 also covers zero).
-///
-/// # Example
-///
-/// ```
-/// use lsdgnn_desim::{Histogram, Time};
-/// let mut h = Histogram::new();
-/// h.record(Time::from_ticks(100));
-/// h.record(Time::from_ticks(200));
-/// assert_eq!(h.count(), 2);
-/// assert_eq!(h.mean().as_ticks(), 150);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    count: u64,
-    sum: u128,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: [0; 64],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: Time) {
-        let t = sample.as_ticks();
-        let idx = if t == 0 {
-            0
-        } else {
-            63 - t.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += t as u128;
-        self.min = self.min.min(t);
-        self.max = self.max.max(t);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (zero if empty).
-    pub fn mean(&self) -> Time {
-        if self.count == 0 {
-            Time::ZERO
-        } else {
-            Time::from_ticks((self.sum / self.count as u128) as u64)
-        }
-    }
-
-    /// Smallest sample (zero if empty).
-    pub fn min(&self) -> Time {
-        if self.count == 0 {
-            Time::ZERO
-        } else {
-            Time::from_ticks(self.min)
-        }
-    }
-
-    /// Largest sample.
-    pub fn max(&self) -> Time {
-        Time::from_ticks(self.max)
-    }
-
-    /// Approximate quantile from the bucket boundaries (upper bound of the
-    /// bucket containing the q-quantile sample).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Time {
-        assert!((0.0..=1.0).contains(&q), "quantile must be within [0, 1]");
-        if self.count == 0 {
-            return Time::ZERO;
-        }
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return Time::from_ticks(1u64 << (i + 1).min(63));
-            }
-        }
-        Time::from_ticks(self.max)
-    }
-
-    /// Interpolated `q`-percentile: linear within the containing power-of-two
-    /// bucket, clamped to the observed `[min, max]` — so an empty histogram
-    /// returns zero and a single-sample histogram returns that sample at
-    /// every `q`. Tighter than [`Histogram::quantile`], which only reports
-    /// the bucket's upper bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn percentile(&self, q: f64) -> Time {
-        assert!((0.0..=1.0).contains(&q), "percentile must be within [0, 1]");
-        if self.count == 0 {
-            return Time::ZERO;
-        }
-        // Edge quantiles are exact, not interpolated: q=0 is the smallest
-        // observed sample, q=1 the largest. (Within-bucket interpolation
-        // would otherwise report mid-bucket for q=0 whenever the first
-        // occupied bucket holds more than one sample.)
-        if q <= 0.0 {
-            return Time::from_ticks(self.min);
-        }
-        if q >= 1.0 {
-            return Time::from_ticks(self.max);
-        }
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            if seen + b >= target {
-                let lo = if i == 0 { 0u64 } else { 1u64 << i };
-                let hi = if i >= 63 { u64::MAX } else { 1u64 << (i + 1) };
-                let frac = (target - seen) as f64 / b as f64;
-                let v = lo as f64 + frac * (hi - lo) as f64;
-                return Time::from_ticks(v.clamp(self.min as f64, self.max as f64) as u64);
-            }
-            seen += b;
-        }
-        Time::from_ticks(self.max)
-    }
-
-    /// The telemetry summary of this histogram with every statistic
-    /// converted to microseconds.
-    pub fn snapshot_micros(&self) -> lsdgnn_telemetry::HistogramSnapshot {
-        lsdgnn_telemetry::HistogramSnapshot {
-            count: self.count,
-            mean: self.mean().as_micros_f64(),
-            min: self.min().as_micros_f64(),
-            max: self.max().as_micros_f64(),
-            p50: self.percentile(0.50).as_micros_f64(),
-            p90: self.percentile(0.90).as_micros_f64(),
-            p99: self.percentile(0.99).as_micros_f64(),
-        }
     }
 }
 
@@ -318,151 +156,6 @@ mod tests {
         c.add(10);
         c.incr();
         assert_eq!(c.get(), 11);
-    }
-
-    #[test]
-    fn histogram_stats() {
-        let mut h = Histogram::new();
-        for t in [1u64, 2, 4, 8, 16] {
-            h.record(Time::from_ticks(t));
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.min(), Time::from_ticks(1));
-        assert_eq!(h.max(), Time::from_ticks(16));
-        assert_eq!(h.mean(), Time::from_ticks(6));
-        assert!(h.quantile(0.5) >= Time::from_ticks(4));
-        assert!(h.quantile(1.0) >= h.max());
-    }
-
-    #[test]
-    fn histogram_empty_is_zeroed() {
-        let h = Histogram::new();
-        assert_eq!(h.mean(), Time::ZERO);
-        assert_eq!(h.min(), Time::ZERO);
-        assert_eq!(h.quantile(0.9), Time::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "within")]
-    fn bad_quantile_panics() {
-        Histogram::new().quantile(1.5);
-    }
-
-    #[test]
-    fn percentile_empty_is_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.percentile(0.5), Time::ZERO);
-        assert_eq!(h.percentile(0.99), Time::ZERO);
-    }
-
-    #[test]
-    fn percentile_single_sample_is_that_sample() {
-        let mut h = Histogram::new();
-        h.record(Time::from_ticks(1234));
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.percentile(q), Time::from_ticks(1234), "q={q}");
-        }
-    }
-
-    #[test]
-    fn percentile_crosses_buckets_monotonically() {
-        let mut h = Histogram::new();
-        // 90 samples in the [4,8) bucket, 10 in the [1024,2048) bucket.
-        for _ in 0..90 {
-            h.record(Time::from_ticks(5));
-        }
-        for _ in 0..10 {
-            h.record(Time::from_ticks(1500));
-        }
-        let p50 = h.percentile(0.50);
-        let p90 = h.percentile(0.90);
-        let p99 = h.percentile(0.99);
-        assert!(
-            p50 >= Time::from_ticks(4) && p50 < Time::from_ticks(8),
-            "p50 {p50}"
-        );
-        assert!(p50 <= p90 && p90 <= p99, "ordering {p50} {p90} {p99}");
-        assert!(p99 <= h.max() && p99 >= Time::from_ticks(1024), "p99 {p99}");
-        // Interpolated percentile never exceeds the coarse quantile bound.
-        assert!(p99 <= h.quantile(0.99));
-    }
-
-    #[test]
-    #[should_panic(expected = "within")]
-    fn bad_percentile_panics() {
-        Histogram::new().percentile(-0.1);
-    }
-
-    #[test]
-    fn percentile_edge_quantiles_hit_min_and_max_exactly() {
-        // Regression: with >1 sample in the first occupied bucket,
-        // within-bucket interpolation used to report mid-bucket for q=0.
-        let mut h = Histogram::new();
-        for t in [4u64, 7, 7, 1500] {
-            h.record(Time::from_ticks(t));
-        }
-        assert_eq!(h.percentile(0.0), Time::from_ticks(4));
-        assert_eq!(h.percentile(1.0), Time::from_ticks(1500));
-    }
-
-    #[test]
-    fn percentile_single_bucket_many_samples_stays_in_bucket() {
-        let mut h = Histogram::new();
-        // All samples in [64,128).
-        for t in [64u64, 80, 100, 127] {
-            h.record(Time::from_ticks(t));
-        }
-        assert_eq!(h.percentile(0.0), Time::from_ticks(64));
-        assert_eq!(h.percentile(1.0), Time::from_ticks(127));
-        for q in [0.1, 0.25, 0.5, 0.75, 0.9] {
-            let p = h.percentile(q);
-            assert!(p >= h.min() && p <= h.max(), "q={q} p={p}");
-        }
-    }
-
-    #[test]
-    fn percentile_properties_hold_for_pseudorandom_populations() {
-        // Property sweep over deterministic pseudo-random populations:
-        // for every q in [0,1], min <= percentile(q) <= max; percentile
-        // is monotone in q; q=0 and q=1 are exact.
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for pop in 0..16 {
-            let mut h = Histogram::new();
-            let n = 1 + (pop * 17) % 200;
-            for _ in 0..n {
-                h.record(Time::from_ticks(next() % 1_000_000));
-            }
-            let qs: Vec<f64> = (0..=20).map(|i| i as f64 / 20.0).collect();
-            let mut prev = Time::ZERO;
-            for &q in &qs {
-                let p = h.percentile(q);
-                assert!(p >= h.min(), "pop={pop} q={q}: {p} < min {}", h.min());
-                assert!(p <= h.max(), "pop={pop} q={q}: {p} > max {}", h.max());
-                assert!(p >= prev, "pop={pop} q={q}: not monotone");
-                prev = p;
-            }
-            assert_eq!(h.percentile(0.0), h.min(), "pop={pop}");
-            assert_eq!(h.percentile(1.0), h.max(), "pop={pop}");
-        }
-    }
-
-    #[test]
-    fn snapshot_micros_converts_units() {
-        let mut h = Histogram::new();
-        h.record(Time::from_micros(100));
-        h.record(Time::from_micros(300));
-        let s = h.snapshot_micros();
-        assert_eq!(s.count, 2);
-        assert!((s.mean - 200.0).abs() < 1e-9);
-        assert!((s.min - 100.0).abs() < 1e-9);
-        assert!((s.max - 300.0).abs() < 1e-9);
-        assert!(s.p50 >= s.min && s.p99 <= s.max);
     }
 
     #[test]

@@ -214,8 +214,8 @@ pub trait SamplingBackend: Send + Sync {
     fn defer_attr_fetch(&self) {}
 }
 
-/// The AliGraph CPU path: a [`Cluster`] of server threads behind the
-/// backend interface.
+/// The AliGraph CPU path: a partitioned [`Cluster`] behind the backend
+/// interface.
 ///
 /// Requests run on the cluster's flat-buffer data plane (coalesced,
 /// pooled, zero-copy local reads) — the substrate's one sampling path.

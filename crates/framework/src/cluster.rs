@@ -1,5 +1,8 @@
-//! The distributed graph service: server threads own partitions, workers
-//! traverse and sample through channels.
+//! The distributed graph service: partitions own disjoint node ranges,
+//! and a worker traverses and samples across them. The server side of a
+//! remote leg runs on the worker that issues it, copying lists and rows
+//! into pooled reply buffers as a remote server would; the wire plane
+//! charges the link for those bytes.
 //!
 //! # The flat-buffer data plane
 //!
@@ -11,7 +14,7 @@
 //! the expansion alone. Both are built around three ideas, mirroring how
 //! the paper's AxE moves data:
 //!
-//! * **Flat buffers** — servers answer neighbor requests with one
+//! * **Flat buffers** — a remote leg answers neighbor requests with one
 //!   `offsets` array plus one flat `nodes` array (CSR shape), and the
 //!   sampled result is a [`SampleBlock`] in the same shape. No
 //!   `Vec<Vec<_>>` per batch, no per-node allocations.
@@ -21,7 +24,7 @@
 //!   Sampling still runs per frontier *entry* with the per-request RNG,
 //!   so results are byte-identical to uncoalesced sampling.
 //! * **Zero-copy local reads** — frontier nodes owned by the worker's
-//!   co-located partition never cross a channel: their neighbor lists are
+//!   co-located partition never join a remote leg: their neighbor lists are
 //!   [`Span::Csr`] ranges borrowed straight from the shared CSR target
 //!   array.
 //!
@@ -38,7 +41,6 @@
 use crate::backend::{SampleOutcome, SampleRequest};
 use crate::hot_cache::{CacheConfig, CacheSnapshot, HotSetCache, ShardedTier};
 use crate::pool::BufferPool;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use lsdgnn_graph::mem::{prefetch_read, prefetch_row};
 use lsdgnn_graph::{NodeId, PartitionId, PartitionedGraph};
 use lsdgnn_memfabric::LinkModel;
@@ -51,50 +53,7 @@ use lsdgnn_telemetry::ledger::{self, Stage};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// A server's answer to a neighbor request: CSR-shaped (one boundary per
-/// requested node into one flat array), plus the request buffer handed
-/// back for recycling.
-struct NeighborsReply {
-    /// `nodes.len() + 1` boundaries starting at 0.
-    offsets: Vec<u32>,
-    /// All neighbor lists, concatenated in request order.
-    flat: Vec<NodeId>,
-    /// The request's node buffer, returned for the pool.
-    request: Vec<NodeId>,
-}
-
-/// A server's answer to an attribute gather, with the request buffer
-/// handed back for recycling.
-struct AttrsReply {
-    attrs: Vec<f32>,
-    request: Vec<NodeId>,
-}
-
-/// Requests a server shard handles.
-enum Request {
-    /// Neighbor lists for a batch of nodes this server owns, answered
-    /// as one flat buffer.
-    Neighbors {
-        nodes: Vec<NodeId>,
-        reply: Sender<NeighborsReply>,
-    },
-    /// Attribute gather for owned nodes.
-    Attrs {
-        nodes: Vec<NodeId>,
-        reply: Sender<AttrsReply>,
-    },
-    Shutdown,
-}
-
-/// Per-server request-queue depth. Bounded so a storm of workers blocks
-/// at the send (backpressure) instead of growing server queues without
-/// limit — the serving-layer discipline the §2.4 heavy-traffic scenario
-/// requires end to end.
-const SERVER_QUEUE_DEPTH: usize = 64;
 
 /// Local/remote request accounting of one operation (feeds the
 /// Figure 2(b)/(c) characterization).
@@ -746,18 +705,16 @@ fn frontier(block: &SampleBlock, h: u32) -> &[NodeId] {
     }
 }
 
-/// A running cluster: one server thread per partition, the caller acting
-/// as the worker co-located with partition 0.
+/// A running cluster: the caller acts as the worker co-located with
+/// partition 0 and serves each remote leg it issues on its own thread.
 pub struct Cluster {
-    graph: Arc<PartitionedGraph>,
-    pool: Arc<BufferPool>,
-    senders: Vec<Sender<Request>>,
-    handles: Vec<JoinHandle<()>>,
+    graph: PartitionedGraph,
+    pool: BufferPool,
     worker_partition: PartitionId,
-    /// Partitions whose server has crashed (or been failed by chaos
-    /// injection). Requests routed to a down partition are answered with
-    /// empty neighbor lists / zeroed attributes and counted as
-    /// [`RequestStats::unreachable_nodes`] instead of blocking forever.
+    /// One flag per partition, set once it has crashed (or been failed
+    /// by chaos injection). Requests routed to a down partition are
+    /// answered with empty neighbor lists / zeroed attributes and
+    /// counted as [`RequestStats::unreachable_nodes`].
     down: Vec<AtomicBool>,
     /// The MoF wire accounting plane, present when spawned with a
     /// [`WireConfig`]. `None` keeps the remote legs entirely
@@ -773,65 +730,14 @@ pub struct Cluster {
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
-            .field("partitions", &self.senders.len())
+            .field("partitions", &self.down.len())
             .field("worker_partition", &self.worker_partition)
             .finish()
     }
 }
 
-fn serve(
-    graph: Arc<PartitionedGraph>,
-    pool: Arc<BufferPool>,
-    p: PartitionId,
-    rx: Receiver<Request>,
-) {
-    while let Ok(req) = rx.recv() {
-        match req {
-            Request::Neighbors { nodes, reply } => {
-                let mut offsets = pool.take_offsets();
-                let mut flat = pool.take_nodes();
-                let g = graph.graph();
-                offsets.push(0);
-                for (i, &v) in nodes.iter().enumerate() {
-                    debug_assert!(graph.is_local(v, p), "misrouted request");
-                    // The per-node lists are random ranges of a CSR far
-                    // larger than cache, found through random offsets:
-                    // hint the offsets far ahead and the lists nearer,
-                    // so neither the hint's address nor the copies
-                    // below wait on a miss.
-                    if let Some(&w) = nodes.get(i + OFFSETS_LOOKAHEAD) {
-                        g.prefetch_offsets(w);
-                    }
-                    if let Some(&w) = nodes.get(i + LIST_LOOKAHEAD) {
-                        prefetch_read(g.neighbors(w).as_ptr());
-                    }
-                    flat.extend_from_slice(g.neighbors(v));
-                    offsets.push(flat.len() as u32);
-                }
-                let _ = reply.send(NeighborsReply {
-                    offsets,
-                    flat,
-                    request: nodes,
-                });
-            }
-            Request::Attrs { nodes, reply } => {
-                let mut attrs = pool.take_floats();
-                graph
-                    .attributes()
-                    .expect("cluster requires attributes")
-                    .gather_into(&nodes, &mut attrs);
-                let _ = reply.send(AttrsReply {
-                    attrs,
-                    request: nodes,
-                });
-            }
-            Request::Shutdown => break,
-        }
-    }
-}
-
 impl Cluster {
-    /// Spawns one server thread per partition of `graph`.
+    /// Starts a cluster over the partitions of `graph`, all alive.
     ///
     /// `wire` attaches the MoF wire accounting plane: remote sampling
     /// and gather legs are routed through real request packing and
@@ -855,23 +761,12 @@ impl Cluster {
             graph.attributes().is_some(),
             "cluster requires an attribute store"
         );
-        let graph = Arc::new(graph);
-        let pool = Arc::new(BufferPool::new());
-        let mut senders = Vec::new();
-        let mut handles = Vec::new();
-        for p in 0..graph.partitions() {
-            let (tx, rx) = bounded(SERVER_QUEUE_DEPTH);
-            let g = graph.clone();
-            let pl = pool.clone();
-            handles.push(std::thread::spawn(move || serve(g, pl, PartitionId(p), rx)));
-            senders.push(tx);
-        }
-        let down = (0..senders.len()).map(|_| AtomicBool::new(false)).collect();
+        let down = (0..graph.partitions())
+            .map(|_| AtomicBool::new(false))
+            .collect();
         Cluster {
             graph,
-            pool,
-            senders,
-            handles,
+            pool: BufferPool::new(),
             worker_partition: PartitionId(0),
             down,
             wire: wire.map(WirePlane::new),
@@ -890,9 +785,9 @@ impl Cluster {
         self.wire.as_ref().map(|w| w.snapshot())
     }
 
-    /// Number of server partitions.
+    /// Number of partitions, alive or down.
     pub fn partitions(&self) -> u32 {
-        self.senders.len() as u32
+        self.down.len() as u32
     }
 
     /// Attribute vector width of the cluster's store.
@@ -908,29 +803,21 @@ impl Cluster {
     }
 
     /// The shared buffer pool the data plane recycles through.
-    pub fn pool(&self) -> &Arc<BufferPool> {
+    pub fn pool(&self) -> &BufferPool {
         &self.pool
     }
 
-    /// Crashes partition `p`'s server: its thread stops and every future
-    /// request routed to it is answered degraded (empty/zeroed) instead
-    /// of blocking. Returns `true` if the partition was alive. Failing is
-    /// permanent for the cluster's lifetime — the graceful-degradation
-    /// machinery above (service retries, partial replies) is what turns a
-    /// crash into bounded quality loss rather than an outage.
+    /// Crashes partition `p`: every leg routed to it from now on is
+    /// answered degraded (empty/zeroed); a leg already past its
+    /// reachability check completes. Returns `true` if the partition was
+    /// alive. Failing is permanent for the cluster's lifetime — the
+    /// graceful-degradation machinery above (service retries, partial
+    /// replies) is what turns a crash into bounded quality loss rather
+    /// than an outage.
     pub fn fail_partition(&self, p: PartitionId) -> bool {
-        let i = p.0 as usize;
-        if i >= self.down.len() {
-            return false;
-        }
-        let was_up = !self.down[i].swap(true, Ordering::AcqRel);
-        if was_up {
-            // Best-effort: the serve loop exits on Shutdown; a racing
-            // in-flight request still gets its reply first because the
-            // channel is FIFO.
-            let _ = self.senders[i].send(Request::Shutdown);
-        }
-        was_up
+        self.down
+            .get(p.0 as usize)
+            .is_some_and(|d| !d.swap(true, Ordering::AcqRel))
     }
 
     /// Whether partition `p` is down (crashed or chaos-failed).
@@ -1054,7 +941,7 @@ impl Cluster {
     ///
     /// Each hop dedupes the union of every active request's frontier — a
     /// hub two requests both reached is fetched once — and amortizes the
-    /// per-hop channel round trips across the whole batch. Each request
+    /// per-hop remote legs across the whole batch. Each request
     /// still consumes its own seeded RNG per frontier entry in order, so
     /// every block is byte-identical to the same request sampled alone.
     fn expand(
@@ -1194,7 +1081,7 @@ impl Cluster {
         groups: &mut [Vec<u32>],
         mut on_hit: impl FnMut(usize, &[T]),
     ) -> u64 {
-        let (remote, tail) = groups.split_at_mut(self.senders.len());
+        let (remote, tail) = groups.split_at_mut(self.down.len());
         let [cand, scratch] = tail else {
             unreachable!("a dispatch group per partition, then two")
         };
@@ -1225,8 +1112,48 @@ impl Cluster {
         hits
     }
 
+    /// The server side of a remote neighbor leg, run on the worker that
+    /// issues it: partition `p`'s lists for `nodes`, copied into a pooled
+    /// CSR-shaped reply — `nodes.len() + 1` boundaries from 0, and every
+    /// list concatenated in request order — the bytes a remote server
+    /// would send.
+    fn serve_neighbors(&self, p: PartitionId, nodes: &[NodeId]) -> (Vec<u32>, Vec<NodeId>) {
+        let mut offsets = self.pool.take_offsets();
+        let mut flat = self.pool.take_nodes();
+        let g = self.graph.graph();
+        offsets.push(0);
+        for (i, &v) in nodes.iter().enumerate() {
+            debug_assert!(self.graph.is_local(v, p), "misrouted request");
+            // The per-node lists are random ranges of a CSR far larger
+            // than cache, found through random offsets: hint the offsets
+            // far ahead and the lists nearer, so neither the hint's
+            // address nor the copies below wait on a miss.
+            if let Some(&w) = nodes.get(i + OFFSETS_LOOKAHEAD) {
+                g.prefetch_offsets(w);
+            }
+            if let Some(&w) = nodes.get(i + LIST_LOOKAHEAD) {
+                prefetch_read(g.neighbors(w).as_ptr());
+            }
+            flat.extend_from_slice(g.neighbors(v));
+            offsets.push(flat.len() as u32);
+        }
+        (offsets, flat)
+    }
+
+    /// The server side of a remote attribute leg, run on the worker that
+    /// issues it: the rows of `nodes`, in order, copied into a pooled
+    /// reply buffer.
+    fn serve_attrs(&self, nodes: &[NodeId]) -> Vec<f32> {
+        let mut attrs = self.pool.take_floats();
+        self.graph
+            .attributes()
+            .expect("cluster requires attributes")
+            .gather_into(nodes, &mut attrs);
+        attrs
+    }
+
     /// Fills `table` with one span per node of `unique`: local nodes
-    /// resolve to zero-copy CSR ranges without touching a channel,
+    /// resolve to zero-copy CSR ranges without a remote leg,
     /// remote nodes are fetched per partition as one flat reply, and
     /// unreachable owners leave [`Span::Down`].
     fn fetch_neighbors_table(
@@ -1237,12 +1164,12 @@ impl Cluster {
         table: &mut NeighborTable,
     ) {
         table.reset(&self.pool, unique.len());
-        let parts = self.senders.len();
+        let parts = self.down.len();
         let local = self.worker_partition.0 as usize;
         let local_up = !self.unreachable(local, excluded);
         let g = self.graph.graph();
         // One pass over the frontier: local nodes resolve to zero-copy
-        // CSR spans on the spot (no channel, no copy); remote nodes are
+        // CSR spans on the spot (no leg, no copy); remote nodes are
         // routed to per-partition dispatch — unless the hot-set neighbor
         // tier already holds the span, in which case the cached bytes
         // land in a pooled arena and the node never joins a remote leg
@@ -1302,14 +1229,9 @@ impl Cluster {
                 continue; // spans stay Down
             }
             let leg_t0 = obs_on.then(Instant::now);
-            let (reply_tx, reply_rx) = bounded(1);
-            let mut req_buf = self.pool.take_nodes();
-            req_buf.extend(pos.iter().map(|&i| unique[i as usize]));
-            let sent = self.senders[p].send(Request::Neighbors {
-                nodes: req_buf,
-                reply: reply_tx,
-            });
-            let got = sent.ok().and_then(|()| reply_rx.recv().ok());
+            let mut request = self.pool.take_nodes();
+            request.extend(pos.iter().map(|&i| unique[i as usize]));
+            let (offsets, flat) = self.serve_neighbors(PartitionId(p as u32), &request);
             if let Some(t0) = leg_t0 {
                 ledger::scope_record(
                     Stage::RemoteLeg,
@@ -1319,55 +1241,43 @@ impl Cluster {
                     pos.len() as u64,
                 );
             }
-            match got {
-                Some(NeighborsReply {
-                    offsets,
-                    flat,
-                    request,
-                }) => {
-                    if let Some(wire) = &self.wire {
-                        // Request addresses are the byte offsets of each
-                        // node's neighbor list in the remote CSR; the
-                        // payload is the flat neighbor-id buffer plus the
-                        // per-node offsets header (incompressible here).
-                        wire.account_leg(
-                            WireLeg::Sampling,
-                            pos.iter()
-                                .map(|&i| g.neighbor_range(unique[i as usize]).start as u64 * 8),
-                            wire.size_payload(
-                                flat.chunks(BDI_LINE_WORDS)
-                                    .map(|line| line.iter().map(|v| v.0)),
-                            ),
-                            4 * offsets.len() as u64,
-                        );
-                    }
-                    // The reply buffer becomes a table arena as-is: no
-                    // second copy of the adjacency data.
-                    let arena = table.arenas.len();
-                    for (w, &i) in offsets.windows(2).zip(pos.iter()) {
-                        table.spans[i as usize] = Span::Flat {
-                            arena,
-                            start: w[0] as usize,
-                            len: (w[1] - w[0]) as usize,
-                        };
-                    }
-                    // Offer the fetched spans to the neighbor tier — the
-                    // next request for a hub skips the leg.
-                    if let Some(tier) = neigh_tier {
-                        tier.admit(unique, pos, scratch, |j| {
-                            &flat[offsets[j] as usize..offsets[j + 1] as usize]
-                        });
-                    }
-                    table.arenas.push(flat);
-                    self.pool.put_offsets(offsets);
-                    self.pool.put_nodes(request);
-                    stats.remote_requests += 1;
-                }
-                None => {
-                    // The server died between the down-check and the
-                    // send/recv: spans stay Down, same degraded answer.
-                }
+            if let Some(wire) = &self.wire {
+                // Request addresses are the byte offsets of each node's
+                // neighbor list in the remote CSR; the payload is the
+                // flat neighbor-id buffer plus the per-node offsets
+                // header (incompressible here).
+                wire.account_leg(
+                    WireLeg::Sampling,
+                    pos.iter()
+                        .map(|&i| g.neighbor_range(unique[i as usize]).start as u64 * 8),
+                    wire.size_payload(
+                        flat.chunks(BDI_LINE_WORDS)
+                            .map(|line| line.iter().map(|v| v.0)),
+                    ),
+                    4 * offsets.len() as u64,
+                );
             }
+            // The reply buffer becomes a table arena as-is: no second
+            // copy of the adjacency data.
+            let arena = table.arenas.len();
+            for (w, &i) in offsets.windows(2).zip(pos.iter()) {
+                table.spans[i as usize] = Span::Flat {
+                    arena,
+                    start: w[0] as usize,
+                    len: (w[1] - w[0]) as usize,
+                };
+            }
+            // Offer the fetched spans to the neighbor tier — the next
+            // request for a hub skips the leg.
+            if let Some(tier) = neigh_tier {
+                tier.admit(unique, pos, scratch, |j| {
+                    &flat[offsets[j] as usize..offsets[j + 1] as usize]
+                });
+            }
+            table.arenas.push(flat);
+            self.pool.put_offsets(offsets);
+            self.pool.put_nodes(request);
+            stats.remote_requests += 1;
         }
         self.pool.put_groups(groups);
     }
@@ -1421,7 +1331,7 @@ impl Cluster {
             attrs_fetched: nodes.len() as u64,
             ..Default::default()
         };
-        let parts = self.senders.len();
+        let parts = self.down.len();
         let local = self.worker_partition.0 as usize;
         let local_up = !self.unreachable(local, excluded);
         // Coalesce: one slot per distinct row, one array load per
@@ -1522,14 +1432,9 @@ impl Cluster {
                 continue; // rows zeroed below: a degraded partial gather
             }
             let leg_t0 = obs_on.then(Instant::now);
-            let (reply_tx, reply_rx) = bounded(1);
-            let mut req_buf = self.pool.take_nodes();
-            req_buf.extend(pos.iter().map(|&i| unique[i as usize]));
-            let sent = self.senders[p].send(Request::Attrs {
-                nodes: req_buf,
-                reply: reply_tx,
-            });
-            let got = sent.ok().and_then(|()| reply_rx.recv().ok());
+            let mut request = self.pool.take_nodes();
+            request.extend(pos.iter().map(|&i| unique[i as usize]));
+            let attrs = self.serve_attrs(&request);
             if let Some(t0) = leg_t0 {
                 ledger::scope_record(
                     Stage::GatherLeg,
@@ -1539,57 +1444,47 @@ impl Cluster {
                     pos.len() as u64,
                 );
             }
-            match got {
-                Some(AttrsReply { attrs, request }) => {
-                    let fetched = |j: usize| &attrs[j * attr_len..(j + 1) * attr_len];
-                    // One pass per fetched row: place it (the gather
-                    // verb) and size its BDI lines while it is in L1.
-                    // Rows go in groups that end on a line boundary, so
-                    // each group's lines are exactly the whole reply's.
-                    let mut payload = (0, 0);
-                    for (g, group) in pos.chunks(group_rows).enumerate() {
-                        let j0 = g * group_rows;
-                        if let Some(rows) = rows.as_deref_mut() {
-                            for (j, &slot) in (j0..).zip(group) {
-                                if let Some(&ahead) = pos.get(j + ROW_LOOKAHEAD) {
-                                    prefetch_row(rows, ahead as usize, attr_len);
-                                }
-                                let slot = slot as usize;
-                                rows[slot * attr_len..(slot + 1) * attr_len]
-                                    .copy_from_slice(fetched(j));
-                            }
+            let fetched = |j: usize| &attrs[j * attr_len..(j + 1) * attr_len];
+            // One pass per fetched row: place it (the gather verb) and
+            // size its BDI lines while it is in L1. Rows go in groups
+            // that end on a line boundary, so each group's lines are
+            // exactly the whole reply's.
+            let mut payload = (0, 0);
+            for (g, group) in pos.chunks(group_rows).enumerate() {
+                let j0 = g * group_rows;
+                if let Some(rows) = rows.as_deref_mut() {
+                    for (j, &slot) in (j0..).zip(group) {
+                        if let Some(&ahead) = pos.get(j + ROW_LOOKAHEAD) {
+                            prefetch_row(rows, ahead as usize, attr_len);
                         }
-                        if let Some(wire) = &self.wire {
-                            let (raw, on_wire) = wire.size_payload(float_lines(
-                                &attrs[j0 * attr_len..(j0 + group.len()) * attr_len],
-                            ));
-                            payload = (payload.0 + raw, payload.1 + on_wire);
-                        }
+                        let slot = slot as usize;
+                        rows[slot * attr_len..(slot + 1) * attr_len].copy_from_slice(fetched(j));
                     }
-                    if let Some(wire) = &self.wire {
-                        // One request per distinct row.
-                        wire.account_leg(
-                            WireLeg::Attrs,
-                            pos.iter()
-                                .map(|&i| unique[i as usize].index() as u64 * attr_len as u64 * 4),
-                            payload,
-                            0,
-                        );
-                    }
-                    // Offer the fetched rows to the attribute tier.
-                    if let Some(tier) = attr_tier {
-                        tier.admit(&unique, pos, scratch, fetched);
-                    }
-                    self.pool.put_floats(attrs);
-                    self.pool.put_nodes(request);
-                    stats.remote_requests += 1;
                 }
-                None => {
-                    for &i in pos.iter() {
-                        down[i as usize] = 1;
-                    }
+                if let Some(wire) = &self.wire {
+                    let (raw, on_wire) = wire.size_payload(float_lines(
+                        &attrs[j0 * attr_len..(j0 + group.len()) * attr_len],
+                    ));
+                    payload = (payload.0 + raw, payload.1 + on_wire);
                 }
             }
+            if let Some(wire) = &self.wire {
+                // One request per distinct row.
+                wire.account_leg(
+                    WireLeg::Attrs,
+                    pos.iter()
+                        .map(|&i| unique[i as usize].index() as u64 * attr_len as u64 * 4),
+                    payload,
+                    0,
+                );
+            }
+            // Offer the fetched rows to the attribute tier.
+            if let Some(tier) = attr_tier {
+                tier.admit(&unique, pos, scratch, fetched);
+            }
+            self.pool.put_floats(attrs);
+            self.pool.put_nodes(request);
+            stats.remote_requests += 1;
         }
         self.pool.put_groups(groups);
         // Unreachable rows count per *occurrence* (what an uncoalesced
@@ -1637,29 +1532,6 @@ impl Cluster {
         self.pool.put_floats(rows);
         self.pool.put_offsets(slot_of);
         stats
-    }
-
-    /// Stops all server threads.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(Request::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        // Dropping without an explicit shutdown still stops the server
-        // threads (C-DTOR: destructors never fail, teardown is lossless
-        // here since requests are synchronous).
-        self.shutdown_inner();
     }
 }
 
@@ -1718,7 +1590,6 @@ mod tests {
         }
         assert_eq!(stats.nodes_expanded, 50);
         assert!(stats.remote_requests > 0);
-        c.shutdown();
     }
 
     #[test]
@@ -1730,7 +1601,6 @@ mod tests {
         let expect = c.graph().attributes().unwrap().gather(&nodes);
         assert_eq!(attrs, expect);
         assert_eq!(stats.attrs_fetched, 3);
-        c.shutdown();
     }
 
     #[test]
@@ -1764,7 +1634,6 @@ mod tests {
         assert_eq!(stats.local_requests, local);
         assert_eq!(stats.remote_requests, remote);
         assert_eq!(stats.unreachable_nodes, 0);
-        c.shutdown();
     }
 
     #[test]
@@ -1774,7 +1643,6 @@ mod tests {
         let (_, stats) = sample(&c, &roots, 2, 5, 10, &[]);
         assert_eq!(stats.remote_requests, 0);
         assert_eq!(stats.remote_fraction(), 0.0);
-        c.shutdown();
     }
 
     #[test]
@@ -1785,8 +1653,6 @@ mod tests {
         let (_, s2) = sample(&c2, &roots, 2, 5, 11, &[]);
         let (_, s8) = sample(&c8, &roots, 2, 5, 11, &[]);
         assert!(s8.remote_fraction() > s2.remote_fraction());
-        c2.shutdown();
-        c8.shutdown();
     }
 
     #[test]
@@ -1802,7 +1668,6 @@ mod tests {
         c.fetch_attr_rows_into(&nodes, &[], &mut rows, &mut slot_of);
         assert_eq!(rows.len(), 10 * c.attr_len(), "one row per distinct node");
         assert_eq!(stats.attr_coalesce_hits, 190, "each repeat is a table hit");
-        c.shutdown();
     }
 
     #[test]
@@ -1813,7 +1678,6 @@ mod tests {
         let (b2, _) = sample(&c, &roots, 2, 5, 42, &[]);
         assert_eq!(b1, b2);
         assert_eq!(b1.adj_offsets, b2.adj_offsets);
-        c.shutdown();
     }
 
     #[test]
@@ -1852,7 +1716,6 @@ mod tests {
                 "every frontier entry goes through the coalescing table"
             );
         }
-        c.shutdown();
     }
 
     #[test]
@@ -1873,7 +1736,6 @@ mod tests {
         assert!(stats.coalesce_hit_rate() > 0.0);
         // Each duplicate root still drew its own samples.
         assert_eq!(block.hop(0).len(), want.hops[0].len());
-        c.shutdown();
     }
 
     #[test]
@@ -1922,7 +1784,6 @@ mod tests {
         let (batched, _) = c.sample_blocks_excluding(&[&req], &[]);
         let (solo, _) = sample(&c, &roots, 2, 5, 17, &[]);
         assert_eq!(batched[0].block.adj_offsets, solo.adj_offsets);
-        c.shutdown();
     }
 
     #[test]
@@ -1936,7 +1797,6 @@ mod tests {
         let s = c.pool().stats();
         assert!(s.reuses > 0, "steady state must reuse buffers: {s:?}");
         assert!(s.reuse_rate() > 0.3, "reuse rate {}", s.reuse_rate());
-        c.shutdown();
     }
 
     #[test]
@@ -1958,7 +1818,6 @@ mod tests {
         assert_eq!(stats.attrs_fetched, 60);
         assert!(masked > 0);
         assert_eq!(stats.unreachable_nodes, masked);
-        c.shutdown();
     }
 
     #[test]
@@ -1990,7 +1849,6 @@ mod tests {
                 }
             }
         }
-        c.shutdown();
     }
 
     #[test]
@@ -2010,7 +1868,6 @@ mod tests {
                 assert_eq!(block.children(i), c.graph().graph().neighbors(v));
             }
         }
-        c.shutdown();
     }
 
     #[test]
@@ -2026,7 +1883,6 @@ mod tests {
         let (again, s_again) = sample(&c, &roots, 2, 5, 7, &[]);
         assert_eq!(again, full);
         assert_eq!(s_again.unreachable_nodes, 0);
-        c.shutdown();
     }
 
     #[test]
@@ -2037,7 +1893,6 @@ mod tests {
         let (b2, s2) = sample(&c, &roots, 2, 5, 42, &[1, 3]);
         assert_eq!(b1, b2);
         assert_eq!(s1.unreachable_nodes, s2.unreachable_nodes);
-        c.shutdown();
     }
 
     #[test]
@@ -2051,6 +1906,5 @@ mod tests {
         assert_eq!(block.total_sampled(), 0, "nothing reachable");
         // Four roots nobody expands, four root rows nobody serves.
         assert_eq!(stats.unreachable_nodes, 8);
-        c.shutdown();
     }
 }

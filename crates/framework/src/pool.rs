@@ -6,10 +6,9 @@
 //! itself. A [`BufferPool`] keeps bounded free lists of each shape so a
 //! steady-state service recycles capacity instead of round-tripping the
 //! allocator per mini-batch (the software analogue of the AxE's fixed
-//! on-card buffers). Cluster workers and server threads share one pool
-//! through an `Arc`; request buffers travel to the server inside the
-//! request and come back inside the reply, so ownership never needs a
-//! second channel.
+//! on-card buffers). Every worker of a cluster shares the cluster's one
+//! pool; a remote leg takes its request and reply buffers from it and
+//! the consumer of the reply puts them back.
 //!
 //! The pool is deliberately dumb: `take_*` pops a cleared buffer or makes
 //! a fresh one, `put_*` clears and returns it unless the free list is at
@@ -25,8 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Free lists per buffer class are capped at this many entries by
-/// default — enough for every worker/server thread to have a couple of
-/// buffers in flight without the pool becoming a leak.
+/// default — enough for every worker thread to have a couple of buffers
+/// in flight without the pool becoming a leak.
 const DEFAULT_MAX_PER_CLASS: usize = 64;
 
 /// A thread-safe pool of the serving path's recyclable buffers.

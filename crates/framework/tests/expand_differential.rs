@@ -107,7 +107,6 @@ proptest! {
             }
             prop_assert_eq!(ses.unreachable_nodes, sfs.unreachable_nodes, "solo unreachable {}", i);
         }
-        cluster.shutdown();
     }
 }
 
@@ -161,8 +160,6 @@ fn the_stand_alone_op_counts_what_expand_and_gather_count() {
     );
     assert!(neigh.partition_saves + attr.partition_saves > 0, "{snap:?}");
     assert!(degraded > 0, "the masks and the crash must degrade");
-    op.shutdown();
-    split.shutdown();
 }
 
 /// Twin backends, one told its caller gathers: every sampling verb of

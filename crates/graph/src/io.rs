@@ -42,6 +42,15 @@ impl From<std::io::Error> for IoError {
     }
 }
 
+/// The node space [`read_edge_list`] infers without `num_nodes` is at
+/// most this many nodes, or [`INFERRED_NODES_PER_EDGE`] per edge read if
+/// that is more: a few bytes of input never size gigabytes of offsets.
+pub const INFERRED_NODES_FLOOR: u64 = 1 << 20;
+
+/// Nodes per edge read an inferred node space may hold past
+/// [`INFERRED_NODES_FLOOR`].
+pub const INFERRED_NODES_PER_EDGE: u64 = 16;
+
 /// Reads an edge list. Node ids are dense non-negative integers; the
 /// graph size is `num_nodes` when given, else `max id + 1`.
 ///
@@ -50,7 +59,11 @@ impl From<std::io::Error> for IoError {
 /// Returns [`IoError::Parse`] on malformed lines: a missing or
 /// unparsable id, a weight that is not a finite number, trailing
 /// tokens, or an id outside `0..num_nodes` (without `num_nodes`, the id
-/// `u64::MAX`, which leaves no room to count the nodes).
+/// `u64::MAX`, which leaves no room to count the nodes). Without
+/// `num_nodes` it also refuses, naming the line of the largest id, an
+/// inferred node space past `max(INFERRED_NODES_FLOOR,
+/// INFERRED_NODES_PER_EDGE × edges)`; a caller with a sparser id space
+/// passes its size.
 ///
 /// # Example
 ///
@@ -63,7 +76,7 @@ impl From<std::io::Error> for IoError {
 /// ```
 pub fn read_edge_list<R: Read>(reader: R, num_nodes: Option<u64>) -> Result<CsrGraph, IoError> {
     let mut edges: Vec<(u64, u64, f32)> = Vec::new();
-    let mut max_id = 0u64;
+    let (mut max_id, mut max_line) = (0u64, 0usize);
     for (i, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;
         let lineno = i + 1;
@@ -109,10 +122,22 @@ pub fn read_edge_list<R: Read>(reader: R, num_nodes: Option<u64>) -> Result<CsrG
                 message: "trailing tokens".into(),
             });
         }
-        max_id = max_id.max(src).max(dst);
+        if src.max(dst) >= max_id {
+            (max_id, max_line) = (src.max(dst), lineno);
+        }
         edges.push((src, dst, weight));
     }
     let n = num_nodes.unwrap_or(if edges.is_empty() { 0 } else { max_id + 1 });
+    let cap = INFERRED_NODES_FLOOR.max(INFERRED_NODES_PER_EDGE * edges.len() as u64);
+    if num_nodes.is_none() && n > cap {
+        return Err(IoError::Parse {
+            line: max_line,
+            message: format!(
+                "node id {max_id} infers {n} nodes from {} edges (at most {cap}); pass num_nodes",
+                edges.len()
+            ),
+        });
+    }
     let mut b = GraphBuilder::new(n);
     for (u, v, w) in edges {
         b.add_weighted_edge(NodeId(u), NodeId(v), w);
@@ -288,6 +313,19 @@ mod tests {
         assert!(matches!(e, IoError::Parse { line: 2, .. }), "{e}");
         let e = read_edge_list("0 1 NaN\n".as_bytes(), None).unwrap_err();
         assert!(matches!(e, IoError::Parse { line: 1, .. }), "{e}");
+    }
+
+    #[test]
+    fn inferred_node_spaces_are_capped() {
+        let e = read_edge_list("0 1\n0 4000000000\n".as_bytes(), None).unwrap_err();
+        assert!(matches!(e, IoError::Parse { line: 2, .. }), "{e}");
+        let e = read_edge_list("0 4000000000".as_bytes(), None).unwrap_err();
+        assert!(matches!(e, IoError::Parse { line: 1, .. }), "{e}");
+        let g = read_edge_list("0 1000000".as_bytes(), None).unwrap();
+        assert_eq!(g.num_nodes(), 1_000_001);
+        // A caller that knows its sparse space passes it.
+        let g = read_edge_list("0 2000000".as_bytes(), Some(2_000_001)).unwrap();
+        assert_eq!(g.num_nodes(), 2_000_001);
     }
 
     #[test]

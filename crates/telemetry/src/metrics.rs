@@ -401,9 +401,9 @@ impl Registry {
 /// `i` covers `[2^i, 2^(i+1))`; bucket 0 also covers zero), with
 /// interpolated percentiles.
 ///
-/// This is the unit-agnostic sibling of `lsdgnn_desim::Histogram` (which
-/// records simulated `Time`s); the serving layer records latencies in
-/// microseconds, queue depths in requests, batch sizes in requests.
+/// It is the workspace's one latency histogram and is unit-agnostic: the
+/// serving layer records latencies in microseconds, queue depths in
+/// requests, batch sizes in requests.
 ///
 /// # Example
 ///
@@ -502,9 +502,9 @@ impl Log2Histogram {
         if self.count == 0 {
             return 0.0;
         }
-        // Edge quantiles are exact (mirrors `desim::Histogram::percentile`):
-        // interpolation would report mid-bucket for q=0 whenever the first
-        // occupied bucket holds more than one sample.
+        // Edge quantiles are exact, not interpolated: interpolation would
+        // report mid-bucket for q=0 whenever the first occupied bucket
+        // holds more than one sample.
         if q <= 0.0 {
             return self.min() as f64;
         }

@@ -7,10 +7,12 @@
  * With PROF=1 in the environment the library arms ITIMER_PROF (process
  * CPU time, so idle threads are not sampled) and, on every SIGPROF,
  * records the interrupted instruction pointer. At exit it writes the
- * samples and the executable lines of /proc/self/maps to
- * sigprof.<pid>.out (or $PROF_OUT). Without PROF=1 it does nothing, so a
- * stray LD_PRELOAD is harmless. PROF_HZ sets the rate (default 1000).
- * x86-64 Linux only.
+ * requested rate, the process CPU seconds, the samples and the
+ * executable lines of /proc/self/maps to sigprof.<pid>.out (or
+ * $PROF_OUT). Without PROF=1 it does nothing, so a stray LD_PRELOAD is
+ * harmless. PROF_HZ sets the rate (default 1000). ITIMER_PROF fires on
+ * scheduler ticks, so the rate reached can be far below the one asked
+ * for: sym.py prints both. x86-64 Linux only.
  */
 #define _GNU_SOURCE
 #include <signal.h>
@@ -18,6 +20,7 @@
 #include <stdlib.h>
 #include <string.h>
 #include <sys/time.h>
+#include <time.h>
 #include <ucontext.h>
 #include <unistd.h>
 
@@ -25,6 +28,7 @@
 
 static unsigned long *samples;
 static volatile unsigned long n_samples;
+static long requested_hz;
 
 static void on_prof(int sig, siginfo_t *info, void *ctx) {
     (void)sig;
@@ -46,6 +50,10 @@ static void dump(void) {
     FILE *f = fopen(path, "w");
     if (!f)
         return;
+    struct timespec cpu;
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu);
+    fprintf(f, "h %ld\n", requested_hz);
+    fprintf(f, "c %ld.%09ld\n", (long)cpu.tv_sec, cpu.tv_nsec);
     unsigned long n = n_samples < MAX_SAMPLES ? n_samples : MAX_SAMPLES;
     for (unsigned long i = 0; i < n; i++)
         fprintf(f, "s %lx\n", samples[i]);
@@ -79,6 +87,7 @@ __attribute__((constructor)) static void arm(void) {
     long hz = hz_env ? atol(hz_env) : 1000;
     if (hz < 1 || hz > 10000)
         hz = 1000;
+    requested_hz = hz;
     struct itimerval tick = {{0, 1000000 / hz}, {0, 1000000 / hz}};
     setitimer(ITIMER_PROF, &tick, NULL);
     atexit(dump);

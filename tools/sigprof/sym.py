@@ -3,7 +3,9 @@
 
     python3 sym.py sigprof.<pid>.out [--top N] [--file cluster.rs]
 
-Prints sample totals by outermost (non-inlined) function, by inline
+Prints the sample count against the process CPU time first - the rate
+actually reached, which the kernel's tick can hold far below the one
+asked for - then sample totals by outermost (non-inlined) function, by inline
 chain, and - with --file - by source line of the named file, charging a
 sample to the innermost frame of its chain that lies in that file.
 Build the profiled binary with CARGO_PROFILE_RELEASE_DEBUG=line-tables-only
@@ -27,16 +29,22 @@ def load_segments(path):
 
 
 def parse(dump):
-    samples, maps = [], []
+    """(samples, maps, requested Hz, process CPU seconds); the last two
+    are None in a dump from a sampler that did not record them."""
+    samples, maps, hz, cpu_s = [], [], None, None
     for line in open(dump):
         kind, _, rest = line.partition(" ")
         if kind == "s":
             samples.append(int(rest, 16))
+        elif kind == "h":
+            hz = int(rest)
+        elif kind == "c":
+            cpu_s = float(rest)
         elif kind == "m":
             f = rest.split()
             start, end = (int(x, 16) for x in f[0].split("-"))
             maps.append((start, end, int(f[2], 16), f[5] if len(f) > 5 else "[anon]"))
-    return samples, sorted(maps)
+    return samples, sorted(maps), hz, cpu_s
 
 
 def resolve(samples, maps):
@@ -103,7 +111,7 @@ def main():
     ap.add_argument("--file", help="also total by source line of this file (suffix match)")
     args = ap.parse_args()
 
-    samples, maps = parse(args.dump)
+    samples, maps, hz, cpu_s = parse(args.dump)
     if not samples:
         raise SystemExit("no samples: was PROF=1 set, and did the program exit normally?")
     frames = symbolise(resolve(samples, maps))
@@ -117,7 +125,13 @@ def main():
             if hit:
                 lines[hit] += 1
     total = len(samples)
-    print(f"{total} samples")
+    if hz is None or not cpu_s:
+        print(f"{total} samples (no rate recorded)")
+    else:
+        print(
+            f"{total} samples over {cpu_s:.2f} CPU-s "
+            f"({total / cpu_s:.0f} Hz effective, {hz} requested)"
+        )
     table("by outermost function", outer, total, args.top)
     table("by inline chain (outermost > ... > innermost)", chain, total, args.top)
     if args.file:
