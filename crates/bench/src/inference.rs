@@ -63,8 +63,8 @@ const REQUESTS: u64 = 1024;
 const QUICK_REQUESTS: u64 = 128;
 /// Requests per chaos arm; the card dies halfway through.
 const CHAOS_REQUESTS: u64 = 32;
-/// In-flight window of the windowed streams: deep enough that neither
-/// the sampling service nor a worker runs out of queued requests.
+/// In-flight window of the windowed streams: deep enough that the
+/// sampling service never runs out of queued requests.
 const WINDOW: u64 = 64;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -544,6 +544,9 @@ struct LaneJob {
 pub struct ShapedService {
     inner: Option<Arc<SamplingService>>,
     ctrl: Arc<Mutex<AdmissionController>>,
+    /// Length of the policy's tenant list, checked before the lock is
+    /// taken so a bad index never panics inside it.
+    tenants: usize,
     /// Lane senders plus the wake doorbell: exactly one token per
     /// admitted job, so the pump never busy-polls.
     lanes: Option<([Sender<LaneJob>; CLASSES], Sender<()>)>,
@@ -614,6 +617,7 @@ impl ShapedService {
             None,
             obs.clone(),
         ));
+        let tenants = admission.tenants.len();
         let ctrl = Arc::new(Mutex::new(AdmissionController::new(admission)));
         let (txs, rxs): (Vec<_>, Vec<_>) = (0..CLASSES).map(|_| unbounded()).unzip();
         let lanes: [Sender<LaneJob>; CLASSES] =
@@ -629,6 +633,7 @@ impl ShapedService {
         ShapedService {
             inner: Some(inner),
             ctrl,
+            tenants,
             lanes: Some((lanes, wake_tx)),
             pump: Some(pump),
             obs,
@@ -647,11 +652,17 @@ impl ShapedService {
     ///
     /// # Panics
     ///
-    /// Panics if `sr.req.fanout` is zero or a root is outside the
-    /// backend's node range.
+    /// Panics if `sr.req.fanout` is zero, a root is outside the
+    /// backend's node range or `sr.tenant` is outside the tenant list.
     pub fn submit(&self, sr: ShapedRequest, now_us: u64) -> SubmitVerdict {
         sr.req
             .assert_well_formed(self.service().backend().num_nodes());
+        assert!(
+            sr.tenant < self.tenants,
+            "tenant {} of {}",
+            sr.tenant,
+            self.tenants
+        );
         let burn = self.obs.as_ref().map_or(0.0, |o| o.sampling_burn_rate());
         let verdict = {
             let mut ctrl = self.ctrl.lock().expect("admission lock");
@@ -817,6 +828,24 @@ mod tests {
         assert_eq!(st.accepted(Priority::Interactive), 6);
         assert_eq!(st.rejected(Priority::Interactive), 0);
         assert!(st.bounds_respected());
+        svc.shutdown();
+    }
+
+    #[test]
+    fn out_of_range_tenant_is_refused_at_submit_and_admission_survives() {
+        let svc = shaped(AdmissionConfig::unlimited(1));
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.submit(shaped_req(1, 99, Priority::Interactive), 0)
+        }));
+        assert!(refused.is_err(), "tenant 99 of 1 must be refused");
+        // Had the refusal poisoned the admission lock, this would panic.
+        match svc.submit(shaped_req(2, 0, Priority::Interactive), 10) {
+            SubmitVerdict::Admitted(t) => assert_eq!(t.wait_block().num_hops(), 2),
+            other => panic!("a valid tenant must be admitted, got {other:?}"),
+        }
+        let st = svc.admission_stats();
+        assert_eq!(st.accepted(Priority::Interactive), 1);
+        assert_eq!(st.rejected(Priority::Interactive), 0);
         svc.shutdown();
     }
 

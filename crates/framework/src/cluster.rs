@@ -820,13 +820,6 @@ impl Cluster {
             .is_some_and(|d| !d.swap(true, Ordering::AcqRel))
     }
 
-    /// Whether partition `p` is down (crashed or chaos-failed).
-    pub fn partition_down(&self, p: PartitionId) -> bool {
-        self.down
-            .get(p.0 as usize)
-            .is_some_and(|d| d.load(Ordering::Acquire))
-    }
-
     /// Partitions still serving.
     pub fn alive_partitions(&self) -> u32 {
         self.down
@@ -1857,7 +1850,6 @@ mod tests {
         assert!(c.fail_partition(PartitionId(1)));
         assert!(!c.fail_partition(PartitionId(1)), "second fail is a no-op");
         assert_eq!(c.alive_partitions(), 3);
-        assert!(c.partition_down(PartitionId(1)));
         let nodes: Vec<NodeId> = (0..100).map(NodeId).collect();
         let (block, stats) = whole_lists(&c, &nodes);
         assert!(stats.unreachable_nodes > 0, "partition 1 owns some nodes");

@@ -7,7 +7,6 @@
 //! and the sub-linear scaling curve of Figure 2(b).
 
 use lsdgnn_graph::{DatasetConfig, FootprintModel};
-use rand::Rng;
 
 /// The CPU cluster timing model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,34 +75,6 @@ impl CpuClusterModel {
     pub fn vcpu_rate_for(&self, d: &DatasetConfig, fm: &FootprintModel) -> f64 {
         self.vcpu_rate(fm.min_servers(d))
     }
-
-    /// Executes the model "in the small": walks `samples` sampled nodes,
-    /// spinning the modelled per-sample cost scaled down by `scale` to
-    /// keep wall-clock reasonable, and returns the measured samples/sec
-    /// (scaled back). Used to sanity-check the analytic numbers against
-    /// real execution.
-    pub fn execute_scaled<R: Rng>(
-        &self,
-        rng: &mut R,
-        servers: u64,
-        samples: u64,
-        scale: f64,
-    ) -> f64 {
-        assert!(scale >= 1.0, "scale must be >= 1");
-        let per_ns = self.per_sample_ns(servers) / scale;
-        let start = std::time::Instant::now();
-        let mut sink = 0u64;
-        for _ in 0..samples {
-            // Spin for the modelled cost.
-            let t0 = std::time::Instant::now();
-            while (t0.elapsed().as_nanos() as f64) < per_ns {
-                sink = sink.wrapping_add(rng.gen::<u64>());
-            }
-        }
-        std::hint::black_box(sink);
-        let elapsed = start.elapsed().as_secs_f64();
-        samples as f64 / elapsed / scale
-    }
 }
 
 #[cfg(test)]
@@ -147,23 +118,6 @@ mod tests {
         let ss = m.vcpu_rate_for(&PAPER_DATASETS[0], &fm); // 1 server
         let syn = m.vcpu_rate_for(&PAPER_DATASETS[5], &fm); // many servers
         assert!(ss > syn, "single-server graph samples faster per vCPU");
-    }
-
-    #[test]
-    fn executed_model_matches_analytic_rate() {
-        use rand::SeedableRng;
-        let m = CpuClusterModel::default();
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-        // Scale 1000x: ~9ns spins, 2000 samples => ~20us wall clock.
-        let measured = m.execute_scaled(&mut rng, 5, 2_000, 1_000.0);
-        let analytic = m.vcpu_rate(5);
-        let ratio = measured / analytic;
-        // Wall-clock spin timing is load-sensitive; only the order of
-        // magnitude is asserted.
-        assert!(
-            (0.05..4.0).contains(&ratio),
-            "measured {measured} vs analytic {analytic}"
-        );
     }
 
     #[test]

@@ -4,34 +4,35 @@
 //! The paper's FaaS architecture exists to serve *inference*: a request
 //! names root nodes, the answer is their embeddings, and the SLO is
 //! end-to-end per-request latency — not the throughput of any single
-//! stage. [`InferenceService`] serves that path with run-to-completion
-//! workers over the serving stack that already exists:
+//! stage. [`InferenceService`] serves that path over the serving stack
+//! that already exists, and runs every step after sampling on the thread
+//! that asks for the answer:
 //!
 //! 1. **Sample** — [`InferenceService::submit`] hands the request to
 //!    [`SamplingService`] (bounded queue, coalesced batches, the full
-//!    retry/hedge/degrade ladder) and queues the sample ticket on the
-//!    one bounded queue the workers pull from.
-//! 2. **Gather** — the worker that pulled the ticket waits for its flat
-//!    block and feeds the node planes to the coalesced
+//!    retry/hedge/degrade ladder) and returns an [`InferenceTicket`]
+//!    holding the sample ticket.
+//! 2. **Gather** — [`InferenceTicket::wait`] waits for the flat block
+//!    and feeds the node planes to the coalesced
 //!    [`SamplingBackend::gather_attr_rows`] fetch: one attribute row per
 //!    *distinct* node plus a slot index, so a hub sampled 40 times is
-//!    fetched (and later embedded) once. The rows land in the worker's
-//!    own reused buffer, still warm when compute reads them.
-//! 3. **Compute** — the same worker runs
+//!    fetched (and later embedded) once. The rows land in a reused
+//!    buffer, still warm when compute reads them.
+//! 3. **Compute** — the same call runs
 //!    [`SageModel::forward_block_into`]'s loop over the block's
 //!    hop/adjacency offsets and the deduplicated rows; all layer
-//!    intermediates live in the worker's scratch.
+//!    intermediates live in the same reused buffers.
 //!
-//! Concurrency comes from keeping several requests in flight — the
-//! sampling service batches what is queued while the workers gather and
-//! compute older requests — not from hand-offs between stage threads.
-//! The one bounded queue is the backpressure point: when it is full
-//! `submit` blocks, so memory stays bounded under overload exactly like
-//! the sampling service's own queue. How many requests are in flight
-//! changes latency, never results: [`run_sequential`] runs the workers'
-//! per-request body one request at a time, and every reply of the
-//! service is bitwise-identical to its reply (pinned by
-//! `tests/inference_differential.rs` and `bench inference`).
+//! Concurrency comes from the sampling service's shards, which batch
+//! what is queued while callers gather and compute older requests, and
+//! from the callers' own threads — not from hand-offs to threads of this
+//! service, which owns none. The sampling service's bounded queue is the
+//! backpressure point: when it is full `submit` blocks. How many
+//! requests are in flight changes latency, never results:
+//! [`run_sequential`] runs the same per-request body one request at a
+//! time, and every reply of the service is bitwise-identical to its
+//! reply (pinned by `tests/inference_differential.rs` and `bench
+//! inference`).
 //!
 //! Degradation composes: a degraded [`SampleReply`] (card down, retries
 //! exhausted) is gathered and embedded like any other block — the
@@ -44,37 +45,17 @@
 use crate::backend::SampleRequest;
 use crate::pool::BufferPool;
 use crate::service::{SampleReply, SampleTicket, SamplingService};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use lsdgnn_graph::NodeId;
 use lsdgnn_nn::{Matrix, SageModel, SageScratch};
 use lsdgnn_telemetry::ledger::{self, Stage, NO_SHARD};
 use lsdgnn_telemetry::{Log2Histogram, MetricSource, Scope};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Run-to-completion worker threads of an [`InferenceService`]. A
-/// constant, not a knob: with every thread pinned to one CPU one worker
-/// and two are within a tenth of each other on the `benchmark`
-/// `infer_uniform` workload, and on two CPUs the second worker is worth
-/// about 1.4x closed-loop throughput (EXPERIMENTS.md, "One inference
-/// execution model").
-const WORKERS: usize = 2;
-
-/// Tuning knobs of an [`InferenceService`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InferenceConfig {
-    /// Bound of the queue between [`InferenceService::submit`] and the
-    /// workers; a full queue blocks submission (backpressure, not
-    /// unbounded buffering).
-    pub stage_capacity: usize,
-}
-
-impl Default for InferenceConfig {
-    fn default() -> Self {
-        InferenceConfig { stage_capacity: 64 }
-    }
-}
+/// Configuration of an [`InferenceService`]. It has no knobs left: the
+/// service owns no queue and no thread to size.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InferenceConfig {}
 
 /// One inference answer: root embeddings plus the degradation provenance
 /// inherited from the sampling stage.
@@ -175,100 +156,161 @@ impl MetricSource for InferenceStats {
     }
 }
 
-/// A pending inference request; [`InferenceTicket::wait`] blocks for the
-/// embeddings.
-#[derive(Debug)]
-pub struct InferenceTicket {
-    rx: Receiver<InferenceReply>,
+/// What the service and its outstanding tickets share.
+struct Shared {
+    svc: SamplingService,
+    model: SageModel,
+    pool: BufferPool,
+    /// The end-to-end stats and the idle per-request buffers, under one
+    /// lock: a request takes a buffer set when its body starts and hands
+    /// it back with its stats.
+    books: Mutex<(InferenceStats, Vec<RequestBuffers>)>,
 }
 
-impl InferenceTicket {
-    /// Blocks until the service replies. Shutting the service down does
-    /// not lose the request: the workers answer everything queued first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the worker serving the request panicked.
-    pub fn wait(self) -> InferenceReply {
-        self.rx.recv().expect("inference service replies")
+impl Shared {
+    fn books(&self) -> std::sync::MutexGuard<'_, (InferenceStats, Vec<RequestBuffers>)> {
+        self.books
+            .lock()
+            .expect("no request panics holding the books")
     }
 }
 
-/// One queued request: its pending sample and where the answer goes.
-struct Job {
-    ticket: SampleTicket,
+/// A pending inference request. [`InferenceTicket::wait`] gathers and
+/// computes its embeddings on the calling thread; a ticket dropped
+/// without `wait` does the same work in its drop and discards the reply,
+/// so every accepted request is accounted and finished exactly once.
+pub struct InferenceTicket {
+    /// Taken by the one call that answers the request.
+    sample: Option<SampleTicket>,
     fanout: usize,
     submitted: Instant,
-    reply: Sender<InferenceReply>,
+    shared: Arc<Shared>,
+}
+
+impl std::fmt::Debug for InferenceTicket {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InferenceTicket")
+            .field("sample", &self.sample)
+            .field("fanout", &self.fanout)
+            .finish_non_exhaustive()
+    }
+}
+
+impl InferenceTicket {
+    /// Waits for the request's sample, then gathers and embeds it on the
+    /// calling thread. Shutting the service down does not lose the
+    /// request: the ticket keeps the sampling service alive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sampling service failed to answer the sample.
+    pub fn wait(mut self) -> InferenceReply {
+        self.answer()
+    }
+
+    /// The per-request body around [`RequestBuffers::serve`]: wait for
+    /// the sample, run it, account end-to-end latency and finish the
+    /// request in the ledger.
+    fn answer(&mut self) -> InferenceReply {
+        let sample = self.sample.take().expect("a ticket is answered once");
+        let sh = &*self.shared;
+        let obs = sh.svc.observability();
+        let trace = sample.trace();
+        let wait_t0 = obs.is_some().then(Instant::now);
+        let sreply = sample.wait_reply();
+        let sample_wait_us = wait_t0.map_or(0.0, elapsed_us);
+        let mut bufs = sh.books().1.pop().unwrap_or_default();
+        // The body records its gather and compute events (and the
+        // per-partition gather legs underneath) against this scope.
+        let scope = obs.map(|o| ledger::enter_scope(o.ledger(), vec![trace]));
+        let reply = bufs.serve(
+            &sh.svc,
+            &sh.model,
+            sh.pool.take_floats(),
+            sreply,
+            self.fanout,
+            sample_wait_us,
+        );
+        drop(scope);
+        let total_us = self.submitted.elapsed().as_micros() as u64;
+        {
+            let mut books = sh.books();
+            let (s, spare) = &mut *books;
+            s.requests += 1;
+            if reply.degraded {
+                s.degraded += 1;
+            }
+            s.latency.record(total_us);
+            s.gather_batch.record(1);
+            spare.push(bufs);
+        }
+        if let Some(o) = obs {
+            o.observe_e2e(total_us as f64, reply.degraded);
+            o.ledger()
+                .handle()
+                .finish(trace, total_us as f64, reply.degraded);
+        }
+        reply
+    }
+}
+
+impl Drop for InferenceTicket {
+    fn drop(&mut self) {
+        // Unwinding skips the body, so a panic inside it cannot abort
+        // the process and a caller's panic never blocks on a sample.
+        // Otherwise a panic here propagates as it would from `wait`.
+        if self.sample.is_some() && !std::thread::panicking() {
+            let reply = self.answer();
+            self.shared.pool.put_floats(reply.embeddings.into_vec());
+        }
+    }
 }
 
 /// The sample → gather → GraphSAGE-max inference service.
 pub struct InferenceService {
-    svc: Arc<SamplingService>,
-    model: Arc<SageModel>,
-    pool: Arc<BufferPool>,
-    stats: Arc<Mutex<InferenceStats>>,
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    shared: Arc<Shared>,
 }
 
 impl std::fmt::Debug for InferenceService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InferenceService")
-            .field("layers", &self.model.num_layers())
+            .field("layers", &self.shared.model.num_layers())
             .finish()
     }
 }
 
 impl InferenceService {
-    /// Starts the workers over an already-running sampling service
-    /// (plain, traced, or faulted — degradation composes transparently).
+    /// Puts the inference front door over an already-running sampling
+    /// service (plain, traced, or faulted — degradation composes
+    /// transparently).
     ///
     /// The model's layer count fixes the hop count requests must carry;
     /// [`InferenceService::submit`] asserts it.
-    pub fn start(svc: SamplingService, model: SageModel, config: InferenceConfig) -> Self {
-        let svc = Arc::new(svc);
-        let model = Arc::new(model);
-        let pool = Arc::new(BufferPool::new());
-        let stats = Arc::new(Mutex::new(InferenceStats::default()));
-        let (tx, rx) = bounded::<Job>(config.stage_capacity.max(1));
-
+    pub fn start(svc: SamplingService, model: SageModel, _config: InferenceConfig) -> Self {
         // When the sampling service carries an observability bundle, this
         // service becomes the finish authority: a request is only "done"
         // (flight dumps, deadline checks) once its embeddings exist.
         if let Some(o) = svc.observability() {
             o.defer_sample_finish();
         }
-        // Likewise the gather authority: the workers fetch every block's
+        // Likewise the gather authority: each ticket fetches its block's
         // rows, so the sampling service expands only instead of fetching
         // them first.
         svc.backend().defer_attr_fetch();
-
-        let workers = (0..WORKERS)
-            .map(|_| {
-                let svc = Arc::clone(&svc);
-                let model = Arc::clone(&model);
-                let pool = Arc::clone(&pool);
-                let stats = Arc::clone(&stats);
-                let rx = rx.clone();
-                std::thread::spawn(move || worker_loop(&svc, &model, &pool, &stats, &rx))
-            })
-            .collect();
-
         InferenceService {
-            svc,
-            model,
-            pool,
-            stats,
-            tx: Some(tx),
-            workers,
+            shared: Arc::new(Shared {
+                svc,
+                model,
+                pool: BufferPool::new(),
+                books: Mutex::default(),
+            }),
         }
     }
 
-    /// Submits a request; blocks only when the service is saturated (the
-    /// bounded queue is full). Keeping several tickets in flight lets
-    /// the sampling service coalesce batches while the workers gather
-    /// and compute older requests.
+    /// Submits a request to the sampling service; blocks only when that
+    /// service's bounded queue is full. Keeping several tickets in
+    /// flight lets the sampling service coalesce batches while the
+    /// caller gathers and computes older requests.
     ///
     /// # Panics
     ///
@@ -276,28 +318,22 @@ impl InferenceService {
     /// `req.roots` is empty, `req.fanout` is zero or a root is outside
     /// the backend's node range.
     pub fn submit(&self, req: SampleRequest) -> InferenceTicket {
-        req.assert_well_formed(self.svc.backend().num_nodes());
+        let sh = &self.shared;
+        req.assert_well_formed(sh.svc.backend().num_nodes());
         assert_eq!(
             req.hops as usize,
-            self.model.num_layers(),
+            sh.model.num_layers(),
             "request hops must match model layers"
         );
         assert!(!req.roots.is_empty(), "need at least one root");
         let fanout = req.fanout;
         let submitted = Instant::now();
-        let ticket = self.svc.submit(req);
-        let (reply, rx) = bounded(1);
-        self.tx
-            .as_ref()
-            .expect("service running")
-            .send(Job {
-                ticket,
-                fanout,
-                submitted,
-                reply,
-            })
-            .expect("workers alive");
-        InferenceTicket { rx }
+        InferenceTicket {
+            sample: Some(sh.svc.submit(req)),
+            fanout,
+            submitted,
+            shared: Arc::clone(sh),
+        }
     }
 
     /// Submits and waits: the synchronous convenience path.
@@ -308,101 +344,24 @@ impl InferenceService {
     /// Returns a finished reply's embedding buffer to the service's
     /// pool, so steady-state serving recycles instead of allocating.
     pub fn recycle(&self, reply: InferenceReply) {
-        self.pool.put_floats(reply.embeddings.into_vec());
+        self.shared.pool.put_floats(reply.embeddings.into_vec());
     }
 
-    /// End-to-end serving stats (p50/p99 are submit-to-embedding).
+    /// End-to-end serving stats (p50/p99 are submit-to-embedding) of
+    /// the requests answered so far.
     pub fn stats(&self) -> InferenceStats {
-        self.stats.lock().expect("stats lock").clone()
+        self.shared.books().0.clone()
     }
 
     /// The sampling service underneath (its stats cover sampling only).
     pub fn sampling(&self) -> &SamplingService {
-        &self.svc
+        &self.shared.svc
     }
 
-    /// The model being served.
-    pub fn model(&self) -> &SageModel {
-        &self.model
-    }
-
-    /// Answers every request already submitted, then stops the workers
-    /// (the sampling service shuts down with its last owner).
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    /// Stops accepting requests; each worker's loop ends once the queue
-    /// is empty.
-    fn close_queue(&mut self) {
-        drop(self.tx.take());
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.close_queue();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for InferenceService {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-/// One worker: pull a job, wait for its sample, run the per-request
-/// body, account end-to-end latency, reply. Exits when the queue is
-/// closed *and* empty, so a request accepted by `submit` is always
-/// answered.
-fn worker_loop(
-    svc: &SamplingService,
-    model: &SageModel,
-    pool: &BufferPool,
-    stats: &Mutex<InferenceStats>,
-    rx: &Receiver<Job>,
-) {
-    // The observability bundle and this worker's handle for finishing
-    // requests in its ledger.
-    let mut observed = svc.observability().map(|o| (o, o.ledger().handle()));
-    let mut bufs = RequestBuffers::default();
-    for job in rx.iter() {
-        let trace = job.ticket.trace();
-        let wait_t0 = observed.is_some().then(Instant::now);
-        let sreply = job.ticket.wait_reply();
-        let sample_wait_us = wait_t0.map_or(0.0, elapsed_us);
-        // The body records its gather and compute events (and the
-        // per-partition gather legs underneath) against this scope.
-        let scope = observed
-            .as_ref()
-            .map(|(o, _)| ledger::enter_scope(o.ledger(), vec![trace]));
-        let reply = bufs.serve(
-            svc,
-            model,
-            pool.take_floats(),
-            sreply,
-            job.fanout,
-            sample_wait_us,
-        );
-        drop(scope);
-        let total_us = job.submitted.elapsed().as_micros() as u64;
-        {
-            let mut s = stats.lock().expect("stats lock");
-            s.requests += 1;
-            if reply.degraded {
-                s.degraded += 1;
-            }
-            s.latency.record(total_us);
-            s.gather_batch.record(1);
-        }
-        if let Some((o, h)) = observed.as_mut() {
-            o.observe_e2e(total_us as f64, reply.degraded);
-            h.finish(trace, total_us as f64, reply.degraded);
-        }
-        // A dropped ticket just discards the reply.
-        let _ = job.reply.send(reply);
-    }
+    /// Stops accepting requests. Tickets already issued stay valid: each
+    /// is answered by its `wait` (or its drop), and the sampling service
+    /// shuts down with the last of them.
+    pub fn shutdown(self) {}
 }
 
 fn elapsed_us(since: Instant) -> f64 {
@@ -410,7 +369,7 @@ fn elapsed_us(since: Instant) -> f64 {
 }
 
 /// What one request needs between its sample reply and its embeddings,
-/// reused from request to request by whoever runs the body (a worker, or
+/// reused from request to request by whoever runs the body (a ticket, or
 /// [`run_sequential`]).
 #[derive(Default)]
 struct RequestBuffers {
@@ -429,7 +388,7 @@ impl RequestBuffers {
     /// the model into `out_buf`, attach the degradation provenance and
     /// hand the block back to the backend.
     ///
-    /// Under a ledger scope (a worker of an observed service installs
+    /// Under a ledger scope (a ticket of an observed service installs
     /// one per request) it records one `Gather` event — queue = the
     /// caller's wait on the sample ticket, service = the fetch, detail =
     /// distinct rows fetched — and one `ComputeLayer` event per layer.
@@ -519,7 +478,7 @@ fn estimate_recall(sampled: u64, unreachable: u64, fanout: usize) -> f64 {
 
 /// The one-at-a-time reference execution: each request is sampled,
 /// gathered and embedded before the next is submitted, by the *same*
-/// per-request body the service's workers run. Replies are
+/// per-request body the service's tickets run. Replies are
 /// bitwise-identical to the service's on a deterministic backend — how
 /// many requests are in flight changes latency, never results.
 ///
@@ -692,36 +651,17 @@ mod tests {
         );
     }
 
-    #[test]
-    fn tiny_stage_queues_still_drain_under_load() {
-        let pipe = InferenceService::start(
-            SamplingService::start(backend(2), service_cfg(2)),
-            model(),
-            InferenceConfig { stage_capacity: 1 },
-        );
-        // More in-flight requests than the queue can hold: submission
-        // must backpressure, not deadlock or drop.
-        let replies: Vec<InferenceReply> = (0..40)
-            .map(|s| pipe.submit(req(s)))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(InferenceTicket::wait)
-            .collect();
-        assert_eq!(replies.len(), 40);
-        assert_eq!(pipe.stats().requests, 40);
-    }
-
     /// Drop order (ROADMAP 5b): a request `submit` accepted is answered
-    /// exactly once even when the service shuts down with it still
-    /// queued. The sampling backend is gated, so which requests are
-    /// queued when the queue closes is fixed by tokens, not by a clock.
+    /// exactly once even when the service shuts down with its ticket
+    /// still outstanding. The sampling backend is gated, so which
+    /// samples are still held at shutdown is fixed by tokens, not by a
+    /// clock.
     #[test]
     fn shutdown_answers_every_queued_request_exactly_once() {
-        const CAPACITY: usize = 2;
         const TOTAL: u64 = 16;
-        // The tail whose samples are held: it fills the queue and every
-        // worker's hands, so the submitter still ends.
-        const HELD: u64 = (CAPACITY + WORKERS) as u64;
+        // The tail whose samples are still held when the service shuts
+        // down.
+        const HELD: u64 = 4;
         let small = |s: u64| SampleRequest {
             roots: vec![NodeId(s * 17 % 300), NodeId((s * 7 + 3) % 300)],
             hops: 2,
@@ -735,49 +675,66 @@ mod tests {
         };
 
         let (svc, _entered, release) = gated(one_per_dispatch, None);
-        let mut pipe = InferenceService::start(
-            svc,
-            model(),
-            InferenceConfig {
-                stage_capacity: CAPACITY,
-            },
-        );
+        let pipe = InferenceService::start(svc, model(), InferenceConfig::default());
         (HELD..TOTAL).for_each(|_| release.send(()).unwrap());
-        // A second thread submits more than the queue holds; backpressure
-        // blocks it until the workers catch up.
-        let tickets = std::thread::scope(|s| {
-            s.spawn(|| {
-                (0..TOTAL)
-                    .map(|i| pipe.submit(small(i)))
-                    .collect::<Vec<_>>()
-            })
-            .join()
-            .expect("submitter")
-        });
-        // Shutdown begins with the held tail unanswered: at most WORKERS
-        // of it sit in workers blocked on their samples, the rest is
-        // queued.
-        pipe.close_queue();
+        let tickets: Vec<InferenceTicket> = (0..TOTAL).map(|i| pipe.submit(small(i))).collect();
+        // Shutdown with every ticket outstanding and the tail's samples
+        // held: the tickets keep the sampling service alive.
+        pipe.shutdown();
         (0..HELD).for_each(|_| release.send(()).unwrap());
         let mut digests: Vec<u64> = tickets
             .into_iter()
             .rev()
-            .map(|t| {
-                let reply = t.rx.recv().expect("a queued request is answered");
-                assert!(t.rx.try_recv().is_err(), "one reply per ticket");
-                reply.digest()
-            })
+            .map(|t| t.wait().digest())
             .collect();
         digests.reverse();
-        assert_eq!(pipe.stats().requests, TOTAL);
-        // Joins the workers: the test ends only if none is left blocked.
-        pipe.shutdown();
 
         let (ref_svc, _entered, release) = gated(one_per_dispatch, None);
         (0..TOTAL).for_each(|_| release.send(()).unwrap());
         let seq = run_sequential(&ref_svc, &model(), (0..TOTAL).map(small));
         let want: Vec<u64> = seq.iter().map(InferenceReply::digest).collect();
         assert_eq!(digests, want);
+    }
+
+    /// A ticket dropped without `wait` still runs its request to the
+    /// end: counted in the stats, finished once in the ledger.
+    #[test]
+    fn dropped_tickets_are_still_accounted_and_finished() {
+        const TOTAL: u64 = 10;
+        let obs = Observability::default();
+        let svc = SamplingService::start_observed(
+            backend(2),
+            service_cfg(1),
+            None,
+            None,
+            Some(obs.clone()),
+        );
+        let pipe = InferenceService::start(svc, model(), InferenceConfig::default());
+        let tickets: Vec<InferenceTicket> = (0..TOTAL).map(|s| pipe.submit(req(s))).collect();
+        let mut waited = 0;
+        for (i, t) in tickets.into_iter().enumerate() {
+            if i % 2 == 0 {
+                drop(t);
+            } else {
+                pipe.recycle(t.wait());
+                waited += 1;
+            }
+        }
+        assert_eq!(waited, TOTAL / 2);
+        let snap = obs.ledger().snapshot();
+        assert_eq!(snap.finished, TOTAL, "every submission finishes once");
+        for trace in 1..=TOTAL {
+            let done = snap
+                .events_for(trace)
+                .iter()
+                .filter(|e| e.stage == Stage::Done)
+                .count();
+            assert_eq!(done, 1, "trace {trace}");
+        }
+        let stats = pipe.stats();
+        assert_eq!(stats.requests, TOTAL);
+        assert_eq!(stats.latency.count(), TOTAL);
+        assert_eq!(obs.e2e_slo().total(), TOTAL);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! submit→reply latency against the *sampling* SLO and, when it is the
 //! outermost layer, runs the ledger's finish triggers (flight dumps).
 //! [`InferenceService::start`] calls [`Observability::defer_sample_finish`]
-//! so a wrapped sampling stage only contributes events and the pipeline's
-//! end-to-end completion is the single finish authority — otherwise every
-//! degraded sample would dump twice.
+//! so a wrapped sampling stage only contributes events and the inference
+//! ticket's end-to-end completion (its `wait`, or its drop) is the single
+//! finish authority — otherwise every degraded sample would dump twice.
 //!
 //! [`SamplingService`]: crate::service::SamplingService
 //! [`InferenceService::start`]: crate::inference::InferenceService::start

@@ -923,30 +923,6 @@ impl SamplingService {
         SampleTicket { rx, trace }
     }
 
-    /// Like [`SamplingService::submit`], but with a relative deadline:
-    /// slack-driven batch formation will not let coalescing push this
-    /// request past `deadline`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `req.fanout` is zero or a root is outside the backend's
-    /// node range.
-    pub fn submit_with_deadline(&self, req: SampleRequest, deadline: Duration) -> SampleTicket {
-        req.assert_well_formed(self.backend.num_nodes());
-        let trace = self.register_submit(&req);
-        let (reply, rx) = bounded(1);
-        let now = Instant::now();
-        self.submit_routed(
-            req,
-            now,
-            Some(now + deadline),
-            Priority::Interactive,
-            trace,
-            reply,
-        );
-        SampleTicket { rx, trace }
-    }
-
     /// The routed enqueue the shaped front door uses: the caller owns
     /// the reply channel (the ticket was handed out at admission), the
     /// original submission instant (so lane waits count toward latency),
@@ -1114,13 +1090,8 @@ pub(crate) mod tests {
             fanout: 0,
             ..req(1)
         };
-        let refused =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.submit(bad.clone())));
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.submit(bad)));
         assert!(refused.is_err(), "submit must refuse a zero fanout");
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            svc.submit_with_deadline(bad, Duration::from_millis(5))
-        }));
-        assert!(refused.is_err(), "and so must submit_with_deadline");
         let block = svc.submit(req(2)).wait_block();
         assert_eq!(block.num_hops(), 2);
         assert_eq!(svc.stats().requests, 1);
@@ -1138,13 +1109,8 @@ pub(crate) mod tests {
             roots: vec![NodeId(3), NodeId(500)],
             ..req(1)
         };
-        let refused =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.submit(bad.clone())));
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.submit(bad)));
         assert!(refused.is_err(), "submit must refuse a root past the range");
-        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            svc.submit_with_deadline(bad, Duration::from_millis(5))
-        }));
-        assert!(refused.is_err(), "and so must submit_with_deadline");
         let edge = SampleRequest {
             roots: vec![NodeId(499)],
             ..req(2)
@@ -1329,7 +1295,14 @@ pub(crate) mod tests {
                 None,
             );
             let t0 = Instant::now();
-            let tight = |s| svc.submit_with_deadline(req(s), Duration::from_millis(1));
+            // Through the routed enqueue, the shaped door's deadline path.
+            let tight = |s| {
+                let (reply, rx) = bounded(1);
+                let now = Instant::now();
+                let deadline = Some(now + Duration::from_millis(1));
+                svc.submit_routed(req(s), now, deadline, Priority::Interactive, 0, reply);
+                SampleTicket::from_parts(rx, 0)
+            };
             let first = tight(0);
             assert_eq!(entered.recv().unwrap(), 1, "dispatch 1 is held");
             let queued: Vec<_> = (1..=8).map(tight).collect();

@@ -1,9 +1,8 @@
 //! Differential pinning of the inference service: for arbitrary graphs,
-//! request shapes, queue bounds and in-flight windows, the
-//! [`InferenceService`] must produce bitwise-identical replies to the
-//! one-at-a-time sample → gather → compute reference
-//! ([`run_sequential`]) — solo, batched, over the inline hot-set
-//! cache, and under chaos-injected card failures, where degraded
+//! request shapes and in-flight windows, the [`InferenceService`] must
+//! produce bitwise-identical replies to the one-at-a-time sample →
+//! gather → compute reference ([`run_sequential`]) — solo, batched,
+//! over the inline hot-set cache, and under chaos-injected card failures, where degraded
 //! samples must still yield complete (degraded, recall-quantified)
 //! replies on both arms.
 //! Concurrency and batching may change latency, never answers.
@@ -77,11 +76,10 @@ fn assert_replies_match(piped: &[InferenceReply], seq: &[InferenceReply]) {
 fn pipeline_replies(
     svc: SamplingService,
     model: SageModel,
-    config: InferenceConfig,
     window: usize,
     reqs: impl Iterator<Item = SampleRequest>,
 ) -> Vec<InferenceReply> {
-    let pipe = InferenceService::start(svc, model, config);
+    let pipe = InferenceService::start(svc, model, InferenceConfig::default());
     let mut tickets = std::collections::VecDeque::<InferenceTicket>::new();
     let mut replies = Vec::new();
     for r in reqs {
@@ -95,7 +93,7 @@ fn pipeline_replies(
 }
 
 proptest! {
-    /// Healthy backends, arbitrary shapes, queue bounds and windows: the
+    /// Healthy backends, arbitrary shapes and in-flight windows: the
     /// service's output is bitwise-identical to the sequential reference.
     #[test]
     fn pipelined_matches_sequential_on_healthy_backends(
@@ -104,16 +102,13 @@ proptest! {
         parts in 1u32..4,
         roots in 1u64..12,
         fanout in 1usize..6,
-        stage_capacity in 1usize..8,
         window in 1usize..16,
     ) {
         let reqs = requests(gseed, roots, fanout);
-        let config = InferenceConfig { stage_capacity };
 
         let piped = pipeline_replies(
             SamplingService::start(backend(edges, gseed, parts), service_cfg()),
             model(gseed),
-            config,
             window,
             reqs.clone(),
         );
@@ -137,7 +132,6 @@ proptest! {
         let piped = pipeline_replies(
             SamplingService::start(cached_backend(6, gseed, 2, capacity), service_cfg()),
             model(gseed),
-            InferenceConfig::default(),
             REQUESTS as usize,
             reqs.clone(),
         );
@@ -175,7 +169,6 @@ proptest! {
         let piped = pipeline_replies(
             faulted(),
             model(gseed),
-            InferenceConfig::default(),
             REQUESTS as usize,
             reqs.clone(),
         );
