@@ -63,7 +63,7 @@ fi
 # preloaded sampler profiles it rather than cargo.
 step "tools/sigprof: profile fig14 and symbolise it"
 missing=""
-for tool in python3 addr2line readelf; do
+for tool in python3 addr2line readelf nm; do
     command -v "$tool" >/dev/null 2>&1 || missing="$missing $tool"
 done
 if [ ! -f target/sigprof/libsigprof.so ]; then

@@ -27,11 +27,24 @@
 //! read-modify-write would wait for the store misses of the row copies
 //! issued before it.
 //!
+//! **A miss is nearly free.** Uniform sampling has little temporal reuse
+//! (the paper's Tech-4), so most lookups miss and most offers are turned
+//! away; the tier makes both cheap. Each segment has a counting
+//! **residency filter** — eight counters per slot, bumped and dropped
+//! under the segment's lock as keys come and go, read without it. A
+//! probe passes its batch through the filter first: a key the filter
+//! rules out is a miss with no lock, no map lookup and no sketch count.
+//!
 //! **Admission** is frequency-based in the TinyLFU mold: every segment
-//! keeps a 4-bit count-min sketch; a candidate only displaces the
-//! segment's LRU victim when its estimated frequency exceeds the
-//! victim's. One-hit wonders bounce off a warm cache instead of flushing
-//! it.
+//! keeps a 4-bit count-min sketch with TinyLFU's **doorkeeper** bitset
+//! in front of it. Free capacity fills unconditionally. An offer to a
+//! full segment that the doorkeeper has not seen in the current window
+//! only sets its bit and is rejected, without reading the sketch or the
+//! victim; a repeat sighting is counted and displaces the segment's LRU
+//! victim only when its estimated frequency exceeds the victim's.
+//! One-hit wonders bounce off a warm cache instead of flushing it. The
+//! sketch counts hits, repeat offers and the lookups that get past the
+//! filter; a filtered miss and a first sighting count in none of it.
 //!
 //! **Eviction** is exact LRU per segment in O(1): the slots of a segment
 //! are threaded on an intrusive recency list in last-use order, so the
@@ -44,7 +57,7 @@
 //! cluster, and with it a new, cold cache.
 
 use lsdgnn_graph::{FnvHashMap, NodeId};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// SplitMix64 — the shard selector and sketch hash. One multiply-xor
@@ -57,17 +70,23 @@ fn mix(v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A 4-bit count-min sketch (4 rows folded into one array) — the
-/// TinyLFU frequency estimator behind segment admission.
+/// A 4-bit count-min sketch (4 rows folded into one array) with a
+/// doorkeeper bitset in front of it — the TinyLFU frequency estimator
+/// behind segment admission.
 ///
 /// Counters saturate at 15 and halve once the op count reaches a sample
 /// window proportional to the segment capacity, so the estimate tracks
-/// *recent* popularity rather than all of history.
+/// *recent* popularity rather than all of history. The doorkeeper
+/// remembers which keys were offered once in the current window; aging
+/// clears it.
 #[derive(Debug)]
 struct FreqSketch {
     /// 16 packed 4-bit counters per word.
     words: Vec<u64>,
     mask: u64,
+    /// One bit per hash slot, 64 per word: set by a first sighting.
+    door: Vec<u64>,
+    door_mask: u64,
     ops: u32,
     window: u32,
 }
@@ -75,15 +94,22 @@ struct FreqSketch {
 impl FreqSketch {
     fn new(capacity: usize) -> Self {
         let counters = (capacity * 8).next_power_of_two().max(64);
+        // Floor the sample window so tiny segments don't age their
+        // history away mid-scan: aging keeps estimates *recent*, but a
+        // window smaller than one adversarial burst erases the hot set's
+        // defense exactly when it is needed.
+        let window = ((capacity as u32) * 16).max(4096);
+        // Four bits per op of the window: a window of first sightings
+        // leaves at most a quarter of the bits set, so few newcomers
+        // pass for repeats.
+        let door_bits = (window as usize * 4).next_power_of_two();
         FreqSketch {
             words: vec![0; counters / 16],
             mask: (counters - 1) as u64,
+            door: vec![0; door_bits / 64],
+            door_mask: (door_bits - 1) as u64,
             ops: 0,
-            // Floor the sample window so tiny segments don't age their
-            // history away mid-scan: aging keeps estimates *recent*, but
-            // a window smaller than one adversarial burst erases the
-            // hot set's defense exactly when it is needed.
-            window: ((capacity as u32) * 16).max(4096),
+            window,
         }
     }
 
@@ -117,6 +143,32 @@ impl FreqSketch {
                 self.put(p, c + 1);
             }
         }
+        self.tick();
+    }
+
+    /// Passes an offer through the doorkeeper: `true` if `h` was seen
+    /// before in this window. A first sighting only sets its bit — no
+    /// counter moves — but still counts toward the aging window.
+    fn seen_before(&mut self, h: u64) -> bool {
+        let (word, mask) = self.door_bit(h);
+        if self.door[word] & mask != 0 {
+            return true;
+        }
+        self.door[word] |= mask;
+        self.tick();
+        false
+    }
+
+    /// The doorkeeper word and bit of hash `h`. High hash bits: the low
+    /// ones pick the segment and its residency-filter slot.
+    #[inline]
+    fn door_bit(&self, h: u64) -> (usize, u64) {
+        let bit = (h >> 32) & self.door_mask;
+        ((bit >> 6) as usize, 1 << (bit & 63))
+    }
+
+    /// Advances the sample window by one op, aging at its end.
+    fn tick(&mut self) {
         self.ops += 1;
         if self.ops >= self.window {
             self.age();
@@ -128,14 +180,15 @@ impl FreqSketch {
         (0..4).map(|i| self.get(self.pos(h, i))).min().unwrap_or(0)
     }
 
-    /// Halves every counter — the TinyLFU reset that forgets old epochs
-    /// of popularity.
+    /// Halves every counter and clears the doorkeeper — the TinyLFU
+    /// reset that forgets old epochs of popularity.
     fn age(&mut self) {
         for w in &mut self.words {
             // Halve all 16 packed counters at once: shift, then mask the
             // bit that would leak in from the neighbor's low bit.
             *w = (*w >> 1) & 0x7777_7777_7777_7777;
         }
+        self.door.fill(0);
         self.ops = 0;
     }
 }
@@ -326,7 +379,9 @@ pub struct TierSnapshot {
     pub admits: u64,
     /// Entries displaced by LRU eviction.
     pub evicts: u64,
-    /// Candidates the admission sketch turned away.
+    /// Candidates admission turned away: first sightings the doorkeeper
+    /// held back, and repeat sightings the sketch rated no more popular
+    /// than the victim.
     pub rejects: u64,
     /// Hits that served a node whose owning partition was unreachable —
     /// each one legally avoided a degraded reply.
@@ -369,6 +424,14 @@ impl lsdgnn_telemetry::MetricSource for TierSnapshot {
 pub struct ShardedTier<T> {
     segments: Vec<Mutex<Segment<T>>>,
     shard_mask: usize,
+    /// The residency filter: per segment, `filter_mask + 1` counters,
+    /// each the number of the segment's resident keys whose hash lands
+    /// on it (sticky at `u8::MAX`, so a counter never reads below the
+    /// truth). Written only under the segment's lock, read without it: a
+    /// zero means "not resident", which settles most misses before any
+    /// lock is taken.
+    filter: Vec<AtomicU8>,
+    filter_mask: usize,
     capacity: usize,
     admission: bool,
     counters: TierCounters,
@@ -382,8 +445,8 @@ impl<T: Copy> ShardedTier<T> {
     /// A tier holding at most `capacity` entries across `shards`
     /// segments (rounded to a power of two and clamped so every segment
     /// holds at least one entry). `admission` gates inserts through the
-    /// frequency sketch; without it the tier degrades to plain
-    /// segment-LRU.
+    /// doorkeeper and the frequency sketch; without it the tier degrades
+    /// to plain segment-LRU.
     ///
     /// # Panics
     ///
@@ -397,26 +460,25 @@ impl<T: Copy> ShardedTier<T> {
             shards
         };
         let shards = shards.max(1);
-        let seg_cap = capacity.div_ceil(shards);
+        // The first `capacity % shards` segments take one slot more, so
+        // the segments hold exactly `capacity` between them.
+        let (seg_cap, extra) = (capacity / shards, capacity % shards);
         let segments = (0..shards)
-            .map(|_| Mutex::new(Segment::new(seg_cap)))
+            .map(|s| Mutex::new(Segment::new(seg_cap + usize::from(s < extra))))
             .collect();
+        // Eight counters per slot of the largest segment.
+        let counters = (8 * capacity.div_ceil(shards)).next_power_of_two();
         ShardedTier {
             segments,
             shard_mask: shards - 1,
+            filter: (0..shards * counters).map(|_| AtomicU8::new(0)).collect(),
+            filter_mask: counters - 1,
             capacity,
             admission,
             counters: TierCounters::default(),
             #[cfg(test)]
             evict_by_scan: false,
         }
-    }
-
-    /// Locks `v`'s segment; returns the guard and `v`'s hash.
-    #[inline]
-    fn enter(&self, v: NodeId) -> (MutexGuard<'_, Segment<T>>, u64) {
-        let h = mix(v.0);
-        (self.lock(h as usize & self.shard_mask), h)
     }
 
     /// Locks segment `s`.
@@ -427,30 +489,45 @@ impl<T: Copy> ShardedTier<T> {
         self.segments[s].lock().expect("segment lock")
     }
 
-    /// Groups a batch by segment, in stable order: on return
-    /// `scratch[s]` is the end of segment `s`'s run (and the start of
-    /// segment `s + 1`'s) within `scratch[segments..]`, which lists the
-    /// batch indices `j` (into `batch`) of segment 0's keys, then segment
-    /// 1's, each run in batch order. A counting sort: two passes, no
-    /// allocation once `scratch` has grown.
-    fn group(&self, keys: &[NodeId], batch: &[u32], scratch: &mut Vec<u32>) {
+    /// Groups by segment, in stable order, the keys of a batch that
+    /// `keep(hash)` selects. On return `scratch` is `[ends | kept |
+    /// order]`: `ends[s]` is the end of segment `s`'s run (and the start
+    /// of segment `s + 1`'s) within `order`, which lists the batch
+    /// indices `j` (into `batch`) of segment 0's kept keys, then segment
+    /// 1's, each run in batch order; `kept` lists the same indices in
+    /// batch order. A counting sort over `kept`, so `keep` is asked once
+    /// per key; no allocation once `scratch` has grown.
+    fn group(
+        &self,
+        keys: &[NodeId],
+        batch: &[u32],
+        scratch: &mut Vec<u32>,
+        keep: impl Fn(u64) -> bool,
+    ) {
         let segs = self.segments.len();
-        let seg_of = |i: u32| mix(keys[i as usize].0) as usize & self.shard_mask;
+        let seg_of = |j: u32| mix(keys[batch[j as usize] as usize].0) as usize & self.shard_mask;
         scratch.clear();
-        scratch.resize(segs + batch.len(), 0);
-        let (cursor, order) = scratch.split_at_mut(segs);
-        for &i in batch {
-            cursor[seg_of(i)] += 1;
+        scratch.resize(segs, 0);
+        for (j, &i) in batch.iter().enumerate() {
+            let h = mix(keys[i as usize].0);
+            if keep(h) {
+                scratch[h as usize & self.shard_mask] += 1;
+                scratch.push(j as u32);
+            }
         }
+        let kept = scratch.len() - segs;
+        scratch.resize(segs + 2 * kept, 0);
+        let (cursor, rest) = scratch.split_at_mut(segs);
+        let (picked, order) = rest.split_at_mut(kept);
         // Exclusive prefix sums: each segment's start…
         let mut start = 0;
         for c in cursor.iter_mut() {
             (*c, start) = (start, start + *c);
         }
         // …which placement advances to its end.
-        for (j, &i) in batch.iter().enumerate() {
-            let c = &mut cursor[seg_of(i)];
-            order[*c as usize] = j as u32;
+        for &j in picked.iter() {
+            let c = &mut cursor[seg_of(j)];
+            order[*c as usize] = j;
             *c += 1;
         }
     }
@@ -458,7 +535,9 @@ impl<T: Copy> ShardedTier<T> {
     /// Runs `each(segment, j)` over a batch grouped by [`Self::group`],
     /// holding each touched segment's lock once, for all of its keys.
     fn for_each_grouped(&self, scratch: &[u32], mut each: impl FnMut(&mut Segment<T>, usize)) {
-        let (ends, order) = scratch.split_at(self.segments.len());
+        let segs = self.segments.len();
+        let (ends, rest) = scratch.split_at(segs);
+        let order = &rest[(scratch.len() - segs) / 2..];
         let mut lo = 0;
         for (s, &hi) in ends.iter().enumerate() {
             let run = &order[lo as usize..hi as usize];
@@ -519,26 +598,61 @@ impl<T: Copy> ShardedTier<T> {
         add(&self.counters.partition_saves, n);
     }
 
+    /// The residency-filter counter of hash `h` (in `h`'s segment).
+    #[inline]
+    fn filter_slot(&self, h: u64) -> &AtomicU8 {
+        let s = h as usize & self.shard_mask;
+        let slot = (h >> self.shard_mask.count_ones()) as usize & self.filter_mask;
+        &self.filter[s * (self.filter_mask + 1) + slot]
+    }
+
+    /// Whether a key of hash `h` may be resident. `false` is exact under
+    /// the segment's lock; read without it, it is the answer of a moment
+    /// ago, which a lookup that ran a moment earlier would have given.
+    #[inline]
+    fn may_hold(&self, h: u64) -> bool {
+        self.filter_slot(h).load(Ordering::Relaxed) != 0
+    }
+
+    /// Moves `h`'s residency-filter counter by one, up for a key that
+    /// becomes resident and down for one that leaves. Called under the
+    /// segment's lock, so a plain load and store suffice; a saturated
+    /// counter stays put.
+    fn flag(&self, h: u64, resident: bool) {
+        let c = self.filter_slot(h);
+        let n = c.load(Ordering::Relaxed);
+        if n != u8::MAX {
+            c.store(if resident { n + 1 } else { n - 1 }, Ordering::Relaxed);
+        }
+    }
+
     /// Whether a lookup of `v` would hit right now — a read-only probe:
     /// no counter, sketch count or recency refresh moves, so asking does
     /// not change what the tier later admits or evicts. For a caller
-    /// that must know a row is servable without fetching it.
+    /// that must know a row is servable without fetching it. A key the
+    /// residency filter rules out is answered without a lock.
     pub fn contains(&self, v: NodeId) -> bool {
-        self.enter(v).0.map.contains_key(&v)
+        let h = mix(v.0);
+        self.may_hold(h) && self.lock(h as usize & self.shard_mask).map.contains_key(&v)
     }
 
     /// Looks up, as one pass, the keys `batch` lists (positions into
     /// `keys`). A resident key's payload goes to `on_hit(position,
     /// payload)` under its segment's lock and its position leaves
     /// `batch`, which ends up holding the misses in their original
-    /// order. Every lookup counts in the admission sketch and the
-    /// hit/miss counters; a hit refreshes the entry's recency.
+    /// order. Every lookup counts in the hit/miss counters; a hit
+    /// refreshes the entry's recency.
     ///
-    /// The batch is grouped by segment in stable order (`scratch` is the
-    /// grouping's working space), so a call takes each touched segment's
-    /// lock once and adds to each counter once. Segments share no state,
-    /// so each one sees the same operations in the same order as a
-    /// key-at-a-time loop would give it.
+    /// The batch first passes the residency filter, without a lock: a
+    /// key it rules out is a miss that takes no lock, reads no map and
+    /// leaves the admission sketch alone. Only the keys that may be
+    /// resident are grouped by segment in stable order (`scratch` is the
+    /// grouping's working space), looked up and counted in the sketch,
+    /// so a call takes each segment that one of them lands in once and
+    /// adds to each counter once. A probe changes no residency, so the
+    /// filter reads the same throughout a pass; segments share no other
+    /// state, so each one sees the same operations in the same order as
+    /// a key-at-a-time loop would give it.
     pub fn probe(
         &self,
         keys: &[NodeId],
@@ -547,7 +661,7 @@ impl<T: Copy> ShardedTier<T> {
         mut on_hit: impl FnMut(u32, &[T]),
     ) {
         debug_assert!(keys.len() < NIL as usize, "positions must stay below NIL");
-        self.group(keys, batch, scratch);
+        self.group(keys, batch, scratch, |h| self.may_hold(h));
         let mut hits = 0;
         self.for_each_grouped(scratch, |seg, j| {
             let i = batch[j];
@@ -579,12 +693,16 @@ impl<T: Copy> ShardedTier<T> {
         (seg.head != NIL).then_some(seg.head)
     }
 
-    /// Offers, as one pass grouped like [`ShardedTier::probe`], the
-    /// keys `batch` lists (positions into `keys`) for caching after a
-    /// remote fetch; `payload(j)` is the data of the `j`-th. Present
-    /// entries are refreshed; fresh entries fill free capacity; a full
-    /// segment evicts its LRU victim only if the sketch rates the
-    /// candidate strictly more popular (without admission, always).
+    /// Offers, as one pass grouped like [`ShardedTier::probe`] (every
+    /// key, each segment locked once), the keys `batch` lists (positions
+    /// into `keys`) for caching after a remote fetch; `payload(j)` is the
+    /// data of the `j`-th. A present entry is refreshed; a fresh entry
+    /// fills free capacity. An offer to a full segment first meets the
+    /// doorkeeper: a first sighting in the sketch's window is rejected
+    /// having only set its bit, and a repeat sighting is counted in the
+    /// sketch and evicts the segment's LRU victim only if the sketch
+    /// rates it strictly more popular. Without admission a full segment
+    /// always evicts.
     pub fn admit<'a>(
         &self,
         keys: &[NodeId],
@@ -594,35 +712,48 @@ impl<T: Copy> ShardedTier<T> {
     ) where
         T: 'a,
     {
-        self.group(keys, batch, scratch);
+        self.group(keys, batch, scratch, |_| true);
         let (mut admits, mut evicts, mut rejects) = (0, 0, 0);
         self.for_each_grouped(scratch, |seg, j| {
             let v = keys[batch[j] as usize];
             let h = mix(v.0);
-            seg.sketch.increment(h);
-            if let Some(&i) = seg.map.get(&v) {
+            // Under the lock the filter is exact: most offers skip the map.
+            let resident = self.may_hold(h).then(|| seg.map.get(&v)).flatten();
+            if let Some(&i) = resident {
+                seg.sketch.increment(h);
                 seg.touch(i);
                 return; // cached graph data is immutable: touch, don't copy
             }
             if let Some(i) = seg.vacant_slot() {
+                seg.sketch.increment(h);
                 seg.write(i, v, payload(j));
+                self.flag(h, true);
                 admits += 1;
                 return;
             }
+            // A newcomer must be seen twice in a window before it may
+            // challenge a resident: most offers are one-hit wonders, and
+            // this turns them away without reading the victim.
+            if self.admission && !seg.sketch.seen_before(h) {
+                rejects += 1;
+                return;
+            }
+            seg.sketch.increment(h);
             let Some(vi) = self.lru(seg) else { return };
+            let victim = mix(seg.slots[vi as usize].node.0);
             // The victim defends its slot with its own frequency estimate.
             // Strictly greater wins: ties keep the incumbent, which is what
             // makes a warm cache scan-resistant (a one-hit wonder's estimate
             // can tie a decayed resident's, but never beat it).
-            if self.admission
-                && seg.sketch.estimate(h) <= seg.sketch.estimate(mix(seg.slots[vi as usize].node.0))
-            {
+            if self.admission && seg.sketch.estimate(h) <= seg.sketch.estimate(victim) {
                 rejects += 1;
                 return;
             }
             seg.detach(vi);
+            self.flag(victim, false);
             evicts += 1;
             seg.write(vi, v, payload(j));
+            self.flag(h, true);
             admits += 1;
         });
         add(&self.counters.admits, admits);
@@ -976,14 +1107,30 @@ mod tests {
     /// Checks every segment's recency list against its map: every slot
     /// is mapped, the list holds exactly the mapped slots, in strictly
     /// ascending tick order, doubly linked, and its head is the entry a
-    /// full scan would evict.
+    /// full scan would evict. Checks its residency filter too: every
+    /// mapped key is flagged, and the counters add up to the mapped
+    /// count (no counter saturates at these sizes).
     fn check_recency_lists(t: &AttrTier) -> Result<(), String> {
+        let width = t.filter_mask + 1;
         for (s, seg) in t.segments.iter().enumerate() {
             let seg = seg.lock().unwrap();
             if seg.slots.len() != seg.map.len() {
                 return Err(format!(
                     "segment {s}: {} slots, {} mapped",
                     seg.slots.len(),
+                    seg.map.len()
+                ));
+            }
+            if let Some(v) = seg.map.keys().find(|v| !t.may_hold(mix(v.0))) {
+                return Err(format!("segment {s}: resident {v:?} not in the filter"));
+            }
+            let flagged: usize = t.filter[s * width..(s + 1) * width]
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed) as usize)
+                .sum();
+            if flagged != seg.map.len() {
+                return Err(format!(
+                    "segment {s}: filter counts {flagged}, {} mapped",
                     seg.map.len()
                 ));
             }
@@ -1199,9 +1346,10 @@ mod tests {
 
     #[test]
     fn choosing_a_victim_examines_one_entry_at_any_capacity() {
-        // Complexity, not wall clock: offers to a full segment read the
-        // list head and nothing else, rejected or admitted, at 16 entries
-        // per segment and at 4096.
+        // Complexity, not wall clock: an offer to a full segment reads at
+        // most the list head, rejected or admitted, at 16 entries per
+        // segment and at 4096. Without admission every offer reads it;
+        // with admission a first sighting reads none.
         fn visits(cap: usize, admission: bool, by_scan: bool, offers: u64) -> u64 {
             let mut c: AttrTier = ShardedTier::new(cap, 1, admission);
             c.evict_by_scan = by_scan;
@@ -1214,13 +1362,127 @@ mod tests {
             }
             VICTIM_VISITS.get() - before
         }
-        for admission in [false, true] {
-            assert_eq!(visits(16, admission, false, 10_000), 10_000);
-            assert_eq!(visits(4096, admission, false, 10_000), 10_000);
+        for cap in [16, 4096] {
+            assert_eq!(visits(cap, false, false, 10_000), 10_000);
+            assert!(visits(cap, true, false, 10_000) <= 10_000);
         }
         // The counter does tell a scan apart: it pays the segment each time.
-        assert_eq!(visits(16, true, true, 100), 100 * 16);
-        assert_eq!(visits(4096, true, true, 100), 100 * 4096);
+        assert_eq!(visits(16, false, true, 100), 100 * 16);
+        assert_eq!(visits(4096, false, true, 100), 100 * 4096);
+    }
+
+    /// The sketch's counters and window position, segment by segment.
+    fn sketches(t: &AttrTier) -> Vec<(Vec<u64>, u32)> {
+        t.segments
+            .iter()
+            .map(|s| {
+                let s = s.lock().unwrap();
+                (s.sketch.words.clone(), s.sketch.ops)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_probe_the_filter_rules_out_takes_no_lock_and_counts_nothing() {
+        // A warm tier, then 200 keys its residency filter rules out: all
+        // misses, no segment lock, no sketch counter or window moved.
+        let tier: AttrTier = ShardedTier::new(64, 8, true);
+        for i in 0..64 {
+            put(&tier, NodeId(i), &[0.0]);
+        }
+        assert!(tier.len() > 32);
+        let keys: Vec<NodeId> = (1_000..)
+            .map(NodeId)
+            .filter(|v| !tier.may_hold(mix(v.0)))
+            .take(200)
+            .collect();
+        let (before, sketch) = (tier.snapshot(), sketches(&tier));
+        let locks = SEGMENT_LOCKS.get();
+        let mut batch: Vec<u32> = (0..200).collect();
+        tier.probe(&keys, &mut batch, &mut Vec::new(), |_, _| {
+            panic!("a ruled-out key hit")
+        });
+        assert_eq!(SEGMENT_LOCKS.get() - locks, 0);
+        assert_eq!(batch, (0..200).collect::<Vec<u32>>(), "every key a miss");
+        assert_eq!(tier.snapshot().misses - before.misses, 200);
+        assert_eq!(sketches(&tier), sketch);
+        assert!(keys.iter().all(|&v| !tier.contains(v)));
+        assert_eq!(SEGMENT_LOCKS.get() - locks, 0, "contains: no lock either");
+    }
+
+    #[test]
+    fn a_full_segment_admits_only_a_repeat_sighting_that_outcounts_its_victim() {
+        // One segment of two, filled: node 1 is the LRU victim, counted
+        // once (by its fill).
+        let c: AttrTier = ShardedTier::new(2, 1, true);
+        put(&c, NodeId(1), &[1.0]);
+        put(&c, NodeId(2), &[2.0]);
+        let offer = |c: &AttrTier| {
+            let (before, visits) = (c.snapshot(), VICTIM_VISITS.get());
+            let words = sketches(c)[0].0.clone();
+            put(c, NodeId(3), &[3.0]);
+            let after = c.snapshot();
+            let counted = sketches(c)[0].0 != words;
+            (
+                after.rejects - before.rejects,
+                VICTIM_VISITS.get() - visits,
+                counted,
+            )
+        };
+        // First sighting: a reject that reads no victim and counts nothing.
+        assert_eq!(offer(&c), (1, 0, false));
+        // Second: counted, it meets the victim and ties it (1 vs 1).
+        assert_eq!(offer(&c), (1, 1, true));
+        // Third: 2 beats 1, and node 3 takes node 1's slot.
+        assert_eq!(offer(&c), (0, 1, true));
+        assert!(c.contains(NodeId(3)) && !c.contains(NodeId(1)));
+        assert_eq!(c.snapshot().evicts, 1);
+    }
+
+    #[test]
+    fn aging_clears_the_doorkeeper() {
+        let mut s = FreqSketch::new(4);
+        let h = mix(42);
+        assert!(!s.seen_before(h), "first sighting");
+        assert!(s.seen_before(h), "second sighting");
+        assert_eq!(s.ops, 1, "a first sighting counts toward the window");
+        s.age();
+        assert!(!s.seen_before(h), "a new window forgets the sighting");
+        // Through a tier: once a window of other offers has gone by, a
+        // key sighted before it is a first sighting again.
+        let c: AttrTier = ShardedTier::new(1, 1, true);
+        put(&c, NodeId(0), &[0.0]);
+        put(&c, NodeId(7), &[7.0]);
+        let door = |c: &AttrTier| {
+            let seg = c.segments[0].lock().unwrap();
+            let (word, mask) = seg.sketch.door_bit(mix(7));
+            seg.sketch.door[word] & mask != 0
+        };
+        assert!(door(&c), "node 7's first sighting set its bit");
+        let mut filler = 1_000;
+        while c.segments[0].lock().unwrap().sketch.ops != 0 {
+            put(&c, NodeId(filler), &[0.0]);
+            filler += 1;
+        }
+        assert!(!door(&c), "the window's end cleared it");
+        let (visits, rejects) = (VICTIM_VISITS.get(), c.snapshot().rejects);
+        put(&c, NodeId(7), &[7.0]);
+        assert_eq!(VICTIM_VISITS.get() - visits, 0, "no victim read");
+        assert_eq!(c.snapshot().rejects - rejects, 1);
+    }
+
+    #[test]
+    fn a_tier_never_holds_more_than_its_capacity() {
+        // Capacities that do not divide by the 16 segments: the first
+        // `capacity % 16` segments take one slot more, none rounds up.
+        for capacity in [3, 17, 1000, 4096] {
+            let c: AttrTier = ShardedTier::new(capacity, 16, false);
+            for i in 0..20_000 {
+                put(&c, NodeId(i), &[0.0]);
+            }
+            assert_eq!(c.len(), capacity, "capacity {capacity}");
+            assert!(c.len() <= c.capacity());
+        }
     }
 
     #[test]

@@ -10,10 +10,14 @@ chain, and - with --file - by source line of the named file, charging a
 sample to the innermost frame of its chain that lies in that file.
 Build the profiled binary with CARGO_PROFILE_RELEASE_DEBUG=line-tables-only
 so inlined frames and lines resolve without changing the generated code.
+In a shared object, an address outside every sized dynamic symbol (a
+stripped libc's memcpy/memmove bodies) is labelled `libc.so.6+0x...`
+rather than charged to the nearest export.
 """
 import argparse
 import bisect
 import collections
+import os
 import subprocess
 
 
@@ -26,6 +30,37 @@ def load_segments(path):
         if len(f) >= 6 and f[0] == "LOAD":
             segs.append((int(f[1], 16), int(f[2], 16), int(f[4], 16)))
     return segs
+
+
+def sized_ranges(path):
+    """Merged [start, end) vaddr ranges of a shared object's sized
+    dynamic symbols (`nm -D -S --defined-only`): the code a dynamic
+    symbol really covers. A stripped library's unexported bodies (libc's
+    ifunc memcpy/memmove variants) lie outside them, and addr2line would
+    charge them to whichever export precedes them."""
+    out = subprocess.run(
+        ["nm", "-D", "-S", "--defined-only", path], capture_output=True, text=True
+    ).stdout
+    spans = []
+    for line in out.splitlines():
+        f = line.split()
+        if len(f) == 4 and int(f[1], 16) > 0:
+            start = int(f[0], 16)
+            spans.append((start, start + int(f[1], 16)))
+    merged = []
+    for start, end in sorted(spans):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return [m[0] for m in merged], [m[1] for m in merged]
+
+
+def inside(ranges, vaddr):
+    """Whether `vaddr` lies in one of `sized_ranges`' ranges."""
+    starts, ends = ranges
+    i = bisect.bisect_right(starts, vaddr) - 1
+    return i >= 0 and vaddr < ends[i]
 
 
 def parse(dump):
@@ -76,6 +111,15 @@ def symbolise(where):
             by_bin[path].append((addr, vaddr))
     frames = {a: [(p, "?")] for a, (p, v) in where.items() if v is None}
     for path, addrs in by_bin.items():
+        if ".so" in os.path.basename(path):
+            ranges = sized_ranges(path)
+            name = os.path.basename(path)
+            for addr, vaddr in addrs:
+                if not inside(ranges, vaddr):
+                    frames[addr] = [(f"{name}+{vaddr:#x}", "?")]
+            addrs = [(a, v) for a, v in addrs if a not in frames]
+            if not addrs:
+                continue
         out = subprocess.run(
             ["addr2line", "-a", "-f", "-i", "-C", "-e", path],
             input="".join(f"{v:#x}\n" for _, v in addrs),
