@@ -156,6 +156,13 @@ done
 echo "framework/src sites:"
 echo "  $(nontest_lines crates/framework/src 'Mutex<')  Mutex<"
 echo "  $(nontest_lines crates/framework/src 'std::thread::spawn')  std::thread::spawn"
+# ...and the file of each spawn site, so the log names which threads exist.
+for f in $(find crates/framework/src -name '*.rs' | sort); do
+    n=$(nontest_lines "$f" 'std::thread::spawn')
+    if [ "$n" -gt 0 ]; then
+        echo "      $n  $f"
+    fi
+done
 # The knob tally beside it: the `pub` fields of every `pub struct
 # *Config` in crates/framework/src (a unit struct counts 0). Printed for
 # the record; it gates nothing.

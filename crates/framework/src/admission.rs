@@ -27,9 +27,10 @@
 //!    service's degraded fallback makes under faults).
 //! 3. **Bounded per-class queues with priority lanes** — admitted
 //!    requests wait in one of three lanes (interactive / batch /
-//!    best-effort) drained strictly in priority order; a full lane is an
+//!    best-effort) of the service's own queue, which its worker shards
+//!    drain strictly in priority order at dispatch; a full lane is an
 //!    explicit [`Verdict::Reject`] with [`RejectReason::QueueFull`],
-//!    never unbounded memory.
+//!    never a blocked submitter or unbounded memory.
 //!
 //! Every decision is recorded in the [`RequestLedger`] as a `Stage`
 //! event (`reject` / `shed` / `brownout`), so blame reports name
@@ -40,13 +41,10 @@
 
 use crate::backend::{SampleRequest, SamplingBackend};
 use crate::obs::Observability;
-use crate::service::{SampleReply, SampleTicket, SamplingService, ServiceConfig, ServiceStats};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::service::{SampleTicket, SamplingService, ServiceConfig, ServiceStats};
 use lsdgnn_telemetry::ledger::{Stage, NO_SHARD};
 use lsdgnn_telemetry::{MetricSource, Scope};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Request priority class, in descending order of importance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -468,7 +466,7 @@ impl AdmissionController {
         Verdict::Admit { degrade_fanout }
     }
 
-    /// A request left its lane (dispatched to the service).
+    /// A request left its lane (a worker shard took it for dispatch).
     pub fn dequeued(&mut self, class: Priority) {
         let lane = class.index();
         debug_assert!(self.queue_len[lane] > 0, "dequeue from an empty lane");
@@ -523,83 +521,37 @@ pub enum SubmitVerdict {
     Shed,
 }
 
-struct LaneJob {
-    req: SampleRequest,
-    submitted: Instant,
-    deadline: Duration,
-    class: Priority,
-    trace: u64,
-    reply: Sender<SampleReply>,
-}
-
 /// [`SamplingService`] behind admission control and priority lanes.
 ///
-/// Three lanes sit between [`ShapedService::submit`] and the inner
-/// service's bounded queue; a pump thread drains them strictly
-/// interactive → batch → best-effort, so under overload the inner
-/// queue's backpressure lands on the lowest class first. Lane bounds
-/// are enforced by the [`AdmissionController`] (channel capacity is
-/// logical, not physical), and every admission decision is both counted
-/// and — with observability installed — recorded in the request ledger.
+/// [`ShapedService::submit`] asks the [`AdmissionController`] and puts an
+/// admitted job straight into its class lane of the service's own queue,
+/// which the worker shards drain strictly interactive → batch →
+/// best-effort at dispatch, so under overload the wait lands on the
+/// lowest class first. The lanes are unbounded channels; their bounds
+/// are the controller's (a job counts until a shard takes it), so a full
+/// lane refuses rather than blocks. Every admission decision is both
+/// counted and — with observability installed — recorded in the
+/// request ledger.
 pub struct ShapedService {
-    inner: Option<Arc<SamplingService>>,
-    ctrl: Arc<Mutex<AdmissionController>>,
+    inner: SamplingService,
     /// Length of the policy's tenant list, checked before the lock is
     /// taken so a bad index never panics inside it.
     tenants: usize,
-    /// Lane senders plus the wake doorbell: exactly one token per
-    /// admitted job, so the pump never busy-polls.
-    lanes: Option<([Sender<LaneJob>; CLASSES], Sender<()>)>,
-    pump: Option<JoinHandle<()>>,
-    obs: Option<Observability>,
+    /// Whether the policy has brownout on: only then does admission read
+    /// the sampling SLO's burn rate.
+    brownout: bool,
 }
 
 impl std::fmt::Debug for ShapedService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShapedService")
-            .field("config", &self.service().config())
+            .field("config", &self.inner.config())
             .finish()
     }
 }
 
-fn pump_loop(
-    lanes: [Receiver<LaneJob>; CLASSES],
-    wake: Receiver<()>,
-    inner: Arc<SamplingService>,
-    ctrl: Arc<Mutex<AdmissionController>>,
-) {
-    // One doorbell token is sent *after* its job, so every received
-    // token finds at least one queued job somewhere; the pump takes the
-    // highest-priority one available right now (strict priority without
-    // busy-polling). The doorbell disconnects only after every lane
-    // sender is dropped, and `recv` drains buffered tokens first, so
-    // disconnect implies the lanes are empty.
-    while wake.recv().is_ok() {
-        let (lane, job) = lanes
-            .iter()
-            .enumerate()
-            .find_map(|(i, rx)| rx.try_recv().ok().map(|job| (i, job)))
-            .expect("doorbell token implies a queued job");
-        ctrl.lock()
-            .expect("admission lock")
-            .dequeued(Priority::ALL[lane]);
-        // Forward into the inner bounded queue. This blocks when the
-        // service is saturated — by construction the wait is charged to
-        // the lowest-priority job the pump picked, because higher lanes
-        // were empty when it was chosen.
-        inner.submit_routed(
-            job.req,
-            job.submitted,
-            Some(job.submitted + job.deadline),
-            job.class,
-            job.trace,
-            job.reply,
-        );
-    }
-}
-
 impl ShapedService {
-    /// Starts the inner service and the lane pump.
+    /// Starts the service behind its admission controller.
     ///
     /// # Panics
     ///
@@ -610,39 +562,14 @@ impl ShapedService {
         admission: AdmissionConfig,
         obs: Option<Observability>,
     ) -> Self {
-        let inner = Arc::new(SamplingService::start_observed(
-            backend,
-            config,
-            None,
-            None,
-            obs.clone(),
-        ));
         let tenants = admission.tenants.len();
-        let ctrl = Arc::new(Mutex::new(AdmissionController::new(admission)));
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..CLASSES).map(|_| unbounded()).unzip();
-        let lanes: [Sender<LaneJob>; CLASSES] =
-            txs.try_into().expect("exactly CLASSES lane senders");
-        let rxs: [Receiver<LaneJob>; CLASSES] =
-            rxs.try_into().expect("exactly CLASSES lane receivers");
-        let (wake_tx, wake_rx) = unbounded();
-        let pump = {
-            let inner = inner.clone();
-            let ctrl = ctrl.clone();
-            std::thread::spawn(move || pump_loop(rxs, wake_rx, inner, ctrl))
-        };
+        let brownout = admission.brownout.is_some();
+        let ctrl = AdmissionController::new(admission);
         ShapedService {
-            inner: Some(inner),
-            ctrl,
+            inner: SamplingService::start_with(backend, config, None, None, obs, Some(ctrl)),
             tenants,
-            lanes: Some((lanes, wake_tx)),
-            pump: Some(pump),
-            obs,
+            brownout,
         }
-    }
-
-    /// The inner service (valid until shutdown).
-    fn service(&self) -> &SamplingService {
-        self.inner.as_ref().expect("service running")
     }
 
     /// Submits one request through admission at virtual time `now_us`
@@ -655,17 +582,19 @@ impl ShapedService {
     /// Panics if `sr.req.fanout` is zero, a root is outside the
     /// backend's node range or `sr.tenant` is outside the tenant list.
     pub fn submit(&self, sr: ShapedRequest, now_us: u64) -> SubmitVerdict {
-        sr.req
-            .assert_well_formed(self.service().backend().num_nodes());
+        sr.req.assert_well_formed(self.inner.backend().num_nodes());
         assert!(
             sr.tenant < self.tenants,
             "tenant {} of {}",
             sr.tenant,
             self.tenants
         );
-        let burn = self.obs.as_ref().map_or(0.0, |o| o.sampling_burn_rate());
+        let burn = match self.observability() {
+            Some(o) if self.brownout => o.sampling_burn_rate(),
+            _ => 0.0,
+        };
         let verdict = {
-            let mut ctrl = self.ctrl.lock().expect("admission lock");
+            let mut ctrl = self.inner.admission();
             ctrl.set_burn(burn);
             ctrl.decide(sr.tenant, sr.class, now_us)
         };
@@ -689,36 +618,10 @@ impl ShapedService {
                 if degrade_fanout {
                     req.fanout = (req.fanout / BrownoutConfig::FANOUT_DIV).max(1);
                 }
-                let trace = self.service().register_submit(&req);
-                if degrade_fanout && trace != 0 {
-                    if let Some(o) = &self.obs {
-                        let mut h = o.ledger().handle();
-                        h.record(
-                            trace,
-                            Stage::Brownout,
-                            NO_SHARD,
-                            0.0,
-                            0.0,
-                            sr.class.index() as u64,
-                        );
-                    }
-                }
-                let (reply, rx) = bounded(1);
-                let (lanes, wake) = self.lanes.as_ref().expect("service running");
-                lanes[sr.class.index()]
-                    .send(LaneJob {
-                        req,
-                        submitted: Instant::now(),
-                        deadline: sr.deadline,
-                        class: sr.class,
-                        trace,
-                        reply,
-                    })
-                    .expect("lane pump alive");
-                // Job first, then its doorbell token (the pump's
-                // token-implies-job invariant).
-                wake.send(()).expect("lane pump alive");
-                SubmitVerdict::Admitted(SampleTicket::from_parts(rx, trace))
+                let ticket = self
+                    .inner
+                    .enqueue(req, sr.class, Some(sr.deadline), degrade_fanout);
+                SubmitVerdict::Admitted(ticket)
             }
         }
     }
@@ -726,7 +629,7 @@ impl ShapedService {
     /// Ledger event for a refused request: it never got a service trace,
     /// so it gets a fresh one holding only the refusal stage.
     fn record_refusal(&self, stage: Stage, detail: u64) {
-        if let Some(o) = &self.obs {
+        if let Some(o) = self.observability() {
             let trace = o.ledger().next_trace();
             let mut h = o.ledger().handle();
             h.record(trace, stage, NO_SHARD, 0.0, 0.0, detail);
@@ -735,43 +638,22 @@ impl ShapedService {
 
     /// Inner service stats.
     pub fn stats(&self) -> ServiceStats {
-        self.service().stats()
+        self.inner.stats()
     }
 
     /// Admission accounting snapshot.
     pub fn admission_stats(&self) -> AdmissionStats {
-        self.ctrl.lock().expect("admission lock").stats()
+        self.inner.admission().stats()
     }
 
     /// The observability bundle, if installed.
     pub fn observability(&self) -> Option<&Observability> {
-        self.obs.as_ref()
+        self.inner.observability()
     }
 
-    /// Drains the lanes and the inner service, then stops both.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        drop(self.lanes.take()); // close lanes: pump drains and exits
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
-        }
-        // The pump's clone is gone; unwrap the Arc and stop the service.
-        // (If unwrapping somehow fails, SamplingService's own Drop still
-        // shuts it down when the last clone dies.)
-        if let Some(inner) = self.inner.take().and_then(Arc::into_inner) {
-            inner.shutdown();
-        }
-    }
-}
-
-impl Drop for ShapedService {
-    fn drop(&mut self) {
-        if self.pump.is_some() {
-            self.shutdown_inner();
-        }
+    /// Drains the lanes, then stops the shards.
+    pub fn shutdown(self) {
+        self.inner.shutdown();
     }
 }
 
@@ -1035,5 +917,111 @@ mod tests {
             snap.events.iter().any(|e| e.stage == Stage::Reject),
             "refusals must land in the ledger"
         );
+    }
+
+    /// Admits `sr` at time 0 or fails the test.
+    fn admit(svc: &ShapedService, sr: ShapedRequest) -> SampleTicket {
+        match svc.submit(sr, 0) {
+            SubmitVerdict::Admitted(ticket) => ticket,
+            other => panic!("must admit, got {other:?}"),
+        }
+    }
+
+    /// Jobs queued behind a held dispatch leave their lanes in priority
+    /// order, whatever order they arrived in. The arrivals are spaced
+    /// out so that a relay forwarding each job into a FIFO as it arrives
+    /// would be seen here; the order asserted does not depend on timing.
+    #[test]
+    fn strict_priority_holds_at_dispatch() {
+        let (seeds_tx, seeds) = crossbeam::channel::unbounded();
+        let (backend, release) = crate::service::tests::gate_backend(move |reqs| {
+            let batch: Vec<u64> = reqs.iter().map(|r| r.seed).collect();
+            seeds_tx.send(batch).expect("test listens");
+        });
+        let config = ServiceConfig {
+            workers: 1,
+            max_batch: 1,
+            ..ServiceConfig::default()
+        };
+        let svc = ShapedService::start(backend, config, AdmissionConfig::unlimited(1), None);
+        let held = admit(&svc, shaped_req(0, 0, Priority::Interactive));
+        assert_eq!(seeds.recv().unwrap(), [0], "dispatch 1 is held");
+        let queued: Vec<_> = [
+            (1, Priority::BestEffort),
+            (2, Priority::Batch),
+            (3, Priority::Interactive),
+        ]
+        .into_iter()
+        .map(|(seed, class)| {
+            std::thread::sleep(Duration::from_millis(5));
+            admit(&svc, shaped_req(seed, 0, class))
+        })
+        .collect();
+        (0..4).for_each(|_| release.send(()).unwrap());
+        std::iter::once(held).chain(queued).for_each(|t| {
+            t.wait_reply();
+        });
+        // Shutdown drops the backend, which ends the `seeds` stream.
+        svc.shutdown();
+        let order: Vec<Vec<u64>> = seeds.iter().collect();
+        assert_eq!(order, [[3], [2], [1]], "interactive, batch, best-effort");
+    }
+
+    /// Four submitter threads send all three classes into three shards:
+    /// every ticket gets exactly one reply, equal to a direct backend
+    /// call, and once drained every lane's occupancy is back to zero.
+    #[test]
+    fn concurrent_classes_drain_to_empty_lanes_with_exact_replies() {
+        const PER_THREAD: u64 = 60;
+        let g = generators::power_law(400, 8, 17);
+        let a = AttributeStore::synthetic(400, 8, 17);
+        let direct = CpuBackend::new(&g, &a, 2);
+        let svc = ShapedService::start(
+            Box::new(CpuBackend::new(&g, &a, 2)),
+            ServiceConfig {
+                workers: 3,
+                max_batch: 4,
+                ..ServiceConfig::default()
+            },
+            AdmissionConfig {
+                // Finite, but no lane can hold more than every request.
+                queue_bounds: [4 * PER_THREAD as usize; CLASSES],
+                ..AdmissionConfig::unlimited(4)
+            },
+            None,
+        );
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (svc, direct) = (&svc, &direct);
+                scope.spawn(move || {
+                    let seeds: Vec<u64> = (0..PER_THREAD).map(|i| t * 1_000 + i).collect();
+                    let tickets: Vec<_> = seeds
+                        .iter()
+                        .map(|&s| {
+                            let class = Priority::ALL[(s % CLASSES as u64) as usize];
+                            admit(svc, shaped_req(s, t as usize, class))
+                        })
+                        .collect();
+                    for (s, ticket) in seeds.into_iter().zip(tickets) {
+                        assert_eq!(ticket.wait(), direct.sample_neighbors(&req(s)), "seed {s}");
+                    }
+                });
+            }
+        });
+        for class in Priority::ALL {
+            assert_eq!(
+                svc.inner.admission().queue_len(class),
+                0,
+                "{}",
+                class.name()
+            );
+        }
+        let st = svc.admission_stats();
+        let accepted: u64 = Priority::ALL.iter().map(|&p| st.accepted(p)).sum();
+        assert_eq!(accepted, 4 * PER_THREAD);
+        assert_eq!(st.queue_full + st.rate_limited, 0);
+        assert!(st.bounds_respected());
+        assert_eq!(svc.stats().requests, 4 * PER_THREAD);
+        svc.shutdown();
     }
 }

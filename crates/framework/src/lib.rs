@@ -3,11 +3,11 @@
 //!
 //! The serving stack, bottom to top:
 //!
-//! * [`cluster`] — a real multi-threaded distributed graph service in the
-//!   AliGraph mold: one *server* thread per partition owning that shard's
-//!   adjacency + attributes, *workers* driving traversal/sampling through
-//!   bounded message channels. Local/remote request accounting feeds the
-//!   Figure 2(b)/(c) characterization.
+//! * [`cluster`] — the distributed graph service in the AliGraph mold:
+//!   partitions own disjoint node ranges of adjacency + attributes, and
+//!   the worker that samples runs the server side of each remote leg
+//!   itself, into pooled reply buffers. Local/remote request accounting
+//!   feeds the Figure 2(b)/(c) characterization.
 //! * [`backend`] — the hardware-abstraction layer: the
 //!   [`SamplingBackend`] trait plus its implementations — `CpuBackend`
 //!   (the cluster) and `AxeBackend` (the Access Engine, in [`offload`]).
@@ -15,8 +15,11 @@
 //!   [`hot_cache::HotSetCache`] the cluster mounts inline on its remote
 //!   data plane (`CpuBackend::from_partitioned_cached`).
 //! * [`service`] — the batched, backpressured [`SamplingService`]:
-//!   worker shards coalescing `SampleRequest`s from a bounded queue into
-//!   deadline-bounded batches, with queue/batch/latency histograms.
+//!   worker shards taking `SampleRequest`s from one lane per priority
+//!   class, highest first, and coalescing what is queued into
+//!   size-bounded batches, with queue/batch/latency histograms.
+//!   [`admission`]'s `ShapedService` is the same service behind
+//!   per-tenant admission control.
 //! * [`cpu_model`] — the calibrated CPU-baseline timing model: per-vCPU
 //!   sampling rate and the sub-linear server-scaling curve of
 //!   Figure 2(b).
@@ -89,11 +92,3 @@ pub use service::{
 };
 pub use traffic::{Arrival, TenantSpec, TrafficConfig, TrafficTrace};
 pub use trainer::{EpochReport, TrainerConfig, TrainingJob};
-
-/// Unit tests of one fallible attempt under a fault plan (request loss
-/// and card-down masks) and of the fallback, as the service's ladder runs
-/// them (`service::{try_attempt, sample_masked}`); the module keeps the
-/// name of the decorator that applied those faults before the service
-/// took them over.
-#[cfg(test)]
-mod chaos_backend;

@@ -2,15 +2,23 @@
 //! ROADMAP's production north-star asks for, built on
 //! [`SamplingBackend`].
 //!
-//! Worker shards pull [`SampleRequest`]s from a *bounded* queue (a full
-//! queue blocks producers — backpressure, not unbounded memory growth),
-//! coalesce whatever is queued into size-bounded batches (idling for
-//! company only when `batch_deadline` opts in), dispatch the batch
+//! The service's queue is one lane per [`Priority`] class plus a bell
+//! that carries one token per queued job, sent after the job. Worker
+//! shards wait on the bell, take the highest-priority queued job for each
+//! token, coalesce whatever is queued into size-bounded batches (idling
+//! for company only when `batch_deadline` opts in), dispatch the batch
 //! to the backend with [`SamplingBackend::sample_many`], and return each
-//! result through its per-request reply channel. Because every request
-//! carries its own seed and backends are deterministic per seed, the
-//! answer is independent of which shard serves it or how batches form —
-//! batching changes latency, never results.
+//! result through its per-request reply channel. A plain
+//! [`SamplingService::submit`] enqueues into the interactive lane, whose
+//! `queue_capacity` bound blocks the submitter when full (backpressure,
+//! not unbounded memory growth); the shaped front door
+//! ([`crate::admission`]) uses all three lanes and bounds them by
+//! admission, so its strict priority holds until a job is dispatched.
+//!
+//! Because every request carries its own seed and backends are
+//! deterministic per seed, the answer is independent of which shard
+//! serves it or how batches form — batching changes latency, never
+//! results.
 //!
 //! # Graceful degradation
 //!
@@ -41,19 +49,19 @@
 //! degradation counters (degraded replies, retries, hedges, breaker
 //! trips) the fault model adds.
 
-use crate::admission::Priority;
+use crate::admission::{AdmissionController, Priority};
 use crate::backend::{SampleOutcome, SampleRequest, SamplingBackend};
 use crate::breaker::CircuitBreaker;
 use crate::cluster::RequestStats;
 use crate::hot_cache::CacheSnapshot;
 use crate::obs::Observability;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use lsdgnn_chaos::{rng::stream, ChaosRng, FaultInjector};
 use lsdgnn_graph::NodeId;
 use lsdgnn_sampler::{SampleBatch, SampleBlock};
 use lsdgnn_telemetry::ledger::{self, faults, Stage, NO_SHARD};
 use lsdgnn_telemetry::{pids, Log2Histogram, MetricSource, Scope, Tracer};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -167,7 +175,10 @@ pub enum BatchPolicy {
 pub struct ServiceConfig {
     /// Worker shards pulling from the shared queue.
     pub workers: usize,
-    /// Bounded queue capacity; submits block (backpressure) when full.
+    /// Capacity of the interactive lane a plain submit enqueues into; a
+    /// submit blocks (backpressure) while it is full. A shaped service's
+    /// lanes are bounded by its admission policy instead
+    /// ([`AdmissionConfig::queue_bounds`](crate::admission::AdmissionConfig::queue_bounds)).
     pub queue_capacity: usize,
     /// Most requests coalesced into one backend dispatch.
     pub max_batch: usize,
@@ -232,7 +243,8 @@ struct Job {
     /// Absolute deadline for slack-driven batch close; `None` means the
     /// request tolerates the full fixed `batch_deadline` wait.
     deadline: Option<Instant>,
-    /// Priority class, consulted by the breaker's probe accounting.
+    /// Priority class: the job's lane, and the breaker's probe
+    /// accounting.
     class: Priority,
     /// Ledger trace id (0 = untraced: no observability installed).
     trace: u64,
@@ -247,13 +259,6 @@ pub struct SampleTicket {
 }
 
 impl SampleTicket {
-    /// Assembles a ticket from a reply channel and trace id (the shaped
-    /// front door creates the channel at admission time so the ticket
-    /// exists before the request reaches the service queue).
-    pub(crate) fn from_parts(rx: Receiver<SampleReply>, trace: u64) -> Self {
-        SampleTicket { rx, trace }
-    }
-
     /// The request's ledger trace id (0 when the service was started
     /// without observability). Outer pipeline layers use this to append
     /// their own stages to the same causal record.
@@ -497,37 +502,65 @@ fn serve_one(
     SampleReply::from_outcome(outcome, attempts, hedged)
 }
 
-/// The running service: worker shards over one shared backend.
-pub struct SamplingService {
+/// What the worker shards share with the service that started them.
+#[derive(Clone)]
+struct Shared {
     backend: Arc<dyn SamplingBackend>,
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
     stats: Arc<Mutex<ServiceStats>>,
     config: ServiceConfig,
     tracer: Option<Tracer>,
     injector: Option<FaultInjector>,
     obs: Option<Observability>,
+    /// The shaped front door's controller: the shard that takes an
+    /// admitted job tells it that the job left its lane.
+    admission: Option<Arc<Mutex<AdmissionController>>>,
+}
+
+/// The running service: worker shards over one shared backend.
+pub struct SamplingService {
+    shared: Shared,
+    /// The queue's sending half: one lane per [`Priority`] class (by
+    /// [`Priority::index`]) and the bell; `None` once shut down.
+    lanes: Option<(Vec<Sender<Job>>, Sender<()>)>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for SamplingService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SamplingService")
-            .field("config", &self.config)
+            .field("config", &self.shared.config)
             .finish()
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn shard_loop(
-    backend: Arc<dyn SamplingBackend>,
-    rx: Receiver<Job>,
-    stats: Arc<Mutex<ServiceStats>>,
-    cfg: ServiceConfig,
-    tracer: Option<Tracer>,
-    shard: u32,
-    injector: Option<FaultInjector>,
-    obs: Option<Observability>,
-) {
+fn shard_loop(shared: Shared, lanes: Vec<Receiver<Job>>, bell: Receiver<()>, shard: u32) {
+    let Shared {
+        backend,
+        stats,
+        config: cfg,
+        tracer,
+        injector,
+        obs,
+        admission,
+    } = shared;
+    // One job per bell token, the highest-priority one queued. Tokens
+    // received <= tokens sent <= jobs pushed, and every shard takes one
+    // job per token, so a job is queued while this token is unmatched.
+    // One scan of the lanes can still miss it, when other shards empty
+    // the lanes ahead while a job lands in a lane already scanned: the
+    // scan then repeats.
+    let take = || {
+        let job = loop {
+            if let Some(job) = lanes.iter().find_map(|lane| lane.try_recv().ok()) {
+                break job;
+            }
+            std::thread::yield_now();
+        };
+        if let Some(ctrl) = &admission {
+            ctrl.lock().expect("admission lock").dequeued(job.class);
+        }
+        job
+    };
     // Faults flow through serve_one only when a non-trivial plan is
     // installed; otherwise the exact batched dispatch below runs,
     // bit-identical to a service started without chaos.
@@ -544,7 +577,7 @@ fn shard_loop(
     // merge into the shared ring once per batch.
     let mut lh = obs.as_ref().map(|o| o.ledger().handle());
     let mut dispatch_no = 0u64;
-    // A closed queue (sender dropped) ends the shard once drained.
+    // A closed queue (senders dropped) ends the shard once drained.
     // Slack-driven batching: a joining job may only *shrink* the idle
     // wait, to the latest instant at which dispatching still leaves
     // `est_service` before that job's deadline. A job with no deadline
@@ -556,22 +589,23 @@ fn shard_loop(
         }
         _ => fallback,
     };
-    while let Ok(first) = rx.recv() {
+    while bell.recv().is_ok() {
+        let first = take();
         let fixed_close = Instant::now() + cfg.batch_deadline;
         let mut close_at = job_close(&first, fixed_close).min(fixed_close);
         let mut jobs = vec![first];
         while jobs.len() < cfg.max_batch {
             // Work-conserving close: what is already queued joins at
             // once; only an empty queue is idled on, until `close_at`.
-            let job = match rx.try_recv() {
-                Ok(job) => job,
+            let job = match bell.try_recv() {
+                Ok(()) => take(),
                 Err(_) => {
                     let now = Instant::now();
                     if now >= close_at {
                         break;
                     }
-                    match rx.recv_timeout(close_at - now) {
-                        Ok(job) => job,
+                    match bell.recv_timeout(close_at - now) {
+                        Ok(()) => take(),
                         Err(_) => break, // close time hit or queue closed
                     }
                 }
@@ -599,7 +633,7 @@ fn shard_loop(
                 std::thread::sleep(Duration::from_micros(us));
             }
         }
-        let queue_depth = rx.len() as u64;
+        let queue_depth = bell.len() as u64;
         let dispatch_start = tracer.as_ref().map(|t| t.wall_us());
         if let Some(h) = &mut lh {
             // Batch admission: the submit→dispatch wait is pure queueing.
@@ -797,6 +831,21 @@ impl SamplingService {
         injector: Option<FaultInjector>,
         obs: Option<Observability>,
     ) -> Self {
+        Self::start_with(backend, config, tracer, injector, obs, None)
+    }
+
+    /// [`SamplingService::start_observed`], optionally behind the shaped
+    /// front door's `admission` controller: then every lane is unbounded
+    /// (the controller bounds them) and a shard that takes a job tells
+    /// the controller it was dequeued.
+    pub(crate) fn start_with(
+        backend: Box<dyn SamplingBackend>,
+        config: ServiceConfig,
+        tracer: Option<Tracer>,
+        injector: Option<FaultInjector>,
+        obs: Option<Observability>,
+        admission: Option<AdmissionController>,
+    ) -> Self {
         assert!(config.workers > 0, "need at least one worker shard");
         assert!(config.queue_capacity > 0, "queue capacity must be non-zero");
         assert!(config.max_batch > 0, "max batch must be non-zero");
@@ -813,92 +862,62 @@ impl SamplingService {
                 o.ledger().set_chaos(plan.seed(), plan.digest());
             }
         }
-        let backend: Arc<dyn SamplingBackend> = Arc::from(backend);
-        let stats = Arc::new(Mutex::new(ServiceStats::default()));
-        let (tx, rx) = bounded(config.queue_capacity);
-        let workers = (0..config.workers)
-            .map(|shard| {
-                let backend = backend.clone();
-                let rx = rx.clone();
-                let stats = stats.clone();
-                let tracer = tracer.clone();
-                let injector = injector.clone();
-                let obs = obs.clone();
-                std::thread::spawn(move || {
-                    shard_loop(
-                        backend,
-                        rx,
-                        stats,
-                        config,
-                        tracer,
-                        shard as u32,
-                        injector,
-                        obs,
-                    )
-                })
+        // A plain service enqueues into the interactive lane alone.
+        let (lanes, rxs): (Vec<_>, Vec<_>) = Priority::ALL
+            .iter()
+            .map(|&class| match class {
+                Priority::Interactive if admission.is_none() => bounded(config.queue_capacity),
+                _ => unbounded(),
             })
-            .collect();
-        SamplingService {
-            backend,
-            tx: Some(tx),
-            workers,
-            stats,
+            .unzip();
+        let (bell, bell_rx) = unbounded();
+        let shared = Shared {
+            backend: Arc::from(backend),
+            stats: Arc::new(Mutex::new(ServiceStats::default())),
             config,
             tracer,
             injector,
             obs,
+            admission: admission.map(|ctrl| Arc::new(Mutex::new(ctrl))),
+        };
+        let workers = (0..config.workers)
+            .map(|shard| {
+                let (shared, rxs, bell_rx) = (shared.clone(), rxs.clone(), bell_rx.clone());
+                std::thread::spawn(move || shard_loop(shared, rxs, bell_rx, shard as u32))
+            })
+            .collect();
+        SamplingService {
+            shared,
+            lanes: Some((lanes, bell)),
+            workers,
         }
     }
 
     /// The service configuration.
     pub fn config(&self) -> ServiceConfig {
-        self.config
+        self.shared.config
     }
 
     /// The fault injector this service was started with, if any.
     pub fn injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
+        self.shared.injector.as_ref()
     }
 
     /// The observability bundle this service was started with, if any.
     /// Outer layers (the inference pipeline) thread their own events
     /// through the same ledger.
     pub fn observability(&self) -> Option<&Observability> {
-        self.obs.as_ref()
+        self.shared.obs.as_ref()
     }
 
-    /// Registers a client submission with the tracer and ledger,
-    /// returning the request's trace id (0 with observability off).
-    /// The shaped front door calls this at *admission* time so lane
-    /// waits are part of the request's causal record; the plain
-    /// [`SamplingService::submit`] calls it inline.
-    pub fn register_submit(&self, req: &SampleRequest) -> u64 {
-        if let Some(tracer) = &self.tracer {
-            tracer.instant(
-                "service",
-                "submit",
-                pids::SERVICE,
-                self.config.workers as u32,
-                tracer.wall_us(),
-            );
-        }
-        match &self.obs {
-            None => 0,
-            Some(o) => {
-                let trace = o.ledger().next_trace();
-                // Transient handle: one buffered event, flushed on drop.
-                let mut h = o.ledger().handle();
-                h.record(
-                    trace,
-                    Stage::Enqueue,
-                    NO_SHARD,
-                    0.0,
-                    0.0,
-                    req.roots.len() as u64,
-                );
-                trace
-            }
-        }
+    /// The shaped front door's admission controller, locked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the service was started without one.
+    pub(crate) fn admission(&self) -> MutexGuard<'_, AdmissionController> {
+        let ctrl = self.shared.admission.as_ref().expect("admission installed");
+        ctrl.lock().expect("admission lock")
     }
 
     /// Enqueues a request, blocking while the queue is full
@@ -909,46 +928,66 @@ impl SamplingService {
     /// Panics if `req.fanout` is zero or a root is outside the backend's
     /// node range.
     pub fn submit(&self, req: SampleRequest) -> SampleTicket {
-        req.assert_well_formed(self.backend.num_nodes());
-        let trace = self.register_submit(&req);
-        let (reply, rx) = bounded(1);
-        self.submit_routed(
-            req,
-            Instant::now(),
-            None,
-            Priority::Interactive,
-            trace,
-            reply,
-        );
-        SampleTicket { rx, trace }
+        req.assert_well_formed(self.shared.backend.num_nodes());
+        self.enqueue(req, Priority::Interactive, None, false)
     }
 
-    /// The routed enqueue the shaped front door uses: the caller owns
-    /// the reply channel (the ticket was handed out at admission), the
-    /// original submission instant (so lane waits count toward latency),
-    /// the absolute deadline, the priority class, and a pre-registered
-    /// trace id. Blocks while the queue is full (backpressure).
-    pub fn submit_routed(
+    /// The one enqueue behind both front doors. Registers the request
+    /// with the tracer and the ledger (its `Enqueue` event, then
+    /// `Brownout` when admission `browned_out` its fanout), pushes the
+    /// job into its `class` lane and then the job's bell token, and
+    /// returns the ticket. `deadline` is relative to this call; it drives
+    /// slack-driven batch close. Blocks while a bounded lane is full.
+    pub(crate) fn enqueue(
         &self,
         req: SampleRequest,
-        submitted: Instant,
-        deadline: Option<Instant>,
         class: Priority,
-        trace: u64,
-        reply: Sender<SampleReply>,
-    ) {
-        self.tx
-            .as_ref()
-            .expect("service running")
-            .send(Job {
-                req,
-                reply,
-                submitted,
-                deadline,
-                class,
-                trace,
-            })
-            .expect("worker shards alive");
+        deadline: Option<Duration>,
+        browned_out: bool,
+    ) -> SampleTicket {
+        let Shared { tracer, obs, .. } = &self.shared;
+        if let Some(tracer) = tracer {
+            tracer.instant(
+                "service",
+                "submit",
+                pids::SERVICE,
+                self.shared.config.workers as u32,
+                tracer.wall_us(),
+            );
+        }
+        let trace = obs.as_ref().map_or(0, |o| {
+            let trace = o.ledger().next_trace();
+            // Transient handle: buffered events, flushed on drop.
+            let mut h = o.ledger().handle();
+            let roots = req.roots.len() as u64;
+            h.record(trace, Stage::Enqueue, NO_SHARD, 0.0, 0.0, roots);
+            if browned_out {
+                h.record(
+                    trace,
+                    Stage::Brownout,
+                    NO_SHARD,
+                    0.0,
+                    0.0,
+                    class.index() as u64,
+                );
+            }
+            trace
+        });
+        let (reply, rx) = bounded(1);
+        let submitted = Instant::now();
+        let job = Job {
+            req,
+            reply,
+            submitted,
+            deadline: deadline.map(|d| submitted + d),
+            class,
+            trace,
+        };
+        let (lanes, bell) = self.lanes.as_ref().expect("service running");
+        lanes[class.index()].send(job).expect("worker shards alive");
+        // Job first, then its token: a received token implies a job.
+        bell.send(()).expect("worker shards alive");
+        SampleTicket { rx, trace }
     }
 
     /// Submits and waits: the synchronous convenience path.
@@ -971,7 +1010,7 @@ impl SamplingService {
     /// backends answer through the coalesced row fetch, so repeated hubs
     /// surface in `attr_coalesce_*` telemetry.
     pub fn gather_attributes(&self, nodes: &[NodeId]) -> Vec<f32> {
-        self.backend.gather_attributes(nodes)
+        self.shared.backend.gather_attributes(nodes)
     }
 
     /// Gathers attributes in deduplicated row form (see
@@ -984,21 +1023,21 @@ impl SamplingService {
         rows: &mut Vec<f32>,
         slot_of: &mut Vec<u32>,
     ) -> usize {
-        self.backend.gather_attr_rows(nodes, rows, slot_of)
+        self.shared.backend.gather_attr_rows(nodes, rows, slot_of)
     }
 
     /// A snapshot of service-level stats, with the backend's own
     /// accounting folded in.
     pub fn stats(&self) -> ServiceStats {
-        let mut s = self.stats.lock().expect("stats lock").clone();
-        s.backend = self.backend.stats();
-        s.cache = self.backend.cache_snapshot();
+        let mut s = self.shared.stats.lock().expect("stats lock").clone();
+        s.backend = self.shared.backend.stats();
+        s.cache = self.shared.backend.cache_snapshot();
         s
     }
 
     /// The backend being served (for decorator introspection in tests).
     pub fn backend(&self) -> &dyn SamplingBackend {
-        &*self.backend
+        &*self.shared.backend
     }
 
     /// Stops the shards after draining queued requests.
@@ -1008,7 +1047,7 @@ impl SamplingService {
 
     fn shutdown_inner(&mut self) {
         // Closing the queue lets shards drain and exit.
-        drop(self.tx.take());
+        drop(self.lanes.take());
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -1139,6 +1178,39 @@ pub(crate) mod tests {
         svc.shutdown();
     }
 
+    /// Four submitter threads against three shards and a two-slot queue,
+    /// so submitters block on a full lane: every ticket gets exactly one
+    /// reply, equal to a direct backend call.
+    #[test]
+    fn blocked_submitters_from_four_threads_get_exact_replies() {
+        let g = generators::power_law(500, 8, 31);
+        let a = AttributeStore::synthetic(500, 8, 31);
+        let direct = CpuBackend::new(&g, &a, 2);
+        let svc = SamplingService::start(
+            Box::new(CpuBackend::new(&g, &a, 2)),
+            ServiceConfig {
+                workers: 3,
+                queue_capacity: 2,
+                max_batch: 4,
+                ..ServiceConfig::default()
+            },
+        );
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (svc, direct) = (&svc, &direct);
+                scope.spawn(move || {
+                    let seeds: Vec<u64> = (0..40).map(|i| t * 1_000 + i).collect();
+                    let tickets: Vec<_> = seeds.iter().map(|&s| svc.submit(req(s))).collect();
+                    for (s, ticket) in seeds.into_iter().zip(tickets) {
+                        assert_eq!(ticket.wait(), direct.sample_neighbors(&req(s)), "seed {s}");
+                    }
+                });
+            }
+        });
+        assert_eq!(svc.stats().requests, 160);
+        svc.shutdown();
+    }
+
     #[test]
     fn deadline_coalescing_batches_queued_requests() {
         // One worker, long deadline: a burst should coalesce.
@@ -1172,15 +1244,15 @@ pub(crate) mod tests {
     /// A backend double whose dispatches block until the test releases
     /// them: batch formation is asserted from what was queued while a
     /// dispatch was held, never from a clock.
-    struct GateBackend {
+    struct GateBackend<F> {
         inner: CpuBackend,
-        /// Batch size of each dispatch, sent as it enters the backend.
-        entered: Sender<usize>,
+        /// Called with each dispatch's requests as it enters the backend.
+        entered: F,
         /// One token lets one dispatch through.
         release: Receiver<()>,
     }
 
-    impl SamplingBackend for GateBackend {
+    impl<F: Fn(&[&SampleRequest]) + Send + Sync> SamplingBackend for GateBackend<F> {
         fn sample_block(&self, req: &SampleRequest) -> SampleBlock {
             self.inner.sample_block(req)
         }
@@ -1191,10 +1263,26 @@ pub(crate) mod tests {
             self.inner.stats()
         }
         fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleOutcome> {
-            self.entered.send(reqs.len()).expect("test listens");
+            (self.entered)(reqs);
             self.release.recv().expect("test releases");
             self.inner.sample_many(reqs)
         }
+    }
+
+    /// A [`GateBackend`] over a 300-node graph reporting each dispatch
+    /// through `entered`, and the sender that releases dispatches.
+    pub(crate) fn gate_backend(
+        entered: impl Fn(&[&SampleRequest]) + Send + Sync + 'static,
+    ) -> (Box<dyn SamplingBackend>, Sender<()>) {
+        let g = generators::power_law(300, 8, 32);
+        let a = AttributeStore::synthetic(300, 8, 32);
+        let (release_tx, release) = unbounded();
+        let backend = GateBackend {
+            inner: CpuBackend::new(&g, &a, 1),
+            entered,
+            release,
+        };
+        (Box::new(backend), release_tx)
     }
 
     /// A one-worker service over a [`GateBackend`], with the channel
@@ -1203,20 +1291,14 @@ pub(crate) mod tests {
         config: ServiceConfig,
         injector: Option<FaultInjector>,
     ) -> (SamplingService, Receiver<usize>, Sender<()>) {
-        let g = generators::power_law(300, 8, 32);
-        let a = AttributeStore::synthetic(300, 8, 32);
         let (entered, entered_rx) = unbounded();
-        let (release_tx, release) = unbounded();
-        let backend = GateBackend {
-            inner: CpuBackend::new(&g, &a, 1),
-            entered,
-            release,
-        };
+        let (backend, release_tx) =
+            gate_backend(move |reqs| entered.send(reqs.len()).expect("test listens"));
         let config = ServiceConfig {
             workers: 1,
             ..config
         };
-        let svc = SamplingService::start_observed(Box::new(backend), config, None, injector, None);
+        let svc = SamplingService::start_observed(backend, config, None, injector, None);
         (svc, entered_rx, release_tx)
     }
 
@@ -1295,13 +1377,10 @@ pub(crate) mod tests {
                 None,
             );
             let t0 = Instant::now();
-            // Through the routed enqueue, the shaped door's deadline path.
+            // Through `enqueue` with a deadline, as the shaped door submits.
             let tight = |s| {
-                let (reply, rx) = bounded(1);
-                let now = Instant::now();
-                let deadline = Some(now + Duration::from_millis(1));
-                svc.submit_routed(req(s), now, deadline, Priority::Interactive, 0, reply);
-                SampleTicket::from_parts(rx, 0)
+                let deadline = Some(Duration::from_millis(1));
+                svc.enqueue(req(s), Priority::Interactive, deadline, false)
             };
             let first = tight(0);
             assert_eq!(entered.recv().unwrap(), 1, "dispatch 1 is held");
@@ -1802,5 +1881,91 @@ pub(crate) mod tests {
         }
         assert!(svc.injector().unwrap().stats().queue_stalls >= 1);
         svc.shutdown();
+    }
+
+    /// The shared 4-partition backend one ladder attempt runs against.
+    fn attempt_backend() -> Arc<dyn SamplingBackend> {
+        let g = generators::power_law(400, 8, 21);
+        let a = AttributeStore::synthetic(400, 8, 21);
+        Arc::new(CpuBackend::new(&g, &a, 4))
+    }
+
+    fn attempt_req(seed: u64) -> SampleRequest {
+        SampleRequest {
+            roots: (0..8).map(NodeId).collect(),
+            hops: 2,
+            fanout: 5,
+            seed,
+        }
+    }
+
+    fn attempt_injector(spec: ScenarioSpec) -> FaultInjector {
+        FaultInjector::new(FaultPlan::build(99, spec).unwrap())
+    }
+
+    #[test]
+    fn zero_fault_plan_is_transparent() {
+        let (bare, backend) = (attempt_backend(), attempt_backend());
+        let inj = attempt_injector(ScenarioSpec::none());
+        for s in 0..6 {
+            let outcome = try_attempt(&backend, &inj, &attempt_req(s), 0).unwrap();
+            assert!(!outcome.degraded);
+            assert_eq!(outcome.block, bare.sample_block(&attempt_req(s)));
+        }
+        assert_eq!(inj.stats().requests_dropped, 0);
+    }
+
+    #[test]
+    fn request_loss_fails_some_attempts_and_retries_recover() {
+        let backend = attempt_backend();
+        let inj = attempt_injector(ScenarioSpec::none().with_request_loss(0.5));
+        let mut dropped = 0;
+        for s in 0..64 {
+            if try_attempt(&backend, &inj, &attempt_req(s), 0).is_none() {
+                dropped += 1;
+                // Retries draw fresh coordinates; one of the next few
+                // succeeds with probability 1 - 0.5^n.
+                let recovered =
+                    (1..12).any(|a| try_attempt(&backend, &inj, &attempt_req(s), a).is_some());
+                assert!(recovered, "seed {s} never recovered");
+            }
+        }
+        assert!(dropped > 10, "50% loss must drop a fair share: {dropped}");
+        // The recovery probes above also count their own failed attempts.
+        assert!(inj.stats().requests_dropped >= dropped);
+    }
+
+    #[test]
+    fn card_failure_degrades_requests_past_its_tick() {
+        let backend = attempt_backend();
+        let inj = attempt_injector(ScenarioSpec::none().with_card_failure(1, 100));
+        let before = try_attempt(&backend, &inj, &attempt_req(50), 0).unwrap();
+        assert!(!before.degraded, "card still up at tick 50");
+        let after = try_attempt(&backend, &inj, &attempt_req(150), 0).unwrap();
+        assert!(after.degraded, "card 1 down at tick 150");
+        assert!(after.unreachable > 0);
+        assert!(inj.stats().cards_downed >= 1);
+        // Deterministic: the same request degrades identically again.
+        assert_eq!(
+            try_attempt(&backend, &inj, &attempt_req(150), 0).unwrap(),
+            after
+        );
+    }
+
+    #[test]
+    fn fallback_bypasses_request_loss_but_not_down_cards() {
+        let backend = attempt_backend();
+        let inj = attempt_injector(
+            ScenarioSpec::none()
+                .with_request_loss(1.0)
+                .with_card_failure(2, 0),
+        );
+        // Every attempt is swallowed...
+        assert_eq!(try_attempt(&backend, &inj, &attempt_req(9), 0), None);
+        // ...but the fallback still answers, degraded by the dead card.
+        let (outcome, all_up) = sample_masked(&backend, &inj, &attempt_req(9));
+        assert!(!all_up);
+        assert!(outcome.degraded);
+        assert!(outcome.unreachable > 0);
     }
 }
