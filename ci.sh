@@ -153,15 +153,17 @@ done
 # Beside it, two framework/src sites in the same non-test lines: `Mutex<`
 # (ROADMAP item 4 aims at 10 or fewer) and `std::thread::spawn` (a thread
 # earns its place only where work runs concurrently).
+# Under each tally, the file of each site, so the log names which locks
+# and which threads exist.
 echo "framework/src sites:"
-echo "  $(nontest_lines crates/framework/src 'Mutex<')  Mutex<"
-echo "  $(nontest_lines crates/framework/src 'std::thread::spawn')  std::thread::spawn"
-# ...and the file of each spawn site, so the log names which threads exist.
-for f in $(find crates/framework/src -name '*.rs' | sort); do
-    n=$(nontest_lines "$f" 'std::thread::spawn')
-    if [ "$n" -gt 0 ]; then
-        echo "      $n  $f"
-    fi
+for pat in 'Mutex<' 'std::thread::spawn'; do
+    echo "  $(nontest_lines crates/framework/src "$pat")  $pat"
+    for f in $(find crates/framework/src -name '*.rs' | sort); do
+        n=$(nontest_lines "$f" "$pat")
+        if [ "$n" -gt 0 ]; then
+            echo "      $n  $f"
+        fi
+    done
 done
 # The knob tally beside it: the `pub` fields of every `pub struct
 # *Config` in crates/framework/src (a unit struct counts 0). Printed for

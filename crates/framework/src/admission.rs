@@ -18,8 +18,10 @@
 //!    rate-limit decisions are a pure function of the arrival sequence —
 //!    that is what the `admission_property` proptest pins as "bucket
 //!    arithmetic".
-//! 2. **Brownout load shedding** — driven by the sampling
-//!    [`SloMonitor`]'s burn rate ([`AdmissionController::set_burn`]):
+//! 2. **Brownout load shedding** — driven by the sampling SLO's burn
+//!    rate, which the service counts in its own stats
+//!    ([`ServiceStats::burn_rate`], fed through
+//!    [`AdmissionController::set_burn`]), observed or not:
 //!    once the error budget burns faster than contracted, best-effort
 //!    traffic is shed outright; burn harder and admitted requests are
 //!    degraded to a reduced fanout (an approximate sample now beats an
@@ -36,7 +38,6 @@
 //! event (`reject` / `shed` / `brownout`), so blame reports name
 //! *admission* — not just faults — when requests die at the front door.
 //!
-//! [`SloMonitor`]: lsdgnn_telemetry::SloMonitor
 //! [`RequestLedger`]: lsdgnn_telemetry::RequestLedger
 
 use crate::backend::{SampleRequest, SamplingBackend};
@@ -348,10 +349,9 @@ impl MetricSource for AdmissionStats {
 /// Deliberately *pure* — virtual time comes from the caller, the SLO
 /// burn rate is fed via [`AdmissionController::set_burn`], and no clock
 /// or lock is touched inside. [`ShapedService`] drives it with wall-or-
-/// trace time and the live [`SloMonitor`]; the `faas` autoscaler drives
-/// the same type with simulated time and a simulated monitor.
-///
-/// [`SloMonitor`]: lsdgnn_telemetry::SloMonitor
+/// trace time and the burn rate of its service's stats
+/// ([`ServiceStats::burn_rate`]); the `faas` autoscaler drives the same
+/// type with simulated time and a simulated burn rate.
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     cfg: AdmissionConfig,
@@ -538,7 +538,7 @@ pub struct ShapedService {
     /// taken so a bad index never panics inside it.
     tenants: usize,
     /// Whether the policy has brownout on: only then does admission read
-    /// the sampling SLO's burn rate.
+    /// the sampling SLO's burn rate from the service's stats.
     brownout: bool,
 }
 
@@ -589,9 +589,10 @@ impl ShapedService {
             sr.tenant,
             self.tenants
         );
-        let burn = match self.observability() {
-            Some(o) if self.brownout => o.sampling_burn_rate(),
-            _ => 0.0,
+        let burn = if self.brownout {
+            self.inner.burn_rate()
+        } else {
+            0.0
         };
         let verdict = {
             let mut ctrl = self.inner.admission();
@@ -618,9 +619,9 @@ impl ShapedService {
                 if degrade_fanout {
                     req.fanout = (req.fanout / BrownoutConfig::FANOUT_DIV).max(1);
                 }
-                let ticket = self
-                    .inner
-                    .enqueue(req, sr.class, Some(sr.deadline), degrade_fanout);
+                let ticket =
+                    self.inner
+                        .enqueue(req, sr.class, Some(sr.deadline), degrade_fanout, true);
                 SubmitVerdict::Admitted(ticket)
             }
         }
@@ -925,6 +926,34 @@ mod tests {
             SubmitVerdict::Admitted(ticket) => ticket,
             other => panic!("must admit, got {other:?}"),
         }
+    }
+
+    /// The service counts its own late replies, so brownout needs no
+    /// ledger: one reply held past the 50 ms SLO burns the budget, and
+    /// the next best-effort request is shed.
+    #[test]
+    fn brownout_sheds_without_observability_once_replies_are_late() {
+        let (backend, release) = crate::service::tests::gate_backend(|_| {});
+        let config = ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        };
+        let admission = AdmissionConfig {
+            brownout: Some(BrownoutConfig),
+            ..AdmissionConfig::unlimited(1)
+        };
+        let svc = ShapedService::start(backend, config, admission, None);
+        let late = admit(&svc, shaped_req(0, 0, Priority::Interactive));
+        std::thread::sleep(Duration::from_millis(60));
+        // The held dispatch, and one to spare should a request be admitted.
+        (0..2).for_each(|_| release.send(()).unwrap());
+        late.wait_reply();
+        let stats = svc.stats();
+        assert_eq!(stats.slo_violations, 1);
+        assert!((stats.burn_rate() - 100.0).abs() < 1e-9, "1 of 1 late");
+        let verdict = svc.submit(shaped_req(1, 0, Priority::BestEffort), 0);
+        assert!(matches!(verdict, SubmitVerdict::Shed), "got {verdict:?}");
+        svc.shutdown();
     }
 
     /// Jobs queued behind a held dispatch leave their lanes in priority

@@ -705,12 +705,15 @@ fn frontier(block: &SampleBlock, h: u32) -> &[NodeId] {
     }
 }
 
+/// The partition the calling worker is co-located with: its reads are
+/// local, every other partition's are remote legs.
+const WORKER_PARTITION: PartitionId = PartitionId(0);
+
 /// A running cluster: the caller acts as the worker co-located with
 /// partition 0 and serves each remote leg it issues on its own thread.
 pub struct Cluster {
     graph: PartitionedGraph,
     pool: BufferPool,
-    worker_partition: PartitionId,
     /// One flag per partition, set once it has crashed (or been failed
     /// by chaos injection). Requests routed to a down partition are
     /// answered with empty neighbor lists / zeroed attributes and
@@ -731,7 +734,6 @@ impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
             .field("partitions", &self.down.len())
-            .field("worker_partition", &self.worker_partition)
             .finish()
     }
 }
@@ -767,7 +769,6 @@ impl Cluster {
         Cluster {
             graph,
             pool: BufferPool::new(),
-            worker_partition: PartitionId(0),
             down,
             wire: wire.map(WirePlane::new),
             cache: cache.map(HotSetCache::new),
@@ -916,7 +917,7 @@ impl Cluster {
     /// less those the attribute tier holds for a dead *remote* owner
     /// (the fetch serves them from the tier — a partition save).
     fn unreachable_attr_rows(&self, block: &SampleBlock, excluded: &[u32]) -> u64 {
-        let local = self.worker_partition.0 as usize;
+        let local = WORKER_PARTITION.0 as usize;
         let attr_tier = self.cache.as_ref().and_then(HotSetCache::attr);
         let entries = block.roots.iter().chain(&block.nodes);
         entries
@@ -1038,7 +1039,7 @@ impl Cluster {
             if let Some(t0) = hop_t0 {
                 ledger::scope_record(
                     Stage::SampleHop,
-                    self.worker_partition.0,
+                    WORKER_PARTITION.0,
                     0.0,
                     t0.elapsed().as_secs_f64() * 1e6,
                     u64::from(h),
@@ -1158,7 +1159,7 @@ impl Cluster {
     ) {
         table.reset(&self.pool, unique.len());
         let parts = self.down.len();
-        let local = self.worker_partition.0 as usize;
+        let local = WORKER_PARTITION.0 as usize;
         let local_up = !self.unreachable(local, excluded);
         let g = self.graph.graph();
         // One pass over the frontier: local nodes resolve to zero-copy
@@ -1325,7 +1326,7 @@ impl Cluster {
             ..Default::default()
         };
         let parts = self.down.len();
-        let local = self.worker_partition.0 as usize;
+        let local = WORKER_PARTITION.0 as usize;
         let local_up = !self.unreachable(local, excluded);
         // Coalesce: one slot per distinct row, one array load per
         // lookup (no hashing — the stamp table resets in O(1) between

@@ -42,6 +42,7 @@
 //!
 //! [`SamplingBackend::gather_attr_rows`]: crate::backend::SamplingBackend::gather_attr_rows
 
+use crate::admission::Priority;
 use crate::backend::SampleRequest;
 use crate::pool::BufferPool;
 use crate::service::{SampleReply, SampleTicket, SamplingService};
@@ -118,6 +119,8 @@ pub struct InferenceStats {
     /// Submit-to-embedding latency per request, in wall-clock
     /// microseconds.
     pub latency: Log2Histogram,
+    /// Replies later than the end-to-end SLO's 100 ms target.
+    pub slo_violations: u64,
     /// Vestige of the deleted cross-request gather fusion: one sample of
     /// 1 per request. `benchmark/src/layers.rs` still reads it for its
     /// `inference.gather_batch_mean` row; the `benchmark` follow-up that
@@ -151,10 +154,14 @@ impl MetricSource for InferenceStats {
         out.counter("requests", self.requests);
         out.counter("degraded", self.degraded);
         out.histogram("latency_us", self.latency.snapshot());
+        out.counter("slo_violations", self.slo_violations);
         out.histogram("gather_batch", self.gather_batch.snapshot());
         out.gauge("degraded_ratio", self.degraded_ratio());
     }
 }
+
+/// End-to-end SLO target, µs from submit to embeddings.
+const SLO_TARGET_US: u64 = 100_000;
 
 /// What the service and its outstanding tickets share.
 struct Shared {
@@ -241,11 +248,13 @@ impl InferenceTicket {
                 s.degraded += 1;
             }
             s.latency.record(total_us);
+            if total_us > SLO_TARGET_US {
+                s.slo_violations += 1;
+            }
             s.gather_batch.record(1);
             spare.push(bufs);
         }
         if let Some(o) = obs {
-            o.observe_e2e(total_us as f64, reply.degraded);
             o.ledger()
                 .handle()
                 .finish(trace, total_us as f64, reply.degraded);
@@ -287,15 +296,9 @@ impl InferenceService {
     /// The model's layer count fixes the hop count requests must carry;
     /// [`InferenceService::submit`] asserts it.
     pub fn start(svc: SamplingService, model: SageModel, _config: InferenceConfig) -> Self {
-        // When the sampling service carries an observability bundle, this
-        // service becomes the finish authority: a request is only "done"
-        // (flight dumps, deadline checks) once its embeddings exist.
-        if let Some(o) = svc.observability() {
-            o.defer_sample_finish();
-        }
-        // Likewise the gather authority: each ticket fetches its block's
-        // rows, so the sampling service expands only instead of fetching
-        // them first.
+        // The gather authority: each ticket fetches its block's rows, so
+        // the sampling service expands only instead of fetching them
+        // first.
         svc.backend().defer_attr_fetch();
         InferenceService {
             shared: Arc::new(Shared {
@@ -308,7 +311,9 @@ impl InferenceService {
     }
 
     /// Submits a request to the sampling service; blocks only when that
-    /// service's bounded queue is full. Keeping several tickets in
+    /// service's bounded queue is full. The ticket is the request's finish
+    /// authority: its sample reply does not finish the ledger trace, the
+    /// ticket does once the embeddings exist. Keeping several tickets in
     /// flight lets the sampling service coalesce batches while the
     /// caller gathers and computes older requests.
     ///
@@ -329,7 +334,10 @@ impl InferenceService {
         let fanout = req.fanout;
         let submitted = Instant::now();
         InferenceTicket {
-            sample: Some(sh.svc.submit(req)),
+            sample: Some(
+                sh.svc
+                    .enqueue(req, Priority::Interactive, None, false, false),
+            ),
             fanout,
             submitted,
             shared: Arc::clone(sh),
@@ -734,7 +742,34 @@ mod tests {
         let stats = pipe.stats();
         assert_eq!(stats.requests, TOTAL);
         assert_eq!(stats.latency.count(), TOTAL);
-        assert_eq!(obs.e2e_slo().total(), TOTAL);
+    }
+
+    /// Finish authority belongs to each request, not to the bundle: an
+    /// inference service started on one clone of an `Observability`
+    /// leaves a plain service on another clone finishing its own traces.
+    #[test]
+    fn a_shared_bundle_leaves_plain_requests_their_finish() {
+        const TOTAL: u64 = 5;
+        let obs = Observability::default();
+        let inner = SamplingService::start_observed(
+            backend(2),
+            service_cfg(1),
+            None,
+            None,
+            Some(obs.clone()),
+        );
+        let _pipe = InferenceService::start(inner, model(), InferenceConfig::default());
+        let plain = SamplingService::start_observed(
+            backend(2),
+            service_cfg(1),
+            None,
+            None,
+            Some(obs.clone()),
+        );
+        for s in 0..TOTAL {
+            plain.sample_reply(req(s));
+        }
+        assert_eq!(obs.ledger().snapshot().finished, TOTAL);
     }
 
     #[test]
@@ -772,10 +807,6 @@ mod tests {
             Some(obs.clone()),
         );
         let pipe = InferenceService::start(svc, model(), InferenceConfig::default());
-        assert!(
-            !obs.sample_finish_enabled(),
-            "pipeline owns the finish triggers"
-        );
         let tickets: Vec<InferenceTicket> = (0..12).map(|s| pipe.submit(req(s))).collect();
         let observed: Vec<InferenceReply> =
             tickets.into_iter().map(InferenceTicket::wait).collect();
@@ -815,8 +846,8 @@ mod tests {
         );
         let blame = snap.blame(0.5);
         assert!(blame.top_stage().is_some());
-        assert_eq!(obs.sampling_slo().total(), 12);
-        assert_eq!(obs.e2e_slo().total(), 12);
+        assert_eq!(pipe.sampling().stats().requests, 12);
+        assert_eq!(pipe.stats().requests, 12);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Serving-stack observability wiring: one [`Observability`] handle
-//! bundles the per-request [`RequestLedger`] with the SLO monitors the
-//! serving layers evaluate inline.
+//! carries the per-request [`RequestLedger`] through the serving stack.
 //!
 //! The handle is opt-in and `Option`-shaped everywhere it is threaded
 //! (mirroring the existing `Option<Tracer>` idiom): a service started
@@ -9,53 +8,22 @@
 //! a thread-local `scope_active()` read when disabled — which is what
 //! keeps the instrumented-but-disabled digest identical.
 //!
-//! Layering of completion triggers: [`SamplingService`] observes its
-//! submit→reply latency against the *sampling* SLO and, when it is the
-//! outermost layer, runs the ledger's finish triggers (flight dumps).
-//! [`InferenceService::start`] calls [`Observability::defer_sample_finish`]
-//! so a wrapped sampling stage only contributes events and the inference
-//! ticket's end-to-end completion (its `wait`, or its drop) is the single
-//! finish authority — otherwise every degraded sample would dump twice.
+//! Lateness is not the ledger's business: each front door counts its
+//! late replies in its own stats, so brownout sees the burn rate with
+//! or without a ledger. Finish authority travels with each request: a
+//! plain or shaped submit's reply finishes its trace; an
+//! [`InferenceService`] ticket finishes its own once the embeddings
+//! exist — otherwise every degraded sample would dump twice.
 //!
-//! [`SamplingService`]: crate::service::SamplingService
-//! [`InferenceService::start`]: crate::inference::InferenceService::start
+//! [`InferenceService`]: crate::inference::InferenceService
 
-use lsdgnn_telemetry::ledger::LedgerConfig;
-use lsdgnn_telemetry::{RequestLedger, SloMonitor};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Sampling-stage SLO: target p99 of submit→sample-reply, µs.
-const SAMPLING_TARGET_P99_US: f64 = 50_000.0;
-/// End-to-end SLO: target p99 of submit→embedding, µs.
-const E2E_TARGET_P99_US: f64 = 100_000.0;
-/// Allowed violation fraction of both SLOs (0.01 = a p99 objective).
-const SLO_BUDGET: f64 = 0.01;
+use lsdgnn_telemetry::RequestLedger;
 
 /// The cloneable observability bundle threaded through the serving
-/// stack: ledger + SLO monitors + the finish-authority switch.
-#[derive(Debug, Clone)]
+/// stack: clones share one ledger, default-sized by `default()`.
+#[derive(Debug, Clone, Default)]
 pub struct Observability {
     ledger: RequestLedger,
-    sampling_slo: Arc<Mutex<SloMonitor>>,
-    e2e_slo: Arc<Mutex<SloMonitor>>,
-    /// Whether sampling-level completion runs the ledger's finish
-    /// triggers; the inference pipeline clears this and takes over.
-    sample_finish: Arc<AtomicBool>,
-}
-
-impl Default for Observability {
-    /// A default-sized ledger, a 50 ms sampling and a 100 ms end-to-end
-    /// p99 objective, each with a 1 % violation budget.
-    fn default() -> Self {
-        let slo = |target_us| Arc::new(Mutex::new(SloMonitor::new(target_us, SLO_BUDGET)));
-        Observability {
-            ledger: RequestLedger::new(LedgerConfig::default()),
-            sampling_slo: slo(SAMPLING_TARGET_P99_US),
-            e2e_slo: slo(E2E_TARGET_P99_US),
-            sample_finish: Arc::new(AtomicBool::new(true)),
-        }
-    }
 }
 
 impl Observability {
@@ -63,64 +31,19 @@ impl Observability {
     pub fn ledger(&self) -> &RequestLedger {
         &self.ledger
     }
-
-    /// Marks an outer pipeline layer as the finish authority: sampling
-    /// completions keep feeding events and the sampling SLO, but stop
-    /// running the ledger's flight-dump/deadline triggers.
-    pub fn defer_sample_finish(&self) {
-        self.sample_finish.store(false, Ordering::Relaxed);
-    }
-
-    /// Whether sampling-level completion still owns the finish triggers.
-    pub fn sample_finish_enabled(&self) -> bool {
-        self.sample_finish.load(Ordering::Relaxed)
-    }
-
-    /// Accounts one sampling completion against the sampling SLO.
-    pub fn observe_sampling(&self, latency_us: f64, degraded: bool) {
-        self.sampling_slo
-            .lock()
-            .expect("sampling slo lock")
-            .observe(latency_us, degraded);
-    }
-
-    /// Accounts one end-to-end completion against the e2e SLO.
-    pub fn observe_e2e(&self, latency_us: f64, degraded: bool) {
-        self.e2e_slo
-            .lock()
-            .expect("e2e slo lock")
-            .observe(latency_us, degraded);
-    }
-
-    /// The sampling SLO's current burn rate (violation rate / budget)
-    /// without cloning the monitor — the admission controller's brownout
-    /// feed, read on every shaped submission.
-    pub fn sampling_burn_rate(&self) -> f64 {
-        self.sampling_slo
-            .lock()
-            .expect("sampling slo lock")
-            .burn_rate()
-    }
-
-    /// A snapshot of the sampling-stage SLO monitor.
-    pub fn sampling_slo(&self) -> SloMonitor {
-        self.sampling_slo.lock().expect("sampling slo lock").clone()
-    }
-
-    /// A snapshot of the end-to-end SLO monitor.
-    pub fn e2e_slo(&self) -> SloMonitor {
-        self.e2e_slo.lock().expect("e2e slo lock").clone()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CpuBackend, SampleRequest};
+    use crate::backend::{CpuBackend, SampleOutcome, SampleRequest, SamplingBackend};
+    use crate::cluster::{RequestStats, WireConfig};
     use crate::hot_cache::CacheConfig;
     use crate::service::{SamplingService, ServiceConfig};
     use lsdgnn_graph::{generators, AttributeStore, NodeId, PartitionedGraph};
+    use lsdgnn_sampler::SampleBlock;
     use lsdgnn_telemetry::ledger::Stage;
+    use std::sync::Arc;
 
     /// A warm cache on an observed service must leave `cache_hit`
     /// events in the ledger — the blame table can tell cache-served
@@ -161,21 +84,96 @@ mod tests {
         svc.shutdown();
     }
 
+    /// A backend the test keeps a handle on while a service serves it,
+    /// to read the wire plane between requests.
+    struct Shared(Arc<CpuBackend>);
+
+    impl SamplingBackend for Shared {
+        fn sample_block(&self, req: &SampleRequest) -> SampleBlock {
+            self.0.sample_block(req)
+        }
+        fn gather_attributes(&self, nodes: &[NodeId]) -> Vec<f32> {
+            self.0.gather_attributes(nodes)
+        }
+        fn stats(&self) -> RequestStats {
+            self.0.stats()
+        }
+        fn sample_many(&self, reqs: &[&SampleRequest]) -> Vec<SampleOutcome> {
+            self.0.sample_many(reqs)
+        }
+        fn fail_shard(&self, shard: u32) -> bool {
+            self.0.fail_shard(shard)
+        }
+        fn num_nodes(&self) -> u64 {
+            self.0.num_nodes()
+        }
+    }
+
+    /// Each remote leg is counted once in every record: per request, the
+    /// backend's `remote_requests`, the wire plane's `remote_legs` and
+    /// the ledger's `RemoteLeg` + `GatherLeg` events of its trace agree,
+    /// with every partition up and with one failed (its legs are never
+    /// issued, so no record counts them).
     #[test]
-    fn defaults_and_finish_authority_toggle() {
-        let obs = Observability::default();
-        assert!(obs.sample_finish_enabled());
-        obs.defer_sample_finish();
-        assert!(!obs.sample_finish_enabled());
-        // Clones share the switch and the monitors.
-        let clone = obs.clone();
-        assert!(!clone.sample_finish_enabled());
-        clone.observe_sampling(10.0, false);
-        clone.observe_e2e(200_000.0, true);
-        assert_eq!(obs.sampling_slo().total(), 1);
-        let e2e = obs.e2e_slo();
-        assert_eq!(e2e.total(), 1);
-        assert_eq!(e2e.violations(), 1, "200ms > 100ms target");
-        assert!(e2e.budget_exhausted());
+    fn each_remote_leg_is_counted_once_in_every_record() {
+        for failed in [None, Some(2)] {
+            let g = generators::power_law(300, 6, 9);
+            let a = AttributeStore::synthetic(300, 4, 9);
+            let pg = PartitionedGraph::new(g, 3).with_attributes(a);
+            let backend = Arc::new(CpuBackend::from_partitioned_wired_cached(
+                pg,
+                WireConfig::default(),
+                CacheConfig::with_capacity(64),
+            ));
+            let obs = Observability::default();
+            let svc = SamplingService::start_observed(
+                Box::new(Shared(Arc::clone(&backend))),
+                ServiceConfig {
+                    workers: 1,
+                    ..ServiceConfig::default()
+                },
+                None,
+                None,
+                Some(obs.clone()),
+            );
+            if let Some(p) = failed {
+                assert!(svc.backend().fail_shard(p));
+            }
+            let legs = || {
+                let wire = backend.wire_snapshot().expect("wired").remote_legs;
+                (svc.stats().backend.remote_requests, wire)
+            };
+            let (mut total, mut degraded) = (0, 0);
+            for s in 0..12u64 {
+                let before = legs();
+                let ticket = svc.submit(SampleRequest {
+                    roots: (0..4).map(|i| NodeId((s * 17 + i * 5) % 300)).collect(),
+                    hops: 2,
+                    fanout: 4,
+                    seed: s,
+                });
+                let trace = ticket.trace();
+                degraded += u64::from(ticket.wait_reply().degraded);
+                let after = legs();
+                let events = obs
+                    .ledger()
+                    .snapshot()
+                    .events_for(trace)
+                    .iter()
+                    .filter(|e| matches!(e.stage, Stage::RemoteLeg | Stage::GatherLeg))
+                    .count() as u64;
+                let requests = after.0 - before.0;
+                assert_eq!(requests, after.1 - before.1, "wire legs, request {s}");
+                assert_eq!(requests, events, "ledger legs, request {s}");
+                total += requests;
+            }
+            assert!(total > 0, "the requests issued remote legs");
+            assert_eq!(
+                degraded > 0,
+                failed.is_some(),
+                "failed partition {failed:?}"
+            );
+            svc.shutdown();
+        }
     }
 }

@@ -98,6 +98,8 @@ pub struct ServiceStats {
     pub fallbacks: u64,
     /// Circuit-breaker open transitions across shards.
     pub breaker_opens: u64,
+    /// Replies later than the sampling SLO's 50 ms target.
+    pub slo_violations: u64,
     /// Requests short-circuited to the fallback by an open breaker.
     pub breaker_fastpaths: u64,
     /// The backend's cumulative request accounting.
@@ -122,6 +124,18 @@ impl ServiceStats {
             self.degraded as f64 / self.requests as f64
         }
     }
+
+    /// The sampling SLO's burn rate: the share of replies later than
+    /// 50 ms over the 1 % that a p99 objective allows. Above 1 the
+    /// error budget burns faster than the objective admits; brownout
+    /// admission sheds on it.
+    pub fn burn_rate(&self) -> f64 {
+        if self.requests == 0 {
+            0.0
+        } else {
+            self.slo_violations as f64 / self.requests as f64 / SLO_BUDGET
+        }
+    }
 }
 
 impl MetricSource for ServiceStats {
@@ -138,6 +152,7 @@ impl MetricSource for ServiceStats {
         out.counter("fallbacks", self.fallbacks);
         out.counter("breaker_opens", self.breaker_opens);
         out.counter("breaker_fastpaths", self.breaker_fastpaths);
+        out.counter("slo_violations", self.slo_violations);
         out.gauge("degraded_ratio", self.degraded_ratio());
         let mut backend = out.nested("backend");
         self.backend.collect(&mut backend);
@@ -248,6 +263,10 @@ struct Job {
     class: Priority,
     /// Ledger trace id (0 = untraced: no observability installed).
     trace: u64,
+    /// Whether the reply finishes the trace in the ledger (flight dumps,
+    /// deadline checks). A door that goes on working on the reply, as
+    /// the inference front door does, finishes the trace itself.
+    finish: bool,
 }
 
 /// A pending request's handle; [`SampleTicket::wait`] blocks for the
@@ -320,6 +339,10 @@ const BREAKER_THRESHOLD: u32 = 8;
 const BREAKER_COOLDOWN: u32 = 16;
 /// Seed of the deterministic backoff-jitter stream.
 const JITTER_SEED: u64 = 0x5eed_cafe;
+/// Sampling SLO target, µs from submit to reply.
+const SLO_TARGET_US: u64 = 50_000;
+/// Share of replies the SLO allows over target (a p99 objective).
+const SLO_BUDGET: f64 = 0.01;
 
 /// Samples `req` with the cards the plan has down at its virtual tick
 /// (its seed) masked out, noting them with the injector and on the
@@ -736,6 +759,9 @@ fn shard_loop(shared: Shared, lanes: Vec<Receiver<Job>>, bell: Receiver<()>, sha
             for (job, reply) in jobs.iter().zip(&replies) {
                 let elapsed_us = job.submitted.elapsed().as_micros() as u64;
                 s.latency.record(elapsed_us);
+                if elapsed_us > SLO_TARGET_US {
+                    s.slo_violations += 1;
+                }
                 if let Some(tracer) = &tracer {
                     // Submit→reply lifecycle, anchored at submit time.
                     tracer.span(
@@ -756,11 +782,10 @@ fn shard_loop(shared: Shared, lanes: Vec<Receiver<Job>>, bell: Receiver<()>, sha
                         elapsed_us as f64,
                         u64::from(reply.degraded),
                     );
-                    o.observe_sampling(elapsed_us as f64, reply.degraded);
-                    if o.sample_finish_enabled() {
+                    if job.finish {
                         // Outermost layer: run the flight-dump/deadline
-                        // triggers here. (A wrapping pipeline defers
-                        // this to its own end-to-end completion.)
+                        // triggers here. (A wrapping pipeline finishes
+                        // the trace at its own end-to-end completion.)
                         h.flush();
                         o.ledger()
                             .finish(job.trace, elapsed_us as f64, reply.degraded);
@@ -929,21 +954,23 @@ impl SamplingService {
     /// node range.
     pub fn submit(&self, req: SampleRequest) -> SampleTicket {
         req.assert_well_formed(self.shared.backend.num_nodes());
-        self.enqueue(req, Priority::Interactive, None, false)
+        self.enqueue(req, Priority::Interactive, None, false, true)
     }
 
-    /// The one enqueue behind both front doors. Registers the request
+    /// The one enqueue behind every front door. Registers the request
     /// with the tracer and the ledger (its `Enqueue` event, then
     /// `Brownout` when admission `browned_out` its fanout), pushes the
     /// job into its `class` lane and then the job's bell token, and
     /// returns the ticket. `deadline` is relative to this call; it drives
-    /// slack-driven batch close. Blocks while a bounded lane is full.
+    /// slack-driven batch close. `finish` says whether the reply finishes
+    /// the request's ledger trace. Blocks while a bounded lane is full.
     pub(crate) fn enqueue(
         &self,
         req: SampleRequest,
         class: Priority,
         deadline: Option<Duration>,
         browned_out: bool,
+        finish: bool,
     ) -> SampleTicket {
         let Shared { tracer, obs, .. } = &self.shared;
         if let Some(tracer) = tracer {
@@ -982,6 +1009,7 @@ impl SamplingService {
             deadline: deadline.map(|d| submitted + d),
             class,
             trace,
+            finish,
         };
         let (lanes, bell) = self.lanes.as_ref().expect("service running");
         lanes[class.index()].send(job).expect("worker shards alive");
@@ -1024,6 +1052,12 @@ impl SamplingService {
         slot_of: &mut Vec<u32>,
     ) -> usize {
         self.shared.backend.gather_attr_rows(nodes, rows, slot_of)
+    }
+
+    /// The sampling SLO's burn rate ([`ServiceStats::burn_rate`]), read
+    /// under the stats lock without cloning the stats.
+    pub(crate) fn burn_rate(&self) -> f64 {
+        self.shared.stats.lock().expect("stats lock").burn_rate()
     }
 
     /// A snapshot of service-level stats, with the backend's own
@@ -1380,7 +1414,7 @@ pub(crate) mod tests {
             // Through `enqueue` with a deadline, as the shaped door submits.
             let tight = |s| {
                 let deadline = Some(Duration::from_millis(1));
-                svc.enqueue(req(s), Priority::Interactive, deadline, false)
+                svc.enqueue(req(s), Priority::Interactive, deadline, false, true)
             };
             let first = tight(0);
             assert_eq!(entered.recv().unwrap(), 1, "dispatch 1 is held");

@@ -27,8 +27,6 @@
 //!   deadline, the last N of its events are dumped together with the
 //!   active chaos seed and fault-plan digest, so the exact tail sample
 //!   replays byte-identically from the seed.
-//! * [`SloMonitor`] — a target-p99 objective with error-budget burn
-//!   counters, evaluated inline by the serving layers.
 //!
 //! Determinism: [`LedgerSnapshot`] orders events canonically (trace,
 //! timestamp, stage rank), so two runs that record the same event set —
@@ -36,7 +34,7 @@
 //! byte-identical snapshots and equal [`LedgerSnapshot::digest`]s.
 
 use crate::json::Json;
-use crate::metrics::{Log2Histogram, MetricSource, Scope};
+use crate::metrics::{MetricSource, Scope};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -949,110 +947,6 @@ impl MetricSource for BlameReport {
     }
 }
 
-/// A target-p99 service-level objective with error-budget burn
-/// accounting, evaluated inline by the serving layers.
-///
-/// The budget is the allowed fraction of requests over target (a p99
-/// target allows 1%). `burn_rate` > 1 means the objective is being
-/// missed: violations are arriving faster than the budget admits.
-#[derive(Debug, Clone)]
-pub struct SloMonitor {
-    target_p99_us: f64,
-    budget: f64,
-    total: u64,
-    violations: u64,
-    degraded: u64,
-    latency: Log2Histogram,
-}
-
-impl SloMonitor {
-    /// An SLO of `target_p99_us` with `budget` allowed violation
-    /// fraction (pass `0.01` for a p99 objective).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `budget` is not in `(0, 1]`.
-    pub fn new(target_p99_us: f64, budget: f64) -> Self {
-        assert!(budget > 0.0 && budget <= 1.0, "budget must be in (0, 1]");
-        SloMonitor {
-            target_p99_us,
-            budget,
-            total: 0,
-            violations: 0,
-            degraded: 0,
-            latency: Log2Histogram::default(),
-        }
-    }
-
-    /// Accounts one finished request.
-    pub fn observe(&mut self, latency_us: f64, degraded: bool) {
-        self.total += 1;
-        if latency_us > self.target_p99_us {
-            self.violations += 1;
-        }
-        if degraded {
-            self.degraded += 1;
-        }
-        self.latency.record(latency_us.max(0.0) as u64);
-    }
-
-    /// The latency objective, microseconds.
-    pub fn target_p99_us(&self) -> f64 {
-        self.target_p99_us
-    }
-
-    /// Requests observed.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Requests over target.
-    pub fn violations(&self) -> u64 {
-        self.violations
-    }
-
-    /// Fraction of requests over target.
-    pub fn violation_rate(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.violations as f64 / self.total as f64
-        }
-    }
-
-    /// Violation rate over allowed rate: > 1 burns budget faster than
-    /// the objective admits.
-    pub fn burn_rate(&self) -> f64 {
-        self.violation_rate() / self.budget
-    }
-
-    /// Whether the cumulative budget is spent.
-    pub fn budget_exhausted(&self) -> bool {
-        self.burn_rate() > 1.0
-    }
-
-    /// Achieved p99 so far (log2-interpolated), microseconds.
-    pub fn achieved_p99_us(&self) -> f64 {
-        self.latency.percentile(0.99)
-    }
-}
-
-impl MetricSource for SloMonitor {
-    fn collect(&self, out: &mut Scope<'_>) {
-        out.gauge("target_p99_us", self.target_p99_us);
-        out.counter("total", self.total);
-        out.counter("violations", self.violations);
-        out.counter("degraded", self.degraded);
-        out.gauge("violation_rate", self.violation_rate());
-        out.gauge("burn_rate", self.burn_rate());
-        out.gauge("achieved_p99_us", self.achieved_p99_us());
-        out.gauge(
-            "budget_exhausted",
-            if self.budget_exhausted() { 1.0 } else { 0.0 },
-        );
-    }
-}
-
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -1393,29 +1287,6 @@ mod tests {
         }
         h.flush();
         assert_eq!(snap.digest(), ledger2.snapshot().digest());
-    }
-
-    #[test]
-    fn slo_monitor_burns_budget_on_violations() {
-        let mut slo = SloMonitor::new(100.0, 0.01);
-        for _ in 0..98 {
-            slo.observe(50.0, false);
-        }
-        assert_eq!(slo.violations(), 0);
-        assert!(!slo.budget_exhausted());
-        slo.observe(150.0, false);
-        slo.observe(200.0, true);
-        assert_eq!(slo.total(), 100);
-        assert_eq!(slo.violations(), 2);
-        assert!((slo.violation_rate() - 0.02).abs() < 1e-12);
-        assert!((slo.burn_rate() - 2.0).abs() < 1e-9);
-        assert!(slo.budget_exhausted());
-        assert!(slo.achieved_p99_us() > 0.0);
-        let mut reg = crate::Registry::new();
-        reg.register("slo", &[], Box::new(slo));
-        let snap = reg.snapshot();
-        assert_eq!(snap.get("slo/violations").unwrap().as_f64(), 2.0);
-        assert!(snap.get("slo/burn_rate").unwrap().as_f64() > 1.0);
     }
 
     #[test]

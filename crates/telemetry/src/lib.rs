@@ -12,9 +12,8 @@
 //!   loadable in `chrome://tracing` or Perfetto.
 //! - **Request ledger**: a per-request causal event log
 //!   ([`RequestLedger`]) with queue-wait vs service-time split per
-//!   stage, a tail-attribution [`BlameReport`], a degradation
-//!   [`FlightDump`] recorder, and [`SloMonitor`] error-budget burn
-//!   accounting.
+//!   stage, a tail-attribution [`BlameReport`] and a degradation
+//!   [`FlightDump`] recorder.
 //!
 //! The crate is dependency-free by design: the workspace's `serde` is a
 //! no-op shim, so [`json`] carries its own small encoder and
@@ -28,7 +27,7 @@ pub mod trace;
 pub use json::{Json, JsonError};
 pub use ledger::{
     BlameReport, DumpReason, FlightDump, LedgerConfig, LedgerEvent, LedgerHandle, LedgerSnapshot,
-    RequestLedger, SloMonitor, Stage,
+    RequestLedger, Stage,
 };
 pub use metrics::{
     HistogramSnapshot, Log2Histogram, Metric, MetricSource, MetricValue, Registry, Scope, Snapshot,
