@@ -128,10 +128,13 @@ impl FreqSketch {
     }
 
     /// The i-th probe position for hash `h` (double hashing keeps the
-    /// four probes independent without four hash functions).
+    /// four probes independent without four hash functions). Its bits
+    /// start above the ones that picked the segment and its residency
+    /// filter slot, which every key of this sketch shares, and its step
+    /// is drawn above the doorkeeper's.
     #[inline]
     fn pos(&self, h: u64, i: u64) -> u64 {
-        h.wrapping_add(i.wrapping_mul(h >> 32 | 1)) & self.mask
+        (h >> 16).wrapping_add(i.wrapping_mul(h >> 48 | 1)) & self.mask
     }
 
     /// Counts one access, aging the sketch when the window fills.
@@ -891,6 +894,29 @@ mod tests {
     /// A one-key admit.
     fn put<T: Copy>(c: &ShardedTier<T>, v: NodeId, data: &[T]) {
         c.admit(&[v], &[0], &mut Vec::new(), |_| data);
+    }
+
+    /// Over one segment's keys, whose low hash bits all agree, each of
+    /// the sketch's four rows still reaches at least half the counters.
+    #[test]
+    fn every_sketch_row_spreads_over_one_segments_keys() {
+        let tier: AttrTier = ShardedTier::new(1024, 16, true);
+        let sketch = FreqSketch::new(64);
+        let counters = sketch.mask as usize + 1;
+        let hashes: Vec<u64> = (0..u64::MAX)
+            .map(mix)
+            .filter(|&h| h as usize & tier.shard_mask == 0)
+            .take(8 * counters)
+            .collect();
+        for i in 0..4 {
+            let reached: std::collections::HashSet<u64> =
+                hashes.iter().map(|&h| sketch.pos(h, i)).collect();
+            assert!(
+                2 * reached.len() >= counters,
+                "row {i} reaches {} of {counters} counters",
+                reached.len()
+            );
+        }
     }
 
     #[test]

@@ -130,41 +130,41 @@ fn wire_counters_of_a_fixed_request_list_are_frozen() {
         7,
         true,
         WireSnapshot {
-            remote_legs: 122,
-            request_packages: 122,
-            packed_requests: 1727,
+            remote_legs: 123,
+            request_packages: 123,
+            packed_requests: 1739,
             overflow_splits: 0,
-            raw_request_bytes: 34540,
-            wire_request_bytes: 9348,
-            raw_response_bytes: 77652,
-            wire_response_bytes: 55373,
+            raw_request_bytes: 34780,
+            wire_request_bytes: 9416,
+            raw_response_bytes: 78024,
+            wire_response_bytes: 55752,
             sampling_raw_response_bytes: 35468,
             sampling_wire_response_bytes: 12510,
-            attr_raw_response_bytes: 42184,
-            attr_wire_response_bytes: 42863,
-            simulated_wire_ns: 93168,
+            attr_raw_response_bytes: 42556,
+            attr_wire_response_bytes: 43242,
+            simulated_wire_ns: 93929,
         },
-        93766,
+        94519,
     );
     // Width 64 (the benchmark's): every row is exactly four lines.
     assert_frozen(
         64,
         true,
         WireSnapshot {
-            remote_legs: 122,
-            request_packages: 122,
-            packed_requests: 1727,
+            remote_legs: 123,
+            request_packages: 123,
+            packed_requests: 1739,
             overflow_splits: 0,
-            raw_request_bytes: 34540,
-            wire_request_bytes: 9348,
-            raw_response_bytes: 411284,
-            wire_response_bytes: 394182,
+            raw_request_bytes: 34780,
+            wire_request_bytes: 9416,
+            raw_response_bytes: 414368,
+            wire_response_bytes: 397314,
             sampling_raw_response_bytes: 35468,
             sampling_wire_response_bytes: 12510,
-            attr_raw_response_bytes: 375816,
-            attr_wire_response_bytes: 381672,
-            simulated_wire_ns: 102208,
+            attr_raw_response_bytes: 378900,
+            attr_wire_response_bytes: 384804,
+            simulated_wire_ns: 103041,
         },
-        102653,
+        103487,
     );
 }
