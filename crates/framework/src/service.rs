@@ -98,10 +98,10 @@ pub struct ServiceStats {
     pub fallbacks: u64,
     /// Circuit-breaker open transitions across shards.
     pub breaker_opens: u64,
-    /// Replies later than the sampling SLO's 50 ms target.
-    pub slo_violations: u64,
     /// Requests short-circuited to the fallback by an open breaker.
     pub breaker_fastpaths: u64,
+    /// Replies later than the sampling SLO's 50 ms target.
+    pub slo_violations: u64,
     /// The backend's cumulative request accounting.
     pub backend: RequestStats,
     /// Hot-set cache counters, when a cache sits on the backend's data
@@ -1785,11 +1785,22 @@ pub(crate) mod tests {
                 ..ServiceConfig::default()
             },
         );
-        for s in 0..24 {
-            let _ = svc.sample_reply(req(s));
+        // Which shard takes a job is the scheduler's choice, so serve
+        // one request at a time until shard 0 has had its two
+        // dispatches, then a few more that only shard 1 can answer.
+        let panicked = || svc.injector().unwrap().stats().worker_panics > 0;
+        let mut served = 0;
+        while !panicked() {
+            assert!(served < 10_000, "shard 0 never took two dispatches");
+            let _ = svc.sample_reply(req(served));
+            served += 1;
+        }
+        for _ in 0..8 {
+            let _ = svc.sample_reply(req(served));
+            served += 1;
         }
         let st = svc.stats();
-        assert_eq!(st.requests, 24, "the surviving shard answered them all");
+        assert_eq!(st.requests, served, "the surviving shard answered them all");
         assert_eq!(svc.injector().unwrap().stats().worker_panics, 1);
         svc.shutdown();
     }

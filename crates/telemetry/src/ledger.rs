@@ -28,6 +28,9 @@
 //!   active chaos seed and fault-plan digest, so the exact tail sample
 //!   replays byte-identically from the seed.
 //!
+//! Lateness against an SLO is not kept here: the serving layers count
+//! it in their own stats, so it does not depend on a ledger.
+//!
 //! Determinism: [`LedgerSnapshot`] orders events canonically (trace,
 //! timestamp, stage rank), so two runs that record the same event set —
 //! regardless of thread interleaving — produce
