@@ -44,7 +44,6 @@ use lsdgnn_core::framework::{
 use lsdgnn_core::graph::{generators, AttributeStore, NodeId, PartitionedGraph};
 use lsdgnn_core::telemetry::ledger::Stage;
 use lsdgnn_core::telemetry::Json;
-use std::time::Duration;
 
 /// Graph size is fixed (not `LSDGNN_SCALE`) so the committed artifact
 /// replays identically in any environment.
@@ -308,7 +307,6 @@ fn observed_leg(pg: &PartitionedGraph, hot_pct: u64, seed: u64, quick: bool) -> 
         ServiceConfig {
             workers: 2,
             max_batch: 4,
-            batch_deadline: Duration::from_micros(200),
             ..ServiceConfig::default()
         },
         None,

@@ -286,7 +286,6 @@ fn live_config(batch: BatchPolicy) -> ServiceConfig {
         workers: 2,
         queue_capacity: 64,
         max_batch: 8,
-        batch_deadline: Duration::from_micros(200),
         batch,
         ..ServiceConfig::default()
     }

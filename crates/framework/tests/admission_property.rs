@@ -92,7 +92,6 @@ proptest! {
                 workers: 1,
                 queue_capacity: 32,
                 max_batch: 4,
-                batch_deadline: Duration::from_micros(50),
                 ..ServiceConfig::default()
             },
             admission,
